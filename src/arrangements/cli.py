@@ -11,7 +11,8 @@
 FILE is a JSON arrangement file (see fileio) or `corpus:NAME` for a built-in
 example.  --verify reruns the computation through the independent oracles and
 exits 3 on any mismatch.  Exit codes: 0 ok/definitive, 2 Unknown verdict,
-3 verification mismatch, 1 usage or input error.
+3 verification mismatch or a failed internal invariant (TheoremViolation,
+e.g. freeness criteria that disagree), 1 usage or input error.
 
 The environment variable ARRANGEMENTS_DEGREE_BOUND supplies a default for
 --bound when set.
@@ -28,7 +29,7 @@ from . import corpus as corpus_data
 from .core import form_to_string, var_names
 from .criteria import abe_yoshinaga_free_check, compare_coefficients, yoshinaga_3d
 from .derivations import FREE, UNKNOWN, find_free_basis
-from .errors import ArrangementError, BadPrime, InputError
+from .errors import ArrangementError, BadPrime, InputError, TheoremViolation
 from .fileio import (
     ArrangementInput,
     fraction_to_json,
@@ -263,7 +264,8 @@ def _cmd_exponents(args):
 
 
 def _merge_verdicts(results):
-    """Later definitive verdicts beat Unknown; definitive verdicts must agree."""
+    """Later definitive verdicts beat Unknown; definitive verdicts must agree
+    (TheoremViolation otherwise)."""
     merged = None
     for method, verdict in results.items():
         if verdict.status == UNKNOWN:
@@ -272,14 +274,14 @@ def _merge_verdicts(results):
             merged = verdict
             continue
         if merged.status != verdict.status:
-            raise RuntimeError(
+            raise TheoremViolation(
                 f"freeness criteria disagree: {merged.status} vs "
                 f"{verdict.status} ({method})"
             )
         if merged.status == FREE and tuple(merged.exponents) != tuple(
             verdict.exponents
         ):
-            raise RuntimeError(
+            raise TheoremViolation(
                 f"freeness criteria disagree on exponents: "
                 f"{merged.exponents} vs {verdict.exponents} ({method})"
             )
@@ -511,7 +513,7 @@ def main(argv=None):
         return 1
     except ArrangementError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        return 3 if isinstance(exc, TheoremViolation) else 1
 
 
 if __name__ == "__main__":

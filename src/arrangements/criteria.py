@@ -20,11 +20,13 @@ from .derivations import (
     UNKNOWN,
     FreenessVerdict,
     SigmaStatus,
+    _level_sums,
+    _localization_sweep,
+    _sigma_column,
     elementary_symmetric,
     find_free_basis,
     rank2_exponents,
     sigma_coefficients,
-    sigma_per_flat,
 )
 from .errors import TheoremViolation, WrongRank
 from .lattice import reduced_char_poly
@@ -98,24 +100,25 @@ def compare_coefficients(arr, h0, degree_bound=None, assert_tame=False):
         raise WrongRank("coefficient comparison needs ambient dimension at least 2")
     table = b_coefficients(arr, h0)
     restriction = ziegler_restriction(arr, h0)
-    sig = sigma_coefficients(restriction, degree_bound)
-    sigma = (tuple(sig) + (SigmaStatus(0, "definition"),) * ell)[:ell]
-    table.sigma = sigma
     if restriction.is_essential():
-        local = sigma_per_flat(restriction, degree_bound)
+        # one sweep: the global verdict, sigma and the per-flat sigma values
+        top, local = _localization_sweep(restriction, degree_bound)
+        sig = _sigma_column(restriction, top, local)
         for flat, entry in table.per_flat.items():
             entry["sigma"] = local.get(flat)
-        # the level sums must reproduce the global coefficients whenever
-        # both sides are exact
-        for k, status in enumerate(sigma):
-            if not status.exact:
-                continue
-            level = [v for f, v in local.items() if f.codim == k]
-            if all(v is not None for v in level):
-                assert sum(level) == status.value, (
-                    f"local sigma_{k} contributions disagree with the "
-                    "global coefficient"
-                )
+        if top.is_free:
+            # local-to-global: the level sums of the local products must
+            # reproduce the elementary symmetric functions of the exponents
+            for k, total in enumerate(_level_sums(local, restriction.dim)):
+                if total is not None and total != sig[k].value:
+                    raise TheoremViolation(
+                        f"local sigma_{k} contributions disagree with the "
+                        "global coefficient"
+                    )
+    else:
+        sig = sigma_coefficients(restriction, degree_bound)
+    sigma = (tuple(sig) + (SigmaStatus(0, "definition"),) * ell)[:ell]
+    table.sigma = sigma
     inequality = tuple(
         (table.b[i] >= s.value) if s.exact else None for i, s in enumerate(sigma)
     )

@@ -14,12 +14,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import prod
 
 from .core import CentralArrangement, Multiarrangement, essentialize, var_names
 from .errors import (
     DimensionMismatch,
     EmptyMultiarrangement,
     NotADerivation,
+    TheoremViolation,
     WrongRank,
 )
 from .lattice import intersection_lattice
@@ -375,7 +377,8 @@ def rank2_exponents(multi):
     if multi.dim != 2 or multi.rank() != 2:
         raise WrongRank("expected an essential multiarrangement of rank 2")
     verdict = find_free_basis(multi)
-    assert verdict.is_free, "a rank-2 multiarrangement must be free"
+    if not verdict.is_free:
+        raise TheoremViolation("a rank-2 multiarrangement must be free")
     return Exponents(verdict.exponents, basis=verdict.basis)
 
 
@@ -399,82 +402,82 @@ class SigmaStatus:
 
 
 def elementary_symmetric(values, k):
-    out = 0
-    for combo in combinations(values, k):
-        prod = 1
-        for v in combo:
-            prod *= v
-        out += prod
+    return sum(prod(combo) for combo in combinations(values, k))
+
+
+def _localization_sweep(ess, degree_bound=None):
+    """One freeness search per flat of an essential multiarrangement; the
+    only place localization searches run.
+
+    Returns (verdict, products): products maps each flat, in lattice order,
+    to the product of its localization's exponents (None unless Free).  The
+    last flat, the center, localizes to ess itself, so verdict is the global
+    one.  Rank <= 2 localizations are always free: no user bound for them.
+    """
+    products = {}
+    for flat in intersection_lattice(ess.base).flats:
+        bound = None if flat.codim <= 2 else degree_bound
+        verdict = find_free_basis(localize_and_essentialize(ess, flat), bound)
+        products[flat] = prod(verdict.exponents) if verdict.is_free else None
+    return verdict, products
+
+
+def _level_sums(products, rank):
+    """Per codimension 0..rank, the sum of the flats' products, or None
+    when one of them is None."""
+    out = []
+    for k in range(rank + 1):
+        level = [v for f, v in products.items() if f.codim == k]
+        out.append(None if None in level else sum(level))
     return out
 
 
-def _local_exponent_product(ess, flat, degree_bound):
-    """Product of the exponents of the essentialized localization at a flat,
-    or None when that localization's freeness stays unresolved."""
-    loc = localize_and_essentialize(ess, flat)
-    # rank <= 2 localizations are always free; never let a user bound
-    # leave them unresolved
-    bound = None if flat.codim <= 2 else degree_bound
-    verdict = find_free_basis(loc, bound)
-    if not verdict.is_free:
-        return None
-    prod = 1
-    for e in verdict.exponents:
-        prod *= e
-    return prod
+def _sigma_column(ess, verdict, products):
+    """(sigma_0, ..., sigma_r) of an essential multiarrangement of rank r,
+    given its verdict (needed from rank 2 on): the elementary symmetric
+    functions of the exponents when Free, else the level sums of the
+    per-flat products."""
+    rank = ess.dim
+    out = [SigmaStatus(1, "definition"), SigmaStatus(ess.total, "definition")]
+    if rank <= 1:
+        return tuple(out[: rank + 1])
+    if verdict.is_free:
+        method = "rank<=2" if rank <= 2 else "free-factorization"
+        values = [elementary_symmetric(verdict.exponents, k) for k in range(2, rank + 1)]
+    else:
+        method, values = "local-to-global", _level_sums(products, rank)[2:]
+    return tuple(out + [SigmaStatus(v, method) for v in values])
 
 
 def sigma_coefficients(multi, degree_bound=None):
     """The vector (sigma_0, ..., sigma_r) of chi(A, m, t), r = rank.
 
-    sigma_0 = 1 and sigma_1 = |m| by definition.  When D(A,m) is verified
-    free the remaining coefficients come from the factorization
-    prod (t - e_i); otherwise sigma_k is summed over the codimension-k flats
-    from the exponents of the free localizations, and stays None whenever
-    some required localization cannot be resolved within the bound.
+    sigma_0 = 1 and sigma_1 = |m| by definition.  The essentialization is
+    searched first; when D(A,m) is verified free the remaining coefficients
+    come from the factorization prod (t - e_i) and no localization is
+    searched.  Otherwise the localization sweep searches every flat once
+    (the entry of the top flat, the center, is the global verdict again)
+    and sigma_k sums the local exponent products over the codimension-k
+    flats, staying None whenever one of them is unresolved within the bound.
     """
     ess, _ = essentialize(multi)
-    rank = ess.dim
-    out = [SigmaStatus(1, "definition")]
-    if rank == 0:
-        return tuple(out)
-    out.append(SigmaStatus(ess.total, "definition"))
-    if rank == 1:
-        return tuple(out)
-    verdict = find_free_basis(ess, None if rank <= 2 else degree_bound)
-    if verdict.is_free:
-        method = "rank<=2" if rank <= 2 else "free-factorization"
-        for k in range(2, rank + 1):
-            out.append(
-                SigmaStatus(elementary_symmetric(verdict.exponents, k), method)
-            )
-        return tuple(out)
-    lattice = intersection_lattice(ess.base)
-    for k in range(2, rank + 1):
-        acc = 0
-        for flat in lattice.flats:
-            if flat.codim != k:
-                continue
-            prod = _local_exponent_product(ess, flat, degree_bound)
-            if prod is None:
-                acc = None
-                break
-            acc += prod
-        out.append(SigmaStatus(acc, "local-to-global"))
-    return tuple(out)
+    verdict = products = None
+    if ess.dim >= 2:
+        verdict = find_free_basis(ess, None if ess.dim <= 2 else degree_bound)
+        if not verdict.is_free:
+            products = _localization_sweep(ess, degree_bound)[1]
+    return _sigma_column(ess, verdict, products)
 
 
 def sigma_per_flat(multi, degree_bound=None):
     """Local sigma contribution for every flat of the effective base lattice.
 
-    Returns {Flat: product of local exponents or None}.  Requires the
+    Returns {Flat: product of local exponents or None}, the products of the
+    localization sweep: one freeness search per flat, where the entry of
+    the top flat (the center) is the global verdict's.  Requires the
     multiarrangement to be essential so the flats stay in input coordinates.
     """
     ess, center_dim = essentialize(multi)
     if center_dim != 0:
         raise WrongRank("per-flat sigma values need an essential multiarrangement")
-    lattice = intersection_lattice(ess.base)
-    return {
-        flat: _local_exponent_product(ess, flat, degree_bound)
-        for flat in lattice.flats
-    }
+    return _localization_sweep(ess, degree_bound)[1]

@@ -60,10 +60,12 @@ class WrongRank(ArrangementError):
 
 
 class TheoremViolation(ArrangementError):
-    """An exact sigma coefficient exceeded its b counterpart on tame input.
+    """A theorem the library relies on failed.
 
-    The coefficient inequality guarantees this cannot happen, so raising it
-    means the implementation has a bug somewhere.
+    Examples: an exact sigma coefficient exceeding its b counterpart on tame
+    input, a rank-2 multiarrangement that is not free, or two freeness
+    criteria that disagree.  The mathematics rules all of these out, so
+    raising it means the implementation has a bug somewhere.
     """
 
 

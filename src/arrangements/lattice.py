@@ -14,6 +14,7 @@ never needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .core import AffineArrangement, CentralArrangement
 from .errors import FlatNotInLattice, NonzeroRemainder
@@ -80,9 +81,11 @@ class IntersectionLattice:
             sizes[f.codim] = sizes.get(f.codim, 0) + 1
         return sizes
 
+    @cached_property
+    def _index(self):
+        return {f.equations: i for i, f in enumerate(self.flats)}
+
     def index_of(self, flat):
-        if not hasattr(self, "_index"):
-            self._index = {f.equations: i for i, f in enumerate(self.flats)}
         return self._index.get(flat.equations)
 
     def lookup(self, flat):

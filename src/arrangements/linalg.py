@@ -136,10 +136,6 @@ def rref(rows, ncols):
     return echelon(rows, ncols).rref()
 
 
-def rank(rows, ncols):
-    return echelon(rows, ncols).rank
-
-
 def nullspace(rows, ncols):
     """Canonical basis of the right kernel.
 
@@ -210,17 +206,7 @@ def inverse(rows):
     return [list(r[n:]) for r in red]
 
 
-def mat_vec(rows, vec):
-    return [sum(a * b for a, b in zip(r, vec)) for r in rows]
-
-
 def vec_mat(vec, rows):
     """Row vector times matrix (list of rows)."""
     ncols = len(rows[0]) if rows else 0
     return [sum(vec[i] * rows[i][j] for i in range(len(rows))) for j in range(ncols)]
-
-
-def in_row_span(row, span_rows, ncols):
-    """True if a rational row lies in the span of the given rows."""
-    e = echelon(span_rows, ncols)
-    return e.contains(row)

@@ -62,22 +62,27 @@ def _is_prime(q):
     return True
 
 
-def good_primes(arr, count=None):
-    """The smallest count (default dim+1) primes exceeding the minor bound."""
-    need = count if count is not None else arr.dim + 1
-    bound = minor_bound(arr)
+def _primes_above(bound, dim, count):
+    """The smallest count primes exceeding bound; BadPrime once one of them
+    leaves q**dim past the point-enumeration budget."""
     out = []
     q = bound + 1
-    while len(out) < need:
+    while len(out) < count:
         if _is_prime(q):
-            if q ** arr.dim > MAX_POINTS:
+            if q ** dim > MAX_POINTS:
                 raise BadPrime(
-                    f"{q}**{arr.dim} exceeds the point-enumeration budget "
+                    f"{q}**{dim} exceeds the point-enumeration budget "
                     f"{MAX_POINTS}; the oracle is desk-scale by design"
                 )
             out.append(q)
         q += 1
     return out
+
+
+def good_primes(arr, count=None):
+    """The smallest count (default dim+1) primes exceeding the minor bound."""
+    need = arr.dim + 1 if count is None else count
+    return _primes_above(minor_bound(arr), arr.dim, need)
 
 
 def point_count(arr, q):
@@ -136,12 +141,12 @@ def finite_field_char_poly(arr, primes=None, with_witnesses=False):
     InconsistentCounts is raised.
     """
     ell = arr.dim
+    bound = minor_bound(arr)
     if primes is None:
-        primes = good_primes(arr)
+        primes = _primes_above(bound, ell, ell + 1)
     primes = list(dict.fromkeys(int(q) for q in primes))
     if len(primes) < ell + 1:
         raise BadPrime(f"need at least dim+1 = {ell + 1} distinct primes")
-    bound = minor_bound(arr)
     for q in primes:
         if not _is_prime(q):
             raise BadPrime(f"{q} is not prime")

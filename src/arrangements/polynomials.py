@@ -138,10 +138,6 @@ class IntPoly:
 # Sparse multivariate polynomials: dict {exponent tuple: coefficient}
 # ---------------------------------------------------------------------------
 
-def mp_zero():
-    return {}
-
-
 def mp_const(nvars, c):
     if c == 0:
         return {}
@@ -168,12 +164,6 @@ def mp_add_inplace(acc, poly, scale=1):
         else:
             acc[e] = v
     return acc
-
-
-def mp_scale(poly, c):
-    if c == 0:
-        return {}
-    return {e: c * v for e, v in poly.items()}
 
 
 def mp_mul(p, q):

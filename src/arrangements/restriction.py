@@ -26,7 +26,7 @@ from .core import (
     normalize_affine,
     normalize_form,
 )
-from .errors import FlatNotInLattice, IndexOutOfRange, WrongRank
+from .errors import FlatNotInLattice, IndexOutOfRange, TheoremViolation, WrongRank
 from .lattice import Flat, intersection_lattice, reduced_char_poly
 from .linalg import echelon, inverse, vec_mat
 
@@ -138,7 +138,7 @@ def _direction_flat(flat, restriction):
     )
     image = Flat(key, len(key), contained)
     if image.codim != flat.codim:
-        raise AssertionError("direction space dropped rank; this is a bug")
+        raise TheoremViolation("direction space dropped rank; this is a bug")
     return image
 
 
@@ -173,7 +173,8 @@ def b_coefficients(arr, h0):
 
     b_i^X sums |mu(Y)| over the flats Y of the deconed arrangement with
     rho(Y) = X.  The identity sum_X b_i^X = b_i ties the two pipelines
-    (lattice of A versus lattice of dA) together and is asserted.
+    (lattice of A versus lattice of dA) together; TheoremViolation is
+    raised if it fails.
     """
     ell = arr.dim
     if ell < 2:
@@ -189,6 +190,7 @@ def b_coefficients(arr, h0):
     sums = [0] * ell
     for image, val in per.items():
         sums[image.codim] += val
-    assert tuple(sums) == b, "per-flat b decomposition disagrees with chi0"
+    if tuple(sums) != b:
+        raise TheoremViolation("per-flat b decomposition disagrees with chi0")
     table = {x: {"b": v, "sigma": None} for x, v in per.items()}
     return CoefficientTable(b=b, sigma=None, per_flat=table)

@@ -76,6 +76,23 @@ def test_freeness_all_methods_agree(capsys):
         assert method in out
 
 
+def test_freeness_criteria_disagreement_exits_3(capsys, monkeypatch):
+    # A criterion contradicting the others is an internal bug: a typed
+    # one-line error with exit code 3, not a traceback.
+    from arrangements import cli
+    from arrangements.derivations import NOT_FREE, FreenessVerdict
+
+    monkeypatch.setattr(
+        cli, "yoshinaga_3d", lambda arr, h0: FreenessVerdict(NOT_FREE, witness="x")
+    )
+    code, out, err = run(capsys, "freeness", "corpus:braid-ess3", "--method", "all")
+    assert code == 3
+    assert err == (
+        "error: TheoremViolation: freeness criteria disagree: "
+        "NotFree vs Free (abe-yoshinaga)\n"
+    )
+
+
 def test_freeness_json(capsys):
     code, out, _ = run(capsys, "freeness", "corpus:generic34", "--h0", "3", "--json")
     assert code == 0

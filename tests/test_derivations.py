@@ -246,6 +246,18 @@ def test_sigma_per_flat_braid():
         assert sum(v for f, v in per.items() if f.codim == k) == sigma[k].value
 
 
+def test_sigma_ignores_user_bound_on_rank2_localizations():
+    # Rank <= 2 localizations are always free, so a degree bound too low
+    # for them must not leave their products (or sigma_2) unresolved.
+    zr = ziegler_restriction(CORPUS["braid-ess4"].arrangement, 0)
+    per = sigma_per_flat(zr, degree_bound=1)
+    assert all(v is not None for f, v in per.items() if f.codim <= 2)
+    assert sum(v for f, v in per.items() if f.codim == 2) == 26
+    sigma = sigma_coefficients(zr, degree_bound=1)
+    assert [s.value for s in sigma] == [1, 9, 26, None]
+    assert sigma[2].method == "local-to-global"
+
+
 def test_sigma_per_flat_needs_essential_input():
     multi = simple_multiarrangement(make([[1, 0, 0], [0, 1, 0]], 3))
     with pytest.raises(WrongRank):

@@ -1,0 +1,66 @@
+"""Byte-for-byte replay of recorded CLI runs over the whole corpus.
+
+Every corpus entry runs through eight subcommand variants, in text and in
+--json mode; stdout, stderr and the exit code must match golden_cli.json
+exactly.  Regenerate the file (only when an output change is intended) with
+
+    PYTHONPATH=src python tests/test_golden_cli.py --write
+"""
+
+import contextlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+from arrangements import corpus
+from arrangements.cli import ENV_BOUND, main
+
+GOLDEN = Path(__file__).with_name("golden_cli.json")
+
+
+def variants(h0):
+    h = ("--h0", str(h0))
+    return (
+        ("charpoly",),
+        ("charpoly", "--reduced"),
+        ("charpoly", "--verify"),
+        ("chambers", "--verify"),
+        ("exponents",),
+        ("freeness",) + h,
+        ("compare",) + h,
+        ("ziegler",) + h,
+    )
+
+
+def cases():
+    for name in corpus.names():
+        for variant in variants(corpus.get(name).h0):
+            for mode in ((), ("--json",)):
+                cmd, *rest = variant
+                yield [cmd, f"corpus:{name}", *rest, *mode]
+
+
+def run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return {"argv": argv, "stdout": out.getvalue(), "stderr": err.getvalue(), "exit": code}
+
+
+def test_golden_cli_outputs(monkeypatch):
+    monkeypatch.delenv(ENV_BOUND, raising=False)
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert [g["argv"] for g in golden] == list(cases())
+    for expected in golden:
+        assert run_cli(expected["argv"]) == expected, " ".join(expected["argv"])
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit(__doc__)
+    os.environ.pop(ENV_BOUND, None)
+    records = [run_cli(argv) for argv in cases()]
+    GOLDEN.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {len(records)} runs to {GOLDEN}")

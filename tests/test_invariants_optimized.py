@@ -1,0 +1,87 @@
+"""Internal invariant checks survive `python -O`.
+
+Each check runs in a child interpreter started with -O (which strips
+`assert` statements) after a monkeypatch forces it to fail; the child must
+see TheoremViolation with the check's own message.
+"""
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
+import arrangements
+
+SRC = str(Path(arrangements.__file__).resolve().parents[1])
+
+CHECKS = {
+    "b-decomposition": (
+        """
+        from arrangements import CORPUS, IntPoly, restriction
+        real = restriction.reduced_char_poly
+        restriction.reduced_char_poly = lambda arr: real(arr) + IntPoly((1,))
+        restriction.b_coefficients(CORPUS["braid-ess3"].arrangement, 0)
+        """,
+        "per-flat b decomposition disagrees with chi0",
+    ),
+    "sigma-level-sums": (
+        """
+        from arrangements import CORPUS, compare_coefficients, derivations
+        real = derivations.elementary_symmetric
+        derivations.elementary_symmetric = lambda values, k: real(values, k) + 1
+        compare_coefficients(CORPUS["braid-ess3"].arrangement, 0)
+        """,
+        "local sigma_2 contributions disagree with the global coefficient",
+    ),
+    "rank2-freeness": (
+        """
+        from arrangements import CORPUS, derivations
+        derivations.find_free_basis = lambda multi: derivations.FreenessVerdict(
+            derivations.NOT_FREE, witness="patched"
+        )
+        derivations.rank2_exponents(CORPUS["three-lines-221"].multiarrangement())
+        """,
+        "a rank-2 multiarrangement must be free",
+    ),
+    "direction-flat-rank": (
+        """
+        import dataclasses
+        from arrangements import CORPUS, intersection_lattice, restriction
+        arr = CORPUS["braid-ess3"].arrangement
+        flat = intersection_lattice(restriction.decone(arr, 0)).flats[1]
+        flat = dataclasses.replace(flat, codim=flat.codim + 1)
+        restriction._direction_flat(flat, restriction.ziegler_restriction(arr, 0))
+        """,
+        "direction space dropped rank; this is a bug",
+    ),
+}
+
+PRELUDE = """
+import sys
+from arrangements.errors import TheoremViolation
+assert False, "-O did not strip asserts"
+try:
+{body}
+except TheoremViolation as exc:
+    print(exc)
+else:
+    sys.exit("no TheoremViolation")
+"""
+
+
+@pytest.mark.parametrize("name", sorted(CHECKS))
+def test_invariant_raises_under_python_O(name):
+    body, message = CHECKS[name]
+    code = PRELUDE.format(body=textwrap.indent(textwrap.dedent(body), "    "))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == message + "\n"
