@@ -38,7 +38,7 @@ from .fileio import (
     serialize_report,
     verdict_to_dict,
 )
-from .lattice import chamber_count, char_poly, reduced_char_poly
+from .lattice import chamber_count, char_poly, intersection_lattice, reduced_char_poly
 from .oracles import char_poly_recursion, finite_field_char_poly, region_count_recursion
 from .restriction import _pivot, ziegler_restriction
 
@@ -120,7 +120,8 @@ def _header(arr):
 
 def _cmd_charpoly(args):
     arr = _load_input(args.file).arrangement
-    chi = char_poly(arr)
+    lattice = intersection_lattice(arr)
+    chi = char_poly(arr, lattice)
     verified, mismatches = [], []
     if args.verify:
         rec = char_poly_recursion(arr)
@@ -137,7 +138,7 @@ def _cmd_charpoly(args):
                 verified.append("finite-field point counts")
             else:
                 mismatches.append(f"finite-field oracle got {_poly_str(ff)}")
-    poly = reduced_char_poly(arr) if args.reduced else chi
+    poly = reduced_char_poly(arr, lattice) if args.reduced else chi
     name = "chi0" if args.reduced else "chi"
     if args.json:
         out = {
@@ -304,6 +305,7 @@ def _cmd_freeness(args):
     )
 
     results, notes = {}, []
+    lattice = None  # of arr, built once for both restriction criteria
     for method in methods:
         if method == "saito":
             results[method] = find_free_basis(multi, degree_bound=bound)
@@ -319,14 +321,16 @@ def _cmd_freeness(args):
                 if run_all:
                     notes.append("yoshinaga: skipped (needs essential rank 3)")
                     continue
-            results[method] = yoshinaga_3d(arr, args.h0)
+            else:
+                lattice = intersection_lattice(arr)
+            results[method] = yoshinaga_3d(arr, args.h0, lattice)
         else:
             if arr.dim < 2:
                 if run_all:
                     notes.append("abe-yoshinaga: skipped (needs dim >= 2)")
                     continue
             results[method] = abe_yoshinaga_free_check(
-                arr, args.h0, degree_bound=bound
+                arr, args.h0, degree_bound=bound, lattice=lattice
             )
 
     if not results:

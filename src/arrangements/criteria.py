@@ -61,9 +61,9 @@ def tameness_classify(arr, degree_bound=None, user_asserted=False):
     return TamenessTag("Unknown")
 
 
-def _reduced_chamber_count(arr):
+def _reduced_chamber_count(arr, lattice=None):
     """Chambers of the deconed arrangement: (-1)**(l-1) chi0(A, -1)."""
-    chi0 = reduced_char_poly(arr)
+    chi0 = reduced_char_poly(arr, lattice)
     return (-1) ** (arr.dim - 1) * chi0(-1)
 
 
@@ -98,8 +98,10 @@ def compare_coefficients(arr, h0, degree_bound=None, assert_tame=False):
     ell = arr.dim
     if ell < 2:
         raise WrongRank("coefficient comparison needs ambient dimension at least 2")
-    table = b_coefficients(arr, h0)
-    restriction = ziegler_restriction(arr, h0)
+    # b_coefficients rejects an empty arrangement (NonzeroRemainder) before
+    # the index check of ziegler_restriction could
+    restriction = ziegler_restriction(arr, h0) if arr.n_hyperplanes else None
+    table = b_coefficients(arr, h0, restriction)
     if restriction.is_essential():
         # one sweep: the global verdict, sigma and the per-flat sigma values
         top, local = _localization_sweep(restriction, degree_bound)
@@ -161,14 +163,15 @@ def mca_check(arr, h0, degree_bound=None):
     return _reduced_chamber_count(arr) == sum(s.value for s in sig)
 
 
-def yoshinaga_3d(arr, h0):
+def yoshinaga_3d(arr, h0, lattice=None):
     """Rank-3 freeness criterion: free iff the deconing's chamber count
     equals (1 + d1)(1 + d2) for the Ziegler exponents (d1, d2).  Definitive:
-    rank-2 restrictions always resolve and 3-arrangements are tame."""
+    rank-2 restrictions always resolve and 3-arrangements are tame.  Pass
+    the intersection lattice of arr to reuse it."""
     if arr.dim != 3 or arr.rank() != 3:
         raise WrongRank("criterion applies to essential arrangements of rank 3")
     d1, d2 = rank2_exponents(ziegler_restriction(arr, h0))
-    chambers = _reduced_chamber_count(arr)
+    chambers = _reduced_chamber_count(arr, lattice)
     expected = (1 + d1) * (1 + d2)
     if chambers == expected:
         return FreenessVerdict(FREE, exponents=(1, d1, d2))
@@ -179,10 +182,11 @@ def yoshinaga_3d(arr, h0):
     )
 
 
-def abe_yoshinaga_free_check(arr, h0, degree_bound=None):
+def abe_yoshinaga_free_check(arr, h0, degree_bound=None, lattice=None):
     """Freeness via the restriction: A is free iff the Ziegler restriction
     is free and b_2 = sigma_2; Unknown exactly when the restriction search
-    is Unknown."""
+    is Unknown.  Pass the intersection lattice of arr to reuse it; it is
+    read only when the restriction is free."""
     if arr.dim < 2:
         raise WrongRank("criterion needs ambient dimension at least 2")
     restriction = ziegler_restriction(arr, h0)
@@ -193,7 +197,7 @@ def abe_yoshinaga_free_check(arr, h0, degree_bound=None):
         return FreenessVerdict(
             NOT_FREE, witness="Ziegler restriction is not free: " + verdict.witness
         )
-    chi0 = reduced_char_poly(arr)
+    chi0 = reduced_char_poly(arr, lattice)
     b2 = abs(chi0.coefficient(arr.dim - 3)) if arr.dim >= 3 else 0
     sigma2 = elementary_symmetric(verdict.exponents, 2)
     if b2 == sigma2:

@@ -1,14 +1,20 @@
 """Intersection lattices, Moebius values and characteristic polynomials.
 
-Flats are keyed by the canonical reduced row echelon form of their defining
-equations over exact rationals, so deduplication and lookup are plain tuple
-comparisons.  Each equation row has length dim+1 and reads
-sum(row[i] * x_i) + row[dim] = 0; central flats carry a zero constant.
+A nonempty flat is the intersection of the hyperplanes that contain it, so
+the set of those hyperplanes, an int bitmask, identifies it for central and
+affine arrangements alike.  The lattice is built level by level on integer
+rows: the flats of codimension k+1 are the covers of the codimension-k
+flats X, one per class of hyperplanes not containing X whose rows, reduced
+against X's echelon, are proportional; the class is the cover's new
+hyperplane set.  A reduced row that is a nonzero constant means X cap H is
+empty (H is parallel to X).  Every flat arises this way, so the 2**n subset
+enumeration is never needed, and Moebius values are read off the masks.
 
-The lattice is built level by level: the flats of codimension k+1 are the
-intersections X cap H over codimension-k flats X and hyperplanes H not
-containing X.  Every flat arises this way, so the 2**n subset enumeration is
-never needed.
+Each flat's output form, equations, is the canonical reduced row echelon
+form of its defining rows over exact rationals, computed once per flat; it
+orders the flats and keys lookups.  Each equation row has length dim+1 and
+reads sum(row[i] * x_i) + row[dim] = 0; central flats carry a zero
+constant.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from functools import cached_property
 
 from .core import AffineArrangement, CentralArrangement
 from .errors import FlatNotInLattice, NonzeroRemainder
-from .linalg import _Echelon, echelon
+from .linalg import _Echelon, _pivot_col, _to_int_row
 from .polynomials import IntPoly
 
 
@@ -44,18 +50,6 @@ def hyperplane_rows(arr):
     if isinstance(arr, CentralArrangement):
         return [tuple(f) + (0,) for f in arr.forms]
     return [tuple(normal) + (-c,) for normal, c in arr.hyperplanes]
-
-
-def _is_inconsistent(ech, dim):
-    return any(all(r[j] == 0 for j in range(dim)) and r[dim] != 0 for r in ech.rows)
-
-
-def _make_flat(ech, rows, dim):
-    key = ech.rref()
-    contained = frozenset(
-        i for i, row in enumerate(rows) if ech.contains(row)
-    )
-    return Flat(key, len(key), contained)
 
 
 @dataclass
@@ -108,46 +102,54 @@ class IntersectionLattice:
 def intersection_lattice(arr):
     """Enumerate all flats and fill Moebius values by the defining recursion."""
     dim = arr.dim
-    rows = hyperplane_rows(arr)
+    rows = [_to_int_row(r) for r in hyperplane_rows(arr)]
     n = len(rows)
 
-    top = Flat((), 0, frozenset())
-    flats = {(): top}
-    current = [top]
+    found = {0: _Echelon(dim + 1)}  # hyperplane mask -> integer echelon
+    current = found
     while current:
         nxt = {}
-        for flat in current:
-            base = echelon(flat.equations, dim + 1)
-            for h in range(n):
-                if h in flat.contained:
-                    continue
-                ech = _Echelon(dim + 1)
-                for r in base.rows:
-                    ech.add(r)
-                ech.add(rows[h])
-                if _is_inconsistent(ech, dim):
-                    continue
-                key = ech.rref()
-                if key in flats or key in nxt:
-                    continue
-                nxt[key] = _make_flat(ech, rows, dim)
-        flats.update(nxt)
-        current = list(nxt.values())
+        for mask, ech in current.items():
+            # hyperplanes off X with proportional reduced rows meet X in
+            # the same cover, so each cover is built once from X
+            covers = {}
+            for j in range(n):
+                if not mask >> j & 1:
+                    red = ech.reduce(rows[j])
+                    if red[_pivot_col(red)] < 0:
+                        red = [-v for v in red]
+                    key = tuple(red)
+                    covers[key] = covers.get(key, 0) | 1 << j
+            for red, bits in covers.items():
+                if _pivot_col(red) == dim:
+                    continue  # X cap H is empty
+                cover = mask | bits
+                if cover not in nxt:
+                    nxt[cover] = ech.with_row(red)
+        found.update(nxt)
+        current = nxt
 
-    ordered = sorted(flats.values(), key=lambda f: (f.codim, f.equations))
-    # mu(top) = 1; mu(X) = -sum of mu(Y) over flats Y strictly containing X.
-    mu = []
-    for i, x in enumerate(ordered):
-        if x.codim == 0:
-            mu.append(1)
-            continue
+    keyed = []
+    for mask, ech in found.items():
+        equations = ech.rref()
+        contained = frozenset(j for j in range(n) if mask >> j & 1)
+        keyed.append((Flat(equations, len(equations), contained), mask))
+    keyed.sort(key=lambda fm: (fm[0].codim, fm[0].equations))
+    # mu(top) = 1; mu(X) = -sum of mu(Y) over flats Y strictly containing X,
+    # that is of lower codimension with a hyperplane set inside X's.
+    mu = [1]
+    for i in range(1, len(keyed)):
+        x, xmask = keyed[i]
         acc = 0
         for j in range(i):
-            y = ordered[j]
-            if y.codim < x.codim and y.contained <= x.contained:
+            y, ymask = keyed[j]
+            if y.codim == x.codim:
+                break
+            if ymask & xmask == ymask:
                 acc += mu[j]
         mu.append(-acc)
-    return IntersectionLattice(dim, tuple(ordered), tuple(mu))
+    flats = tuple(f for f, _ in keyed)
+    return IntersectionLattice(dim, flats, tuple(mu))
 
 
 def char_poly(arr, lattice=None):

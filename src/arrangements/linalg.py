@@ -10,6 +10,7 @@ memoization, so two equal row spaces always produce identical output.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd
 
@@ -87,13 +88,22 @@ class _Echelon:
         reduced = self.reduce(introw)
         if reduced is None:
             return False
+        self._insert(reduced)
+        return True
+
+    def _insert(self, reduced):
         p = _pivot_col(reduced)
-        pos = 0
-        while pos < len(self.pivots) and self.pivots[pos] < p:
-            pos += 1
+        pos = bisect_left(self.pivots, p)
         self.rows.insert(pos, reduced)
         self.pivots.insert(pos, p)
-        return True
+
+    def with_row(self, reduced):
+        """A new echelon holding these rows plus one nonzero row already
+        reduced against them, as reduce returns it (either sign)."""
+        out = _Echelon(self.ncols)
+        out.rows, out.pivots = list(self.rows), list(self.pivots)
+        out._insert(reduced)
+        return out
 
     def contains(self, row):
         """True if the rational row lies in the current row space."""

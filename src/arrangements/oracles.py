@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import isqrt, prod
 
 import numpy as np
 
@@ -49,6 +50,17 @@ def minor_bound(arr):
                 if d > best:
                     best = d
     return int(best)
+
+
+def _hadamard_bound(arr):
+    """isqrt of the product of the dim largest squared row norms.
+
+    Hadamard's inequality bounds every square submatrix's |det| by the
+    product of its row norms; the rows are nonzero integer vectors, so each
+    norm is at least 1 and this bounds minor_bound(arr) from above.
+    """
+    norms = sorted((sum(v * v for v in f) for f in arr.forms), reverse=True)
+    return isqrt(prod(norms[: arr.dim]))
 
 
 def _is_prime(q):
@@ -141,6 +153,12 @@ def finite_field_char_poly(arr, primes=None, with_witnesses=False):
     InconsistentCounts is raised.
     """
     ell = arr.dim
+    if primes is None and _hadamard_bound(arr) ** ell <= MAX_POINTS:
+        # The minor bound is at most r, the largest integer with
+        # r**dim <= MAX_POINTS.  If fewer than dim+1 primes are <= r, the
+        # search above the minor bound stops at the first prime above r,
+        # as this one does, with the same BadPrime; skip the minors.
+        _primes_above(0, ell, ell + 1)
     bound = minor_bound(arr)
     if primes is None:
         primes = _primes_above(bound, ell, ell + 1)

@@ -168,20 +168,21 @@ class CoefficientTable:
     per_flat: dict = field(default_factory=dict)
 
 
-def b_coefficients(arr, h0):
+def b_coefficients(arr, h0, restriction=None):
     """b-vector of A plus its decomposition over flats of A'' through rho.
 
     b_i^X sums |mu(Y)| over the flats Y of the deconed arrangement with
     rho(Y) = X.  The identity sum_X b_i^X = b_i ties the two pipelines
     (lattice of A versus lattice of dA) together; TheoremViolation is
-    raised if it fails.
+    raised if it fails.  Pass ziegler_restriction(arr, h0) to reuse it.
     """
     ell = arr.dim
     if ell < 2:
         raise WrongRank("coefficient comparison needs ambient dimension at least 2")
     chi0 = reduced_char_poly(arr)
     b = tuple(abs(chi0.coefficient(ell - 1 - i)) for i in range(ell))
-    restriction = ziegler_restriction(arr, h0)
+    if restriction is None:
+        restriction = ziegler_restriction(arr, h0)
     lat = intersection_lattice(decone(arr, h0))
     per = {}
     for flat, mu in zip(lat.flats, lat.moebius):

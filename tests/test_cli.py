@@ -83,7 +83,9 @@ def test_freeness_criteria_disagreement_exits_3(capsys, monkeypatch):
     from arrangements.derivations import NOT_FREE, FreenessVerdict
 
     monkeypatch.setattr(
-        cli, "yoshinaga_3d", lambda arr, h0: FreenessVerdict(NOT_FREE, witness="x")
+        cli,
+        "yoshinaga_3d",
+        lambda arr, h0, lattice=None: FreenessVerdict(NOT_FREE, witness="x"),
     )
     code, out, err = run(capsys, "freeness", "corpus:braid-ess3", "--method", "all")
     assert code == 3
@@ -91,6 +93,43 @@ def test_freeness_criteria_disagreement_exits_3(capsys, monkeypatch):
         "error: TheoremViolation: freeness criteria disagree: "
         "NotFree vs Free (abe-yoshinaga)\n"
     )
+
+
+def _count_lattices_of(monkeypatch, arr):
+    """Record each lattice of arr that the CLI builds."""
+    from arrangements import cli, lattice
+
+    calls = []
+    original = lattice.intersection_lattice
+
+    def counting(a):
+        calls.append(a == arr)
+        return original(a)
+
+    monkeypatch.setattr(lattice, "intersection_lattice", counting)
+    monkeypatch.setattr(cli, "intersection_lattice", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "name, builds",
+    [("braid-ess3", 1), ("braid-ess4", 1), ("generic45", 0)],
+)
+def test_freeness_all_builds_the_lattice_of_a_at_most_once(capsys, monkeypatch, name, builds):
+    # Both restriction criteria read chi0(A); abe-yoshinaga only when the
+    # restriction is free, yoshinaga only at rank 3.
+    calls = _count_lattices_of(monkeypatch, CORPUS[name].arrangement)
+    code, _, _ = run(capsys, "freeness", f"corpus:{name}", "--method", "all")
+    assert code == 0
+    assert sum(calls) == builds
+
+
+def test_charpoly_reduced_builds_the_lattice_once(capsys, monkeypatch):
+    calls = _count_lattices_of(monkeypatch, CORPUS["braid-ess3"].arrangement)
+    code, out, _ = run(capsys, "charpoly", "corpus:braid-ess3", "--reduced")
+    assert code == 0
+    assert "chi0(t) = t^2 - 5t + 6" in out
+    assert calls == [True]
 
 
 def test_freeness_json(capsys):

@@ -5,6 +5,7 @@ import pytest
 import arrangements.criteria as criteria
 from arrangements import (
     CORPUS,
+    NonzeroRemainder,
     SigmaStatus,
     TheoremViolation,
     WrongRank,
@@ -116,6 +117,29 @@ def test_compare_requires_dim_two():
     assert list(report.table.b) == [1, 0]
     assert [s.value for s in report.table.sigma] == [1, 0]
     assert report.mca is True
+
+
+def test_compare_computes_the_ziegler_restriction_once(monkeypatch):
+    import arrangements.restriction as restriction
+
+    calls = []
+    original = restriction.ziegler_restriction
+
+    def counting(arr, h0):
+        calls.append(h0)
+        return original(arr, h0)
+
+    monkeypatch.setattr(criteria, "ziegler_restriction", counting)
+    monkeypatch.setattr(restriction, "ziegler_restriction", counting)
+    report = compare_coefficients(CORPUS["braid-ess3"].arrangement, 0)
+    assert list(report.table.b) == [1, 5, 6]
+    assert calls == [0]
+
+
+def test_compare_rejects_an_empty_arrangement_on_chi0():
+    # No hyperplane means no restriction either; the error names chi0.
+    with pytest.raises(NonzeroRemainder):
+        compare_coefficients(make([], 3), 0)
 
 
 def test_theorem_violation_guard_fires_on_bad_sigma(monkeypatch):

@@ -4,17 +4,20 @@ import pytest
 
 from arrangements import (
     CORPUS,
+    AffineArrangement,
     FlatNotInLattice,
     IntPoly,
     NonzeroRemainder,
     chamber_count,
     char_poly,
+    char_poly_recursion,
     decone,
     intersection_lattice,
     moebius_bruteforce,
     reduced_char_poly,
 )
-from conftest import make
+from arrangements.core import normalize_affine
+from conftest import make, random_central, seeded
 
 
 def coeffs(poly):
@@ -124,3 +127,31 @@ def test_lattice_rank_for_non_essential_arrangement():
     assert lat.rank == 2
     assert lat.level_sizes() == {0: 1, 1: 2, 2: 1}
     assert coeffs(char_poly(arr)) == [0, 1, -2, 1]  # t(t-1)^2
+
+
+def test_affine_lattice_with_parallel_hyperplanes():
+    # x = 0 and x = 1 never meet: two points, not three, in codimension 2.
+    arr = AffineArrangement(
+        2, tuple(normalize_affine(n, c) for n, c in [((1, 0), 0), ((1, 0), 1), ((0, 1), 0)])
+    )
+    lat = intersection_lattice(arr)
+    assert lat.level_sizes() == {0: 1, 1: 3, 2: 2}
+    assert coeffs(char_poly(arr)) == [2, -3, 1]  # chi = t^2 - 3t + 2
+    assert sorted(sorted(f.contained) for f in lat.level(2)) == [[0, 2], [1, 2]]
+
+
+def test_affine_lattices_of_random_deconings():
+    rng = seeded(1301)
+    checked = 0
+    for _ in range(25):
+        arr = random_central(rng, dim=rng.choice((3, 4)), max_hyperplanes=7)
+        for h0 in range(arr.n_hyperplanes):
+            dA = decone(arr, h0)
+            lat = intersection_lattice(dA)
+            mu = moebius_bruteforce(dA)
+            assert sorted(mu) == sorted(f.equations for f in lat.flats)
+            for flat, value in zip(lat.flats, lat.moebius):
+                assert mu[flat.equations] == value
+            assert char_poly_recursion(dA) == char_poly(dA)
+            checked += 1
+    assert checked >= 50

@@ -79,7 +79,12 @@ def test_finite_field_prime_validation():
     assert minor_bound(skewed) == 5
     with pytest.raises(BadPrime):
         finite_field_char_poly(skewed, primes=[3, 7, 11])  # 3 <= bound 5
+    # 7 is within the Hadamard bound 7 but beyond the exact minor bound
     assert finite_field_char_poly(skewed, primes=[7, 11, 13]) == char_poly(skewed)
+    # an explicit list is checked as given, never refused early
+    boolean6 = make([[int(i == j) for j in range(6)] for i in range(6)], 6)
+    with pytest.raises(BadPrime, match=r"^17\*\*6 exceeds the point-enumeration budget 10000000$"):
+        finite_field_char_poly(boolean6, primes=[2, 3, 5, 7, 11, 13, 17])
 
 
 def test_recursions_match_lattice_computations():
@@ -133,3 +138,37 @@ def test_moebius_bruteforce_size_limit():
     arr = make(forms, 2)
     with pytest.raises(ValueError):
         moebius_bruteforce(arr)
+
+
+def test_budget_refusal_skips_the_minor_enumeration(monkeypatch):
+    # Only six primes fit 6-dimensional point counts and boolean6 has
+    # Hadamard bound 1, so the oracle refuses before enumerating minors,
+    # with the message the search above the minor bound gives.
+    from arrangements import oracles
+
+    boolean6 = make([[int(i == j) for j in range(6)] for i in range(6)], 6)
+    with pytest.raises(BadPrime) as searched:
+        oracles._primes_above(minor_bound(boolean6), 6, 7)
+    monkeypatch.setattr(oracles, "minor_bound", None)  # any call fails
+    with pytest.raises(BadPrime) as refused:
+        finite_field_char_poly(boolean6)
+    assert str(refused.value) == str(searched.value)
+    assert str(refused.value).startswith("17**6 exceeds")
+
+
+def test_budget_refusal_past_the_hadamard_bound_enumerates_minors(monkeypatch):
+    # One coefficient of 20 puts the Hadamard bound past 14 (14**6 is the
+    # largest sixth power within budget): the minors are enumerated and the
+    # minor bound 20 names the first prime above it.
+    from arrangements import oracles
+
+    forms = [[int(i == j) for j in range(6)] for i in range(6)]
+    forms[0][1] = 20
+    arr = make(forms, 6)
+    calls = []
+    exact = oracles.minor_bound
+    monkeypatch.setattr(oracles, "minor_bound", lambda a: calls.append(a) or exact(a))
+    with pytest.raises(BadPrime, match=r"^23\*\*6 exceeds"):
+        finite_field_char_poly(arr)
+    assert calls == [arr]
+

@@ -1,10 +1,16 @@
-"""Randomized structural checks with a fixed seed (exact assertions only)."""
+"""Randomized structural checks (exact assertions only): fixed-seed loops,
+and Hypothesis properties that shrink a failure to a minimal input."""
 
 import random
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arrangements import (
     BadPrime,
     IntPoly,
+    canonicalize,
     chamber_count,
     char_poly,
     char_poly_recursion,
@@ -19,6 +25,7 @@ from arrangements import (
     saito_check,
     simple_multiarrangement,
 )
+from arrangements.core import normalize_form
 from conftest import random_central, seeded
 
 
@@ -110,3 +117,28 @@ def test_random_coefficient_inequality_rank_le_3():
                 assert report.inequality[i] is None
         checked += 1
     assert checked >= 20
+
+
+@st.composite
+def _relabelled_arrangements(draw):
+    """Forms of a central arrangement, and the same hyperplanes in another
+    order, each form scaled by a nonzero rational."""
+    dim = draw(st.integers(2, 4))
+    form = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim).filter(any)
+    by_hyperplane = {}  # proportional draws are one hyperplane: keep the first
+    for f in draw(st.lists(form, min_size=1, max_size=7)):
+        by_hyperplane.setdefault(normalize_form(f), f)
+    forms = list(by_hyperplane.values())
+    order = draw(st.permutations(range(len(forms))))
+    scale = st.fractions(-4, 4, max_denominator=3).filter(lambda c: c != 0)
+    scales = draw(st.lists(scale, min_size=len(forms), max_size=len(forms)))
+    moved = [[Fraction(v) * c for v in forms[i]] for i, c in zip(order, scales)]
+    return canonicalize(forms, dim), canonicalize(moved, dim)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_relabelled_arrangements())
+def test_chi_and_levels_ignore_order_and_scaling_of_hyperplanes(pair):
+    arr, other = pair
+    assert char_poly(other) == char_poly(arr)
+    assert intersection_lattice(other).level_sizes() == intersection_lattice(arr).level_sizes()
