@@ -305,7 +305,9 @@ def _cmd_freeness(args):
     )
 
     results, notes = {}, []
-    lattice = None  # of arr, built once for both restriction criteria
+    # the lattice of arr and its restriction onto h0, built once for both
+    # restriction criteria
+    lattice = restriction = None
     for method in methods:
         if method == "saito":
             results[method] = find_free_basis(multi, degree_bound=bound)
@@ -323,14 +325,18 @@ def _cmd_freeness(args):
                     continue
             else:
                 lattice = intersection_lattice(arr)
-            results[method] = yoshinaga_3d(arr, args.h0, lattice)
+                restriction = ziegler_restriction(arr, args.h0)
+            results[method] = yoshinaga_3d(arr, args.h0, lattice, restriction)
         else:
             if arr.dim < 2:
                 if run_all:
                     notes.append("abe-yoshinaga: skipped (needs dim >= 2)")
                     continue
+            elif restriction is None:
+                restriction = ziegler_restriction(arr, args.h0)
             results[method] = abe_yoshinaga_free_check(
-                arr, args.h0, degree_bound=bound, lattice=lattice
+                arr, args.h0, degree_bound=bound, lattice=lattice,
+                restriction=restriction,
             )
 
     if not results:

@@ -163,14 +163,17 @@ def mca_check(arr, h0, degree_bound=None):
     return _reduced_chamber_count(arr) == sum(s.value for s in sig)
 
 
-def yoshinaga_3d(arr, h0, lattice=None):
+def yoshinaga_3d(arr, h0, lattice=None, restriction=None):
     """Rank-3 freeness criterion: free iff the deconing's chamber count
     equals (1 + d1)(1 + d2) for the Ziegler exponents (d1, d2).  Definitive:
     rank-2 restrictions always resolve and 3-arrangements are tame.  Pass
-    the intersection lattice of arr to reuse it."""
+    the intersection lattice of arr and its Ziegler restriction onto h0 to
+    reuse them."""
     if arr.dim != 3 or arr.rank() != 3:
         raise WrongRank("criterion applies to essential arrangements of rank 3")
-    d1, d2 = rank2_exponents(ziegler_restriction(arr, h0))
+    if restriction is None:
+        restriction = ziegler_restriction(arr, h0)
+    d1, d2 = rank2_exponents(restriction)
     chambers = _reduced_chamber_count(arr, lattice)
     expected = (1 + d1) * (1 + d2)
     if chambers == expected:
@@ -182,14 +185,17 @@ def yoshinaga_3d(arr, h0, lattice=None):
     )
 
 
-def abe_yoshinaga_free_check(arr, h0, degree_bound=None, lattice=None):
+def abe_yoshinaga_free_check(
+    arr, h0, degree_bound=None, lattice=None, restriction=None
+):
     """Freeness via the restriction: A is free iff the Ziegler restriction
     is free and b_2 = sigma_2; Unknown exactly when the restriction search
-    is Unknown.  Pass the intersection lattice of arr to reuse it; it is
-    read only when the restriction is free."""
+    is Unknown.  Pass the intersection lattice of arr (read only when the
+    restriction is free) and its Ziegler restriction onto h0 to reuse them."""
     if arr.dim < 2:
         raise WrongRank("criterion needs ambient dimension at least 2")
-    restriction = ziegler_restriction(arr, h0)
+    if restriction is None:
+        restriction = ziegler_restriction(arr, h0)
     verdict = find_free_basis(restriction, degree_bound)
     if verdict.is_unknown:
         return FreenessVerdict(UNKNOWN, bound=verdict.bound)

@@ -2,12 +2,12 @@
 
 D(A,m) is the module of polynomial vector fields theta with alpha_H**m(H)
 dividing theta(alpha_H) for every hyperplane.  Everything here is exact:
-graded pieces are kernels of rational constraint matrices in the monomial
-basis, freeness searches select true minimal generators degree by degree
-(a generator is new exactly when it falls outside the polynomial-ring span
-of the earlier ones, by the graded Nakayama count), and verdicts are
-certified either by the Saito determinant identity or by a Hilbert-series
-contradiction, so Free and NotFree are both proofs.
+graded pieces are kernels of sparse integer constraint matrices in the
+monomial basis, freeness searches select true minimal generators degree by
+degree (a generator is new exactly when it falls outside the
+polynomial-ring span of the earlier ones, by the graded Nakayama count),
+and verdicts are certified either by the Saito determinant identity or by
+a Hilbert-series contradiction, so Free and NotFree are both proofs.
 """
 
 from __future__ import annotations
@@ -175,7 +175,8 @@ def derivation_membership(theta, multi):
 
 
 def _graded_kernel(multi, d):
-    """Canonical basis of the degree-d piece of D(A,m).
+    """Canonical basis of the degree-d piece of D(A,m), each vector scaled
+    to primitive integers.
 
     Returns (kernel vectors, monomial list): a vector is indexed by
     component-major (i * N + k) positions over the degree-d monomials.
@@ -190,20 +191,17 @@ def _graded_kernel(multi, d):
     for h in multi.effective():
         alpha = multi.base.forms[h]
         power = multi.mult[h]
+        # residue denominators divide alpha_j**d, j the pivot of alpha
+        scale = next(a for a in alpha if a) ** d
         for k, mono in enumerate(monos):
             residues = monomial_residue_mod_linear_power(mono, alpha, power)
             for key, val in residues.items():
+                val = val.numerator * (scale // val.denominator)
+                row = rows.setdefault((h,) + key, {})
                 for i, a in enumerate(alpha):
-                    if a == 0:
-                        continue
-                    row = rows.setdefault((h,) + key, {})
-                    col = i * n_monos + k
-                    row[col] = row.get(col, 0) + a * val
-    dense = [
-        tuple(row.get(c, 0) for c in range(ncols))
-        for _, row in sorted(rows.items())
-    ]
-    return nullspace(dense, ncols), monos
+                    if a != 0:
+                        row[i * n_monos + k] = a * val
+    return nullspace([row for _, row in sorted(rows.items())], ncols), monos
 
 
 def derivation_space_dim(multi, d):
@@ -413,11 +411,16 @@ def _localization_sweep(ess, degree_bound=None):
     to the product of its localization's exponents (None unless Free).  The
     last flat, the center, localizes to ess itself, so verdict is the global
     one.  Rank <= 2 localizations are always free: no user bound for them.
+    Flats with equal localizations share one search.
     """
     products = {}
+    verdicts = {}
     for flat in intersection_lattice(ess.base).flats:
         bound = None if flat.codim <= 2 else degree_bound
-        verdict = find_free_basis(localize_and_essentialize(ess, flat), bound)
+        local = localize_and_essentialize(ess, flat)
+        verdict = verdicts.get((local, bound))
+        if verdict is None:
+            verdict = verdicts[local, bound] = find_free_basis(local, bound)
         products[flat] = prod(verdict.exponents) if verdict.is_free else None
     return verdict, products
 

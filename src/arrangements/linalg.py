@@ -1,32 +1,50 @@
 """Exact linear algebra over the rationals.
 
-All routines work on sequences of numbers that are ints or
+Most routines work on sequences of numbers that are ints or
 fractions.Fraction; elimination happens on primitive integer rows
 (cross-multiplication plus gcd stripping) so no floating point is ever
 involved and intermediate growth stays under control.  Reduced row echelon
 forms are canonical: they are used as dictionary keys for flats and for
 memoization, so two equal row spaces always produce identical output.
+
+`nullspace` takes sparse integer rows and computes the kernel modulo a
+31-bit prime first (numpy int64 Gauss-Jordan; residues below 2**31 keep
+every product below 2**62).  For each free column f the mod-p vector with a
+1 at f is lifted to an integer vector by rational reconstruction (Wang
+1981), and the lifted vectors are then checked exactly over the integers
+against every row.  Passing the check is a proof that they are positive
+multiples of the canonical rational basis: rank mod p never exceeds rank
+over Q, so there are at least as many free columns mod p as over Q; a
+verified vector is supported on the pivot columns before f and on f itself,
+where it is nonzero, so f is free over Q as well.  The free columns
+therefore agree, and a kernel vector is fixed by its entries at the free
+columns.  When a lift or the check fails the next prime is tried, and after
+the last one the kernel comes from exact integer elimination, which is also
+the reference the tests compare against.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt, lcm
+
+import numpy as np
+
+_PRIMES = (2147483647, 2147483629)
 
 
 def _to_int_row(row):
     """Scale a rational row to a primitive integer list (gcd 1), or None if zero."""
-    fracs = [Fraction(x) for x in row]
-    if all(x == 0 for x in fracs):
+    if all(isinstance(x, int) for x in row):
+        ints = row
+    else:
+        fracs = [Fraction(x) for x in row]
+        denom = lcm(*(x.denominator for x in fracs))
+        ints = [x.numerator * (denom // x.denominator) for x in fracs]
+    g = gcd(*ints)
+    if g == 0:
         return None
-    denom = 1
-    for x in fracs:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in fracs]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
     return [v // g for v in ints]
 
 
@@ -146,25 +164,130 @@ def rref(rows, ncols):
     return echelon(rows, ncols).rref()
 
 
-def nullspace(rows, ncols):
-    """Canonical basis of the right kernel.
-
-    Derived from the RREF: one basis vector per free column, ordered by free
-    column index, with a 1 in the free position.  Returns a list of Fraction
-    tuples (empty list for a trivial kernel).
-    """
-    e = echelon(rows, ncols)
-    red = e.rref()
+def _exact_nullspace(rows, ncols):
+    """Canonical kernel basis by exact integer elimination, each vector
+    scaled to primitive integers (positive at its free column)."""
+    dense = []
+    for row in rows:
+        vec = [0] * ncols
+        for c, v in row.items():
+            vec[c] = v
+        dense.append(vec)
+    red = echelon(dense, ncols).rref()
     pivots = [_pivot_col(r) for r in red]
-    free = [j for j in range(ncols) if j not in pivots]
     basis = []
-    for f in free:
+    for f in sorted(set(range(ncols)) - set(pivots)):
         v = [Fraction(0)] * ncols
         v[f] = Fraction(1)
         for r, p in zip(red, pivots):
             v[p] = -r[f]
-        basis.append(tuple(v))
+        basis.append(tuple(_to_int_row(v)))
     return basis
+
+
+def _rref_mod(rows, ncols, p):
+    """Reduced row echelon form mod p of sparse integer rows:
+    (int64 array of the nonzero rows, their pivot columns)."""
+    m = np.zeros((len(rows), ncols), dtype=np.int64)
+    for i, row in enumerate(rows):
+        for c, v in row.items():
+            m[i, c] = v % p
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        below = np.flatnonzero(m[r:, c])
+        if not below.size:
+            continue
+        k = r + below[0]
+        if k != r:
+            m[[r, k]] = m[[k, r]]
+        m[r, c:] = m[r, c:] * pow(int(m[r, c]), -1, p) % p
+        others = np.flatnonzero(m[:, c])
+        others = others[others != r]
+        if others.size:
+            m[others, c:] = (m[others, c:] - np.outer(m[others, c], m[r, c:])) % p
+        pivots.append(c)
+    return m[: len(pivots)], pivots
+
+
+def _denominator(u, p, bound):
+    """Wang's rational reconstruction of a residue u mod p: the denominator
+    b of the fraction a/b = u with |a| <= bound and 0 < b <= bound, or None."""
+    r0, r1, t0, t1 = p, u % p, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if t1 == 0 or abs(t1) > bound:
+        return None
+    return abs(t1)
+
+
+def _lift(v, p):
+    """Integer vector congruent mod p to a positive multiple of v, with
+    entries and multiplier at most sqrt(p/2), or None."""
+    bound = isqrt(p // 2)
+    den = 1
+    while True:
+        w = v * den % p
+        w[w > p // 2] -= p
+        big = np.flatnonzero(np.abs(w) > bound)
+        if not big.size:
+            return w
+        q = _denominator(int(w[big[0]]), p, bound)
+        if q is None or den * q > bound:
+            return None
+        den *= q
+
+
+def _kills(rows, basis):
+    """True iff every basis vector satisfies every row exactly over Z."""
+    cols, vals, starts = [], [], []
+    for row in rows:
+        if row:
+            starts.append(len(cols))
+            cols.extend(row)
+            vals.extend(row.values())
+    if not starts or not basis:
+        return True
+    table = np.array(basis, dtype=object).T
+    terms = np.array(vals, dtype=object)[:, None] * table[cols]
+    return bool((np.add.reduceat(terms, starts, axis=0) == 0).all())
+
+
+def _modular_nullspace(rows, ncols, p):
+    """The kernel basis of `nullspace` computed mod p, or None when a lift
+    or the exact check fails."""
+    red, pivots = _rref_mod(rows, ncols, p)
+    free = sorted(set(range(ncols)) - set(pivots))
+    vecs = np.zeros((len(free), ncols), dtype=np.int64)
+    vecs[np.arange(len(free)), free] = 1
+    vecs[:, pivots] = (-red[:, free].T) % p
+    basis = []
+    for v in vecs:
+        w = _lift(v, p)
+        if w is None:
+            return None
+        ints = w.tolist()
+        g = gcd(*ints)
+        basis.append(tuple(x // g for x in ints))
+    return basis if _kills(rows, basis) else None
+
+
+def nullspace(rows, ncols):
+    """Canonical basis of the right kernel of sparse integer rows.
+
+    rows are {column: nonzero int} dicts.  One basis vector per free column
+    of the RREF, ordered by free column index: the RREF vector with a 1 in
+    the free position, scaled to primitive integers (a positive multiple).
+    Returns a list of int tuples (empty list for a trivial kernel).
+    """
+    for p in _PRIMES:
+        basis = _modular_nullspace(rows, ncols, p)
+        if basis is not None:
+            return basis
+    return _exact_nullspace(rows, ncols)
 
 
 def det(rows):

@@ -85,7 +85,9 @@ def test_freeness_criteria_disagreement_exits_3(capsys, monkeypatch):
     monkeypatch.setattr(
         cli,
         "yoshinaga_3d",
-        lambda arr, h0, lattice=None: FreenessVerdict(NOT_FREE, witness="x"),
+        lambda arr, h0, lattice=None, restriction=None: FreenessVerdict(
+            NOT_FREE, witness="x"
+        ),
     )
     code, out, err = run(capsys, "freeness", "corpus:braid-ess3", "--method", "all")
     assert code == 3
@@ -122,6 +124,25 @@ def test_freeness_all_builds_the_lattice_of_a_at_most_once(capsys, monkeypatch, 
     code, _, _ = run(capsys, "freeness", f"corpus:{name}", "--method", "all")
     assert code == 0
     assert sum(calls) == builds
+
+
+@pytest.mark.parametrize("name", ["braid-ess3", "generic34", "braid-ess4"])
+def test_freeness_all_builds_the_restriction_once(capsys, monkeypatch, name):
+    # yoshinaga (rank 3 only) and abe-yoshinaga share one Ziegler restriction.
+    from arrangements import cli, criteria, restriction
+
+    calls = []
+    original = restriction.ziegler_restriction
+
+    def counting(arr, h0):
+        calls.append((arr, h0))
+        return original(arr, h0)
+
+    for module in (restriction, criteria, cli):
+        monkeypatch.setattr(module, "ziegler_restriction", counting)
+    code, _, _ = run(capsys, "freeness", f"corpus:{name}", "--method", "all")
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_charpoly_reduced_builds_the_lattice_once(capsys, monkeypatch):

@@ -1,6 +1,7 @@
 """Logarithmic derivations, freeness search, Saito criterion, sigma."""
 
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -29,6 +30,7 @@ from arrangements import (
     ziegler_restriction,
 )
 from arrangements.polynomials import monomial_count, mp_degree
+from arrangements.restriction import localize_and_essentialize
 from conftest import make
 
 
@@ -256,6 +258,29 @@ def test_sigma_ignores_user_bound_on_rank2_localizations():
     sigma = sigma_coefficients(zr, degree_bound=1)
     assert [s.value for s in sigma] == [1, 9, 26, None]
     assert sigma[2].method == "local-to-global"
+
+
+def test_localization_sweep_searches_each_distinct_localization_once(monkeypatch):
+    # Every hyperplane of multiplicity one localizes to the same rank-1
+    # multiarrangement, so one search serves all of them.
+    from arrangements import derivations
+
+    multi = simple_multiarrangement(CORPUS["braid-ess4"].arrangement)
+    flats = intersection_lattice(multi.base).flats
+    expected = {}
+    for flat in flats:
+        verdict = find_free_basis(localize_and_essentialize(multi, flat))
+        expected[flat] = prod(verdict.exponents) if verdict.is_free else None
+    calls = []
+    real = derivations.find_free_basis
+
+    def counting(local, bound=None):
+        calls.append((local, bound))
+        return real(local, bound)
+
+    monkeypatch.setattr(derivations, "find_free_basis", counting)
+    assert sigma_per_flat(multi) == expected
+    assert len(calls) == len(set(calls)) < len(flats)
 
 
 def test_sigma_per_flat_needs_essential_input():

@@ -1,8 +1,12 @@
-"""Byte-for-byte replay of recorded CLI runs over the whole corpus.
+"""Byte-for-byte replay of recorded CLI runs.
 
 Every corpus entry runs through eight subcommand variants, in text and in
 --json mode; stdout, stderr and the exit code must match golden_cli.json
-exactly.  Regenerate the file (only when an output change is intended) with
+exactly.  golden_bases.json pins `exponents` in both modes on the inputs in
+bases/, whose graded kernels are larger than any corpus entry's (over a
+hundred columns, non-unit pivots, degrees where rational reconstruction
+fails), so the canonical bases they print are fixed too.  Regenerate both
+files (only when an output change is intended) with
 
     PYTHONPATH=src python tests/test_golden_cli.py --write
 """
@@ -17,7 +21,9 @@ from pathlib import Path
 from arrangements import corpus
 from arrangements.cli import ENV_BOUND, main
 
-GOLDEN = Path(__file__).with_name("golden_cli.json")
+HERE = Path(__file__).parent
+GOLDEN = HERE / "golden_cli.json"
+GOLDEN_BASES = HERE / "golden_bases.json"
 
 
 def variants(h0):
@@ -42,6 +48,13 @@ def cases():
                 yield [cmd, f"corpus:{name}", *rest, *mode]
 
 
+def basis_cases():
+    """`exponents` on each input under bases/, paths relative to tests/."""
+    for path in sorted((HERE / "bases").glob("*.json")):
+        for mode in ((), ("--json",)):
+            yield ["exponents", f"bases/{path.name}", *mode]
+
+
 def run_cli(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -57,6 +70,15 @@ def test_golden_cli_outputs(monkeypatch):
         assert run_cli(expected["argv"]) == expected, " ".join(expected["argv"])
 
 
+def test_golden_bases(monkeypatch):
+    monkeypatch.delenv(ENV_BOUND, raising=False)
+    monkeypatch.chdir(HERE)
+    golden = json.loads(GOLDEN_BASES.read_text(encoding="utf-8"))
+    assert [g["argv"] for g in golden] == list(basis_cases())
+    for expected in golden:
+        assert run_cli(expected["argv"]) == expected, " ".join(expected["argv"])
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit(__doc__)
@@ -64,3 +86,7 @@ if __name__ == "__main__":
     records = [run_cli(argv) for argv in cases()]
     GOLDEN.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {len(records)} runs to {GOLDEN}")
+    os.chdir(HERE)
+    records = [run_cli(argv) for argv in basis_cases()]
+    GOLDEN_BASES.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {len(records)} runs to {GOLDEN_BASES}")

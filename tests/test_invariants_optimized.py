@@ -2,7 +2,8 @@
 
 Each check runs in a child interpreter started with -O (which strips
 `assert` statements) after a monkeypatch forces it to fail; the child must
-see TheoremViolation with the check's own message.
+see TheoremViolation with the check's own message.  The exact check that
+certifies a modular kernel must likewise reject a wrong lift under -O.
 """
 
 import os
@@ -85,3 +86,45 @@ def test_invariant_raises_under_python_O(name):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == message + "\n"
+
+
+WRONG_LIFT = """
+import sys
+from arrangements import CORPUS, linalg, simple_multiarrangement
+from arrangements.derivations import _graded_kernel
+assert False, "-O did not strip asserts"
+multi = simple_multiarrangement(CORPUS["braid-ess3"].arrangement)
+primes, linalg._PRIMES = linalg._PRIMES, ()
+expected = [_graded_kernel(multi, d)[0] for d in range(1, 4)]
+linalg._PRIMES = primes
+real_lift, real_exact = linalg._lift, linalg._exact_nullspace
+
+def wrong_lift(v, p):
+    w = real_lift(v, p)
+    w[0] += 1
+    return w
+
+fallbacks = []
+
+def counting_exact(rows, ncols):
+    fallbacks.append(ncols)
+    return real_exact(rows, ncols)
+
+linalg._lift, linalg._exact_nullspace = wrong_lift, counting_exact
+got = [_graded_kernel(multi, d)[0] for d in range(1, 4)]
+if got != expected:
+    sys.exit("a wrong lift was returned")
+print(len(fallbacks), "exact fallbacks")
+"""
+
+
+def test_kernel_certificate_rejects_a_wrong_lift_under_python_O():
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", WRONG_LIFT],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "3 exact fallbacks\n"
