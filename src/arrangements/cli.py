@@ -54,28 +54,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _poly_str(poly, var="t"):
-    if poly.degree < 0:
-        return "0"
-    parts = []
-    for k in range(poly.degree, -1, -1):
-        c = poly.coefficient(k)
-        if c == 0:
-            continue
-        mag = abs(c)
-        if k == 0:
-            term = str(mag)
-        else:
-            term = var if k == 1 else f"{var}^{k}"
-            if mag != 1:
-                term = f"{mag}{term}"
-        if not parts:
-            parts.append(term if c > 0 else f"-{term}")
-        else:
-            parts.append(f"+ {term}" if c > 0 else f"- {term}")
-    return " ".join(parts)
-
-
 def _load_input(spec):
     if spec.startswith("corpus:"):
         name = spec[len("corpus:") :]
@@ -128,7 +106,7 @@ def _cmd_charpoly(args):
         if rec == chi:
             verified.append("deletion-restriction recursion")
         else:
-            mismatches.append(f"deletion-restriction recursion got {_poly_str(rec)}")
+            mismatches.append(f"deletion-restriction recursion got {rec.to_string(sep='')}")
         try:
             ff = finite_field_char_poly(arr)
         except BadPrime as exc:
@@ -137,7 +115,7 @@ def _cmd_charpoly(args):
             if ff == chi:
                 verified.append("finite-field point counts")
             else:
-                mismatches.append(f"finite-field oracle got {_poly_str(ff)}")
+                mismatches.append(f"finite-field oracle got {ff.to_string(sep='')}")
     poly = reduced_char_poly(arr, lattice) if args.reduced else chi
     name = "chi0" if args.reduced else "chi"
     if args.json:
@@ -153,7 +131,7 @@ def _cmd_charpoly(args):
         print(json.dumps(out, indent=2))
     else:
         print(_header(arr))
-        print(f"{name}(t) = {_poly_str(poly)}")
+        print(f"{name}(t) = {poly.to_string(sep='')}")
         if verified:
             print("verified by: " + ", ".join(verified))
     for item in mismatches:

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from .errors import DimensionMismatch, DuplicateHyperplane, ZeroForm
 from .linalg import echelon, primitive_vector
+from .polynomials import signed_sum
 
 
 @dataclass(frozen=True)
@@ -167,18 +168,7 @@ def var_names(dim):
 
 
 def form_to_string(form, names=None):
-    names = names or var_names(len(form))
-    parts = []
-    for c, name in zip(form, names):
-        if c == 0:
-            continue
-        mag = abs(c)
-        term = name if mag == 1 else f"{mag}*{name}"
-        if not parts:
-            parts.append(term if c > 0 else "-" + term)
-        else:
-            parts.append(("+ " if c > 0 else "- ") + term)
-    return " ".join(parts) if parts else "0"
+    return signed_sum(zip(form, names or var_names(len(form))))
 
 
 class _EssentialMap:

@@ -291,7 +291,11 @@ def nullspace(rows, ncols):
 
 
 def det(rows):
-    """Exact determinant of a square rational matrix (Bareiss elimination)."""
+    """Exact determinant of a square rational matrix (Bareiss elimination).
+
+    The package no longer calls it: it is the reference the tests compare
+    `oracles.minor_bound` against.
+    """
     n = len(rows)
     if n == 0:
         return Fraction(1)

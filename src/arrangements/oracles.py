@@ -1,17 +1,22 @@
 """Independent definition-level oracles.
 
-These deliberately avoid the lattice machinery of the main pipeline:
+These deliberately avoid the machinery of the main pipeline:
 
 * finite_field_char_poly counts points of F_q**l on no hyperplane and
-  Lagrange-interpolates, with an exact bad-prime guard;
+  Lagrange-interpolates, with an exact bad-prime guard.  The guard,
+  minor_bound, is the largest |minor| of the coefficient matrix, found by a
+  depth-first Laplace expansion on integers that never descends below a
+  dependent row set; point_count visits one point per line through 0 (the
+  forms are linear, so a line lies on a hyperplane or misses it whole);
 * char_poly_recursion / region_count_recursion run the deletion-restriction
   recursions chi(A) = chi(A-H) - chi(A|H) and r(A) = r(A-H) + r(A|H)
   directly on affine data, never consulting Moebius values;
 * moebius_bruteforce enumerates all hyperplane subsets and evaluates the
   defining recursion literally.
 
-They exist so the trusted path can be cross-examined; keep them slow and
-obvious.
+They exist so the trusted path can be cross-examined.  Nothing on their
+way to chi touches the lattice or the elimination in `linalg`, so a fault
+there cannot reach both sides of a comparison.  Keep them obvious.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import numpy as np
 from .core import AffineArrangement, CentralArrangement, normalize_affine
 from .errors import BadPrime, FlatNotInLattice, InconsistentCounts
 from .lattice import hyperplane_rows
-from .linalg import det, echelon
+from .linalg import echelon
 from .polynomials import IntPoly
 
 MAX_POINTS = 10 ** 7
@@ -39,17 +44,44 @@ def minor_bound(arr):
     Any prime beyond this bound preserves the rank of every subset of forms
     modulo q, hence the whole intersection pattern; this is the bad-prime
     guard.
+
+    Row sets are grown depth first by prepending smaller row indices, and a
+    node keeps only its k x k minors, one per k-column subset.  Laplace
+    expansion along the new first row r gives each minor of {r} + S as a
+    signed sum of r's entries times the (k-1)-minors of S, so a minor costs
+    k integer products.  A row set whose minors all vanish is dependent, and
+    so is every row set containing it: the search does not descend there.
     """
-    rows = arr.forms
+    rows, dim = arr.forms, arr.dim
+    top = min(len(rows), dim)
+    # expansions[k][i]: (column, sign, index of the (k-1)-column subset left
+    # when that column is removed) for the i-th k-column subset.
+    expansions = [None]
+    for k in range(1, top + 1):
+        index = {c: i for i, c in enumerate(combinations(range(dim), k - 1))}
+        expansions.append([
+            [(c, -1 if j % 2 else 1, index[cols[:j] + cols[j + 1:]])
+             for j, c in enumerate(cols)]
+            for cols in combinations(range(dim), k)
+        ])
     best = 0
-    for k in range(1, min(len(rows), arr.dim) + 1):
-        for ri in combinations(range(len(rows)), k):
-            sub = [rows[i] for i in ri]
-            for ci in combinations(range(arr.dim), k):
-                d = abs(det([[row[c] for c in ci] for row in sub]))
-                if d > best:
-                    best = d
-    return int(best)
+
+    def grow(low, k, minors):
+        nonlocal best
+        if k == top:
+            return
+        for r in range(low):
+            row = rows[r]
+            grown = [
+                sum(sign * row[c] * minors[i] for c, sign, i in terms if row[c])
+                for terms in expansions[k + 1]
+            ]
+            if any(grown):
+                best = max(best, *map(abs, grown))
+                grow(r, k + 1, grown)
+
+    grow(len(rows), 0, [1])
+    return best
 
 
 def _hadamard_bound(arr):
@@ -98,23 +130,30 @@ def good_primes(arr, count=None):
 
 
 def point_count(arr, q):
-    """Number of points of F_q**dim lying on no hyperplane."""
+    """Number of points of F_q**dim lying on no hyperplane.
+
+    The forms are linear, so x and c*x (c != 0) lie on the same hyperplanes
+    and 0 lies on all of them: count one point per line through 0, the one
+    whose first nonzero coordinate is 1, and multiply by q - 1.
+    """
     ell = arr.dim
-    total = q ** ell
     if ell == 0 or not arr.forms:
-        return total
+        return q ** ell
     w = np.array(arr.forms, dtype=np.int64) % q
-    count = 0
-    for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        coords = np.empty((ell, idx.size), dtype=np.int64)
-        rest = idx
-        for k in range(ell):
-            coords[k] = rest % q
-            rest = rest // q
-        values = (w @ coords) % q
-        count += int(np.all(values != 0, axis=0).sum())
-    return count
+    lines = 0
+    for lead in range(ell):
+        # x[lead] = 1, zeros before it, every value of the coordinates after
+        tail = ell - lead - 1
+        total = q ** tail
+        for start in range(0, total, _CHUNK):
+            idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
+            coords = np.empty((tail, idx.size), dtype=np.int64)
+            for k in range(tail):
+                coords[k] = idx % q
+                idx = idx // q
+            values = (w[:, lead + 1:] @ coords + w[:, lead:lead + 1]) % q
+            lines += int(np.all(values != 0, axis=0).sum())
+    return (q - 1) * lines
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,23 @@ from fractions import Fraction
 from math import comb
 
 
+def signed_sum(terms, sep="*"):
+    """Render (coefficient, body) pairs as "c*body + body - c" in the given
+    order, skipping zero coefficients; an empty body is a constant term, sep
+    joins a coefficient other than 1 to its body, and no terms give "0"."""
+    parts = []
+    for c, body in terms:
+        if c == 0:
+            continue
+        mag = abs(c)
+        term = str(mag) if not body else body if mag == 1 else f"{mag}{sep}{body}"
+        if parts:
+            parts.append(("+ " if c > 0 else "- ") + term)
+        else:
+            parts.append(term if c > 0 else "-" + term)
+    return " ".join(parts) if parts else "0"
+
+
 class IntPoly:
     """Univariate polynomial with exact integer coefficients.
 
@@ -109,26 +126,17 @@ class IntPoly:
                     rem[k + j] -= factor * c
         return IntPoly(q), IntPoly(rem[:d])
 
+    def to_string(self, sep="*"):
+        """The polynomial in t, highest degree first; sep joins a coefficient
+        to its power of t ("2*t^2" by default, "2t^2" with sep="")."""
+        return signed_sum(
+            ((self.coeffs[k], "" if k == 0 else "t" if k == 1 else f"t^{k}")
+             for k in range(self.degree, -1, -1)),
+            sep,
+        )
+
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k in range(self.degree, -1, -1):
-            c = self.coeffs[k]
-            if c == 0:
-                continue
-            mag = abs(c)
-            if k == 0:
-                term = str(mag)
-            elif k == 1:
-                term = "t" if mag == 1 else f"{mag}*t"
-            else:
-                term = f"t^{k}" if mag == 1 else f"{mag}*t^{k}"
-            if not parts:
-                parts.append(term if c > 0 else "-" + term)
-            else:
-                parts.append(("+ " if c > 0 else "- ") + term)
-        return " ".join(parts)
+        return self.to_string()
 
     def __repr__(self):
         return f"IntPoly({self})"
@@ -318,27 +326,8 @@ def mp_divisible_by_linear_power(poly, alpha, power):
 
 def mp_format(poly, var_names):
     """Human-readable rendering, monomials in the canonical order."""
-    if not poly:
-        return "0"
-    items = sorted(poly.items(), key=lambda kv: kv[0], reverse=True)
-    parts = []
-    for exps, c in items:
-        factors = []
-        for name, e in zip(var_names, exps):
-            if e == 1:
-                factors.append(name)
-            elif e > 1:
-                factors.append(f"{name}^{e}")
-        body = "*".join(factors)
-        mag = abs(c)
-        if not body:
-            term = str(mag)
-        elif mag == 1:
-            term = body
-        else:
-            term = f"{mag}*{body}"
-        if not parts:
-            parts.append(term if c > 0 else "-" + term)
-        else:
-            parts.append(("+ " if c > 0 else "- ") + term)
-    return " ".join(parts)
+    return signed_sum(
+        (c, "*".join(name if e == 1 else f"{name}^{e}"
+                     for name, e in zip(var_names, exps) if e))
+        for exps, c in sorted(poly.items(), key=lambda kv: kv[0], reverse=True)
+    )

@@ -1,6 +1,10 @@
 """Independent oracles: finite-field counts, recursions, brute-force Moebius."""
 
+from itertools import combinations, product
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from arrangements import (
     CORPUS,
@@ -18,7 +22,50 @@ from arrangements import (
     point_count,
     region_count_recursion,
 )
+from arrangements.core import CentralArrangement
+from arrangements.linalg import det
 from conftest import make
+
+
+def _literal_minor_bound(forms, dim):
+    """Largest |det| over every square submatrix, each one enumerated."""
+    return max(
+        (
+            abs(det([[forms[r][c] for c in cols] for r in rows]))
+            for k in range(1, min(len(forms), dim) + 1)
+            for rows in combinations(range(len(forms)), k)
+            for cols in combinations(range(dim), k)
+        ),
+        default=0,
+    )
+
+
+@st.composite
+def _integer_matrices(draw):
+    """Rows of small signed integers, any number of them (fewer than the
+    columns included), with an occasional zero column and rows that are
+    combinations of earlier ones, so dependent row sets get pruned."""
+    dim = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(st.integers(-6, 6), min_size=dim, max_size=dim), max_size=6))
+    if rows:
+        for _ in range(draw(st.integers(0, 2))):
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+            rows.append([s * x + t * y for x, y in zip(a, b)])
+        if draw(st.booleans()):
+            zero = draw(st.integers(0, dim - 1))
+            rows = [[0 if c == zero else v for c, v in enumerate(r)] for r in rows]
+    return dim, tuple(tuple(r) for r in rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_integer_matrices())
+@example((3, ((1, 2, 3), (2, 4, 6), (0, 0, -5))))  # a dependent pair
+@example((4, ((0, 3, 0, -1), (0, -2, 0, 7))))  # n < dim, zero columns
+@example((2, ((0, 0), (3, -4))))  # a zero row
+def test_minor_bound_is_the_largest_minor(matrix):
+    dim, forms = matrix
+    assert minor_bound(CentralArrangement(dim, forms)) == _literal_minor_bound(forms, dim)
 
 
 def test_minor_bound_small_cases():
@@ -39,6 +86,36 @@ def test_good_primes_budget_guard():
     arr = make([[1] + [0] * 23], 24)
     with pytest.raises(BadPrime):
         good_primes(arr)
+
+
+def _literal_point_count(forms, dim, q):
+    """Points of F_q**dim on no hyperplane, every point visited."""
+    return sum(
+        all(sum(a * x for a, x in zip(f, point)) % q for f in forms)
+        for point in product(range(q), repeat=dim)
+    )
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+@pytest.mark.parametrize(
+    "dim, forms",
+    [
+        (0, ()),
+        (1, ()),
+        (1, ((1,),)),
+        (1, ((2,),)),  # vanishes mod 2: no point is off it
+        (1, ((3,),)),  # vanishes mod 3
+        (2, ((1, 0), (0, 1), (1, 1))),
+        (2, ((1, 1), (1, 3))),  # coincide mod 2
+        (2, ((1, 2), (1, -3))),  # coincide mod 5
+        (3, ((1, -1, 0), (0, 1, -1), (1, 0, -1), (2, 0, 7))),  # 2x+7z is 2x mod 7
+        (3, ((0, 0, 1), (4, -6, 3))),
+        (4, ((1, 2, 3, 4), (0, 1, 0, -1), (5, 0, 0, 2))),
+    ],
+)
+def test_point_count_matches_literal_enumeration(dim, forms, q):
+    arr = CentralArrangement(dim, forms)
+    assert point_count(arr, q) == _literal_point_count(forms, dim, q)
 
 
 def test_point_count_matches_char_poly_evaluation():

@@ -120,15 +120,21 @@ def test_random_coefficient_inequality_rank_le_3():
 
 
 @st.composite
-def _relabelled_arrangements(draw):
-    """Forms of a central arrangement, and the same hyperplanes in another
-    order, each form scaled by a nonzero rational."""
+def _central_forms(draw):
+    """Dimension 2-4 and 1-7 pairwise non-proportional small integer forms."""
     dim = draw(st.integers(2, 4))
     form = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim).filter(any)
     by_hyperplane = {}  # proportional draws are one hyperplane: keep the first
     for f in draw(st.lists(form, min_size=1, max_size=7)):
         by_hyperplane.setdefault(normalize_form(f), f)
-    forms = list(by_hyperplane.values())
+    return dim, list(by_hyperplane.values())
+
+
+@st.composite
+def _relabelled_arrangements(draw):
+    """Forms of a central arrangement, and the same hyperplanes in another
+    order, each form scaled by a nonzero rational."""
+    dim, forms = draw(_central_forms())
     order = draw(st.permutations(range(len(forms))))
     scale = st.fractions(-4, 4, max_denominator=3).filter(lambda c: c != 0)
     scales = draw(st.lists(scale, min_size=len(forms), max_size=len(forms)))
@@ -142,3 +148,20 @@ def test_chi_and_levels_ignore_order_and_scaling_of_hyperplanes(pair):
     arr, other = pair
     assert char_poly(other) == char_poly(arr)
     assert intersection_lattice(other).level_sizes() == intersection_lattice(arr).level_sizes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_central_forms())
+def test_three_oracles_agree(drawn):
+    # The lattice, the deletion-restriction recursions and the finite-field
+    # point counts share no code on the way to chi and the chamber count.
+    dim, forms = drawn
+    arr = canonicalize(forms, dim)
+    chi = char_poly(arr)
+    assert char_poly_recursion(arr) == chi
+    try:
+        assert finite_field_char_poly(arr) == chi
+    except BadPrime:
+        pass  # no dim+1 primes above the minor bound fit the point budget
+    chambers = chamber_count(arr)
+    assert region_count_recursion(arr) == chambers == (-1) ** arr.dim * chi(-1)
