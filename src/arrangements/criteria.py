@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import CentralArrangement, Multiarrangement, simple_multiarrangement
+from .core import Multiarrangement, simple_multiarrangement
 from .derivations import (
     FREE,
     NOT_FREE,
@@ -29,8 +29,8 @@ from .derivations import (
     sigma_coefficients,
 )
 from .errors import TheoremViolation, WrongRank
-from .lattice import reduced_char_poly
-from .restriction import CoefficientTable, b_coefficients, ziegler_restriction
+from .lattice import intersection_lattice, reduced_char_poly
+from .restriction import CoefficientTable, _check_index, b_coefficients, ziegler_restriction
 
 TAME = "Tame"
 
@@ -48,23 +48,23 @@ class TamenessTag:
         return self.status == TAME
 
 
-def tameness_classify(arr, degree_bound=None, user_asserted=False):
-    """Tame when the essential rank is at most 3 or a free basis is verified;
-    a user assertion is honored (and recorded) only as a fallback."""
-    multi = arr if isinstance(arr, Multiarrangement) else simple_multiarrangement(arr)
-    if multi.rank() <= 3:
+def _tameness_tag(rank, free, user_asserted):
+    if rank <= 3:
         return TamenessTag(TAME, "rank<=3")
-    if find_free_basis(multi, degree_bound).is_free:
+    if free:
         return TamenessTag(TAME, "verified-free")
     if user_asserted:
         return TamenessTag(TAME, "user-asserted")
     return TamenessTag("Unknown")
 
 
-def _reduced_chamber_count(arr, lattice=None):
-    """Chambers of the deconed arrangement: (-1)**(l-1) chi0(A, -1)."""
-    chi0 = reduced_char_poly(arr, lattice)
-    return (-1) ** (arr.dim - 1) * chi0(-1)
+def tameness_classify(arr, degree_bound=None, user_asserted=False):
+    """Tame when the essential rank is at most 3 or a free basis is verified;
+    a user assertion is honored (and recorded) only as a fallback."""
+    multi = arr if isinstance(arr, Multiarrangement) else simple_multiarrangement(arr)
+    rank = multi.rank()
+    free = rank > 3 and find_free_basis(multi, degree_bound).is_free
+    return _tameness_tag(rank, free, user_asserted)
 
 
 @dataclass
@@ -98,13 +98,17 @@ def compare_coefficients(arr, h0, degree_bound=None, assert_tame=False):
     ell = arr.dim
     if ell < 2:
         raise WrongRank("coefficient comparison needs ambient dimension at least 2")
-    # b_coefficients rejects an empty arrangement (NonzeroRemainder) before
-    # the index check of ziegler_restriction could
-    restriction = ziegler_restriction(arr, h0) if arr.n_hyperplanes else None
-    table = b_coefficients(arr, h0, restriction)
+    lattice = intersection_lattice(arr)
+    # an empty arrangement fails on chi0 (NonzeroRemainder) before the
+    # index check of ziegler_restriction could
+    chi0 = reduced_char_poly(arr, lattice)
+    restriction = ziegler_restriction(arr, h0)
+    restriction_lattice = intersection_lattice(restriction.base)
+    table = b_coefficients(arr, h0, lattice, restriction_lattice, chi0)
+    top = None
     if restriction.is_essential():
         # one sweep: the global verdict, sigma and the per-flat sigma values
-        top, local = _localization_sweep(restriction, degree_bound)
+        top, local = _localization_sweep(restriction, degree_bound, restriction_lattice)
         sig = _sigma_column(restriction, top, local)
         for flat, entry in table.per_flat.items():
             entry["sigma"] = local.get(flat)
@@ -128,8 +132,17 @@ def compare_coefficients(arr, h0, degree_bound=None, assert_tame=False):
     sum_sigma = (
         sum(s.value for s in sigma) if all(s.exact for s in sigma) else None
     )
-    tame_a = tameness_classify(arr, degree_bound, assert_tame)
-    tame_r = tameness_classify(restriction, degree_bound, assert_tame)
+    if top is not None:
+        # A is essential as A'' is, and free exactly when A'' is free with
+        # b_2 = sigma_2 (Abe-Yoshinaga).  The exponents of A are
+        # (1, d_2, ..., d_l) for those of A'', so a bound admits both or
+        # neither: when the search of A'' is Unknown, so is that of A.
+        free_a = top.is_free and ell > 3 and table.b[2] == sigma[2].value
+        tame_a = _tameness_tag(ell, free_a, assert_tame)
+        tame_r = _tameness_tag(restriction.dim, top.is_free, assert_tame)
+    else:
+        tame_a = tameness_classify(arr, degree_bound, assert_tame)
+        tame_r = tameness_classify(restriction, degree_bound, assert_tame)
     if tame_a.is_tame and tame_r.is_tame:
         for i, s in enumerate(sigma):
             if s.exact and s.value > table.b[i]:
@@ -157,10 +170,8 @@ def mca_check(arr, h0, degree_bound=None):
     allows (equality at t = -1); None while any sigma stays unresolved."""
     if arr.dim < 2:
         raise WrongRank("minimal-chamber check needs ambient dimension at least 2")
-    sig = sigma_coefficients(ziegler_restriction(arr, h0), degree_bound)
-    if not all(s.exact for s in sig):
-        return None
-    return _reduced_chamber_count(arr) == sum(s.value for s in sig)
+    _check_index(arr, h0)
+    return compare_coefficients(arr, h0, degree_bound).mca
 
 
 def yoshinaga_3d(arr, h0, lattice=None, restriction=None):
@@ -174,7 +185,7 @@ def yoshinaga_3d(arr, h0, lattice=None, restriction=None):
     if restriction is None:
         restriction = ziegler_restriction(arr, h0)
     d1, d2 = rank2_exponents(restriction)
-    chambers = _reduced_chamber_count(arr, lattice)
+    chambers = reduced_char_poly(arr, lattice)(-1)  # (-1)**(l-1) chi0(-1)
     expected = (1 + d1) * (1 + d2)
     if chambers == expected:
         return FreenessVerdict(FREE, exponents=(1, d1, d2))

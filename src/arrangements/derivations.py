@@ -403,9 +403,10 @@ def elementary_symmetric(values, k):
     return sum(prod(combo) for combo in combinations(values, k))
 
 
-def _localization_sweep(ess, degree_bound=None):
+def _localization_sweep(ess, degree_bound=None, lattice=None):
     """One freeness search per flat of an essential multiarrangement; the
-    only place localization searches run.
+    only place localization searches run.  Pass the intersection lattice of
+    ess.base to reuse it.
 
     Returns (verdict, products): products maps each flat, in lattice order,
     to the product of its localization's exponents (None unless Free).  The
@@ -415,7 +416,8 @@ def _localization_sweep(ess, degree_bound=None):
     """
     products = {}
     verdicts = {}
-    for flat in intersection_lattice(ess.base).flats:
+    lattice = lattice if lattice is not None else intersection_lattice(ess.base)
+    for flat in lattice.flats:
         bound = None if flat.codim <= 2 else degree_bound
         local = localize_and_essentialize(ess, flat)
         verdict = verdicts.get((local, bound))

@@ -10,11 +10,11 @@ hyperplane set.  A reduced row that is a nonzero constant means X cap H is
 empty (H is parallel to X).  Every flat arises this way, so the 2**n subset
 enumeration is never needed, and Moebius values are read off the masks.
 
-Each flat's output form, equations, is the canonical reduced row echelon
-form of its defining rows over exact rationals, computed once per flat; it
-orders the flats and keys lookups.  Each equation row has length dim+1 and
-reads sum(row[i] * x_i) + row[dim] = 0; central flats carry a zero
-constant.
+Flats are ordered by (codimension, mask).  Each flat's output form,
+equations, is the canonical reduced row echelon form of its defining rows
+over exact rationals, computed once per flat; it keys lookups.  Each
+equation row has length dim+1 and reads sum(row[i] * x_i) + row[dim] = 0;
+central flats carry a zero constant.
 """
 
 from __future__ import annotations
@@ -56,15 +56,17 @@ def hyperplane_rows(arr):
 class IntersectionLattice:
     """All flats of an arrangement, with Moebius values.
 
-    flats are in canonical order (codimension ascending, then lexicographic
-    on the echelon key); moebius is parallel to flats.  The partial order is
-    reverse inclusion: X <= Y means X contains Y, which is equivalent to
-    contained(X) being a subset of contained(Y).
+    flats are ordered by codimension, then by mask, the int bitmask of the
+    hyperplanes containing the flat (bit j for hyperplane j); moebius and
+    masks are parallel to flats.  The partial order is reverse inclusion:
+    X <= Y means X contains Y, which is equivalent to mask(X) being a
+    subset of mask(Y).
     """
 
     ambient_dim: int
     flats: tuple
     moebius: tuple
+    masks: tuple
 
     def level(self, codim):
         return [f for f in self.flats if f.codim == codim]
@@ -129,27 +131,25 @@ def intersection_lattice(arr):
         found.update(nxt)
         current = nxt
 
-    keyed = []
-    for mask, ech in found.items():
-        equations = ech.rref()
+    masks = sorted(found, key=lambda m: (found[m].rank, m))
+    flats = []
+    for mask in masks:
+        equations = found[mask].rref()
         contained = frozenset(j for j in range(n) if mask >> j & 1)
-        keyed.append((Flat(equations, len(equations), contained), mask))
-    keyed.sort(key=lambda fm: (fm[0].codim, fm[0].equations))
+        flats.append(Flat(equations, len(equations), contained))
     # mu(top) = 1; mu(X) = -sum of mu(Y) over flats Y strictly containing X,
     # that is of lower codimension with a hyperplane set inside X's.
     mu = [1]
-    for i in range(1, len(keyed)):
-        x, xmask = keyed[i]
+    for i in range(1, len(flats)):
+        xmask, codim = masks[i], flats[i].codim
         acc = 0
         for j in range(i):
-            y, ymask = keyed[j]
-            if y.codim == x.codim:
+            if flats[j].codim == codim:
                 break
-            if ymask & xmask == ymask:
+            if masks[j] & xmask == masks[j]:
                 acc += mu[j]
         mu.append(-acc)
-    flats = tuple(f for f, _ in keyed)
-    return IntersectionLattice(dim, flats, tuple(mu))
+    return IntersectionLattice(dim, tuple(flats), tuple(mu), tuple(masks))
 
 
 def char_poly(arr, lattice=None):

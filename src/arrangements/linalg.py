@@ -159,11 +159,6 @@ def echelon(rows, ncols):
     return e
 
 
-def rref(rows, ncols):
-    """Canonical RREF of the row space: tuple of Fraction tuples, zero rows dropped."""
-    return echelon(rows, ncols).rref()
-
-
 def _exact_nullspace(rows, ncols):
     """Canonical kernel basis by exact integer elimination, each vector
     scaled to primitive integers (positive at its free column)."""
@@ -328,22 +323,3 @@ def det(rows):
         prev = m[k][k]
     return scale * sign * m[n - 1][n - 1]
 
-
-def inverse(rows):
-    """Exact inverse of a square rational matrix as a list of Fraction lists."""
-    n = len(rows)
-    aug = []
-    for i, row in enumerate(rows):
-        if len(row) != n:
-            raise ValueError("inverse needs a square matrix")
-        aug.append([Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)])
-    red = rref(aug, 2 * n)
-    if len(red) != n or any(_pivot_col(r) != i for i, r in enumerate(red)):
-        raise ValueError("matrix is singular")
-    return [list(r[n:]) for r in red]
-
-
-def vec_mat(vec, rows):
-    """Row vector times matrix (list of rows)."""
-    ncols = len(rows[0]) if rows else 0
-    return [sum(vec[i] * rows[i][j] for i in range(len(rows))) for j in range(ncols)]

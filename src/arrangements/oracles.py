@@ -240,20 +240,19 @@ def _affine_pairs(arr):
 
 
 def _restrict_onto(head, rest):
-    """Restrictions of the remaining hyperplanes onto the hyperplane head."""
+    """Restrictions of the remaining hyperplanes onto the hyperplane head.
+
+    Eliminating x_j (the pivot of a) from b.x = d with a.x = c leaves the
+    integer equation (a_j*b - b_j*a).x = a_j*d - b_j*c, x_j dropped.
+    """
     a, c = head
     j = next(i for i, v in enumerate(a) if v != 0)
     out = set()
     for b, d in rest:
-        normal = [
-            Fraction(b[i]) - Fraction(a[i] * b[j], a[j])
-            for i in range(len(a))
-            if i != j
-        ]
-        if all(v == 0 for v in normal):
+        normal = [a[j] * b[i] - b[j] * a[i] for i in range(len(a)) if i != j]
+        if not any(normal):
             continue  # parallel hyperplane, empty trace
-        const = Fraction(d) - Fraction(b[j] * c, a[j])
-        out.add(normalize_affine(normal, const))
+        out.add(normalize_affine(normal, a[j] * d - b[j] * c))
     return tuple(sorted(out))
 
 

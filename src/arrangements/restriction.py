@@ -1,22 +1,28 @@
 """Deconing, Ziegler restriction, localization and the lattice map rho.
 
-Coordinate conventions, fixed once so results are reproducible:
+Coordinate conventions, fixed once so results are reproducible: with j the
+pivot position of alpha = alpha_{h0}, both decone(A, h0) (on the chart
+{alpha = 1}) and ziegler_restriction(A, h0) (on H0 = ker alpha) keep the
+positions i != j, in order, as coordinates.  Eliminating x_j turns a
+hyperplane beta into the integer normal alpha_j*beta_i - alpha_i*beta_j,
+with the constant -beta_j on the chart.
 
-* decone(A, h0) works in the chart {alpha_0 = 1}.  With j the pivot position
-  of alpha_0, the chart coordinates are y_k = x_{i_k} for the positions
-  i_1 < ... < i_{l-1} different from j.
-* ziegler_restriction(A, h0) uses the same positions as coordinates on
-  H0 = ker(alpha_0), via the kernel basis v_i = e_i - (alpha_i/alpha_j) e_j.
+The per-flat decomposition needs only L(A), because a flat is identified
+by its hyperplane set (its lattice mask):
 
-Because both charts use the identical coordinate positions, the direction
-space of an affine flat of the deconed arrangement is read off by simply
-dropping the constant terms of its equations; that is the map rho.
+* the flats of the deconing are the flats X of L(A) not inside H0, with
+  the same Moebius values (every flat containing such an X is not inside
+  H0 either);
+* rho(X) = X cap H0 is the flat one level up whose mask holds h0 and X's;
+* the hyperplanes of A'' are the codimension-2 flats inside H0, in order
+  of their first hyperplane other than h0, with multiplicity one less than
+  their number of hyperplanes.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .core import (
     AffineArrangement,
@@ -27,8 +33,8 @@ from .core import (
     normalize_form,
 )
 from .errors import FlatNotInLattice, IndexOutOfRange, TheoremViolation, WrongRank
-from .lattice import Flat, intersection_lattice, reduced_char_poly
-from .linalg import echelon, inverse, vec_mat
+from .lattice import intersection_lattice, reduced_char_poly
+from .linalg import echelon
 
 
 def _check_index(arr, h0):
@@ -42,62 +48,39 @@ def _pivot(form):
     return next(i for i, c in enumerate(form) if c != 0)
 
 
-def decone(arr, h0):
-    """Affine arrangement cut out on the chart {alpha_{h0} = 1}."""
+def _traces(arr, h0):
+    """Integer normals of the other hyperplanes' traces on H0, in order.
+
+    With j the pivot position of alpha = alpha_{h0}, hyperplane beta gives
+    (alpha_j*beta_i - alpha_i*beta_j for i != j, beta_j).
+    """
     _check_index(arr, h0)
-    ell = arr.dim
     alpha = arr.forms[h0]
     j = _pivot(alpha)
-    kept = [i for i in range(ell) if i != j]
-    # change of coordinates y = T x with y_k the kept positions, y_l = alpha(x)
-    rows = [[Fraction(1) if c == i else Fraction(0) for c in range(ell)] for i in kept]
-    rows.append([Fraction(c) for c in alpha])
-    tinv = inverse(rows)
-    out = []
-    for h, form in enumerate(arr.forms):
-        if h == h0:
-            continue
-        beta = vec_mat(form, tinv)
-        out.append(normalize_affine(beta[:-1], -beta[-1]))
-    return AffineArrangement(ell - 1, tuple(out))
+    kept = [i for i in range(arr.dim) if i != j]
+    return [
+        ([alpha[j] * beta[i] - alpha[i] * beta[j] for i in kept], beta[j])
+        for h, beta in enumerate(arr.forms)
+        if h != h0
+    ]
+
+
+def decone(arr, h0):
+    """Affine arrangement cut out on the chart {alpha_{h0} = 1}."""
+    return AffineArrangement(
+        arr.dim - 1,
+        tuple(normalize_affine(normal, -bj) for normal, bj in _traces(arr, h0)),
+    )
 
 
 def ziegler_restriction(arr, h0):
     """Restriction onto H0 with multiplicity the number of colliding hyperplanes."""
-    _check_index(arr, h0)
-    ell = arr.dim
-    if ell < 2:
+    traces = _traces(arr, h0)
+    if arr.dim < 2:
         raise WrongRank("Ziegler restriction needs ambient dimension at least 2")
-    alpha = arr.forms[h0]
-    j = _pivot(alpha)
-    kept = [i for i in range(ell) if i != j]
-    aj = alpha[j]
-    order = []
-    mult = {}
-    for h, form in enumerate(arr.forms):
-        if h == h0:
-            continue
-        gamma = [Fraction(form[i]) - Fraction(alpha[i] * form[j], aj) for i in kept]
-        restricted = normalize_form(gamma)
-        if restricted not in mult:
-            order.append(restricted)
-            mult[restricted] = 0
-        mult[restricted] += 1
-    base = CentralArrangement(ell - 1, tuple(order))
-    return Multiarrangement(base, tuple(mult[f] for f in order))
-
-
-def flat_contains(outer, inner):
-    """True iff the flat `outer` contains the flat `inner` as a point set.
-
-    Works for central and affine flats alike: outer >= inner exactly when
-    every defining equation of outer lies in the span of inner's equations.
-    """
-    if not outer.equations:
-        return True
-    ncols = len(outer.equations[0])
-    span = echelon(inner.equations, ncols)
-    return all(span.contains(r) for r in outer.equations)
+    mult = Counter(normalize_form(normal) for normal, _ in traces)  # in first-seen order
+    base = CentralArrangement(arr.dim - 1, tuple(mult))
+    return Multiarrangement(base, tuple(mult.values()))
 
 
 def localize_and_essentialize(multi, flat):
@@ -125,32 +108,51 @@ def localize_and_essentialize(multi, flat):
     return Multiarrangement(base, tuple(multi.mult[i] for i in idx))
 
 
-def _direction_flat(flat, restriction):
-    """Flat of the Ziegler restriction spanned by the directions of an
-    affine flat of the deconed arrangement (shared-coordinate convention)."""
-    amb = restriction.dim
-    rows = [r[:-1] + (Fraction(0),) for r in flat.equations]
-    ech = echelon(rows, amb + 1)
-    key = ech.rref()
-    contained = frozenset(
-        i for i, f in enumerate(restriction.base.forms)
-        if ech.contains(tuple(f) + (0,))
-    )
-    image = Flat(key, len(key), contained)
-    if image.codim != flat.codim:
-        raise TheoremViolation("direction space dropped rank; this is a bug")
-    return image
+def _rho(lattice, h0, restriction_lattice):
+    """rho on L(A): {mask of each flat X not inside H0: the flat X cap H0
+    of L(A'')}.
+
+    X cap H0 is the flat one level up whose mask holds h0 and mask(X).  The
+    hyperplanes of A'' are the codimension-2 flats Z inside H0, and a flat
+    Y inside H0 lies on Z exactly when mask(Z) is inside mask(Y).
+    """
+    bit = 1 << h0
+    inside = {}  # codim -> masks of the flats inside H0
+    for flat, mask in zip(lattice.flats, lattice.masks):
+        if mask & bit:
+            inside.setdefault(flat.codim, []).append(mask)
+    # the hyperplanes of A'' in ziegler_restriction's order: by the first
+    # hyperplane other than h0
+    traces = sorted(inside.get(2, ()), key=lambda z: (z ^ bit) & -(z ^ bit))
+    by_mask = dict(zip(restriction_lattice.masks, restriction_lattice.flats))
+    out = {}
+    for flat, mask in zip(lattice.flats, lattice.masks):
+        if mask & bit:
+            continue
+        want = mask | bit
+        meet = next((y for y in inside.get(flat.codim + 1, ()) if y & want == want), None)
+        if meet is None:
+            raise TheoremViolation("no flat one level up meets H0; this is a bug")
+        image = by_mask.get(sum(1 << i for i, z in enumerate(traces) if z & meet == z))
+        if image is None or image.codim != flat.codim:
+            raise TheoremViolation("rho does not preserve codimension; this is a bug")
+        out[mask] = image
+    return out
 
 
 def rho(arr, h0, flat, dA_lattice=None):
     """The codimension-preserving map L(dA) -> L(A'').
 
-    Pass the lattice of decone(arr, h0) to skip revalidation when mapping
-    many flats of the same arrangement.
+    A flat Y of the deconing lies on the hyperplanes of arr that contain
+    the flat X of L(A) with Y = X cap {alpha_{h0} = 1}, and maps to
+    X cap H0.  Each call builds L(A) and L(A''); pass the lattice of
+    decone(arr, h0) to skip building that one as well.
     """
-    restriction = ziegler_restriction(arr, h0)
     lat = dA_lattice if dA_lattice is not None else intersection_lattice(decone(arr, h0))
-    return _direction_flat(lat.lookup(flat), restriction)
+    # hyperplane k of the deconing is hyperplane k (k < h0) or k + 1 of arr
+    mask = sum(1 << (k + (k >= h0)) for k in lat.lookup(flat).contained)
+    restriction = ziegler_restriction(arr, h0)
+    return _rho(intersection_lattice(arr), h0, intersection_lattice(restriction.base))[mask]
 
 
 @dataclass
@@ -168,29 +170,33 @@ class CoefficientTable:
     per_flat: dict = field(default_factory=dict)
 
 
-def b_coefficients(arr, h0, restriction=None):
+def b_coefficients(arr, h0, lattice=None, restriction_lattice=None, chi0=None):
     """b-vector of A plus its decomposition over flats of A'' through rho.
 
-    b_i^X sums |mu(Y)| over the flats Y of the deconed arrangement with
-    rho(Y) = X.  The identity sum_X b_i^X = b_i ties the two pipelines
-    (lattice of A versus lattice of dA) together; TheoremViolation is
-    raised if it fails.  Pass ziegler_restriction(arr, h0) to reuse it.
+    b_i^X sums |mu(Y)| over the flats Y of L(A) not inside H0 (the flats
+    of the deconing, with the same Moebius values) with rho(Y) = X.
+    TheoremViolation is raised unless sum_X b_i^X = b_i.  Pass the
+    intersection lattices of arr and of ziegler_restriction(arr, h0), and
+    the reduced characteristic polynomial of arr, to reuse them.
     """
     ell = arr.dim
     if ell < 2:
         raise WrongRank("coefficient comparison needs ambient dimension at least 2")
-    chi0 = reduced_char_poly(arr)
+    lat = lattice if lattice is not None else intersection_lattice(arr)
+    if chi0 is None:
+        chi0 = reduced_char_poly(arr, lat)
     b = tuple(abs(chi0.coefficient(ell - 1 - i)) for i in range(ell))
-    if restriction is None:
-        restriction = ziegler_restriction(arr, h0)
-    lat = intersection_lattice(decone(arr, h0))
+    _check_index(arr, h0)
+    if restriction_lattice is None:
+        restriction_lattice = intersection_lattice(ziegler_restriction(arr, h0).base)
+    image = _rho(lat, h0, restriction_lattice)
     per = {}
-    for flat, mu in zip(lat.flats, lat.moebius):
-        image = _direction_flat(flat, restriction)
-        per[image] = per.get(image, 0) + abs(mu)
+    for mask, mu in zip(lat.masks, lat.moebius):
+        if mask in image:
+            per[image[mask]] = per.get(image[mask], 0) + abs(mu)
     sums = [0] * ell
-    for image, val in per.items():
-        sums[image.codim] += val
+    for x, val in per.items():
+        sums[x.codim] += val
     if tuple(sums) != b:
         raise TheoremViolation("per-flat b decomposition disagrees with chi0")
     table = {x: {"b": v, "sigma": None} for x, v in per.items()}

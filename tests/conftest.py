@@ -3,8 +3,9 @@
 import random
 from fractions import Fraction
 
-from arrangements import canonicalize
+from arrangements import canonicalize, intersection_lattice, rho, ziegler_restriction
 from arrangements.errors import ArrangementError
+from arrangements.restriction import _rho
 
 
 def make(forms, dim):
@@ -41,3 +42,22 @@ def random_central(rng, dim=None, max_hyperplanes=7):
 
 def seeded(seed):
     return random.Random(seed)
+
+
+def rho_images(arr, h0, dA_lattice):
+    """{flat of dA_lattice: rho(flat)}, from one L(A) and one L(A'').
+
+    `rho` builds both lattices per call, so mapping every flat through it
+    would build two lattices per flat; the map is computed once instead,
+    and `rho` itself is checked on the last flat.
+    """
+    restriction_lattice = intersection_lattice(ziegler_restriction(arr, h0).base)
+    image = _rho(intersection_lattice(arr), h0, restriction_lattice)
+    # hyperplane k of the deconing is hyperplane k (k < h0) or k + 1 of arr
+    out = {
+        flat: image[sum(1 << (k + (k >= h0)) for k in flat.contained)]
+        for flat in dA_lattice.flats
+    }
+    last = dA_lattice.flats[-1]
+    assert rho(arr, h0, last, dA_lattice) == out[last]
+    return out

@@ -20,7 +20,6 @@ from arrangements import (
     rank2_exponents,
     reduced_char_poly,
     region_count_recursion,
-    rho,
     saito_check,
     sigma_coefficients,
     simple_multiarrangement,
@@ -28,7 +27,7 @@ from arrangements import (
     ziegler_restriction,
 )
 from arrangements.criteria import abe_yoshinaga_free_check
-from conftest import make, random_central, seeded
+from conftest import make, random_central, rho_images, seeded
 
 
 def test_criterion_1_oracle_agreement():
@@ -218,8 +217,8 @@ def test_criterion_8_randomized_structure():
         # rho preserves codimension; per-flat b sums reproduce b
         h0 = rng.randrange(arr.n_hyperplanes)
         dA_lattice = intersection_lattice(decone(arr, h0))
-        for flat in dA_lattice.flats:
-            assert rho(arr, h0, flat, dA_lattice).codim == flat.codim
+        for flat, image in rho_images(arr, h0, dA_lattice).items():
+            assert image.codim == flat.codim
         table = b_coefficients(arr, h0)
         for i, b_i in enumerate(table.b):
             assert b_i == sum(

@@ -1,8 +1,10 @@
 """Byte-for-byte replay of recorded CLI runs.
 
 Every corpus entry runs through eight subcommand variants, in text and in
---json mode; stdout, stderr and the exit code must match golden_cli.json
-exactly.  golden_bases.json pins `exponents` in both modes on the inputs in
+--json mode, and three rank-4 entries also run `compare` under --bound 1,
+2 and 3 and with --assert-tame (the tameness tags then come from the
+restriction's verdict or, when it is Unknown, from the fallback search);
+stdout, stderr and the exit code must match golden_cli.json exactly.  golden_bases.json pins `exponents` in both modes on the inputs in
 bases/, whose graded kernels are larger than any corpus entry's (over a
 hundred columns, non-unit pivots, degrees where rational reconstruction
 fails), so the canonical bases they print are fixed too.  Regenerate both
@@ -40,12 +42,20 @@ def variants(h0):
     )
 
 
+COMPARE_EXTRAS = ("braid-ess4", "generic45", "boolean4")
+
+
 def cases():
     for name in corpus.names():
         for variant in variants(corpus.get(name).h0):
             for mode in ((), ("--json",)):
                 cmd, *rest = variant
                 yield [cmd, f"corpus:{name}", *rest, *mode]
+    for name in COMPARE_EXTRAS:
+        h = ("--h0", str(corpus.get(name).h0))
+        for extra in (("--bound", "1"), ("--bound", "2"), ("--bound", "3"), ("--assert-tame",)):
+            for mode in ((), ("--json",)):
+                yield ["compare", f"corpus:{name}", *h, *extra, *mode]
 
 
 def basis_cases():

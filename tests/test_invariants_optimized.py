@@ -23,7 +23,7 @@ CHECKS = {
         """
         from arrangements import CORPUS, IntPoly, restriction
         real = restriction.reduced_char_poly
-        restriction.reduced_char_poly = lambda arr: real(arr) + IntPoly((1,))
+        restriction.reduced_char_poly = lambda arr, lattice: real(arr, lattice) + IntPoly((1,))
         restriction.b_coefficients(CORPUS["braid-ess3"].arrangement, 0)
         """,
         "per-flat b decomposition disagrees with chi0",
@@ -50,13 +50,28 @@ CHECKS = {
     "direction-flat-rank": (
         """
         import dataclasses
-        from arrangements import CORPUS, intersection_lattice, restriction
+        from arrangements import CORPUS, b_coefficients, intersection_lattice
         arr = CORPUS["braid-ess3"].arrangement
-        flat = intersection_lattice(restriction.decone(arr, 0)).flats[1]
-        flat = dataclasses.replace(flat, codim=flat.codim + 1)
-        restriction._direction_flat(flat, restriction.ziegler_restriction(arr, 0))
+        lat = intersection_lattice(arr)
+        # H0 = hyperplane 0 drops out of every codimension-2 hyperplane set
+        masks = tuple(m & ~1 if f.codim == 2 else m for f, m in zip(lat.flats, lat.masks))
+        b_coefficients(arr, 0, lattice=dataclasses.replace(lat, masks=masks))
         """,
-        "direction space dropped rank; this is a bug",
+        "no flat one level up meets H0; this is a bug",
+    ),
+    "rho-codim": (
+        """
+        import dataclasses
+        from arrangements import (
+            CORPUS, b_coefficients, intersection_lattice, ziegler_restriction,
+        )
+        arr = CORPUS["braid-ess3"].arrangement
+        zr = intersection_lattice(ziegler_restriction(arr, 0).base)
+        # no A''-flat keeps its hyperplane set, so no image is found
+        masks = tuple(m << 1 for m in zr.masks)
+        b_coefficients(arr, 0, restriction_lattice=dataclasses.replace(zr, masks=masks))
+        """,
+        "rho does not preserve codimension; this is a bug",
     ),
 }
 

@@ -4,17 +4,21 @@ and Hypothesis properties that shrink a failure to a minimal input."""
 import random
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arrangements import (
+    CORPUS,
     BadPrime,
+    Flat,
     IntPoly,
+    b_coefficients,
     canonicalize,
     chamber_count,
     char_poly,
     char_poly_recursion,
     compare_coefficients,
+    decone,
     find_free_basis,
     finite_field_char_poly,
     intersection_lattice,
@@ -24,8 +28,11 @@ from arrangements import (
     region_count_recursion,
     saito_check,
     simple_multiarrangement,
+    tameness_classify,
+    ziegler_restriction,
 )
 from arrangements.core import normalize_form
+from arrangements.linalg import echelon
 from conftest import random_central, seeded
 
 
@@ -120,12 +127,13 @@ def test_random_coefficient_inequality_rank_le_3():
 
 
 @st.composite
-def _central_forms(draw):
-    """Dimension 2-4 and 1-7 pairwise non-proportional small integer forms."""
-    dim = draw(st.integers(2, 4))
-    form = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim).filter(any)
+def _central_forms(draw, min_dim=2, max_dim=4, max_forms=7, coeff=3):
+    """Dimension 2-4 and 1-7 pairwise non-proportional integer forms with
+    entries in -3..3 (or -coeff..coeff)."""
+    dim = draw(st.integers(min_dim, max_dim))
+    form = st.lists(st.integers(-coeff, coeff), min_size=dim, max_size=dim).filter(any)
     by_hyperplane = {}  # proportional draws are one hyperplane: keep the first
-    for f in draw(st.lists(form, min_size=1, max_size=7)):
+    for f in draw(st.lists(form, min_size=1, max_size=max_forms)):
         by_hyperplane.setdefault(normalize_form(f), f)
     return dim, list(by_hyperplane.values())
 
@@ -165,3 +173,79 @@ def test_three_oracles_agree(drawn):
         pass  # no dim+1 primes above the minor bound fit the point budget
     chambers = chamber_count(arr)
     assert region_count_recursion(arr) == chambers == (-1) ** arr.dim * chi(-1)
+
+
+def _direction_table(arr, h0):
+    """Reference per-flat b table from the deconing's own lattice.
+
+    Each affine flat of decone(arr, h0) maps to the flat of the Ziegler
+    restriction spanned by its directions: its equations with the constants
+    set to 0, reduced to a canonical RREF, with the restricted hyperplanes
+    found by span membership.  This shares no step with the mask-based rho.
+    """
+    restriction = ziegler_restriction(arr, h0)
+    lat = intersection_lattice(decone(arr, h0))
+    ncols = restriction.dim + 1
+    table = {}
+    for flat, mu in zip(lat.flats, lat.moebius):
+        ech = echelon([r[:-1] + (Fraction(0),) for r in flat.equations], ncols)
+        equations = ech.rref()
+        contained = frozenset(
+            i for i, f in enumerate(restriction.base.forms)
+            if ech.contains(tuple(f) + (0,))
+        )
+        assert len(equations) == flat.codim
+        image = Flat(equations, len(equations), contained)
+        table[image] = table.get(image, 0) + abs(mu)
+    return table
+
+
+@settings(max_examples=40, deadline=None)
+@given(_central_forms(min_dim=3, max_dim=4))
+def test_per_flat_b_matches_the_deconing_lattice(drawn):
+    dim, forms = drawn
+    arr = canonicalize(forms, dim)
+    for h0 in range(arr.n_hyperplanes):
+        per_flat = b_coefficients(arr, h0).per_flat
+        assert {x: cell["b"] for x, cell in per_flat.items()} == _direction_table(arr, h0)
+
+
+_IDENTITY5 = [[int(i == j) for j in range(5)] for i in range(5)]
+# the braid arrangement A5 essentialized: x_i - x_j and x_i in dimension 5
+_BRAID_ESS5 = [
+    [int(k == i) - int(k == j) for k in range(5)] for i in range(5) for j in range(i + 1, 5)
+] + _IDENTITY5
+
+
+@st.composite
+def _rank4_arrangements(draw):
+    """An essential arrangement in dimension 4, a hyperplane index, a
+    degree bound (None, 1 or 2) and whether tameness is asserted."""
+    dim, forms = draw(
+        _central_forms(min_dim=4, max_dim=4, max_forms=7, coeff=1).filter(
+            lambda d: canonicalize(d[1], d[0]).rank() == 4
+        )
+    )
+    arr = canonicalize(forms, dim)
+    h0 = draw(st.integers(0, arr.n_hyperplanes - 1))
+    return arr, h0, draw(st.sampled_from((None, 1, 2))), draw(st.booleans())
+
+
+@settings(max_examples=30, deadline=None)
+@given(_rank4_arrangements())
+@example((CORPUS["braid-ess4"].arrangement, 0, None, False))
+@example((CORPUS["braid-ess4"].arrangement, 0, 3, True))
+@example((canonicalize(_IDENTITY5, 5), 2, None, False))
+@example((canonicalize(_BRAID_ESS5, 5), 0, 2, False))
+def test_comparison_tameness_tags_match_the_searches(drawn):
+    # compare_coefficients reads both tags off the restriction's verdict,
+    # Unknown included, whenever the restriction is essential; the
+    # searches must agree with it.  The examples add a free input with
+    # more than four hyperplanes, a bound below its exponents, and rank-4
+    # restrictions (the boolean 5-space, and essentialized A5, whose
+    # restriction is Unknown within the bound 2).
+    arr, h0, bound, asserted = drawn
+    report = compare_coefficients(arr, h0, bound, asserted)
+    restriction = ziegler_restriction(arr, h0)
+    assert report.tame_arrangement == tameness_classify(arr, bound, asserted)
+    assert report.tame_restriction == tameness_classify(restriction, bound, asserted)

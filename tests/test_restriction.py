@@ -17,7 +17,7 @@ from arrangements import (
     simple_multiarrangement,
     ziegler_restriction,
 )
-from conftest import make
+from conftest import make, rho_images
 
 
 def test_decone_index_validation():
@@ -91,24 +91,21 @@ def test_rho_preserves_codim_and_order():
     dA_lattice = intersection_lattice(dA)
     zr = ziegler_restriction(arr, h0)
     zr_lattice = intersection_lattice(zr.base)
-    images = set()
-    for flat in dA_lattice.flats:
-        image = rho(arr, h0, flat, dA_lattice=dA_lattice)
+    images = rho_images(arr, h0, dA_lattice)
+    for flat, image in images.items():
         assert image.codim == flat.codim
         zr_lattice.lookup(image)  # image is a genuine flat of L(A'')
-        images.add(image.equations)
     # rho is onto L(A'').
-    assert images == {f.equations for f in zr_lattice.flats}
-    # Order preservation: Y1 contained in Y2 (as subspaces) maps to
-    # rho(Y1) contained in rho(Y2).
-    from arrangements.restriction import flat_contains
-
+    assert {f.equations for f in images.values()} == {
+        f.equations for f in zr_lattice.flats
+    }
+    # Order preservation: Y1 contained in Y2 (as subspaces), that is every
+    # hyperplane through Y2 passes through Y1, maps to rho(Y1) contained
+    # in rho(Y2).
     for y1 in dA_lattice.flats:
         for y2 in dA_lattice.flats:
-            if flat_contains(y2, y1):
-                assert flat_contains(
-                    rho(arr, h0, y2, dA_lattice), rho(arr, h0, y1, dA_lattice)
-                )
+            if y2.contained <= y1.contained:
+                assert images[y2].contained <= images[y1].contained
 
 
 def test_rho_rejects_foreign_flat():
