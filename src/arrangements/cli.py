@@ -96,87 +96,72 @@ def _header(arr):
 # Subcommands.  Each returns the process exit code.
 
 
-def _cmd_charpoly(args):
-    arr = _load_input(args.file).arrangement
-    lattice = intersection_lattice(arr)
-    chi = char_poly(arr, lattice)
+def _cross_check(args, arr, value, recursion, from_chi, show=str):
+    """With --verify, check value against the deletion-restriction
+    recursion and against from_chi of the finite-field characteristic
+    polynomial, skipped with a note when no good prime is found.  Returns
+    (oracles that agree, mismatch messages)."""
     verified, mismatches = [], []
-    if args.verify:
-        rec = char_poly_recursion(arr)
-        if rec == chi:
-            verified.append("deletion-restriction recursion")
+    if not args.verify:
+        return verified, mismatches
+    rec = recursion(arr)
+    if rec == value:
+        verified.append("deletion-restriction recursion")
+    else:
+        mismatches.append(f"deletion-restriction recursion got {show(rec)}")
+    try:
+        ff = from_chi(finite_field_char_poly(arr))
+    except BadPrime as exc:
+        print(f"note: finite-field oracle skipped: {exc}", file=sys.stderr)
+    else:
+        if ff == value:
+            verified.append("finite-field point counts")
         else:
-            mismatches.append(f"deletion-restriction recursion got {rec.to_string(sep='')}")
-        try:
-            ff = finite_field_char_poly(arr)
-        except BadPrime as exc:
-            print(f"note: finite-field oracle skipped: {exc}", file=sys.stderr)
-        else:
-            if ff == chi:
-                verified.append("finite-field point counts")
-            else:
-                mismatches.append(f"finite-field oracle got {ff.to_string(sep='')}")
-    poly = reduced_char_poly(arr, lattice) if args.reduced else chi
-    name = "chi0" if args.reduced else "chi"
+            mismatches.append(f"finite-field oracle got {show(ff)}")
+    return verified, mismatches
+
+
+def _print_checked(args, arr, fields, line, verified, mismatches):
+    """Output of charpoly and chambers: the fields in JSON, or the header
+    and the line; then any oracle mismatch, which makes the exit code 3."""
     if args.json:
-        out = {
-            "dim": arr.dim,
-            "n_hyperplanes": arr.n_hyperplanes,
-            "reduced": bool(args.reduced),
-            "coefficients": poly_coefficients(poly),
-        }
+        out = {"dim": arr.dim, "n_hyperplanes": arr.n_hyperplanes, **fields}
         if args.verify:
             out["verified_by"] = verified
             out["mismatches"] = mismatches
         print(json.dumps(out, indent=2))
     else:
         print(_header(arr))
-        print(f"{name}(t) = {poly.to_string(sep='')}")
+        print(line)
         if verified:
             print("verified by: " + ", ".join(verified))
     for item in mismatches:
         print(f"verification mismatch: {item}", file=sys.stderr)
     return 3 if mismatches else 0
+
+
+def _cmd_charpoly(args):
+    arr = _load_input(args.file).arrangement
+    lattice = intersection_lattice(arr)
+    chi = char_poly(arr, lattice)
+    checks = _cross_check(
+        args, arr, chi, char_poly_recursion, lambda ff: ff, lambda p: p.to_string(sep="")
+    )
+    poly = reduced_char_poly(arr, lattice) if args.reduced else chi
+    name = "chi0" if args.reduced else "chi"
+    fields = {"reduced": bool(args.reduced), "coefficients": poly_coefficients(poly)}
+    return _print_checked(
+        args, arr, fields, f"{name}(t) = {poly.to_string(sep='')}", *checks
+    )
 
 
 def _cmd_chambers(args):
     arr = _load_input(args.file).arrangement
     count = chamber_count(arr)
-    verified, mismatches = [], []
-    if args.verify:
-        rec = region_count_recursion(arr)
-        if rec == count:
-            verified.append("deletion-restriction recursion")
-        else:
-            mismatches.append(f"deletion-restriction recursion got {rec}")
-        try:
-            ff = finite_field_char_poly(arr)
-        except BadPrime as exc:
-            print(f"note: finite-field oracle skipped: {exc}", file=sys.stderr)
-        else:
-            ff_count = (-1) ** arr.dim * ff(-1)
-            if ff_count == count:
-                verified.append("finite-field point counts")
-            else:
-                mismatches.append(f"finite-field oracle got {ff_count}")
-    if args.json:
-        out = {
-            "dim": arr.dim,
-            "n_hyperplanes": arr.n_hyperplanes,
-            "chambers": count,
-        }
-        if args.verify:
-            out["verified_by"] = verified
-            out["mismatches"] = mismatches
-        print(json.dumps(out, indent=2))
-    else:
-        print(_header(arr))
-        print(f"chambers: {count}")
-        if verified:
-            print("verified by: " + ", ".join(verified))
-    for item in mismatches:
-        print(f"verification mismatch: {item}", file=sys.stderr)
-    return 3 if mismatches else 0
+    checks = _cross_check(
+        args, arr, count, region_count_recursion, lambda ff: (-1) ** arr.dim * ff(-1)
+    )
+    return _print_checked(args, arr, {"chambers": count}, f"chambers: {count}", *checks)
 
 
 def _cmd_ziegler(args):

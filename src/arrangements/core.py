@@ -3,13 +3,14 @@
 A hyperplane through the origin is stored as the primitive integer vector of
 its defining linear form with positive leading entry, which makes equality of
 hyperplanes a tuple comparison.  Affine hyperplanes a.x = c store (a, c)
-jointly primitive under the same sign convention.
+jointly primitive under the same sign convention.  Rational input is
+scaled to integers here, once; everything downstream works on integer
+rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import DimensionMismatch, DuplicateHyperplane, ZeroForm
 from .linalg import echelon, primitive_vector
@@ -144,7 +145,7 @@ def canonicalize(raw_forms, dim):
 def normalize_affine(normal, constant):
     """Jointly primitive (normal, constant) with positive leading normal entry."""
     vec = list(normal) + [constant]
-    if all(Fraction(x) == 0 for x in normal):
+    if not any(normal):
         raise ZeroForm("affine hyperplane needs a nonzero normal")
     prim = primitive_vector(vec)
     if next(v for v in prim[:-1] if v != 0) < 0:
@@ -171,28 +172,16 @@ def form_to_string(form, names=None):
     return signed_sum(zip(form, names or var_names(len(form))))
 
 
-class _EssentialMap:
-    """Coordinate change onto the span of a set of forms.
+def _essential_forms(forms, dim):
+    """Integer forms rewritten in coordinates on their span.
 
-    rows: canonical RREF basis of the span; a form in the span rewrites as
-    the vector of its coefficients at the pivot columns.
+    Returns (rank, new forms): each form's entries at the pivot columns of
+    the forms' echelon, made primitive.  The canonical RREF basis of the
+    span is the identity at those columns, so the entries there are
+    exactly the form's coordinates in that basis.
     """
-
-    def __init__(self, forms, dim):
-        ech = echelon(forms, dim)
-        self.dim = dim
-        self.rows = ech.rref()
-        self.pivots = [next(j for j, v in enumerate(r) if v != 0) for r in self.rows]
-        self.rank = len(self.rows)
-
-    def push_form(self, form):
-        """Coordinates of a form (must lie in the span) in the RREF basis."""
-        lam = [Fraction(form[p]) for p in self.pivots]
-        for j in range(self.dim):
-            val = sum(lam[i] * self.rows[i][j] for i in range(self.rank))
-            if val != Fraction(form[j]):
-                raise ValueError("form does not lie in the span")
-        return lam
+    pivots = echelon(forms, dim).pivots
+    return len(pivots), tuple(normalize_form([f[p] for p in pivots]) for f in forms)
 
 
 def essentialize(arr):
@@ -202,20 +191,13 @@ def essentialize(arr):
     multiplicity-zero hyperplanes are dropped, since the essential model only
     carries the algebraically visible part.
     """
-    if isinstance(arr, Multiarrangement):
-        idx = arr.effective()
-        forms = [arr.base.forms[i] for i in idx]
-        mult = [arr.mult[i] for i in idx]
-        emap = _EssentialMap(forms, arr.dim)
-        if emap.rank == arr.dim and len(idx) == arr.base.n_hyperplanes:
-            return arr, 0
-        new_forms = tuple(normalize_form(emap.push_form(f)) for f in forms)
-        ess = Multiarrangement(
-            CentralArrangement(emap.rank, new_forms), tuple(mult)
-        )
-        return ess, arr.dim - emap.rank
-    emap = _EssentialMap(arr.forms, arr.dim)
-    if emap.rank == arr.dim:
+    multi = isinstance(arr, Multiarrangement)
+    base = arr.base if multi else arr
+    idx = arr.effective() if multi else range(base.n_hyperplanes)
+    rank, forms = _essential_forms([base.forms[i] for i in idx], arr.dim)
+    if rank == arr.dim and len(forms) == base.n_hyperplanes:
         return arr, 0
-    new_forms = tuple(normalize_form(emap.push_form(f)) for f in arr.forms)
-    return CentralArrangement(emap.rank, new_forms), arr.dim - emap.rank
+    ess = CentralArrangement(rank, forms)
+    if multi:
+        ess = Multiarrangement(ess, tuple(arr.mult[i] for i in idx))
+    return ess, arr.dim - rank

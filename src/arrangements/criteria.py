@@ -26,7 +26,6 @@ from .derivations import (
     elementary_symmetric,
     find_free_basis,
     rank2_exponents,
-    sigma_coefficients,
 )
 from .errors import TheoremViolation, WrongRank
 from .lattice import intersection_lattice, reduced_char_poly
@@ -105,24 +104,23 @@ def compare_coefficients(arr, h0, degree_bound=None, assert_tame=False):
     restriction = ziegler_restriction(arr, h0)
     restriction_lattice = intersection_lattice(restriction.base)
     table = b_coefficients(arr, h0, lattice, restriction_lattice, chi0)
-    top = None
-    if restriction.is_essential():
-        # one sweep: the global verdict, sigma and the per-flat sigma values
-        top, local = _localization_sweep(restriction, degree_bound, restriction_lattice)
-        sig = _sigma_column(restriction, top, local)
-        for flat, entry in table.per_flat.items():
-            entry["sigma"] = local.get(flat)
-        if top.is_free:
-            # local-to-global: the level sums of the local products must
-            # reproduce the elementary symmetric functions of the exponents
-            for k, total in enumerate(_level_sums(local, restriction.dim)):
-                if total is not None and total != sig[k].value:
-                    raise TheoremViolation(
-                        f"local sigma_{k} contributions disagree with the "
-                        "global coefficient"
-                    )
-    else:
-        sig = sigma_coefficients(restriction, degree_bound)
+    # one sweep: the global verdict, sigma and the per-flat sigma values.
+    # The center localizes to the essentialization of A'', whose dimension
+    # is the rank of A''; A's rank is one more.
+    top, local = _localization_sweep(restriction, degree_bound, restriction_lattice)
+    rank_r = top.essential.dim
+    sig = _sigma_column(top.essential, top, local)
+    for flat, entry in table.per_flat.items():
+        entry["sigma"] = local.get(flat)
+    if top.is_free:
+        # local-to-global: the level sums of the local products must
+        # reproduce the elementary symmetric functions of the exponents
+        for k, total in enumerate(_level_sums(local, rank_r)):
+            if total is not None and total != sig[k].value:
+                raise TheoremViolation(
+                    f"local sigma_{k} contributions disagree with the "
+                    "global coefficient"
+                )
     sigma = (tuple(sig) + (SigmaStatus(0, "definition"),) * ell)[:ell]
     table.sigma = sigma
     inequality = tuple(
@@ -132,17 +130,14 @@ def compare_coefficients(arr, h0, degree_bound=None, assert_tame=False):
     sum_sigma = (
         sum(s.value for s in sigma) if all(s.exact for s in sigma) else None
     )
-    if top is not None:
-        # A is essential as A'' is, and free exactly when A'' is free with
-        # b_2 = sigma_2 (Abe-Yoshinaga).  The exponents of A are
-        # (1, d_2, ..., d_l) for those of A'', so a bound admits both or
-        # neither: when the search of A'' is Unknown, so is that of A.
-        free_a = top.is_free and ell > 3 and table.b[2] == sigma[2].value
-        tame_a = _tameness_tag(ell, free_a, assert_tame)
-        tame_r = _tameness_tag(restriction.dim, top.is_free, assert_tame)
-    else:
-        tame_a = tameness_classify(arr, degree_bound, assert_tame)
-        tame_r = tameness_classify(restriction, degree_bound, assert_tame)
+    # A is free exactly when A'' is free with b_2 = sigma_2
+    # (Abe-Yoshinaga).  The exponents of A are (1, d_2, ..., d_r) for those
+    # of A'' (zeros for the center aside), so a bound admits both or
+    # neither: when the search of A'' is Unknown, so is that of A.
+    rank_a = rank_r + 1
+    free_a = top.is_free and rank_a > 3 and table.b[2] == sigma[2].value
+    tame_a = _tameness_tag(rank_a, free_a, assert_tame)
+    tame_r = _tameness_tag(rank_r, top.is_free, assert_tame)
     if tame_a.is_tame and tame_r.is_tame:
         for i, s in enumerate(sigma):
             if s.exact and s.value > table.b[i]:

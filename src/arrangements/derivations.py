@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import prod
 
-from .core import CentralArrangement, Multiarrangement, essentialize, var_names
+from .core import Multiarrangement, essentialize, var_names
 from .errors import (
     DimensionMismatch,
     EmptyMultiarrangement,
@@ -191,12 +191,9 @@ def _graded_kernel(multi, d):
     for h in multi.effective():
         alpha = multi.base.forms[h]
         power = multi.mult[h]
-        # residue denominators divide alpha_j**d, j the pivot of alpha
-        scale = next(a for a in alpha if a) ** d
         for k, mono in enumerate(monos):
             residues = monomial_residue_mod_linear_power(mono, alpha, power)
             for key, val in residues.items():
-                val = val.numerator * (scale // val.denominator)
                 row = rows.setdefault((h,) + key, {})
                 for i, a in enumerate(alpha):
                     if a != 0:

@@ -1,11 +1,11 @@
 """Exact linear algebra over the rationals.
 
-Most routines work on sequences of numbers that are ints or
-fractions.Fraction; elimination happens on primitive integer rows
-(cross-multiplication plus gcd stripping) so no floating point is ever
-involved and intermediate growth stays under control.  Reduced row echelon
-forms are canonical: they are used as dictionary keys for flats and for
-memoization, so two equal row spaces always produce identical output.
+Elimination happens on primitive integer rows (cross-multiplication plus
+gcd stripping), so no floating point is ever involved and intermediate
+growth stays under control.  Rational rows enter only through `echelon`
+and `_Echelon.contains`, which scale them to integers first, and leave
+only through `_Echelon.rref`: its Fraction rows are canonical (equal row
+spaces give identical rows) and are printed as the equations of a flat.
 
 `nullspace` takes sparse integer rows and computes the kernel modulo a
 31-bit prime first (numpy int64 Gauss-Jordan; residues below 2**31 keep
@@ -99,11 +99,8 @@ class _Echelon:
         return None
 
     def add(self, row):
-        """Insert a rational row; returns True if the rank grew."""
-        introw = _to_int_row(row)
-        if introw is None:
-            return False
-        reduced = self.reduce(introw)
+        """Insert an integer row; returns True if the rank grew."""
+        reduced = self.reduce(row)
         if reduced is None:
             return False
         self._insert(reduced)
@@ -155,7 +152,9 @@ def echelon(rows, ncols):
     """Build an _Echelon from rational rows."""
     e = _Echelon(ncols)
     for r in rows:
-        e.add(r)
+        introw = _to_int_row(r)
+        if introw is not None:
+            e.add(introw)
     return e
 
 

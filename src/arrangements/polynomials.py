@@ -5,8 +5,9 @@ Two representations live here:
 * IntPoly: dense univariate polynomials in t with integer coefficients
   (characteristic polynomials and friends).
 * mp_* helpers: sparse multivariate polynomials as dicts mapping exponent
-  tuples to rational coefficients (derivation components, Saito
-  determinants).  Plain dicts keep the hot paths cheap.
+  tuples to integer coefficients (derivation components, Saito
+  determinants).  Plain dicts keep the hot paths cheap; only
+  mp_proportionality returns a rational.
 """
 
 from __future__ import annotations
@@ -281,26 +282,28 @@ def monomial_residue_mod_linear_power(exps, alpha, power):
 
     With z = alpha(x) and j the pivot (first nonzero) position of alpha, the
     monomial x**exps rewrites as a polynomial in z and the remaining
-    variables.  Returns {(e, reduced_exps): Fraction} keeping only the terms
-    with z-degree e < power; reduced_exps has a zero in the pivot slot.
-    alpha**power divides a polynomial iff these residues all cancel.
+    variables.  Returns {(e, reduced_exps): int}, the terms of
+    alpha_j**|exps| * x**exps with z-degree e < power; reduced_exps has a
+    zero in the pivot slot.  A key fixes |exps| = e + |reduced_exps|, so
+    the monomials sharing a key share the scale, and alpha**power divides
+    a polynomial iff these residues all cancel.
     """
     j = next(i for i, c in enumerate(alpha) if c != 0)
-    nvars = len(alpha)
     aj = exps[j]
     base = list(exps)
     base[j] = 0
     base = tuple(base)
     # x_j = (z - w)/c_j with w = sum_{i != j} alpha_i x_i
     w = [-c if i != j else 0 for i, c in enumerate(alpha)]
-    cj_pow = Fraction(1, alpha[j] ** aj)
+    # alpha_j**|exps| * x_j**aj = alpha_j**(|exps| - aj) * (z - w)**aj
+    cj_pow = alpha[j] ** (sum(exps) - aj)
     out = {}
     for e in range(min(power, aj + 1)):
         rest = expand_linear_power(w, aj - e)
         binom = comb(aj, e) * cj_pow
         for mono, c in rest.items():
             key = (e, tuple(a + b for a, b in zip(base, mono)))
-            v = out.get(key, Fraction(0)) + binom * c
+            v = out.get(key, 0) + binom * c
             if v == 0:
                 out.pop(key, None)
             else:
@@ -316,7 +319,7 @@ def mp_divisible_by_linear_power(poly, alpha, power):
     for exps, c in poly.items():
         residues = monomial_residue_mod_linear_power(exps, alpha, power)
         for key, v in residues.items():
-            s = acc.get(key, Fraction(0)) + c * v
+            s = acc.get(key, 0) + c * v
             if s == 0:
                 acc.pop(key, None)
             else:

@@ -28,7 +28,7 @@ from .core import (
     AffineArrangement,
     CentralArrangement,
     Multiarrangement,
-    _EssentialMap,
+    _essential_forms,
     normalize_affine,
     normalize_form,
 )
@@ -101,11 +101,10 @@ def localize_and_essentialize(multi, flat):
             "flat is not an intersection of hyperplanes of the arrangement"
         )
     idx = [i for i in through if multi.mult[i] > 0]
-    forms = [multi.base.forms[i] for i in idx]
-    emap = _EssentialMap(forms, dim)
-    new_forms = tuple(normalize_form(emap.push_form(f)) for f in forms)
-    base = CentralArrangement(emap.rank, new_forms)
-    return Multiarrangement(base, tuple(multi.mult[i] for i in idx))
+    rank, forms = _essential_forms([multi.base.forms[i] for i in idx], dim)
+    return Multiarrangement(
+        CentralArrangement(rank, forms), tuple(multi.mult[i] for i in idx)
+    )
 
 
 def _rho(lattice, h0, restriction_lattice):

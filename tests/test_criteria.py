@@ -145,12 +145,29 @@ def test_compare_rejects_an_empty_arrangement_on_chi0():
 def test_theorem_violation_guard_fires_on_bad_sigma(monkeypatch):
     # Force an impossible sigma vector through the comparison; with both
     # tameness tags Tame the guard must refuse to emit the report.
-    def bogus(multi, degree_bound=None):
+    def bogus(ess, verdict, products):
         return (SigmaStatus(1, "definition"), SigmaStatus(5, "definition"))
 
-    monkeypatch.setattr(criteria, "sigma_coefficients", bogus)
+    monkeypatch.setattr(criteria, "_sigma_column", bogus)
     with pytest.raises(TheoremViolation):
         compare_coefficients(make([[1, 0]], 2), 0)  # genuine b = (1, 0)
+
+
+def test_compare_fills_the_per_flat_sigma_of_a_non_essential_input():
+    # x, y, z, x+y, x+z, y+z in Q^4: rank 3, so A'' (at h0 = 0) has a
+    # one-dimensional center; the sweep still resolves every flat of
+    # L(A''), and each level of the per-flat sigma column sums to sigma.
+    arr = make(
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [1, 1, 0, 0], [1, 0, 1, 0], [0, 1, 1, 0]],
+        4,
+    )
+    report = compare_coefficients(arr, 0)
+    sigma = [s.value for s in report.table.sigma]
+    assert sigma == [1, 5, 6, 0]
+    cells = sorted((x.codim, cell["sigma"]) for x, cell in report.table.per_flat.items())
+    assert [v for _, v in cells] == [1, 1, 2, 2, 6]
+    for k, value in enumerate(sigma):
+        assert sum(v for codim, v in cells if codim == k) == value
 
 
 def test_mca_check_values():

@@ -7,8 +7,10 @@ restriction's verdict or, when it is Unknown, from the fallback search);
 stdout, stderr and the exit code must match golden_cli.json exactly.  golden_bases.json pins `exponents` in both modes on the inputs in
 bases/, whose graded kernels are larger than any corpus entry's (over a
 hundred columns, non-unit pivots, degrees where rational reconstruction
-fails), so the canonical bases they print are fixed too.  Regenerate both
-files (only when an output change is intended) with
+fails), so the canonical bases they print are fixed too.  golden_demos.json
+pins the stdout and exit code of every script in demos/, each run in its
+own interpreter.  Regenerate all three files (only when an output change
+is intended) with
 
     PYTHONPATH=src python tests/test_golden_cli.py --write
 """
@@ -17,15 +19,20 @@ import contextlib
 import io
 import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 
+import arrangements
 from arrangements import corpus
 from arrangements.cli import ENV_BOUND, main
 
 HERE = Path(__file__).parent
 GOLDEN = HERE / "golden_cli.json"
 GOLDEN_BASES = HERE / "golden_bases.json"
+GOLDEN_DEMOS = HERE / "golden_demos.json"
+DEMOS = HERE.parent / "demos"
+SRC = str(Path(arrangements.__file__).resolve().parents[1])
 
 
 def variants(h0):
@@ -65,6 +72,21 @@ def basis_cases():
             yield ["exponents", f"bases/{path.name}", *mode]
 
 
+def run_demo(name):
+    proc = subprocess.run(
+        [sys.executable, str(DEMOS / name)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+        timeout=300,
+    )
+    return {"demo": name, "stdout": proc.stdout, "exit": proc.returncode}
+
+
+def demo_names():
+    return [path.name for path in sorted(DEMOS.glob("*.py"))]
+
+
 def run_cli(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -89,6 +111,14 @@ def test_golden_bases(monkeypatch):
         assert run_cli(expected["argv"]) == expected, " ".join(expected["argv"])
 
 
+def test_golden_demos():
+    golden = json.loads(GOLDEN_DEMOS.read_text(encoding="utf-8"))
+    assert [g["demo"] for g in golden] == demo_names()
+    for expected in golden:
+        assert expected["exit"] == 0, expected["demo"]
+        assert run_demo(expected["demo"]) == expected, expected["demo"]
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit(__doc__)
@@ -100,3 +130,6 @@ if __name__ == "__main__":
     records = [run_cli(argv) for argv in basis_cases()]
     GOLDEN_BASES.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {len(records)} runs to {GOLDEN_BASES}")
+    records = [run_demo(name) for name in demo_names()]
+    GOLDEN_DEMOS.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {len(records)} runs to {GOLDEN_DEMOS}")

@@ -19,6 +19,7 @@ from arrangements import (
     char_poly_recursion,
     compare_coefficients,
     decone,
+    essentialize,
     find_free_basis,
     finite_field_char_poly,
     intersection_lattice,
@@ -31,7 +32,7 @@ from arrangements import (
     tameness_classify,
     ziegler_restriction,
 )
-from arrangements.core import normalize_form
+from arrangements.core import CentralArrangement, normalize_form
 from arrangements.linalg import echelon
 from conftest import random_central, seeded
 
@@ -210,6 +211,88 @@ def test_per_flat_b_matches_the_deconing_lattice(drawn):
         assert {x: cell["b"] for x, cell in per_flat.items()} == _direction_table(arr, h0)
 
 
+def _embed(forms, column, at=None):
+    """Each form f with the new entry column . f inserted at position `at`
+    (appended by default): an injective linear map, so rank and
+    proportionality are kept while the dimension grows by one."""
+    out = []
+    for f in forms:
+        f = list(f)
+        f.insert(len(f) if at is None else at, sum(a * b for a, b in zip(f, column)))
+        out.append(f)
+    return out
+
+
+def _solve_coordinates(rows, form):
+    """The coefficients lam with sum(lam_i * rows_i) == form, by Fraction
+    Gauss-Jordan on the transposed system; AssertionError off the span."""
+    rank, dim = len(rows), len(form)
+    aug = [[Fraction(r[j]) for r in rows] + [Fraction(form[j])] for j in range(dim)]
+    pivots = []
+    for c in range(rank):
+        k = next(i for i in range(len(pivots), dim) if aug[i][c] != 0)
+        top = len(pivots)
+        aug[top], aug[k] = aug[k], aug[top]
+        aug[top] = [v / aug[top][c] for v in aug[top]]
+        for i in range(dim):
+            if i != top and aug[i][c] != 0:
+                aug[i] = [a - aug[i][c] * b for a, b in zip(aug[i], aug[top])]
+        pivots.append(c)
+    assert all(row[rank] == 0 for row in aug[rank:])  # consistent: form in the span
+    return [aug[i][rank] for i in range(rank)]
+
+
+def _reference_essential_forms(forms, dim):
+    """Each form's coordinates in the canonical Fraction RREF basis of the
+    forms' span, made primitive: (rank, forms)."""
+    rows = echelon(forms, dim).rref()
+    return len(rows), tuple(normalize_form(_solve_coordinates(rows, f)) for f in forms)
+
+
+@st.composite
+def _degenerate_arrangements(draw):
+    """A central arrangement of rank below its dimension (entries outside
+    -1..1 included), or a multiarrangement on any arrangement with some
+    multiplicities drawn as zero."""
+    dim, forms = draw(_central_forms(min_dim=1, max_dim=3, max_forms=6))
+    for _ in range(draw(st.integers(1, 2))):
+        column = draw(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim))
+        forms = _embed(forms, column, draw(st.integers(0, dim)))
+        dim += 1
+    arr = canonicalize(forms, dim)
+    if draw(st.booleans()):
+        return arr
+    mult = draw(st.lists(st.integers(0, 2), min_size=len(forms), max_size=len(forms)))
+    return multiarrangement(arr, mult)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_degenerate_arrangements())
+@example(canonicalize([[2, 4, 6], [3, 0, 9]], 3))
+@example(canonicalize([[0, 2, 4], [0, 3, -6]], 3))
+@example(multiarrangement(canonicalize([[2, 3], [1, 0]], 2), (0, 2)))
+def test_essentialize_matches_the_rref_coordinates(arr):
+    # essentialize reads coordinates off the pivot columns of the forms'
+    # echelon; the reference solves for them in the canonical RREF basis.
+    multi = hasattr(arr, "mult")
+    base = arr.base if multi else arr
+    idx = arr.effective() if multi else range(base.n_hyperplanes)
+    forms = [base.forms[i] for i in idx]
+    ess, center_dim = essentialize(arr)
+    ess_base = ess.base if multi else ess
+    rank, expected = _reference_essential_forms(forms, arr.dim)
+    assert rank == arr.rank()
+    assert center_dim + ess.dim == arr.dim
+    assert ess.dim == rank
+    assert ess_base.forms == expected
+    if multi:
+        assert ess.mult == tuple(arr.mult[i] for i in idx)
+    lat = intersection_lattice(CentralArrangement(arr.dim, tuple(forms)))
+    ess_lat = intersection_lattice(ess_base)
+    assert ess_lat.masks == lat.masks
+    assert ess_lat.moebius == lat.moebius
+
+
 _IDENTITY5 = [[int(i == j) for j in range(5)] for i in range(5)]
 # the braid arrangement A5 essentialized: x_i - x_j and x_i in dimension 5
 _BRAID_ESS5 = [
@@ -219,13 +302,17 @@ _BRAID_ESS5 = [
 
 @st.composite
 def _rank4_arrangements(draw):
-    """An essential arrangement in dimension 4, a hyperplane index, a
-    degree bound (None, 1 or 2) and whether tameness is asserted."""
+    """An arrangement of rank 4, essential in dimension 4 or not in
+    dimension 5, a hyperplane index, a degree bound (None, 1 or 2) and
+    whether tameness is asserted."""
     dim, forms = draw(
         _central_forms(min_dim=4, max_dim=4, max_forms=7, coeff=1).filter(
             lambda d: canonicalize(d[1], d[0]).rank() == 4
         )
     )
+    if draw(st.booleans()):
+        forms = _embed(forms, draw(st.lists(st.integers(-2, 2), min_size=4, max_size=4)))
+        dim += 1
     arr = canonicalize(forms, dim)
     h0 = draw(st.integers(0, arr.n_hyperplanes - 1))
     return arr, h0, draw(st.sampled_from((None, 1, 2))), draw(st.booleans())
@@ -237,13 +324,15 @@ def _rank4_arrangements(draw):
 @example((CORPUS["braid-ess4"].arrangement, 0, 3, True))
 @example((canonicalize(_IDENTITY5, 5), 2, None, False))
 @example((canonicalize(_BRAID_ESS5, 5), 0, 2, False))
+@example((canonicalize(_embed(CORPUS["braid-ess4"].arrangement.forms, (2, 0, -1, 1)), 5), 1, None, False))
+@example((canonicalize(_embed(_IDENTITY5, (1, 2, 0, 0, 3)), 6), 0, 1, False))
 def test_comparison_tameness_tags_match_the_searches(drawn):
     # compare_coefficients reads both tags off the restriction's verdict,
-    # Unknown included, whenever the restriction is essential; the
-    # searches must agree with it.  The examples add a free input with
-    # more than four hyperplanes, a bound below its exponents, and rank-4
-    # restrictions (the boolean 5-space, and essentialized A5, whose
-    # restriction is Unknown within the bound 2).
+    # Unknown included, essential or not; the searches must agree with
+    # it.  The examples add a free input with more than four hyperplanes,
+    # a bound below its exponents, rank-4 restrictions (the boolean
+    # 5-space, and essentialized A5, whose restriction is Unknown within
+    # the bound 2), and non-essential inputs of rank 4 and 5.
     arr, h0, bound, asserted = drawn
     report = compare_coefficients(arr, h0, bound, asserted)
     restriction = ziegler_restriction(arr, h0)
