@@ -21,6 +21,7 @@ The environment variable ARRANGEMENTS_DEGREE_BOUND supplies a default for
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -420,7 +421,10 @@ def _cmd_corpus(args):
     return 0
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built on the first `main` call of a process and
+    reused by later in-process calls: parsing leaves no state in it."""
     parser = _Parser(
         prog="arrangements",
         description="Exact invariants of central rational hyperplane arrangements.",

@@ -8,6 +8,14 @@ degree (a generator is new exactly when it falls outside the
 polynomial-ring span of the earlier ones, by the graded Nakayama count),
 and verdicts are certified either by the Saito determinant identity or by
 a Hilbert-series contradiction, so Free and NotFree are both proofs.
+
+The span test runs in coordinates on D(A,m)_d itself.  The canonical
+kernel vector of a free column f is supported on the pivot columns before
+f and on f, where it is nonzero, so restricting a vector of D(A,m)_d to
+the free columns is an isomorphism onto Q^(free columns) that sends kernel
+vector k to a positive multiple of the unit vector e_k.  Every shifted
+generator x**a * g lies in D(A,m)_d, so rank tests on these restrictions
+are exact and select the same generators as tests on the full rows.
 """
 
 from __future__ import annotations
@@ -28,13 +36,13 @@ from .lattice import intersection_lattice
 from .linalg import _Echelon, nullspace, primitive_vector
 from .polynomials import (
     IntPoly,
+    linear_powers,
     mp_add_inplace,
     mp_determinant,
     mp_divisible_by_linear_power,
     mp_format,
     mp_from_linear,
     mp_mul,
-    mp_mul_monomial,
     mp_pow,
     mp_proportionality,
     monomial_count,
@@ -191,8 +199,9 @@ def _graded_kernel(multi, d):
     for h in multi.effective():
         alpha = multi.base.forms[h]
         power = multi.mult[h]
+        powers = linear_powers(alpha, d)
         for k, mono in enumerate(monos):
-            residues = monomial_residue_mod_linear_power(mono, alpha, power)
+            residues = monomial_residue_mod_linear_power(mono, alpha, power, powers)
             for key, val in residues.items():
                 row = rows.setdefault((h,) + key, {})
                 for i, a in enumerate(alpha):
@@ -223,12 +232,38 @@ def _field_from_vector(vec, monos, ell):
     return PolyVectorField(comps)
 
 
-def _vector_of_field(field, monos_index, ell):
-    vec = [0] * (ell * len(monos_index))
-    for i, comp in enumerate(field.components):
-        for exps, c in comp.items():
-            vec[i * len(monos_index) + monos_index[exps]] = c
-    return vec
+def _new_generators(gens, kernel, monos, rank, d):
+    """The fields of the degree-d kernel vectors that are new minimal
+    generators: each lies outside the polynomial-ring span of `gens` and of
+    the kernel vectors before it.
+
+    The test runs on the kernel's free columns (see the module docstring):
+    kernel vector k, whose last nonzero entry is its free column, becomes
+    the unit row e_k, and a shifted generator x**a * g is read off at the
+    free columns alone.
+    """
+    width = len(kernel)
+    free = {max(i for i, c in enumerate(vec) if c): k for k, vec in enumerate(kernel)}
+    n_monos = len(monos)
+    monos_index = {m: k for k, m in enumerate(monos)}
+    span = _Echelon(width)
+    for g in gens:
+        for shift in monomials(rank, d - g.degree):
+            row = [0] * width
+            for i, comp in enumerate(g.components):
+                for exps, c in comp.items():
+                    moved = tuple(a + b for a, b in zip(exps, shift))
+                    k = free.get(i * n_monos + monos_index[moved])
+                    if k is not None:
+                        row[k] = c
+            span.add(row)
+    out = []
+    for k, vec in enumerate(kernel):
+        unit = [0] * width
+        unit[k] = 1
+        if span.add(unit):
+            out.append(_field_from_vector(vec, monos, rank))
+    return out
 
 
 def _partitions(total, parts, minimum=1):
@@ -279,18 +314,7 @@ def find_free_basis(multi, degree_bound=None):
     gens = []
     for d in range(1, bound + 1):
         kernel, monos = _graded_kernel(ess, d)
-        monos_index = {m: k for k, m in enumerate(monos)}
-        span = _Echelon(rank * len(monos))
-        for g in gens:
-            shift = d - g.degree
-            for mono in monomials(rank, shift):
-                moved = PolyVectorField(
-                    [mp_mul_monomial(c, mono) for c in g.components]
-                )
-                span.add(_vector_of_field(moved, monos_index, rank))
-        for vec in kernel:
-            if span.add(vec):
-                gens.append(_field_from_vector(vec, monos, rank))
+        gens += _new_generators(gens, kernel, monos, rank, d)
         if len(gens) > rank:
             return FreenessVerdict(
                 NOT_FREE,

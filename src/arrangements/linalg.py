@@ -19,8 +19,20 @@ verified vector is supported on the pivot columns before f and on f itself,
 where it is nonzero, so f is free over Q as well.  The free columns
 therefore agree, and a kernel vector is fixed by its entries at the free
 columns.  When a lift or the check fails the next prime is tried, and after
-the last one the kernel comes from exact integer elimination, which is also
-the reference the tests compare against.
+the last one the kernel comes from exact integer elimination of the full
+rows, which is also the reference the tests compare against.
+
+Before the RREF, the columns that a row with a single nonzero entry forces
+to 0 are removed, to a fixpoint (structured Gaussian elimination,
+LaMacchia-Odlyzko 1990).  This reads which integer entries are nonzero,
+never a residue, so it holds over Q: every kernel vector vanishes on these
+columns, and a column on which every kernel vector vanishes is never the
+last nonzero entry of one, so it is a pivot column over Q.  The kernel over
+Q is therefore the kernel of the remaining system with zeros put back, and
+its free columns are the remaining system's.  The certificate carries over
+unchanged: the remaining system's rank mod p still never exceeds its rank
+over Q, so the mod-p count cannot undercount the free columns, and the
+exact check runs against the original rows.
 """
 
 from __future__ import annotations
@@ -250,12 +262,44 @@ def _kills(rows, basis):
     return bool((np.add.reduceat(terms, starts, axis=0) == 0).all())
 
 
+def _forced_zero_columns(rows):
+    """Columns that a row with a single live entry forces to 0, repeated to
+    a fixpoint (removing a column can leave another row with one entry).
+    Only which entries are nonzero integers matters: no prime is involved."""
+    live = [len(row) for row in rows]
+    rows_of = {}
+    for i, row in enumerate(rows):
+        for c in row:
+            rows_of.setdefault(c, []).append(i)
+    forced = set()
+    queue = [i for i, n in enumerate(live) if n == 1]
+    while queue:
+        i = queue.pop()
+        if live[i] != 1:
+            continue
+        c = next(c for c in rows[i] if c not in forced)
+        forced.add(c)
+        for k in rows_of[c]:
+            live[k] -= 1
+            if live[k] == 1:
+                queue.append(k)
+    return forced
+
+
 def _modular_nullspace(rows, ncols, p):
     """The kernel basis of `nullspace` computed mod p, or None when a lift
     or the exact check fails."""
-    red, pivots = _rref_mod(rows, ncols, p)
-    free = sorted(set(range(ncols)) - set(pivots))
-    vecs = np.zeros((len(free), ncols), dtype=np.int64)
+    forced = _forced_zero_columns(rows)
+    keep = [c for c in range(ncols) if c not in forced]
+    index = {c: k for k, c in enumerate(keep)}
+    reduced = []
+    for row in rows:
+        live = {index[c]: v for c, v in row.items() if c not in forced}
+        if live:
+            reduced.append(live)
+    red, pivots = _rref_mod(reduced, len(keep), p)
+    free = sorted(set(range(len(keep))) - set(pivots))
+    vecs = np.zeros((len(free), len(keep)), dtype=np.int64)
     vecs[np.arange(len(free)), free] = 1
     vecs[:, pivots] = (-red[:, free].T) % p
     basis = []
@@ -265,7 +309,10 @@ def _modular_nullspace(rows, ncols, p):
             return None
         ints = w.tolist()
         g = gcd(*ints)
-        basis.append(tuple(x // g for x in ints))
+        full = [0] * ncols
+        for c, x in zip(keep, ints):
+            full[c] = x // g
+        basis.append(tuple(full))
     return basis if _kills(rows, basis) else None
 
 

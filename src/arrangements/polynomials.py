@@ -196,10 +196,6 @@ def mp_pow(p, k):
     return out
 
 
-def mp_mul_monomial(poly, exps):
-    return {tuple(a + b for a, b in zip(e, exps)): c for e, c in poly.items()}
-
-
 def mp_degree(poly):
     return max((sum(e) for e in poly), default=-1)
 
@@ -271,13 +267,19 @@ def monomial_count(nvars, degree):
     return comb(degree + nvars - 1, nvars - 1)
 
 
-def expand_linear_power(coeffs, k):
-    """(sum c_i x_i)**k as a sparse polynomial (repeated multiplication)."""
-    lin = mp_from_linear(coeffs)
-    return mp_pow(lin, k) if k else mp_const(len(coeffs), 1)
+def linear_powers(alpha, top):
+    """[(-w)**0, (-w)**1, ..., (-w)**top] for w = sum_{i != j} alpha_i x_i,
+    j the pivot (first nonzero) position of alpha, each power from the
+    previous one: the table `monomial_residue_mod_linear_power` reads."""
+    j = next(i for i, c in enumerate(alpha) if c != 0)
+    w = mp_from_linear([-c if i != j else 0 for i, c in enumerate(alpha)])
+    out = [mp_const(len(alpha), 1)]
+    for _ in range(top):
+        out.append(mp_mul(out[-1], w))
+    return out
 
 
-def monomial_residue_mod_linear_power(exps, alpha, power):
+def monomial_residue_mod_linear_power(exps, alpha, power, powers=None):
     """Expansion of a monomial in coordinates adapted to a linear form.
 
     With z = alpha(x) and j the pivot (first nonzero) position of alpha, the
@@ -286,20 +288,23 @@ def monomial_residue_mod_linear_power(exps, alpha, power):
     alpha_j**|exps| * x**exps with z-degree e < power; reduced_exps has a
     zero in the pivot slot.  A key fixes |exps| = e + |reduced_exps|, so
     the monomials sharing a key share the scale, and alpha**power divides
-    a polynomial iff these residues all cancel.
+    a polynomial iff these residues all cancel.  powers is the table of
+    `linear_powers(alpha, top)` for some top >= exps[j], shared by callers
+    that expand many monomials against one form; it is built when omitted.
     """
     j = next(i for i, c in enumerate(alpha) if c != 0)
     aj = exps[j]
     base = list(exps)
     base[j] = 0
     base = tuple(base)
-    # x_j = (z - w)/c_j with w = sum_{i != j} alpha_i x_i
-    w = [-c if i != j else 0 for i, c in enumerate(alpha)]
+    if powers is None:
+        powers = linear_powers(alpha, aj)
+    # x_j = (z - w)/c_j with w = sum_{i != j} alpha_i x_i; powers[k] = (-w)**k
     # alpha_j**|exps| * x_j**aj = alpha_j**(|exps| - aj) * (z - w)**aj
     cj_pow = alpha[j] ** (sum(exps) - aj)
     out = {}
     for e in range(min(power, aj + 1)):
-        rest = expand_linear_power(w, aj - e)
+        rest = powers[aj - e]
         binom = comb(aj, e) * cj_pow
         for mono, c in rest.items():
             key = (e, tuple(a + b for a, b in zip(base, mono)))
@@ -315,9 +320,10 @@ def mp_divisible_by_linear_power(poly, alpha, power):
     """True iff alpha(x)**power divides the polynomial exactly."""
     if power == 0 or not poly:
         return True
+    powers = linear_powers(alpha, mp_degree(poly))
     acc = {}
     for exps, c in poly.items():
-        residues = monomial_residue_mod_linear_power(exps, alpha, power)
+        residues = monomial_residue_mod_linear_power(exps, alpha, power, powers)
         for key, v in residues.items():
             s = acc.get(key, 0) + c * v
             if s == 0:

@@ -290,3 +290,24 @@ def test_env_var_degree_bound(capsys, monkeypatch):
     code, _, err = run(capsys, "exponents", "corpus:braid-ess3")
     assert code == 1
     assert "ARRANGEMENTS_DEGREE_BOUND" in err
+
+
+def test_main_reuses_one_parser_and_leaks_no_state(capsys):
+    # The parser is built on the first call and shared by later ones; flags
+    # and subcommands of one call must not reach the next.
+    from arrangements import cli
+
+    unknown = run(capsys, "exponents", "corpus:three-lines-221", "--bound", "1", "--json")
+    reduced = run(capsys, "charpoly", "corpus:boolean3", "--reduced")
+    plain = run(capsys, "charpoly", "corpus:boolean3")
+    free = run(capsys, "exponents", "corpus:three-lines-221")
+    assert cli._build_parser() is cli._build_parser()
+    assert unknown[0] == 2 and json.loads(unknown[1])["status"] == "Unknown"
+    assert free[0] == 0 and free[1].startswith("dim 2")
+    assert "t^2 - 2t + 1" in reduced[1] and "t^2 - 2t + 1" not in plain[1]
+    for argv, shared in [
+        (("charpoly", "corpus:boolean3"), plain),
+        (("exponents", "corpus:three-lines-221"), free),
+    ]:
+        cli._build_parser.cache_clear()
+        assert run(capsys, *argv) == shared

@@ -15,7 +15,8 @@ from conftest import random_central, seeded
 def sparse_matrices(draw):
     """Small integer matrices as sparse rows.  Appended combinations of
     drawn rows make the rank deficient; the occasional large entry gives
-    kernels that rational reconstruction cannot lift."""
+    kernels that rational reconstruction cannot lift; unit rows start
+    chains of columns forced to zero."""
     ncols = draw(st.integers(1, 7))
     entries = st.integers(-4, 4) | st.integers(-(10**6), 10**6)
     rows = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols), max_size=6))
@@ -24,7 +25,16 @@ def sparse_matrices(draw):
             a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
             s, t = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
             rows.append([s * x + t * y for x, y in zip(a, b)])
-    return [{c: v for c, v in enumerate(r) if v} for r in rows], ncols
+    rows = [{c: v for c, v in enumerate(r) if v} for r in rows]
+    # Unit rows, and two-entry rows that a unit row's column reduces to a
+    # single entry; entries divisible by 3 vanish mod the tiny prime.
+    column, nonzero = st.integers(0, ncols - 1), st.integers(-6, 6).filter(bool)
+    for _ in range(draw(st.integers(0, 2))):
+        c, other = draw(column), draw(column)
+        rows.append({c: draw(nonzero)})
+        if other != c:
+            rows.append({c: draw(nonzero), other: draw(nonzero)})
+    return draw(st.permutations(rows)), ncols
 
 
 @pytest.mark.parametrize("primes", [linalg._PRIMES, (3,)], ids=["31-bit", "tiny"])
@@ -40,9 +50,18 @@ def test_nullspace_matches_exact_elimination(primes, matrix):
 
 
 def test_rank_drop_mod_p_is_rejected():
-    rows, ncols = [{0: 3, 1: 1}, {1: 1}], 2  # rank 2 over Q, rank 1 mod 3
-    assert linalg._modular_nullspace(rows, ncols, 3) is None
+    # No row has a single entry, so the whole system reaches the mod-p RREF.
+    rows, ncols = [{0: 3, 1: 1}, {0: 1, 1: 2}], 2  # rank 2 over Q, rank 1 mod 5
+    assert linalg._modular_nullspace(rows, ncols, 5) is None
     assert linalg._modular_nullspace(rows, ncols, linalg._PRIMES[0]) == []
+
+
+def test_single_entry_rows_are_solved_before_the_prime():
+    # {1: 1} forces column 1 to 0, which leaves {0: 3} forcing column 0:
+    # the kernel is trivial whatever the prime, 3 included.
+    rows, ncols = [{0: 3, 1: 1}, {1: 1}], 2
+    assert linalg._forced_zero_columns(rows) == {0, 1}
+    assert linalg._modular_nullspace(rows, ncols, 3) == []
 
 
 def test_failed_reconstruction_returns_the_exact_basis(monkeypatch):

@@ -3,6 +3,7 @@ and Hypothesis properties that shrink a failure to a minimal input."""
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -32,8 +33,10 @@ from arrangements import (
     tameness_classify,
     ziegler_restriction,
 )
+from arrangements import derivations
 from arrangements.core import CentralArrangement, normalize_form
-from arrangements.linalg import echelon
+from arrangements.linalg import _Echelon, echelon
+from arrangements.polynomials import monomials
 from conftest import random_central, seeded
 
 
@@ -338,3 +341,60 @@ def test_comparison_tameness_tags_match_the_searches(drawn):
     restriction = ziegler_restriction(arr, h0)
     assert report.tame_arrangement == tameness_classify(arr, bound, asserted)
     assert report.tame_restriction == tameness_classify(restriction, bound, asserted)
+
+
+def _full_width_new_generators(gens, kernel, monos, rank, d):
+    """Reference for `derivations._new_generators`: the span test on the
+    full component-major rows of the degree-d piece, every shifted
+    generator written out over all rank * N positions."""
+    n_monos = len(monos)
+    monos_index = {m: k for k, m in enumerate(monos)}
+    span = _Echelon(rank * n_monos)
+    for g in gens:
+        for shift in monomials(rank, d - g.degree):
+            row = [0] * (rank * n_monos)
+            for i, comp in enumerate(g.components):
+                for exps, c in comp.items():
+                    moved = tuple(a + b for a, b in zip(exps, shift))
+                    row[i * n_monos + monos_index[moved]] = c
+            span.add(row)
+    return [
+        derivations._field_from_vector(vec, monos, rank)
+        for vec in kernel
+        if span.add(list(vec))
+    ]
+
+
+@st.composite
+def _small_multiarrangements(draw):
+    """A multiarrangement of rank r = 3 (multiplicities 1-3) or 4
+    (multiplicities 1-2) with at most r + 2 hyperplanes, essential or with
+    one extra coordinate, and a degree bound (None, 1 or 2)."""
+    rank = draw(st.integers(3, 4))
+    dim, forms = draw(
+        _central_forms(min_dim=rank, max_dim=rank, max_forms=rank + 2, coeff=2).filter(
+            lambda d: canonicalize(d[1], d[0]).rank() == d[0]
+        )
+    )
+    if draw(st.booleans()):
+        forms = _embed(forms, draw(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim)))
+        dim += 1
+    mult = draw(st.lists(st.integers(1, 5 - rank), min_size=len(forms), max_size=len(forms)))
+    return multiarrangement(canonicalize(forms, dim), mult), draw(st.sampled_from((None, 1, 2)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_multiarrangements())
+@example((simple_multiarrangement(CORPUS["braid-ess4"].arrangement), None))
+@example((simple_multiarrangement(CORPUS["braid-ess4"].arrangement), 2))
+@example((simple_multiarrangement(CORPUS["generic34"].arrangement), None))
+@example((multiarrangement(canonicalize(_IDENTITY5[:4], 5), [2, 1, 3, 1]), 1))
+def test_free_column_span_selects_the_full_width_generators(drawn):
+    # The span test on the kernel's free columns must pick the same
+    # generators as the test on full rows, so the status, exponents, basis
+    # and witness agree.  The examples cover Free, Unknown under a bound,
+    # NotFree, and a non-essential input.
+    multi, bound = drawn
+    verdict = find_free_basis(multi, bound)
+    with mock.patch.object(derivations, "_new_generators", _full_width_new_generators):
+        assert find_free_basis(multi, bound) == verdict
