@@ -29,7 +29,7 @@ from .derivations import (
 )
 from .errors import TheoremViolation, WrongRank
 from .lattice import intersection_lattice, reduced_char_poly
-from .restriction import CoefficientTable, _check_index, b_coefficients, ziegler_restriction
+from .restriction import CoefficientTable, _b_table, _check_index, ziegler_restriction
 
 TAME = "Tame"
 
@@ -102,8 +102,7 @@ def compare_coefficients(arr, h0, degree_bound=None, assert_tame=False):
     # index check of ziegler_restriction could
     chi0 = reduced_char_poly(arr, lattice)
     restriction = ziegler_restriction(arr, h0)
-    restriction_lattice = intersection_lattice(restriction.base)
-    table = b_coefficients(arr, h0, lattice, restriction_lattice, chi0)
+    table, restriction_lattice = _b_table(chi0, lattice, h0, restriction)
     # one sweep: the global verdict, sigma and the per-flat sigma values.
     # The center localizes to the essentialization of A'', whose dimension
     # is the rank of A''; A's rank is one more.

@@ -2,19 +2,19 @@
 
 A nonempty flat is the intersection of the hyperplanes that contain it, so
 the set of those hyperplanes, an int bitmask, identifies it for central and
-affine arrangements alike.  The lattice is built level by level on integer
-rows: the flats of codimension k+1 are the covers of the codimension-k
-flats X, one per class of hyperplanes not containing X whose rows, reduced
-against X's echelon, are proportional; the class is the cover's new
-hyperplane set.  A reduced row that is a nonzero constant means X cap H is
-empty (H is parallel to X).  Every flat arises this way, so the 2**n subset
+affine arrangements alike: flats compare and hash on it, and lattices index
+them by it.  The lattice is built level by level on integer rows: the flats
+of codimension k+1 are the covers of the codimension-k flats X, one per
+class of hyperplanes not containing X whose rows, reduced against X's
+echelon, are proportional; the class is the cover's new hyperplane set.  A
+reduced row that is a nonzero constant means X cap H is empty (H is
+parallel to X).  Every flat arises this way, so the 2**n subset
 enumeration is never needed, and Moebius values are read off the masks.
 
-Flats are ordered by (codimension, mask).  Each flat's output form,
-equations, is the canonical reduced row echelon form of its defining rows
-over exact rationals, computed once per flat; it keys lookups.  Each
-equation row has length dim+1 and reads sum(row[i] * x_i) + row[dim] = 0;
-central flats carry a zero constant.
+Flats are ordered by (codimension, mask).  A flat's equations (the
+canonical RREF of its hyperplanes' rows over exact rationals, each row of
+length dim+1 reading sum(row[i] * x_i) + row[dim] = 0) are computed on
+first use: only output and the check of a looked-up flat read them.
 """
 
 from __future__ import annotations
@@ -24,25 +24,35 @@ from functools import cached_property
 
 from .core import AffineArrangement, CentralArrangement
 from .errors import FlatNotInLattice, NonzeroRemainder
-from .linalg import _Echelon, _pivot_col, _to_int_row
+from .linalg import _Echelon, _pivot_col, echelon
 from .polynomials import IntPoly
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Flat:
-    """A nonempty intersection of hyperplanes.
+    """A nonempty intersection of hyperplanes, identified by its hyperplane set.
 
-    equations: canonical RREF rows (Fraction tuples of length dim+1);
-    codim: rank of the equations; contained: indices of all hyperplanes
-    of the ambient arrangement that vanish on the flat.
+    codim: codimension; contained: indices of all hyperplanes of the
+    ambient arrangement that vanish on the flat; equality and hashing read
+    these two only.  rows: the integer rows of every hyperplane of the
+    ambient arrangement, shared by the flats of one lattice (None for a
+    flat built from its equations).  equations: canonical RREF rows
+    (Fraction tuples of length dim+1), computed from rows on first use.
     """
 
-    equations: tuple
     codim: int
     contained: frozenset
 
-    def __repr__(self):
-        return f"Flat(codim={self.codim}, hyperplanes={sorted(self.contained)})"
+    def __init__(self, equations, codim, contained, rows=None):
+        # frozen: set attributes the way cached_property sets equations
+        self.__dict__.update(codim=codim, contained=frozenset(contained), rows=rows)
+        if equations is not None:
+            self.__dict__["equations"] = equations
+
+    @cached_property
+    def equations(self):
+        own = [self.rows[j] for j in self.contained]
+        return echelon(own, len(self.rows[0]) if own else 0).rref()
 
 
 def hyperplane_rows(arr):
@@ -79,22 +89,23 @@ class IntersectionLattice:
 
     @cached_property
     def _index(self):
-        return {f.equations: i for i, f in enumerate(self.flats)}
+        return {m: i for i, m in enumerate(self.masks)}
 
     def index_of(self, flat):
-        return self._index.get(flat.equations)
+        """Position of the flat with flat's hyperplane set and equations, or None."""
+        i = self._index.get(sum(1 << j for j in flat.contained))
+        if i is None or (self.flats[i] is not flat and self.flats[i].equations != flat.equations):
+            return None
+        return i
 
     def lookup(self, flat):
-        idx = self.index_of(flat)
-        if idx is None:
-            raise FlatNotInLattice(f"no flat with the given equations: {flat}")
-        return self.flats[idx]
+        i = self.index_of(flat)
+        if i is None:
+            raise FlatNotInLattice(f"no flat with these hyperplanes and equations: {flat}")
+        return self.flats[i]
 
     def moebius_of(self, flat):
-        idx = self.index_of(flat)
-        if idx is None:
-            raise FlatNotInLattice(f"no flat with the given equations: {flat}")
-        return self.moebius[idx]
+        return self.moebius[self.index_of(self.lookup(flat))]
 
     @property
     def rank(self):
@@ -104,7 +115,7 @@ class IntersectionLattice:
 def intersection_lattice(arr):
     """Enumerate all flats and fill Moebius values by the defining recursion."""
     dim = arr.dim
-    rows = [_to_int_row(r) for r in hyperplane_rows(arr)]
+    rows = hyperplane_rows(arr)
     n = len(rows)
 
     found = {0: _Echelon(dim + 1)}  # hyperplane mask -> integer echelon
@@ -131,25 +142,29 @@ def intersection_lattice(arr):
         found.update(nxt)
         current = nxt
 
-    masks = sorted(found, key=lambda m: (found[m].rank, m))
-    flats = []
-    for mask in masks:
-        equations = found[mask].rref()
-        contained = frozenset(j for j in range(n) if mask >> j & 1)
-        flats.append(Flat(equations, len(equations), contained))
+    keys = sorted((ech.rank, mask) for mask, ech in found.items())
+    return _lattice(dim, keys, rows)
+
+
+def _lattice(dim, keys, rows):
+    """The lattice of the flats with these sorted (codim, mask) keys."""
+    n = len(rows)
+    flats = tuple(
+        Flat(None, c, (j for j in range(n) if m >> j & 1), rows) for c, m in keys
+    )
     # mu(top) = 1; mu(X) = -sum of mu(Y) over flats Y strictly containing X,
     # that is of lower codimension with a hyperplane set inside X's.
     mu = [1]
-    for i in range(1, len(flats)):
-        xmask, codim = masks[i], flats[i].codim
+    for i in range(1, len(keys)):
+        codim, xmask = keys[i]
         acc = 0
         for j in range(i):
-            if flats[j].codim == codim:
+            if keys[j][0] == codim:
                 break
-            if masks[j] & xmask == masks[j]:
+            if keys[j][1] & xmask == keys[j][1]:
                 acc += mu[j]
         mu.append(-acc)
-    return IntersectionLattice(dim, tuple(flats), tuple(mu), tuple(masks))
+    return IntersectionLattice(dim, flats, tuple(mu), tuple(m for _, m in keys))
 
 
 def char_poly(arr, lattice=None):

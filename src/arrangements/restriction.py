@@ -13,10 +13,11 @@ by its hyperplane set (its lattice mask):
 * the flats of the deconing are the flats X of L(A) not inside H0, with
   the same Moebius values (every flat containing such an X is not inside
   H0 either);
-* rho(X) = X cap H0 is the flat one level up whose mask holds h0 and X's;
-* the hyperplanes of A'' are the codimension-2 flats inside H0, in order
-  of their first hyperplane other than h0, with multiplicity one less than
-  their number of hyperplanes.
+* L(A'') is the part of L(A) inside H0, one codimension lower.  Its
+  hyperplanes are the codimension-2 flats Z inside H0, in order of their
+  first hyperplane other than h0, and a flat inside H0 lies on Z exactly
+  when mask(Z) is inside its mask;
+* rho(X) = X cap H0 is the flat one level up whose mask holds h0 and X's.
 """
 
 from __future__ import annotations
@@ -33,8 +34,7 @@ from .core import (
     normalize_form,
 )
 from .errors import FlatNotInLattice, IndexOutOfRange, TheoremViolation, WrongRank
-from .lattice import intersection_lattice, reduced_char_poly
-from .linalg import echelon
+from .lattice import _lattice, hyperplane_rows, intersection_lattice, reduced_char_poly
 
 
 def _check_index(arr, h0):
@@ -84,47 +84,36 @@ def ziegler_restriction(arr, h0):
 
 
 def localize_and_essentialize(multi, flat):
-    """Essentialization of the localization (A_X, m_X) at a central flat X."""
-    dim = multi.dim
-    for r in flat.equations:
-        if len(r) != dim + 1:
-            raise FlatNotInLattice("flat equations do not match the ambient dimension")
-        if r[dim] != 0:
-            raise FlatNotInLattice("localization needs a central flat")
-    span = echelon([r[:dim] for r in flat.equations], dim)
-    if span.rank != flat.codim:
-        raise FlatNotInLattice("equation rank differs from the stated codimension")
-    through = [i for i in range(multi.base.n_hyperplanes)
-               if span.contains(multi.base.forms[i])]
-    if echelon([multi.base.forms[i] for i in through], dim).rank != flat.codim:
-        raise FlatNotInLattice(
-            "flat is not an intersection of hyperplanes of the arrangement"
-        )
-    idx = [i for i in through if multi.mult[i] > 0]
-    rank, forms = _essential_forms([multi.base.forms[i] for i in idx], dim)
+    """Essentialization of the localization (A_X, m_X) at a flat X of the
+    intersection lattice of multi.base (FlatNotInLattice for any other)."""
+    if flat.rows != hyperplane_rows(multi.base):
+        raise FlatNotInLattice("not a flat of the arrangement's intersection lattice")
+    idx = [i for i in sorted(flat.contained) if multi.mult[i] > 0]
+    rank, forms = _essential_forms([multi.base.forms[i] for i in idx], multi.dim)
     return Multiarrangement(
         CentralArrangement(rank, forms), tuple(multi.mult[i] for i in idx)
     )
 
 
-def _rho(lattice, h0, restriction_lattice):
-    """rho on L(A): {mask of each flat X not inside H0: the flat X cap H0
-    of L(A'')}.
-
-    X cap H0 is the flat one level up whose mask holds h0 and mask(X).  The
-    hyperplanes of A'' are the codimension-2 flats Z inside H0, and a flat
-    Y inside H0 lies on Z exactly when mask(Z) is inside mask(Y).
-    """
+def _restriction_lattice(lattice, h0, restriction):
+    """(L(A''), rho) read off L(A) as the module docstring says; rho maps the
+    mask of each flat of L(A) not inside H0 to a flat of L(A'')."""
     bit = 1 << h0
-    inside = {}  # codim -> masks of the flats inside H0
+    inside = {}  # codim in L(A) -> masks of the flats inside H0
     for flat, mask in zip(lattice.flats, lattice.masks):
         if mask & bit:
             inside.setdefault(flat.codim, []).append(mask)
-    # the hyperplanes of A'' in ziegler_restriction's order: by the first
-    # hyperplane other than h0
+    # A'' in ziegler_restriction's order: by the first hyperplane other than h0
     traces = sorted(inside.get(2, ()), key=lambda z: (z ^ bit) & -(z ^ bit))
-    by_mask = dict(zip(restriction_lattice.masks, restriction_lattice.flats))
-    out = {}
+    keyed = sorted(
+        (codim - 1, sum(1 << i for i, z in enumerate(traces) if z & y == z), y)
+        for codim, ys in inside.items()
+        for y in ys
+    )
+    rows = hyperplane_rows(restriction.base)
+    sub = _lattice(lattice.ambient_dim - 1, [k[:2] for k in keyed], rows)
+    by_parent = {k[2]: f for k, f in zip(keyed, sub.flats)}
+    image = {}
     for flat, mask in zip(lattice.flats, lattice.masks):
         if mask & bit:
             continue
@@ -132,11 +121,8 @@ def _rho(lattice, h0, restriction_lattice):
         meet = next((y for y in inside.get(flat.codim + 1, ()) if y & want == want), None)
         if meet is None:
             raise TheoremViolation("no flat one level up meets H0; this is a bug")
-        image = by_mask.get(sum(1 << i for i, z in enumerate(traces) if z & meet == z))
-        if image is None or image.codim != flat.codim:
-            raise TheoremViolation("rho does not preserve codimension; this is a bug")
-        out[mask] = image
-    return out
+        image[mask] = by_parent[meet]
+    return sub, image
 
 
 def rho(arr, h0, flat, dA_lattice=None):
@@ -144,14 +130,14 @@ def rho(arr, h0, flat, dA_lattice=None):
 
     A flat Y of the deconing lies on the hyperplanes of arr that contain
     the flat X of L(A) with Y = X cap {alpha_{h0} = 1}, and maps to
-    X cap H0.  Each call builds L(A) and L(A''); pass the lattice of
-    decone(arr, h0) to skip building that one as well.
+    X cap H0.  Each call builds L(A), which L(A'') is read off; pass the
+    lattice of decone(arr, h0) to skip building that one as well.
     """
     lat = dA_lattice if dA_lattice is not None else intersection_lattice(decone(arr, h0))
     # hyperplane k of the deconing is hyperplane k (k < h0) or k + 1 of arr
     mask = sum(1 << (k + (k >= h0)) for k in lat.lookup(flat).contained)
-    restriction = ziegler_restriction(arr, h0)
-    return _rho(intersection_lattice(arr), h0, intersection_lattice(restriction.base))[mask]
+    zr = ziegler_restriction(arr, h0)
+    return _restriction_lattice(intersection_lattice(arr), h0, zr)[1][mask]
 
 
 @dataclass
@@ -169,34 +155,33 @@ class CoefficientTable:
     per_flat: dict = field(default_factory=dict)
 
 
-def b_coefficients(arr, h0, lattice=None, restriction_lattice=None, chi0=None):
+def b_coefficients(arr, h0, lattice=None, chi0=None):
     """b-vector of A plus its decomposition over flats of A'' through rho.
 
     b_i^X sums |mu(Y)| over the flats Y of L(A) not inside H0 (the flats
     of the deconing, with the same Moebius values) with rho(Y) = X.
     TheoremViolation is raised unless sum_X b_i^X = b_i.  Pass the
-    intersection lattices of arr and of ziegler_restriction(arr, h0), and
-    the reduced characteristic polynomial of arr, to reuse them.
+    intersection lattice of arr and its reduced characteristic polynomial
+    to reuse them.
     """
-    ell = arr.dim
-    if ell < 2:
+    if arr.dim < 2:
         raise WrongRank("coefficient comparison needs ambient dimension at least 2")
     lat = lattice if lattice is not None else intersection_lattice(arr)
     if chi0 is None:
         chi0 = reduced_char_poly(arr, lat)
+    return _b_table(chi0, lat, h0, ziegler_restriction(arr, h0))[0]
+
+
+def _b_table(chi0, lattice, h0, restriction):
+    """(the CoefficientTable of b_coefficients, L(A'')), from chi0 and L(A)."""
+    sub, image = _restriction_lattice(lattice, h0, restriction)
+    ell = lattice.ambient_dim
     b = tuple(abs(chi0.coefficient(ell - 1 - i)) for i in range(ell))
-    _check_index(arr, h0)
-    if restriction_lattice is None:
-        restriction_lattice = intersection_lattice(ziegler_restriction(arr, h0).base)
-    image = _rho(lat, h0, restriction_lattice)
     per = {}
-    for mask, mu in zip(lat.masks, lat.moebius):
+    for mask, mu in zip(lattice.masks, lattice.moebius):
         if mask in image:
             per[image[mask]] = per.get(image[mask], 0) + abs(mu)
-    sums = [0] * ell
-    for x, val in per.items():
-        sums[x.codim] += val
-    if tuple(sums) != b:
+    if tuple(sum(v for x, v in per.items() if x.codim == i) for i in range(ell)) != b:
         raise TheoremViolation("per-flat b decomposition disagrees with chi0")
     table = {x: {"b": v, "sigma": None} for x, v in per.items()}
-    return CoefficientTable(b=b, sigma=None, per_flat=table)
+    return CoefficientTable(b=b, sigma=None, per_flat=table), sub

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 from arrangements import canonicalize, intersection_lattice, rho, ziegler_restriction
 from arrangements.errors import ArrangementError
-from arrangements.restriction import _rho
+from arrangements.restriction import _restriction_lattice
 
 
 def make(forms, dim):
@@ -45,14 +45,14 @@ def seeded(seed):
 
 
 def rho_images(arr, h0, dA_lattice):
-    """{flat of dA_lattice: rho(flat)}, from one L(A) and one L(A'').
+    """{flat of dA_lattice: rho(flat)}, from one L(A).
 
-    `rho` builds both lattices per call, so mapping every flat through it
-    would build two lattices per flat; the map is computed once instead,
-    and `rho` itself is checked on the last flat.
+    `rho` builds L(A) per call, so mapping every flat through it would
+    build one lattice per flat; the map is computed once instead, and `rho`
+    itself is checked on the last flat.
     """
-    restriction_lattice = intersection_lattice(ziegler_restriction(arr, h0).base)
-    image = _rho(intersection_lattice(arr), h0, restriction_lattice)
+    restriction = ziegler_restriction(arr, h0)
+    image = _restriction_lattice(intersection_lattice(arr), h0, restriction)[1]
     # hyperplane k of the deconing is hyperplane k (k < h0) or k + 1 of arr
     out = {
         flat: image[sum(1 << (k + (k >= h0)) for k in flat.contained)]

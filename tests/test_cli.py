@@ -153,6 +153,54 @@ def test_charpoly_reduced_builds_the_lattice_once(capsys, monkeypatch):
     assert calls == [True]
 
 
+def _count_builds(monkeypatch):
+    """Count the calls of intersection_lattice, in every module that binds
+    the name, and of _Echelon.rref."""
+    from arrangements import cli, criteria, derivations, lattice, linalg, restriction
+
+    counts = {"lattices": 0, "rref": 0}
+    build, rref = lattice.intersection_lattice, linalg._Echelon.rref
+
+    def counting_build(arr):
+        counts["lattices"] += 1
+        return build(arr)
+
+    def counting_rref(self):
+        counts["rref"] += 1
+        return rref(self)
+
+    for module in (cli, criteria, derivations, lattice, restriction):
+        monkeypatch.setattr(module, "intersection_lattice", counting_build)
+    monkeypatch.setattr(linalg._Echelon, "rref", counting_rref)
+    return counts
+
+
+# rank 2 in dimension 3: the Ziegler restriction is not essential
+NON_ESSENTIAL = '{"dim": 3, "hyperplanes": [[1, 0, 0], [0, 1, 0], [1, 1, 0], [1, -1, 0]]}'
+
+
+@pytest.mark.parametrize("source", ["corpus:braid-ess4", "non-essential"])
+@pytest.mark.parametrize("json_flag", [(), ("--json",)])
+def test_compare_builds_one_lattice(capsys, monkeypatch, tmp_path, source, json_flag):
+    # L(A'') is read off L(A); equations are computed only for printed flats.
+    if source == "non-essential":
+        source = tmp_path / "a.json"
+        source.write_text(NON_ESSENTIAL)
+    counts = _count_builds(monkeypatch)
+    code, out, _ = run(capsys, "compare", str(source), "--h0", "0", *json_flag)
+    assert code == 0
+    assert counts["lattices"] == 1
+    assert counts["rref"] == (len(json.loads(out)["per_flat"]) if json_flag else 0)
+
+
+@pytest.mark.parametrize("command", ["charpoly", "chambers"])
+def test_lattice_commands_compute_no_equations(capsys, monkeypatch, command):
+    counts = _count_builds(monkeypatch)
+    code, _, _ = run(capsys, command, "corpus:braid-ess4")
+    assert code == 0
+    assert counts == {"lattices": 1, "rref": 0}
+
+
 def test_freeness_json(capsys):
     code, out, _ = run(capsys, "freeness", "corpus:generic34", "--h0", "3", "--json")
     assert code == 0

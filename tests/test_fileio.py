@@ -106,8 +106,12 @@ def test_fraction_and_poly_helpers():
 def test_report_json_roundtrip(name):
     entry = CORPUS[name]
     report = compare_coefficients(entry.arrangement, entry.h0)
-    text = serialize_report(report)
-    assert parse_report(text) == report
+    parsed = parse_report(serialize_report(report))
+    assert parsed == report
+    # flats compare by their hyperplane sets, so compare the equations too
+    assert {x: x.equations for x in parsed.table.per_flat} == {
+        x: x.equations for x in report.table.per_flat
+    }
 
 
 def test_report_json_is_exact_integers_only():

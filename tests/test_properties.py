@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from arrangements import (
     CORPUS,
     BadPrime,
-    Flat,
     IntPoly,
     b_coefficients,
     canonicalize,
@@ -24,6 +23,7 @@ from arrangements import (
     find_free_basis,
     finite_field_char_poly,
     intersection_lattice,
+    localize_and_essentialize,
     moebius_bruteforce,
     multiarrangement,
     rank2_exponents,
@@ -37,6 +37,7 @@ from arrangements import derivations
 from arrangements.core import CentralArrangement, normalize_form
 from arrangements.linalg import _Echelon, echelon
 from arrangements.polynomials import monomials
+from arrangements.restriction import _restriction_lattice
 from conftest import random_central, seeded
 
 
@@ -186,6 +187,7 @@ def _direction_table(arr, h0):
     restriction spanned by its directions: its equations with the constants
     set to 0, reduced to a canonical RREF, with the restricted hyperplanes
     found by span membership.  This shares no step with the mask-based rho.
+    Keys are (hyperplane set, equations) of the image.
     """
     restriction = ziegler_restriction(arr, h0)
     lat = intersection_lattice(decone(arr, h0))
@@ -199,7 +201,7 @@ def _direction_table(arr, h0):
             if ech.contains(tuple(f) + (0,))
         )
         assert len(equations) == flat.codim
-        image = Flat(equations, len(equations), contained)
+        image = (contained, equations)
         table[image] = table.get(image, 0) + abs(mu)
     return table
 
@@ -211,7 +213,33 @@ def test_per_flat_b_matches_the_deconing_lattice(drawn):
     arr = canonicalize(forms, dim)
     for h0 in range(arr.n_hyperplanes):
         per_flat = b_coefficients(arr, h0).per_flat
-        assert {x: cell["b"] for x, cell in per_flat.items()} == _direction_table(arr, h0)
+        got = {(x.contained, x.equations): cell["b"] for x, cell in per_flat.items()}
+        assert got == _direction_table(arr, h0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_central_forms(min_dim=2, max_dim=5))
+@example((3, [[1, 0, 0], [0, 1, 0], [1, 1, 0], [1, -1, 0]]))
+@example((4, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [1, 1, 1, 0]]))
+def test_restriction_lattice_read_off_l_a_matches_its_own_lattice(drawn):
+    # The lattice of ziegler_restriction's base, built on its own, is the
+    # reference for L(A'') read off L(A): same flats in the same order,
+    # masks, Moebius values, equations and localizations.
+    dim, forms = drawn
+    arr = canonicalize(forms, dim)
+    lattice = intersection_lattice(arr)
+    for h0 in range(arr.n_hyperplanes):
+        restriction = ziegler_restriction(arr, h0)
+        sub = _restriction_lattice(lattice, h0, restriction)[0]
+        ref = intersection_lattice(restriction.base)
+        assert sub.ambient_dim == ref.ambient_dim
+        assert sub.flats == ref.flats
+        assert sub.masks == ref.masks
+        assert sub.moebius == ref.moebius
+        assert [x.equations for x in sub.flats] == [x.equations for x in ref.flats]
+        assert [localize_and_essentialize(restriction, x) for x in sub.flats] == [
+            localize_and_essentialize(restriction, x) for x in ref.flats
+        ]
 
 
 def _embed(forms, column, at=None):

@@ -84,6 +84,20 @@ def test_localize_rejects_foreign_flat():
         localize_and_essentialize(simple_multiarrangement(arr), foreign)
 
 
+def test_localize_rejects_a_flat_of_a_sub_arrangement():
+    # A' is the first four hyperplanes of braid-ess3, so its indices are
+    # A's.  Hyperplanes 0 and 3 meet in a line of L(A') on which
+    # hyperplane 4 of A vanishes too: the equations are those of a flat of
+    # L(A), but the hyperplane set misses 4.
+    arr = CORPUS["braid-ess3"].arrangement
+    line = next(f for f in intersection_lattice(make(arr.forms[:4], 3)).level(2)
+                if f.contained == {0, 3})
+    own = next(f for f in intersection_lattice(arr).level(2) if f.contained == {0, 3, 4})
+    assert own.equations == line.equations
+    with pytest.raises(FlatNotInLattice):
+        localize_and_essentialize(simple_multiarrangement(arr), line)
+
+
 def test_rho_preserves_codim_and_order():
     arr = CORPUS["braid-ess3"].arrangement
     h0 = 0
