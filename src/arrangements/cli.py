@@ -28,7 +28,8 @@ import sys
 
 from . import corpus as corpus_data
 from .core import form_to_string, var_names
-from .criteria import abe_yoshinaga_free_check, compare_coefficients, yoshinaga_3d
+from .criteria import _restriction_verdicts, abe_yoshinaga_free_check, yoshinaga_3d
+from .criteria import compare_coefficients
 from .derivations import FREE, UNKNOWN, find_free_basis
 from .errors import ArrangementError, BadPrime, InputError, TheoremViolation
 from .fileio import (
@@ -44,6 +45,7 @@ from .oracles import char_poly_recursion, finite_field_char_poly, region_count_r
 from .restriction import _pivot, ziegler_restriction
 
 ENV_BOUND = "ARRANGEMENTS_DEGREE_BOUND"
+_RESTRICTION = ("yoshinaga", "abe-yoshinaga")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -76,21 +78,27 @@ def _require_simple(inp, command):
 
 
 def _bound(args):
-    if args.bound is not None:
-        return args.bound
-    raw = os.environ.get(ENV_BOUND)
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            raise InputError(
-                f"{ENV_BOUND} must be an integer, got {raw!r}"
-            ) from None
-    return None
+    """--bound, else ENV_BOUND, else None; a negative bound is an input error."""
+    name, raw = "--bound", args.bound
+    if raw is None:
+        name, raw = ENV_BOUND, os.environ.get(ENV_BOUND)
+    if raw in (None, ""):
+        return None
+    try:
+        bound = int(raw)
+    except ValueError:
+        raise InputError(f"{ENV_BOUND} must be an integer, got {raw!r}") from None
+    if bound < 0:
+        raise InputError(f"{name} must be a nonnegative integer, got {bound}")
+    return bound
 
 
 def _header(arr):
     return f"dim {arr.dim}, {arr.n_hyperplanes} hyperplanes, rank {arr.rank()}"
+
+
+def _multi_header(multi):
+    return f"dim {multi.dim}, {multi.base.n_hyperplanes} hyperplanes, |m| = {multi.total}"
 
 
 # ---------------------------------------------------------------------------
@@ -192,10 +200,7 @@ def _cmd_ziegler(args):
     else:
         h0_label = form_to_string(arr.forms[args.h0], names)
         print(f"Ziegler restriction at h0={args.h0} ({h0_label} = 0)")
-        print(
-            f"dim {multi.dim}, {multi.base.n_hyperplanes} hyperplanes, "
-            f"|m| = {multi.total}"
-        )
+        print(_multi_header(multi))
         for label, m in zip(labels, multi.mult):
             print(f"  m={m}  {label} = 0")
     return 0
@@ -217,10 +222,7 @@ def _cmd_exponents(args):
     if args.json:
         print(json.dumps(verdict_to_dict(verdict), indent=2))
     else:
-        print(
-            f"dim {multi.dim}, {multi.base.n_hyperplanes} hyperplanes, "
-            f"|m| = {multi.total}"
-        )
+        print(_multi_header(multi))
         print(_verdict_line(verdict))
         if verdict.is_free and verdict.basis:
             for theta in verdict.basis:
@@ -263,48 +265,26 @@ def _cmd_freeness(args):
     multi = inp.multiarrangement()
     simple = not inp.mult or all(m == 1 for m in inp.mult)
     bound = _bound(args)
-    run_all = args.method == "all"
-    methods = (
-        ["yoshinaga", "abe-yoshinaga", "saito"] if run_all else [args.method]
-    )
-
     results, notes = {}, []
-    # the lattice of arr and its restriction onto h0, built once for both
-    # restriction criteria
-    lattice = restriction = None
-    for method in methods:
-        if method == "saito":
-            results[method] = find_free_basis(multi, degree_bound=bound)
-            continue
-        # The two restriction criteria apply to simple arrangements only.
-        if not simple:
-            if run_all:
-                notes.append(f"{method}: skipped (needs a simple arrangement)")
-                continue
-            raise InputError(f"{method} needs a simple arrangement")
-        if method == "yoshinaga":
-            if arr.dim != 3 or arr.rank() != 3:
-                if run_all:
-                    notes.append("yoshinaga: skipped (needs essential rank 3)")
-                    continue
-            else:
-                lattice = intersection_lattice(arr)
-                restriction = ziegler_restriction(arr, args.h0)
-            results[method] = yoshinaga_3d(arr, args.h0, lattice, restriction)
-        else:
-            if arr.dim < 2:
-                if run_all:
-                    notes.append("abe-yoshinaga: skipped (needs dim >= 2)")
-                    continue
-            elif restriction is None:
-                restriction = ziegler_restriction(arr, args.h0)
-            results[method] = abe_yoshinaga_free_check(
-                arr, args.h0, degree_bound=bound, lattice=lattice,
-                restriction=restriction,
-            )
-
-    if not results:
-        raise InputError("no applicable freeness method for this input")
+    # The two restriction criteria apply to simple arrangements only.
+    if args.method != "saito" and not simple:
+        if args.method != "all":
+            raise InputError(f"{args.method} needs a simple arrangement")
+        notes += [f"{m}: skipped (needs a simple arrangement)" for m in _RESTRICTION]
+    elif args.method == "yoshinaga":
+        results[args.method] = yoshinaga_3d(arr, args.h0)
+    elif args.method == "abe-yoshinaga":
+        results[args.method] = abe_yoshinaga_free_check(arr, args.h0, bound)
+    elif args.method == "all":
+        # both restriction criteria from one search of the restriction
+        if arr.dim >= 2:
+            results.update(_restriction_verdicts(arr, args.h0, bound))
+        if "yoshinaga" not in results:
+            notes.append("yoshinaga: skipped (needs essential rank 3)")
+        if arr.dim < 2:
+            notes.append("abe-yoshinaga: skipped (needs dim >= 2)")
+    if args.method in ("saito", "all"):
+        results["saito"] = find_free_basis(multi, degree_bound=bound)
     merged = _merge_verdicts(results)
 
     if args.json:
@@ -319,10 +299,7 @@ def _cmd_freeness(args):
             )
         )
     else:
-        print(
-            f"dim {multi.dim}, {multi.base.n_hyperplanes} hyperplanes, "
-            f"|m| = {multi.total}"
-        )
+        print(_multi_header(multi))
         width = max(len(m) for m in results)
         for method, verdict in results.items():
             print(f"  {method:<{width}}  {_verdict_line(verdict)}")
@@ -460,7 +437,7 @@ def _build_parser():
     p.add_argument("--bound", type=int, help="derivation degree bound")
     p.add_argument(
         "--method",
-        choices=["yoshinaga", "abe-yoshinaga", "saito", "all"],
+        choices=[*_RESTRICTION, "saito", "all"],
         default="all",
     )
 

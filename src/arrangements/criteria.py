@@ -4,14 +4,21 @@ The b-side comes from the reduced characteristic polynomial of the
 arrangement, the sigma-side from the Ziegler restriction's derivation
 module.  On tame inputs b_i >= sigma_i >= 0 holds for every i, with
 equality of the sums exactly when the deconing has the minimal possible
-chamber count; at rank 3 that equality characterizes freeness, and at any
-rank freeness is equivalent to the restriction being free with
-b_2 = sigma_2.
+chamber count.
+
+One rule decides freeness (Abe-Yoshinaga; Ziegler for "only if"): A is
+free exactly when its Ziegler restriction A'' is free with b_2 = sigma_2,
+the second elementary symmetric function of the exponents of A'' (b_2 = 0
+below dimension 3).  At rank 3 it is Yoshinaga's criterion, "the deconing
+has (1 + d1)(1 + d2) chambers": sum b = 1 + |m''| + b_2 and (1 + d1)(1 + d2)
+= 1 + |m''| + sigma_2.  `_free_by_restriction` states the rule, and A'' is
+searched under the degree-bound rule of `derivations._bounded_search`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 from .core import Multiarrangement, simple_multiarrangement
 from .derivations import (
@@ -20,16 +27,16 @@ from .derivations import (
     UNKNOWN,
     FreenessVerdict,
     SigmaStatus,
+    _bounded_search,
     _level_sums,
     _localization_sweep,
     _sigma_column,
     elementary_symmetric,
     find_free_basis,
-    rank2_exponents,
 )
 from .errors import TheoremViolation, WrongRank
 from .lattice import intersection_lattice, reduced_char_poly
-from .restriction import CoefficientTable, _b_table, _check_index, ziegler_restriction
+from .restriction import CoefficientTable, _b_table, _b_vector, _check_index, ziegler_restriction
 
 TAME = "Tame"
 
@@ -129,21 +136,17 @@ def compare_coefficients(arr, h0, degree_bound=None, assert_tame=False):
     sum_sigma = (
         sum(s.value for s in sigma) if all(s.exact for s in sigma) else None
     )
-    # A is free exactly when A'' is free with b_2 = sigma_2
-    # (Abe-Yoshinaga).  The exponents of A are (1, d_2, ..., d_r) for those
-    # of A'' (zeros for the center aside), so a bound admits both or
-    # neither: when the search of A'' is Unknown, so is that of A.
-    rank_a = rank_r + 1
-    free_a = top.is_free and rank_a > 3 and table.b[2] == sigma[2].value
-    tame_a = _tameness_tag(rank_a, free_a, assert_tame)
+    # The exponents of A are (1, d_2, ..., d_r) for those of A'' (zeros
+    # for the center aside), so a bound admits both or neither: when the
+    # search of A'' is Unknown, so is that of A.
+    tame_a = _tameness_tag(rank_r + 1, _free_by_restriction(top, table.b), assert_tame)
     tame_r = _tameness_tag(rank_r, top.is_free, assert_tame)
-    if tame_a.is_tame and tame_r.is_tame:
-        for i, s in enumerate(sigma):
-            if s.exact and s.value > table.b[i]:
-                raise TheoremViolation(
-                    f"sigma_{i} = {s.value} exceeds b_{i} = {table.b[i]} "
-                    "although both tameness tags are Tame"
-                )
+    if tame_a.is_tame and tame_r.is_tame and False in inequality:
+        i = inequality.index(False)
+        raise TheoremViolation(
+            f"sigma_{i} = {sigma[i].value} exceeds b_{i} = {table.b[i]} "
+            "although both tameness tags are Tame"
+        )
     mca = (sum_b == sum_sigma) if sum_sigma is not None else None
     return ComparisonReport(
         dim=ell,
@@ -168,53 +171,56 @@ def mca_check(arr, h0, degree_bound=None):
     return compare_coefficients(arr, h0, degree_bound).mca
 
 
-def yoshinaga_3d(arr, h0, lattice=None, restriction=None):
-    """Rank-3 freeness criterion: free iff the deconing's chamber count
-    equals (1 + d1)(1 + d2) for the Ziegler exponents (d1, d2).  Definitive:
-    rank-2 restrictions always resolve and 3-arrangements are tame.  Pass
-    the intersection lattice of arr and its Ziegler restriction onto h0 to
-    reuse them."""
-    if arr.dim != 3 or arr.rank() != 3:
-        raise WrongRank("criterion applies to essential arrangements of rank 3")
-    if restriction is None:
-        restriction = ziegler_restriction(arr, h0)
-    d1, d2 = rank2_exponents(restriction)
-    chambers = reduced_char_poly(arr, lattice)(-1)  # (-1)**(l-1) chi0(-1)
-    expected = (1 + d1) * (1 + d2)
-    if chambers == expected:
-        return FreenessVerdict(FREE, exponents=(1, d1, d2))
-    return FreenessVerdict(
-        NOT_FREE,
-        witness=f"deconing has {chambers} chambers, the minimum "
-        f"(1+{d1})(1+{d2}) = {expected} required for freeness",
-    )
+def _free_by_restriction(verdict, b):
+    """The rule of the module docstring: A'' (verdict) is Free, b_2 = sigma_2."""
+    b2 = b[2] if len(b) > 2 else 0
+    return verdict.is_free and b2 == elementary_symmetric(verdict.exponents, 2)
 
 
-def abe_yoshinaga_free_check(
-    arr, h0, degree_bound=None, lattice=None, restriction=None
-):
-    """Freeness via the restriction: A is free iff the Ziegler restriction
-    is free and b_2 = sigma_2; Unknown exactly when the restriction search
-    is Unknown.  Pass the intersection lattice of arr (read only when the
-    restriction is free) and its Ziegler restriction onto h0 to reuse them."""
+def _restriction_verdicts(arr, h0, degree_bound=None):
+    """{"yoshinaga": ..., "abe-yoshinaga": ...} from one search of the
+    Ziegler restriction A'' onto h0, yoshinaga only when arr is essential of
+    rank 3; b of A is read from one L(A) only when A'' is Free."""
     if arr.dim < 2:
         raise WrongRank("criterion needs ambient dimension at least 2")
-    if restriction is None:
-        restriction = ziegler_restriction(arr, h0)
-    verdict = find_free_basis(restriction, degree_bound)
+    rank = arr.rank()  # A'' has rank one less
+    verdict = _bounded_search(ziegler_restriction(arr, h0), rank - 1, degree_bound)
     if verdict.is_unknown:
-        return FreenessVerdict(UNKNOWN, bound=verdict.bound)
+        return {"abe-yoshinaga": FreenessVerdict(UNKNOWN, bound=verdict.bound)}
     if verdict.is_not_free:
-        return FreenessVerdict(
-            NOT_FREE, witness="Ziegler restriction is not free: " + verdict.witness
-        )
-    chi0 = reduced_char_poly(arr, lattice)
-    b2 = abs(chi0.coefficient(arr.dim - 3)) if arr.dim >= 3 else 0
-    sigma2 = elementary_symmetric(verdict.exponents, 2)
-    if b2 == sigma2:
-        return FreenessVerdict(FREE, exponents=(1,) + tuple(verdict.exponents))
-    return FreenessVerdict(
-        NOT_FREE,
-        witness=f"restriction is free with exponents {tuple(verdict.exponents)} "
-        f"but b_2 = {b2} differs from sigma_2 = {sigma2}",
-    )
+        witness = "Ziegler restriction is not free: " + verdict.witness
+        return {"abe-yoshinaga": FreenessVerdict(NOT_FREE, witness=witness)}
+    b = _b_vector(reduced_char_poly(arr), arr.dim)
+    e = verdict.exponents
+    if _free_by_restriction(verdict, b):
+        # 1 and the exponents of A'', sorted: zeros from a center come first
+        free = FreenessVerdict(FREE, exponents=tuple(sorted((1,) + e)))
+        out = {"yoshinaga": free, "abe-yoshinaga": free}
+    else:
+        out = {
+            "yoshinaga": f"deconing has {sum(b)} chambers, the minimum "
+            + "".join(f"(1+{d})" for d in e)
+            + f" = {prod(1 + d for d in e)} required for freeness",
+            "abe-yoshinaga": f"restriction is free with exponents {e} but b_2 = "
+            f"{b[2]} differs from sigma_2 = {elementary_symmetric(e, 2)}",
+        }
+        out = {m: FreenessVerdict(NOT_FREE, witness=w) for m, w in out.items()}
+    if arr.dim != 3 or rank != 3:
+        del out["yoshinaga"]
+    return out
+
+
+def yoshinaga_3d(arr, h0):
+    """Rank-3 freeness criterion: free iff the deconing's chamber count
+    equals (1 + d1)(1 + d2) for the Ziegler exponents (d1, d2).  Definitive:
+    rank-2 restrictions always resolve and 3-arrangements are tame."""
+    if arr.dim != 3 or arr.rank() != 3:
+        raise WrongRank("criterion applies to essential arrangements of rank 3")
+    return _restriction_verdicts(arr, h0)["yoshinaga"]
+
+
+def abe_yoshinaga_free_check(arr, h0, degree_bound=None):
+    """Freeness via the restriction: A is free iff the Ziegler restriction
+    is free and b_2 = sigma_2; Unknown exactly when the restriction search
+    is Unknown, which a bound can cause only when A'' has rank 3 or more."""
+    return _restriction_verdicts(arr, h0, degree_bound)["abe-yoshinaga"]

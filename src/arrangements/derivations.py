@@ -395,10 +395,21 @@ def rank2_exponents(multi):
         raise EmptyMultiarrangement("rank-2 exponents need at least one hyperplane")
     if multi.dim != 2 or multi.rank() != 2:
         raise WrongRank("expected an essential multiarrangement of rank 2")
+    verdict = _bounded_search(multi, 2)
+    return Exponents(verdict.exponents, basis=verdict.basis)
+
+
+def _bounded_search(multi, rank, degree_bound=None):
+    """find_free_basis under the one degree-bound rule, for a
+    multiarrangement of the given rank: a user bound applies from rank 3
+    on.  Rank <= 2 multiarrangements are always free, so their search runs
+    to |m| and must end Free (TheoremViolation otherwise)."""
+    if rank > 2:
+        return find_free_basis(multi, degree_bound)
     verdict = find_free_basis(multi)
     if not verdict.is_free:
         raise TheoremViolation("a rank-2 multiarrangement must be free")
-    return Exponents(verdict.exponents, basis=verdict.basis)
+    return verdict
 
 
 def multi_char_poly_free(exponents):
@@ -432,18 +443,17 @@ def _localization_sweep(ess, degree_bound=None, lattice=None):
     Returns (verdict, products): products maps each flat, in lattice order,
     to the product of its localization's exponents (None unless Free).  The
     last flat, the center, localizes to ess itself, so verdict is the global
-    one.  Rank <= 2 localizations are always free: no user bound for them.
-    Flats with equal localizations share one search.
+    one.  Each distinct localization is searched once, by _bounded_search
+    at its rank codim X.
     """
     products = {}
     verdicts = {}
     lattice = lattice if lattice is not None else intersection_lattice(ess.base)
     for flat in lattice.flats:
-        bound = None if flat.codim <= 2 else degree_bound
         local = localize_and_essentialize(ess, flat)
-        verdict = verdicts.get((local, bound))
+        verdict = verdicts.get(local)
         if verdict is None:
-            verdict = verdicts[local, bound] = find_free_basis(local, bound)
+            verdict = verdicts[local] = _bounded_search(local, flat.codim, degree_bound)
         products[flat] = prod(verdict.exponents) if verdict.is_free else None
     return verdict, products
 
@@ -489,7 +499,7 @@ def sigma_coefficients(multi, degree_bound=None):
     ess, _ = essentialize(multi)
     verdict = products = None
     if ess.dim >= 2:
-        verdict = find_free_basis(ess, None if ess.dim <= 2 else degree_bound)
+        verdict = _bounded_search(ess, ess.dim, degree_bound)
         if not verdict.is_free:
             products = _localization_sweep(ess, degree_bound)[1]
     return _sigma_column(ess, verdict, products)

@@ -172,11 +172,17 @@ def b_coefficients(arr, h0, lattice=None, chi0=None):
     return _b_table(chi0, lat, h0, ziegler_restriction(arr, h0))[0]
 
 
+def _b_vector(chi0, ell):
+    """(b_0, ..., b_{l-1}): the absolute coefficients of chi0, from t**(l-1)
+    down."""
+    return tuple(abs(chi0.coefficient(ell - 1 - i)) for i in range(ell))
+
+
 def _b_table(chi0, lattice, h0, restriction):
     """(the CoefficientTable of b_coefficients, L(A'')), from chi0 and L(A)."""
     sub, image = _restriction_lattice(lattice, h0, restriction)
     ell = lattice.ambient_dim
-    b = tuple(abs(chi0.coefficient(ell - 1 - i)) for i in range(ell))
+    b = _b_vector(chi0, ell)
     per = {}
     for mask, mu in zip(lattice.masks, lattice.moebius):
         if mask in image:

@@ -82,12 +82,11 @@ def test_freeness_criteria_disagreement_exits_3(capsys, monkeypatch):
     from arrangements import cli
     from arrangements.derivations import NOT_FREE, FreenessVerdict
 
+    real = cli._restriction_verdicts
     monkeypatch.setattr(
         cli,
-        "yoshinaga_3d",
-        lambda arr, h0, lattice=None, restriction=None: FreenessVerdict(
-            NOT_FREE, witness="x"
-        ),
+        "_restriction_verdicts",
+        lambda *args: {**real(*args), "yoshinaga": FreenessVerdict(NOT_FREE, witness="x")},
     )
     code, out, err = run(capsys, "freeness", "corpus:braid-ess3", "--method", "all")
     assert code == 3
@@ -95,6 +94,67 @@ def test_freeness_criteria_disagreement_exits_3(capsys, monkeypatch):
         "error: TheoremViolation: freeness criteria disagree: "
         "NotFree vs Free (abe-yoshinaga)\n"
     )
+
+
+# braid-ess3 embedded in Q^4, and three lines through 0 in Q^3: both non-essential
+BRAID_IN_Q4 = (
+    '{"dim": 4, "hyperplanes": [[1, -1, 0, 0], [1, 0, -1, 0], [0, 1, -1, 0], '
+    '[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]}'
+)
+THREE_LINES_IN_Q3 = '{"dim": 3, "hyperplanes": [[1, 0, 0], [0, 1, 0], [1, 1, 0]]}'
+
+
+@pytest.mark.parametrize(
+    "text, merged",
+    [(BRAID_IN_Q4, "Free(0, 1, 2, 3)"), (THREE_LINES_IN_Q3, "Free(0, 1, 2)")],
+    ids=["braid-in-Q4", "three-lines-in-Q3"],
+)
+def test_freeness_all_agrees_on_non_essential_input(capsys, tmp_path, text, merged):
+    # The exponents of A are 1 and those of A'', sorted: the zeros of the
+    # center come first, as in the direct search.
+    path = tmp_path / "a.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "freeness", str(path), "--method", "all")
+    assert (code, err) == (0, "")
+    assert out.count(merged) == 3  # abe-yoshinaga, saito and the merge
+    assert out.endswith(f"merged: {merged}\n")
+    code, out, _ = run(capsys, "freeness", str(path), "--method", "abe-yoshinaga", "--json")
+    assert code == 0
+    exponents = json.loads(out)["merged"]["exponents"]
+    assert exponents == sorted(exponents)
+
+
+def test_abe_yoshinaga_bound_skips_a_rank2_restriction(capsys):
+    # A rank-3 input has a rank-2 restriction, which is always free: the
+    # bound does not apply to its search, as in the localization sweep.
+    code, out, _ = run(
+        capsys, "freeness", "corpus:braid-ess3", "--method", "abe-yoshinaga", "--bound", "1"
+    )
+    assert code == 0
+    assert out.endswith("  abe-yoshinaga  Free(1, 2, 3)\n")
+
+
+@pytest.mark.parametrize("name", ["braid-ess3", "supersolvable3", "generic34"])
+def test_freeness_all_searches_the_restriction_once(capsys, monkeypatch, name):
+    # Both restriction criteria read one search of A''; saito searches A.
+    from arrangements import cli, criteria, derivations, ziegler_restriction
+
+    entry = CORPUS[name]
+    searched = []
+    real = derivations.find_free_basis
+
+    def spy(multi, degree_bound=None):
+        searched.append(multi)
+        return real(multi, degree_bound)
+
+    for module in (cli, criteria, derivations):
+        monkeypatch.setattr(module, "find_free_basis", spy)
+    code, _, _ = run(capsys, "freeness", f"corpus:{name}", "--h0", str(entry.h0))
+    assert code == 0
+    assert searched == [
+        ziegler_restriction(entry.arrangement, entry.h0),
+        entry.multiarrangement(),
+    ]
 
 
 def _count_lattices_of(monkeypatch, arr):
@@ -338,6 +398,34 @@ def test_env_var_degree_bound(capsys, monkeypatch):
     code, _, err = run(capsys, "exponents", "corpus:braid-ess3")
     assert code == 1
     assert "ARRANGEMENTS_DEGREE_BOUND" in err
+    monkeypatch.setenv("ARRANGEMENTS_DEGREE_BOUND", "-5")
+    assert run(capsys, "exponents", "corpus:braid-ess3") == (
+        1,
+        "",
+        "error: ARRANGEMENTS_DEGREE_BOUND must be a nonnegative integer, got -5\n",
+    )
+    monkeypatch.setenv("ARRANGEMENTS_DEGREE_BOUND", "0")
+    code, out, _ = run(capsys, "exponents", "corpus:braid-ess3")
+    assert code == 2
+    assert "Unknown (degree bound 0)" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("exponents", "corpus:braid-ess3"),
+        ("freeness", "corpus:braid-ess3"),
+        ("compare", "corpus:braid-ess4", "--h0", "0"),
+    ],
+)
+def test_negative_bound_flag_is_an_input_error(capsys, monkeypatch, argv):
+    # the flag is checked even where the environment holds a valid bound
+    monkeypatch.setenv("ARRANGEMENTS_DEGREE_BOUND", "2")
+    assert run(capsys, *argv, "--bound", "-3") == (
+        1,
+        "",
+        "error: --bound must be a nonnegative integer, got -3\n",
+    )
 
 
 def test_main_reuses_one_parser_and_leaks_no_state(capsys):

@@ -49,6 +49,27 @@ CHECKS = {
         """,
         "a rank-2 multiarrangement must be free",
     ),
+    "sigma-exceeds-b": (
+        """
+        from arrangements import CORPUS, compare_coefficients, criteria
+        from arrangements.derivations import SigmaStatus
+        real = criteria._sigma_column
+        criteria._sigma_column = lambda *args: real(*args)[:2] + (SigmaStatus(7, "patched"),)
+        criteria._level_sums = lambda products, rank: [None] * (rank + 1)
+        compare_coefficients(CORPUS["braid-ess3"].arrangement, 0)
+        """,
+        "sigma_2 = 7 exceeds b_2 = 6 although both tameness tags are Tame",
+    ),
+    "yoshinaga-rank2-restriction": (
+        """
+        from arrangements import CORPUS, derivations, yoshinaga_3d
+        derivations.find_free_basis = lambda multi: derivations.FreenessVerdict(
+            derivations.NOT_FREE, witness="patched"
+        )
+        yoshinaga_3d(CORPUS["braid-ess3"].arrangement, 0)
+        """,
+        "a rank-2 multiarrangement must be free",
+    ),
     "direction-flat-rank": (
         """
         import dataclasses

@@ -12,6 +12,7 @@ from arrangements import (
     CORPUS,
     BadPrime,
     IntPoly,
+    abe_yoshinaga_free_check,
     b_coefficients,
     canonicalize,
     chamber_count,
@@ -31,6 +32,7 @@ from arrangements import (
     saito_check,
     simple_multiarrangement,
     tameness_classify,
+    yoshinaga_3d,
     ziegler_restriction,
 )
 from arrangements import derivations
@@ -369,6 +371,41 @@ def test_comparison_tameness_tags_match_the_searches(drawn):
     restriction = ziegler_restriction(arr, h0)
     assert report.tame_arrangement == tameness_classify(arr, bound, asserted)
     assert report.tame_restriction == tameness_classify(restriction, bound, asserted)
+
+
+@st.composite
+def _rank3_arrangements(draw):
+    """An essential arrangement of rank 3 (entries in -2..2, at most 7
+    hyperplanes) and a hyperplane index."""
+    dim, forms = draw(
+        _central_forms(min_dim=3, max_dim=3, max_forms=7, coeff=2).filter(
+            lambda d: canonicalize(d[1], d[0]).rank() == 3
+        )
+    )
+    return canonicalize(forms, dim), draw(st.integers(0, len(forms) - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_rank3_arrangements())
+@example((CORPUS["boolean4"].arrangement, CORPUS["boolean4"].h0))
+@example((CORPUS["braid-ess4"].arrangement, CORPUS["braid-ess4"].h0))
+@example((CORPUS["generic45"].arrangement, CORPUS["generic45"].h0))
+def test_freeness_criteria_agree(drawn):
+    # Free implies MCA, and at rank 3 MCA is equivalent to freeness; at
+    # rank 4 the comparison reads freeness off its tameness tag.  The
+    # examples are the rank-4 corpus entries.
+    arr, h0 = drawn
+    direct = find_free_basis(simple_multiarrangement(arr))
+    report = compare_coefficients(arr, h0)
+    answers = [abe_yoshinaga_free_check(arr, h0)]
+    if arr.rank() == 3:
+        answers.append(yoshinaga_3d(arr, h0))
+        assert report.mca is direct.is_free
+    else:
+        assert (report.tame_arrangement.reason == "verified-free") is direct.is_free
+    for verdict in answers:
+        assert verdict.status == direct.status
+        assert verdict.exponents == (direct.exponents if direct.is_free else None)
 
 
 def _full_width_new_generators(gens, kernel, monos, rank, d):
