@@ -109,11 +109,11 @@ def compare_coefficients(arr, h0, degree_bound=None, assert_tame=False):
     # index check of ziegler_restriction could
     chi0 = reduced_char_poly(arr, lattice)
     restriction = ziegler_restriction(arr, h0)
-    table, restriction_lattice = _b_table(chi0, lattice, h0, restriction)
+    table, restriction_flats = _b_table(chi0, lattice, h0, restriction)
     # one sweep: the global verdict, sigma and the per-flat sigma values.
     # The center localizes to the essentialization of A'', whose dimension
     # is the rank of A''; A's rank is one more.
-    top, local = _localization_sweep(restriction, degree_bound, restriction_lattice)
+    top, local = _localization_sweep(restriction, degree_bound, restriction_flats)
     rank_r = top.essential.dim
     sig = _sigma_column(top.essential, top, local)
     for flat, entry in table.per_flat.items():

@@ -435,10 +435,11 @@ def elementary_symmetric(values, k):
     return sum(prod(combo) for combo in combinations(values, k))
 
 
-def _localization_sweep(ess, degree_bound=None, lattice=None):
+def _localization_sweep(ess, degree_bound=None, flats=None, top=None):
     """One freeness search per flat of an essential multiarrangement; the
-    only place localization searches run.  Pass the intersection lattice of
-    ess.base to reuse it.
+    only place localization searches run.  Pass the flats of the
+    intersection lattice of ess.base to reuse them, and ess's own verdict
+    as top when it is already known.
 
     Returns (verdict, products): products maps each flat, in lattice order,
     to the product of its localization's exponents (None unless Free).  The
@@ -447,9 +448,9 @@ def _localization_sweep(ess, degree_bound=None, lattice=None):
     at its rank codim X.
     """
     products = {}
-    verdicts = {}
-    lattice = lattice if lattice is not None else intersection_lattice(ess.base)
-    for flat in lattice.flats:
+    verdicts = {} if top is None else {ess: top}
+    flats = flats if flats is not None else intersection_lattice(ess.base).flats
+    for flat in flats:
         local = localize_and_essentialize(ess, flat)
         verdict = verdicts.get(local)
         if verdict is None:
@@ -491,17 +492,17 @@ def sigma_coefficients(multi, degree_bound=None):
     sigma_0 = 1 and sigma_1 = |m| by definition.  The essentialization is
     searched first; when D(A,m) is verified free the remaining coefficients
     come from the factorization prod (t - e_i) and no localization is
-    searched.  Otherwise the localization sweep searches every flat once
-    (the entry of the top flat, the center, is the global verdict again)
-    and sigma_k sums the local exponent products over the codimension-k
-    flats, staying None whenever one of them is unresolved within the bound.
+    searched.  Otherwise the localization sweep searches every other flat
+    once (the top flat, the center, reuses the global verdict) and sigma_k
+    sums the local exponent products over the codimension-k flats, staying
+    None whenever one of them is unresolved within the bound.
     """
     ess, _ = essentialize(multi)
     verdict = products = None
     if ess.dim >= 2:
         verdict = _bounded_search(ess, ess.dim, degree_bound)
         if not verdict.is_free:
-            products = _localization_sweep(ess, degree_bound)[1]
+            products = _localization_sweep(ess, degree_bound, top=verdict)[1]
     return _sigma_column(ess, verdict, products)
 
 

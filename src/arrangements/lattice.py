@@ -9,7 +9,11 @@ class of hyperplanes not containing X whose rows, reduced against X's
 echelon, are proportional; the class is the cover's new hyperplane set.  A
 reduced row that is a nonzero constant means X cap H is empty (H is
 parallel to X).  Every flat arises this way, so the 2**n subset
-enumeration is never needed, and Moebius values are read off the masks.
+enumeration is never needed.  The same loop fills in the Moebius values
+from the cover pairs alone, by Weisner's theorem (Stanley, Enumerative
+Combinatorics I, Cor. 3.9.3) on the geometric lattice of the hyperplanes
+through X: mu(X) = -sum of mu(Y) over the flats Y that X covers and that
+do not lie on X's lowest-numbered hyperplane.
 
 Flats are ordered by (codimension, mask).  A flat's equations (the
 canonical RREF of its hyperplanes' rows over exact rationals, each row of
@@ -98,14 +102,17 @@ class IntersectionLattice:
             return None
         return i
 
-    def lookup(self, flat):
+    def _position(self, flat):
         i = self.index_of(flat)
         if i is None:
             raise FlatNotInLattice(f"no flat with these hyperplanes and equations: {flat}")
-        return self.flats[i]
+        return i
+
+    def lookup(self, flat):
+        return self.flats[self._position(flat)]
 
     def moebius_of(self, flat):
-        return self.moebius[self.index_of(self.lookup(flat))]
+        return self.moebius[self._position(flat)]
 
     @property
     def rank(self):
@@ -113,12 +120,13 @@ class IntersectionLattice:
 
 
 def intersection_lattice(arr):
-    """Enumerate all flats and fill Moebius values by the defining recursion."""
+    """Enumerate all flats with their Moebius values (Weisner's rule)."""
     dim = arr.dim
     rows = hyperplane_rows(arr)
     n = len(rows)
 
     found = {0: _Echelon(dim + 1)}  # hyperplane mask -> integer echelon
+    mu = {0: 1}
     current = found
     while current:
         nxt = {}
@@ -139,32 +147,24 @@ def intersection_lattice(arr):
                 cover = mask | bits
                 if cover not in nxt:
                     nxt[cover] = ech.with_row(red)
+                    mu[cover] = 0
+                # each cover pair is met once, after its level is complete
+                if not mask & (cover & -cover):
+                    mu[cover] -= mu[mask]
         found.update(nxt)
         current = nxt
 
     keys = sorted((ech.rank, mask) for mask, ech in found.items())
-    return _lattice(dim, keys, rows)
+    masks = tuple(m for _, m in keys)
+    return IntersectionLattice(dim, _flats(keys, rows), tuple(map(mu.get, masks)), masks)
 
 
-def _lattice(dim, keys, rows):
-    """The lattice of the flats with these sorted (codim, mask) keys."""
+def _flats(keys, rows):
+    """The flats with these (codim, mask) keys, over these hyperplane rows."""
     n = len(rows)
-    flats = tuple(
+    return tuple(
         Flat(None, c, (j for j in range(n) if m >> j & 1), rows) for c, m in keys
     )
-    # mu(top) = 1; mu(X) = -sum of mu(Y) over flats Y strictly containing X,
-    # that is of lower codimension with a hyperplane set inside X's.
-    mu = [1]
-    for i in range(1, len(keys)):
-        codim, xmask = keys[i]
-        acc = 0
-        for j in range(i):
-            if keys[j][0] == codim:
-                break
-            if keys[j][1] & xmask == keys[j][1]:
-                acc += mu[j]
-        mu.append(-acc)
-    return IntersectionLattice(dim, flats, tuple(mu), tuple(m for _, m in keys))
 
 
 def char_poly(arr, lattice=None):
@@ -191,7 +191,7 @@ def reduced_char_poly(arr, lattice=None):
     return quotient
 
 
-def chamber_count(arr, lattice=None):
+def chamber_count(arr):
     """Number of chambers of the real complement: (-1)**dim * chi(-1)."""
-    chi = char_poly(arr, lattice)
+    chi = char_poly(arr)
     return (-1) ** arr.dim * chi(-1)

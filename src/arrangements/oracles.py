@@ -123,10 +123,9 @@ def _primes_above(bound, dim, count):
     return out
 
 
-def good_primes(arr, count=None):
-    """The smallest count (default dim+1) primes exceeding the minor bound."""
-    need = arr.dim + 1 if count is None else count
-    return _primes_above(minor_bound(arr), arr.dim, need)
+def good_primes(arr):
+    """The smallest dim+1 primes exceeding the minor bound."""
+    return _primes_above(minor_bound(arr), arr.dim, arr.dim + 1)
 
 
 def point_count(arr, q):

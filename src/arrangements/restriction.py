@@ -12,11 +12,12 @@ by its hyperplane set (its lattice mask):
 
 * the flats of the deconing are the flats X of L(A) not inside H0, with
   the same Moebius values (every flat containing such an X is not inside
-  H0 either);
-* L(A'') is the part of L(A) inside H0, one codimension lower.  Its
-  hyperplanes are the codimension-2 flats Z inside H0, in order of their
-  first hyperplane other than h0, and a flat inside H0 lies on Z exactly
-  when mask(Z) is inside its mask;
+  H0 either), which intersection_lattice found by Weisner's rule;
+* the flats of L(A'') are the part of L(A) inside H0, one codimension
+  lower.  The hyperplanes of A'' are the codimension-2 flats Z inside H0,
+  in order of their first hyperplane other than h0, and a flat inside H0 lies
+  on Z exactly when mask(Z) is inside its mask.  Only the flats are read
+  off: no caller needs Moebius values of L(A'');
 * rho(X) = X cap H0 is the flat one level up whose mask holds h0 and X's.
 """
 
@@ -34,7 +35,7 @@ from .core import (
     normalize_form,
 )
 from .errors import FlatNotInLattice, IndexOutOfRange, TheoremViolation, WrongRank
-from .lattice import _lattice, hyperplane_rows, intersection_lattice, reduced_char_poly
+from .lattice import _flats, hyperplane_rows, intersection_lattice, reduced_char_poly
 
 
 def _check_index(arr, h0):
@@ -95,9 +96,10 @@ def localize_and_essentialize(multi, flat):
     )
 
 
-def _restriction_lattice(lattice, h0, restriction):
-    """(L(A''), rho) read off L(A) as the module docstring says; rho maps the
-    mask of each flat of L(A) not inside H0 to a flat of L(A'')."""
+def _restriction_flats(lattice, h0, restriction):
+    """(the flats of L(A''), rho) read off L(A) as the module docstring says:
+    the flats in (codim, mask) order, and rho mapping the mask of each flat
+    of L(A) not inside H0 to one of them."""
     bit = 1 << h0
     inside = {}  # codim in L(A) -> masks of the flats inside H0
     for flat, mask in zip(lattice.flats, lattice.masks):
@@ -110,9 +112,8 @@ def _restriction_lattice(lattice, h0, restriction):
         for codim, ys in inside.items()
         for y in ys
     )
-    rows = hyperplane_rows(restriction.base)
-    sub = _lattice(lattice.ambient_dim - 1, [k[:2] for k in keyed], rows)
-    by_parent = {k[2]: f for k, f in zip(keyed, sub.flats)}
+    flats = _flats([k[:2] for k in keyed], hyperplane_rows(restriction.base))
+    by_parent = {k[2]: f for k, f in zip(keyed, flats)}
     image = {}
     for flat, mask in zip(lattice.flats, lattice.masks):
         if mask & bit:
@@ -122,7 +123,7 @@ def _restriction_lattice(lattice, h0, restriction):
         if meet is None:
             raise TheoremViolation("no flat one level up meets H0; this is a bug")
         image[mask] = by_parent[meet]
-    return sub, image
+    return flats, image
 
 
 def rho(arr, h0, flat, dA_lattice=None):
@@ -137,7 +138,7 @@ def rho(arr, h0, flat, dA_lattice=None):
     # hyperplane k of the deconing is hyperplane k (k < h0) or k + 1 of arr
     mask = sum(1 << (k + (k >= h0)) for k in lat.lookup(flat).contained)
     zr = ziegler_restriction(arr, h0)
-    return _restriction_lattice(intersection_lattice(arr), h0, zr)[1][mask]
+    return _restriction_flats(intersection_lattice(arr), h0, zr)[1][mask]
 
 
 @dataclass
@@ -155,21 +156,17 @@ class CoefficientTable:
     per_flat: dict = field(default_factory=dict)
 
 
-def b_coefficients(arr, h0, lattice=None, chi0=None):
+def b_coefficients(arr, h0):
     """b-vector of A plus its decomposition over flats of A'' through rho.
 
     b_i^X sums |mu(Y)| over the flats Y of L(A) not inside H0 (the flats
     of the deconing, with the same Moebius values) with rho(Y) = X.
-    TheoremViolation is raised unless sum_X b_i^X = b_i.  Pass the
-    intersection lattice of arr and its reduced characteristic polynomial
-    to reuse them.
+    TheoremViolation is raised unless sum_X b_i^X = b_i.
     """
     if arr.dim < 2:
         raise WrongRank("coefficient comparison needs ambient dimension at least 2")
-    lat = lattice if lattice is not None else intersection_lattice(arr)
-    if chi0 is None:
-        chi0 = reduced_char_poly(arr, lat)
-    return _b_table(chi0, lat, h0, ziegler_restriction(arr, h0))[0]
+    lat = intersection_lattice(arr)
+    return _b_table(reduced_char_poly(arr, lat), lat, h0, ziegler_restriction(arr, h0))[0]
 
 
 def _b_vector(chi0, ell):
@@ -179,8 +176,9 @@ def _b_vector(chi0, ell):
 
 
 def _b_table(chi0, lattice, h0, restriction):
-    """(the CoefficientTable of b_coefficients, L(A'')), from chi0 and L(A)."""
-    sub, image = _restriction_lattice(lattice, h0, restriction)
+    """(the CoefficientTable of b_coefficients, the flats of L(A'')), from
+    chi0 and L(A)."""
+    flats, image = _restriction_flats(lattice, h0, restriction)
     ell = lattice.ambient_dim
     b = _b_vector(chi0, ell)
     per = {}
@@ -190,4 +188,4 @@ def _b_table(chi0, lattice, h0, restriction):
     if tuple(sum(v for x, v in per.items() if x.codim == i) for i in range(ell)) != b:
         raise TheoremViolation("per-flat b decomposition disagrees with chi0")
     table = {x: {"b": v, "sigma": None} for x, v in per.items()}
-    return CoefficientTable(b=b, sigma=None, per_flat=table), sub
+    return CoefficientTable(b=b, sigma=None, per_flat=table), flats

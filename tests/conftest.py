@@ -5,7 +5,7 @@ from fractions import Fraction
 
 from arrangements import canonicalize, intersection_lattice, rho, ziegler_restriction
 from arrangements.errors import ArrangementError
-from arrangements.restriction import _restriction_lattice
+from arrangements.restriction import _restriction_flats
 
 
 def make(forms, dim):
@@ -52,7 +52,7 @@ def rho_images(arr, h0, dA_lattice):
     itself is checked on the last flat.
     """
     restriction = ziegler_restriction(arr, h0)
-    image = _restriction_lattice(intersection_lattice(arr), h0, restriction)[1]
+    image = _restriction_flats(intersection_lattice(arr), h0, restriction)[1]
     # hyperplane k of the deconing is hyperplane k (k < h0) or k + 1 of arr
     out = {
         flat: image[sum(1 << (k + (k >= h0)) for k in flat.contained)]

@@ -283,6 +283,27 @@ def test_localization_sweep_searches_each_distinct_localization_once(monkeypatch
     assert len(calls) == len(set(calls)) < len(flats)
 
 
+def test_sigma_coefficients_searches_a_non_free_top_once(monkeypatch):
+    # The top of a non-free multiarrangement is searched before the sweep;
+    # the sweep reuses that verdict for its last flat, the center.
+    from arrangements import derivations
+
+    zr = ziegler_restriction(CORPUS["generic45"].arrangement, 0)
+    expected = sigma_coefficients(zr)
+    calls = []
+    real = derivations.find_free_basis
+
+    def counting(local, bound=None):
+        calls.append(local)
+        return real(local, bound)
+
+    monkeypatch.setattr(derivations, "find_free_basis", counting)
+    assert sigma_coefficients(zr) == expected
+    assert not find_free_basis(calls[0]).is_free
+    assert calls[0].dim == 3
+    assert len(calls) == len(set(calls)) == 6
+
+
 def test_sigma_per_flat_needs_essential_input():
     multi = simple_multiarrangement(make([[1, 0, 0], [0, 1, 0]], 3))
     with pytest.raises(WrongRank):

@@ -73,12 +73,13 @@ CHECKS = {
     "direction-flat-rank": (
         """
         import dataclasses
-        from arrangements import CORPUS, b_coefficients, intersection_lattice
+        from arrangements import CORPUS, b_coefficients, intersection_lattice, restriction
         arr = CORPUS["braid-ess3"].arrangement
         lat = intersection_lattice(arr)
         # H0 = hyperplane 0 drops out of every codimension-2 hyperplane set
         masks = tuple(m & ~1 if f.codim == 2 else m for f, m in zip(lat.flats, lat.masks))
-        b_coefficients(arr, 0, lattice=dataclasses.replace(lat, masks=masks))
+        restriction.intersection_lattice = lambda arr: dataclasses.replace(lat, masks=masks)
+        b_coefficients(arr, 0)
         """,
         "no flat one level up meets H0; this is a bug",
     ),

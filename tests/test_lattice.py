@@ -1,5 +1,8 @@
 """Intersection lattices, Moebius functions and characteristic polynomials."""
 
+from collections import Counter
+from math import factorial, prod
+
 import pytest
 
 from arrangements import (
@@ -155,3 +158,26 @@ def test_affine_lattices_of_random_deconings():
             assert char_poly_recursion(dA) == char_poly(dA)
             checked += 1
     assert checked >= 50
+
+
+@pytest.mark.parametrize("n, size", [(6, 203), (7, 877)])
+def test_braid_moebius_closed_form(n, size):
+    # Past brute force's 16-hyperplane limit: the flats of the braid
+    # arrangement x_i = x_j are the set partitions of n strands, and mu is
+    # the product over blocks B of (-1)**(|B|-1) * (|B|-1)!, where the
+    # blocks are the connected components of the flat's hyperplane pairs.
+    forms = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            forms.append([1 if k == i else -1 if k == j else 0 for k in range(n)])
+    arr = make(forms, n)
+    pairs = [[k for k, v in enumerate(form) if v] for form in arr.forms]
+    lat = intersection_lattice(arr)
+    assert len(lat.flats) == size
+    for flat, mu in zip(lat.flats, lat.moebius):
+        block = list(range(n))  # block label of each strand
+        for h in flat.contained:
+            i, j = pairs[h]
+            block = [block[j] if b == block[i] else b for b in block]
+        sizes = Counter(block).values()
+        assert mu == prod((-1) ** (b - 1) * factorial(b - 1) for b in sizes)

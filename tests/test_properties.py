@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from arrangements import (
     CORPUS,
+    AffineArrangement,
     BadPrime,
     IntPoly,
     abe_yoshinaga_free_check,
@@ -36,10 +37,10 @@ from arrangements import (
     ziegler_restriction,
 )
 from arrangements import derivations
-from arrangements.core import CentralArrangement, normalize_form
+from arrangements.core import CentralArrangement, normalize_affine, normalize_form
 from arrangements.linalg import _Echelon, echelon
 from arrangements.polynomials import monomials
-from arrangements.restriction import _restriction_lattice
+from arrangements.restriction import _restriction_flats
 from conftest import random_central, seeded
 
 
@@ -146,6 +147,42 @@ def _central_forms(draw, min_dim=2, max_dim=4, max_forms=7, coeff=3):
 
 
 @st.composite
+def _affine_arrangements(draw):
+    """Dimension 2-4 and 1-8 distinct affine hyperplanes, entries in -2..2.
+    The normals come from a pool of at most four, so parallel hyperplanes
+    are common."""
+    dim = draw(st.integers(2, 4))
+    normal = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim).filter(any)
+    pool = draw(st.lists(normal, min_size=1, max_size=4))
+    pick = st.tuples(st.sampled_from(pool), st.integers(-2, 2))
+    hyperplanes = {normalize_affine(*h): None for h in draw(st.lists(pick, min_size=1, max_size=8))}
+    return AffineArrangement(dim, tuple(hyperplanes))
+
+
+def _assert_moebius_is_the_recursion(arr):
+    # moebius_bruteforce evaluates the defining recursion over all subsets
+    lat = intersection_lattice(arr)
+    mu = moebius_bruteforce(arr)
+    assert sorted(mu) == sorted(f.equations for f in lat.flats)
+    for flat, value in zip(lat.flats, lat.moebius):
+        assert mu[flat.equations] == value
+
+
+@settings(max_examples=60, deadline=None)
+@given(_central_forms(max_forms=8))
+def test_moebius_matches_the_defining_recursion_central(drawn):
+    dim, forms = drawn
+    _assert_moebius_is_the_recursion(canonicalize(forms, dim))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_affine_arrangements())
+@example(AffineArrangement(2, (((1, 0), 0), ((1, 0), 1), ((0, 1), 0), ((1, 1), 1))))
+def test_moebius_matches_the_defining_recursion_affine(arr):
+    _assert_moebius_is_the_recursion(arr)
+
+
+@st.composite
 def _relabelled_arrangements(draw):
     """Forms of a central arrangement, and the same hyperplanes in another
     order, each form scaled by a nonzero rational."""
@@ -225,21 +262,18 @@ def test_per_flat_b_matches_the_deconing_lattice(drawn):
 @example((4, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [1, 1, 1, 0]]))
 def test_restriction_lattice_read_off_l_a_matches_its_own_lattice(drawn):
     # The lattice of ziegler_restriction's base, built on its own, is the
-    # reference for L(A'') read off L(A): same flats in the same order,
-    # masks, Moebius values, equations and localizations.
+    # reference for the flats of L(A'') read off L(A): same flats in the
+    # same order, equations and localizations.
     dim, forms = drawn
     arr = canonicalize(forms, dim)
     lattice = intersection_lattice(arr)
     for h0 in range(arr.n_hyperplanes):
         restriction = ziegler_restriction(arr, h0)
-        sub = _restriction_lattice(lattice, h0, restriction)[0]
+        flats = _restriction_flats(lattice, h0, restriction)[0]
         ref = intersection_lattice(restriction.base)
-        assert sub.ambient_dim == ref.ambient_dim
-        assert sub.flats == ref.flats
-        assert sub.masks == ref.masks
-        assert sub.moebius == ref.moebius
-        assert [x.equations for x in sub.flats] == [x.equations for x in ref.flats]
-        assert [localize_and_essentialize(restriction, x) for x in sub.flats] == [
+        assert flats == ref.flats
+        assert [x.equations for x in flats] == [x.equations for x in ref.flats]
+        assert [localize_and_essentialize(restriction, x) for x in flats] == [
             localize_and_essentialize(restriction, x) for x in ref.flats
         ]
 
