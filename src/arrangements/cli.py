@@ -41,8 +41,9 @@ from .fileio import (
     verdict_to_dict,
 )
 from .lattice import chamber_count, char_poly, intersection_lattice, reduced_char_poly
+from .linalg import _pivot_col
 from .oracles import char_poly_recursion, finite_field_char_poly, region_count_recursion
-from .restriction import _pivot, ziegler_restriction
+from .restriction import ziegler_restriction
 
 ENV_BOUND = "ARRANGEMENTS_DEGREE_BOUND"
 _RESTRICTION = ("yoshinaga", "abe-yoshinaga")
@@ -179,7 +180,7 @@ def _cmd_ziegler(args):
     arr = inp.arrangement
     multi = ziegler_restriction(arr, args.h0)
     names = var_names(arr.dim)
-    kept = [names[i] for i in range(arr.dim) if i != _pivot(arr.forms[args.h0])]
+    kept = [names[i] for i in range(arr.dim) if i != _pivot_col(arr.forms[args.h0])]
     labels = [form_to_string(f, kept) for f in multi.base.forms]
     if args.json:
         print(

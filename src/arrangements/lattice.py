@@ -3,17 +3,23 @@
 A nonempty flat is the intersection of the hyperplanes that contain it, so
 the set of those hyperplanes, an int bitmask, identifies it for central and
 affine arrangements alike: flats compare and hash on it, and lattices index
-them by it.  The lattice is built level by level on integer rows: the flats
-of codimension k+1 are the covers of the codimension-k flats X, one per
-class of hyperplanes not containing X whose rows, reduced against X's
-echelon, are proportional; the class is the cover's new hyperplane set.  A
-reduced row that is a nonzero constant means X cap H is empty (H is
-parallel to X).  Every flat arises this way, so the 2**n subset
-enumeration is never needed.  The same loop fills in the Moebius values
-from the cover pairs alone, by Weisner's theorem (Stanley, Enumerative
-Combinatorics I, Cor. 3.9.3) on the geometric lattice of the hyperplanes
-through X: mu(X) = -sum of mu(Y) over the flats Y that X covers and that
-do not lie on X's lowest-numbered hyperplane.
+them by it.  The lattice is built level by level on integer rows, by walking
+restrictions: the flats above a flat X are the flats of the restriction A^X
+(Orlik-Terao, Arrangements of Hyperplanes, section 2.1: L(A)_{>=X} is
+isomorphic to L(A^X)).  A^X is a dict from the primitive augmented row of
+each of its hyperplanes, positive at its pivot, to the mask of the
+hyperplanes of A that cut it out of X, so the covers of X are its keys.  A
+cover's own restriction takes one step (_restrict): eliminate the key's
+pivot from every other key, make the rows primitive, merge equal rows and
+drop the row that vanishes and any nonzero constant (a hyperplane parallel
+to the cover).  Every flat arises this way, so the 2**n subset enumeration
+is never needed, and only two levels of restrictions are alive at once.
+The same loop fills in the Moebius values from the cover pairs alone, by
+Weisner's theorem (Stanley, Enumerative Combinatorics I, Cor. 3.9.3) on the
+geometric lattice of the hyperplanes through X: mu(X) = -sum of mu(Y) over
+the flats Y that X covers and that do not lie on X's lowest-numbered
+hyperplane.  decone and ziegler_restriction are the same step, onto
+alpha_{h0} = 1 and alpha_{h0} = 0.
 
 Flats are ordered by (codimension, mask).  A flat's equations (the
 canonical RREF of its hyperplanes' rows over exact rationals, each row of
@@ -28,7 +34,7 @@ from functools import cached_property
 
 from .core import AffineArrangement, CentralArrangement
 from .errors import FlatNotInLattice, NonzeroRemainder
-from .linalg import _Echelon, _pivot_col, echelon
+from .linalg import _pivot_col, _strip_gcd, echelon
 from .polynomials import IntPoly
 
 
@@ -121,42 +127,51 @@ class IntersectionLattice:
 
 def intersection_lattice(arr):
     """Enumerate all flats with their Moebius values (Weisner's rule)."""
-    dim = arr.dim
     rows = hyperplane_rows(arr)
-    n = len(rows)
-
-    found = {0: _Echelon(dim + 1)}  # hyperplane mask -> integer echelon
+    level = {0: _restrict((row, 1 << j) for j, row in enumerate(rows))}
     mu = {0: 1}
-    current = found
-    while current:
-        nxt = {}
-        for mask, ech in current.items():
-            # hyperplanes off X with proportional reduced rows meet X in
-            # the same cover, so each cover is built once from X
-            covers = {}
-            for j in range(n):
-                if not mask >> j & 1:
-                    red = ech.reduce(rows[j])
-                    if red[_pivot_col(red)] < 0:
-                        red = [-v for v in red]
-                    key = tuple(red)
-                    covers[key] = covers.get(key, 0) | 1 << j
-            for red, bits in covers.items():
-                if _pivot_col(red) == dim:
-                    continue  # X cap H is empty
+    keys = [(0, 0)]
+    codim = 0
+    while level:
+        codim += 1
+        nxt = {}  # cover mask -> its restriction; only two levels are alive
+        for mask, restricted in level.items():
+            for row, bits in restricted.items():
                 cover = mask | bits
                 if cover not in nxt:
-                    nxt[cover] = ech.with_row(red)
+                    nxt[cover] = _restrict(restricted.items(), row)
                     mu[cover] = 0
+                    keys.append((codim, cover))
                 # each cover pair is met once, after its level is complete
                 if not mask & (cover & -cover):
                     mu[cover] -= mu[mask]
-        found.update(nxt)
-        current = nxt
+        level = nxt
 
-    keys = sorted((ech.rank, mask) for mask, ech in found.items())
+    keys.sort()
     masks = tuple(m for _, m in keys)
-    return IntersectionLattice(dim, _flats(keys, rows), tuple(map(mu.get, masks)), masks)
+    return IntersectionLattice(arr.dim, _flats(keys, rows), tuple(map(mu.get, masks)), masks)
+
+
+def _restrict(pairs, target=None):
+    """The restriction {key: mask} of (integer row, hyperplane mask) pairs
+    onto target, an integer row (without one, of the pairs themselves).
+    Target's pivot is eliminated from every row; then each row is made
+    primitive and positive at its pivot, equal rows are merged in first-seen
+    order, and rows that vanish or are nonzero constants are dropped.  The
+    rows stay zero at the pivots eliminated before, so two rows are
+    proportional modulo the flat exactly when they give equal keys."""
+    p = None if target is None else _pivot_col(target)
+    out = {}
+    for row, bits in pairs:
+        if p is not None and row[p]:
+            row = [target[p] * x - row[p] * y for x, y in zip(row, target)]
+        row = _strip_gcd(row)
+        q = _pivot_col(row)
+        if q is None or q == len(row) - 1:
+            continue
+        key = tuple(row) if row[q] > 0 else tuple(-v for v in row)
+        out[key] = out.get(key, 0) | bits
+    return out
 
 
 def _flats(keys, rows):

@@ -61,9 +61,7 @@ def _to_int_row(row):
 
 
 def _strip_gcd(row):
-    g = 0
-    for v in row:
-        g = gcd(g, v)
+    g = gcd(*row)
     if g > 1:
         return [v // g for v in row]
     return list(row)
@@ -115,22 +113,11 @@ class _Echelon:
         reduced = self.reduce(row)
         if reduced is None:
             return False
-        self._insert(reduced)
-        return True
-
-    def _insert(self, reduced):
         p = _pivot_col(reduced)
         pos = bisect_left(self.pivots, p)
         self.rows.insert(pos, reduced)
         self.pivots.insert(pos, p)
-
-    def with_row(self, reduced):
-        """A new echelon holding these rows plus one nonzero row already
-        reduced against them, as reduce returns it (either sign)."""
-        out = _Echelon(self.ncols)
-        out.rows, out.pivots = list(self.rows), list(self.pivots)
-        out._insert(reduced)
-        return out
+        return True
 
     def contains(self, row):
         """True if the rational row lies in the current row space."""

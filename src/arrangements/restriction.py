@@ -1,11 +1,15 @@
 """Deconing, Ziegler restriction, localization and the lattice map rho.
 
-Coordinate conventions, fixed once so results are reproducible: with j the
-pivot position of alpha = alpha_{h0}, both decone(A, h0) (on the chart
-{alpha = 1}) and ziegler_restriction(A, h0) (on H0 = ker alpha) keep the
-positions i != j, in order, as coordinates.  Eliminating x_j turns a
-hyperplane beta into the integer normal alpha_j*beta_i - alpha_i*beta_j,
-with the constant -beta_j on the chart.
+Both dA = decone(A, h0) (on the chart {alpha = 1}, alpha = alpha_{h0}) and
+A'' = ziegler_restriction(A, h0) (on H0 = ker alpha) come from the
+lattice's restriction step, onto the row (alpha, -1) and onto (alpha, 0):
+the pivot x_j of alpha is eliminated, which turns a hyperplane beta into
+the integer normal alpha_j*beta_i - alpha_i*beta_j, with the constant
+-beta_j on the chart.  Coordinate conventions, fixed once so results are
+reproducible: both keep the positions i != j, in order, as coordinates.
+The hyperplanes of dA follow those of A; those of A'' come in order of
+their first hyperplane of A other than h0, with multiplicity the number
+of hyperplanes of A restricting to them.
 
 The per-flat decomposition needs only L(A), because a flat is identified
 by its hyperplane set (its lattice mask):
@@ -23,65 +27,46 @@ by its hyperplane set (its lattice mask):
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 
-from .core import (
-    AffineArrangement,
-    CentralArrangement,
-    Multiarrangement,
-    _essential_forms,
-    normalize_affine,
-    normalize_form,
-)
+from .core import AffineArrangement, CentralArrangement, Multiarrangement, _essential_forms
 from .errors import FlatNotInLattice, IndexOutOfRange, TheoremViolation, WrongRank
-from .lattice import _flats, hyperplane_rows, intersection_lattice, reduced_char_poly
+from .lattice import _flats, _restrict, hyperplane_rows, intersection_lattice, reduced_char_poly
+from .linalg import _pivot_col
 
 
 def _check_index(arr, h0):
-    if not isinstance(h0, int) or not 0 <= h0 < arr.n_hyperplanes:
-        raise IndexOutOfRange(
-            f"hyperplane index {h0} outside 0..{arr.n_hyperplanes - 1}"
-        )
+    n = arr.n_hyperplanes
+    if not isinstance(h0, int) or not 0 <= h0 < n:
+        where = f" outside 0..{n - 1}" if n else ": the arrangement has no hyperplanes"
+        raise IndexOutOfRange(f"hyperplane index {h0}{where}")
 
 
-def _pivot(form):
-    return next(i for i, c in enumerate(form) if c != 0)
-
-
-def _traces(arr, h0):
-    """Integer normals of the other hyperplanes' traces on H0, in order.
-
-    With j the pivot position of alpha = alpha_{h0}, hyperplane beta gives
-    (alpha_j*beta_i - alpha_i*beta_j for i != j, beta_j).
-    """
-    _check_index(arr, h0)
-    alpha = arr.forms[h0]
-    j = _pivot(alpha)
-    kept = [i for i in range(arr.dim) if i != j]
-    return [
-        ([alpha[j] * beta[i] - alpha[i] * beta[j] for i in kept], beta[j])
-        for h, beta in enumerate(arr.forms)
-        if h != h0
-    ]
+def _onto(arr, h0, constant):
+    """(j, the restriction of A onto the row alpha_{h0} + (constant,)), with j
+    the pivot position of alpha; every key is zero at j."""
+    rows = hyperplane_rows(arr)
+    target = rows[h0][:-1] + (constant,)
+    return _pivot_col(target), _restrict(((row, 1 << h) for h, row in enumerate(rows)), target)
 
 
 def decone(arr, h0):
     """Affine arrangement cut out on the chart {alpha_{h0} = 1}."""
+    _check_index(arr, h0)
+    j, kept = _onto(arr, h0, -1)
     return AffineArrangement(
-        arr.dim - 1,
-        tuple(normalize_affine(normal, -bj) for normal, bj in _traces(arr, h0)),
+        arr.dim - 1, tuple((row[:j] + row[j + 1 : -1], -row[-1]) for row in kept)
     )
 
 
 def ziegler_restriction(arr, h0):
     """Restriction onto H0 with multiplicity the number of colliding hyperplanes."""
-    traces = _traces(arr, h0)
+    _check_index(arr, h0)
     if arr.dim < 2:
         raise WrongRank("Ziegler restriction needs ambient dimension at least 2")
-    mult = Counter(normalize_form(normal) for normal, _ in traces)  # in first-seen order
-    base = CentralArrangement(arr.dim - 1, tuple(mult))
-    return Multiarrangement(base, tuple(mult.values()))
+    j, kept = _onto(arr, h0, 0)
+    base = CentralArrangement(arr.dim - 1, tuple(row[:j] + row[j + 1 : -1] for row in kept))
+    return Multiarrangement(base, tuple(bits.bit_count() for bits in kept.values()))
 
 
 def localize_and_essentialize(multi, flat):

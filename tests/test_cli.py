@@ -378,6 +378,18 @@ def test_malformed_file_diagnostic(capsys, tmp_path):
     assert "hyperplanes[0][1]" in err
 
 
+@pytest.mark.parametrize("argv", [("ziegler", "--h0", "0"), ("freeness",)])
+def test_hyperplane_index_into_an_empty_arrangement(capsys, tmp_path, argv):
+    path = tmp_path / "empty.json"
+    path.write_text('{"dim": 2, "hyperplanes": []}')
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "error: IndexOutOfRange: hyperplane index 0: the arrangement has no hyperplanes\n"
+    )
+
+
 def test_usage_error_exits_1(capsys):
     with pytest.raises(SystemExit) as info:
         main(["compare", "corpus:generic34"])  # --h0 is required

@@ -19,7 +19,7 @@ from arrangements import (
     moebius_bruteforce,
     reduced_char_poly,
 )
-from arrangements.core import normalize_affine
+from arrangements.core import CentralArrangement, normalize_affine
 from conftest import make, random_central, seeded
 
 
@@ -160,12 +160,22 @@ def test_affine_lattices_of_random_deconings():
     assert checked >= 50
 
 
-@pytest.mark.parametrize("n, size", [(6, 203), (7, 877)])
+def _stirling2(n, k):
+    """Number of partitions of n strands into k blocks."""
+    if n == k:
+        return 1
+    if k == 0 or k > n:
+        return 0
+    return k * _stirling2(n - 1, k) + _stirling2(n - 1, k - 1)
+
+
+@pytest.mark.parametrize("n, size", [(6, 203), (7, 877), (8, 4140)])
 def test_braid_moebius_closed_form(n, size):
     # Past brute force's 16-hyperplane limit: the flats of the braid
-    # arrangement x_i = x_j are the set partitions of n strands, and mu is
-    # the product over blocks B of (-1)**(|B|-1) * (|B|-1)!, where the
-    # blocks are the connected components of the flat's hyperplane pairs.
+    # arrangement x_i = x_j are the set partitions of n strands (codim k:
+    # n - k blocks), and mu is the product over blocks B of
+    # (-1)**(|B|-1) * (|B|-1)!, where the blocks are the connected
+    # components of the flat's hyperplane pairs.
     forms = []
     for i in range(n):
         for j in range(i + 1, n):
@@ -174,6 +184,7 @@ def test_braid_moebius_closed_form(n, size):
     pairs = [[k for k, v in enumerate(form) if v] for form in arr.forms]
     lat = intersection_lattice(arr)
     assert len(lat.flats) == size
+    assert lat.level_sizes() == {k: _stirling2(n, n - k) for k in range(n)}
     for flat, mu in zip(lat.flats, lat.moebius):
         block = list(range(n))  # block label of each strand
         for h in flat.contained:
@@ -181,3 +192,23 @@ def test_braid_moebius_closed_form(n, size):
             block = [block[j] if b == block[i] else b for b in block]
         sizes = Counter(block).values()
         assert mu == prod((-1) ** (b - 1) * factorial(b - 1) for b in sizes)
+
+
+@pytest.mark.parametrize(
+    "arr, masks, moebius",
+    [
+        # rows built directly: not primitive, not sign-normalized
+        (CentralArrangement(2, ((2, 0), (0, -3), (1, 1))), (0, 1, 2, 4, 7), (1, -1, -1, -1, 2)),
+        # proportional rows are one hyperplane of the lattice
+        (CentralArrangement(2, ((1, 0), (2, 0), (0, 1))), (0, 3, 4, 7), (1, -1, -1, 1)),
+        (
+            AffineArrangement(2, (((2, 0), 4), ((0, 1), 1), ((1, 0), 5))),
+            (0, 1, 2, 4, 3, 6),
+            (1, -1, -1, -1, 1, 1),
+        ),
+    ],
+)
+def test_lattice_of_unnormalized_rows(arr, masks, moebius):
+    lat = intersection_lattice(arr)
+    assert lat.masks == masks
+    assert lat.moebius == moebius

@@ -2,6 +2,7 @@
 and Hypothesis properties that shrink a failure to a minimal input."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
@@ -276,6 +277,28 @@ def test_restriction_lattice_read_off_l_a_matches_its_own_lattice(drawn):
         assert [localize_and_essentialize(restriction, x) for x in flats] == [
             localize_and_essentialize(restriction, x) for x in ref.flats
         ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_central_forms(min_dim=2, max_dim=5))
+@example((3, [[2, 1, 0], [3, -2, 1], [0, 2, 3], [2, 0, -3]]))
+def test_decone_and_ziegler_restriction_match_a_direct_elimination(drawn):
+    # decone and ziegler_restriction use the lattice's restriction step;
+    # the reference eliminates x_j by hand, with j the pivot of alpha_{h0}.
+    dim, forms = drawn
+    arr = canonicalize(forms, dim)
+    for h0, alpha in enumerate(arr.forms):
+        j = next(i for i, c in enumerate(alpha) if c)
+        traces = [
+            ([alpha[j] * beta[i] - alpha[i] * beta[j] for i in range(dim) if i != j], beta[j])
+            for h, beta in enumerate(arr.forms)
+            if h != h0
+        ]
+        deconed = tuple(normalize_affine(normal, -bj) for normal, bj in traces)
+        assert decone(arr, h0) == AffineArrangement(dim - 1, deconed)
+        mult = Counter(normalize_form(normal) for normal, _ in traces)  # first-seen order
+        base = CentralArrangement(dim - 1, tuple(mult))
+        assert ziegler_restriction(arr, h0) == multiarrangement(base, tuple(mult.values()))
 
 
 def _embed(forms, column, at=None):
