@@ -19,7 +19,8 @@ from .polynomials import signed_sum
 
 @dataclass(frozen=True)
 class CentralArrangement:
-    """Finite set of distinct linear hyperplanes through the origin."""
+    """Finite set of distinct linear hyperplanes through the origin (ZeroForm
+    on a zero form, DuplicateHyperplane on two proportional forms)."""
 
     dim: int
     forms: tuple  # tuple of primitive integer coefficient tuples
@@ -32,6 +33,7 @@ class CentralArrangement:
                 raise DimensionMismatch(
                     f"form {f} has {len(f)} coefficients, expected {self.dim}"
                 )
+        _distinct(map(normalize_form, self.forms))
 
     @property
     def n_hyperplanes(self):
@@ -50,7 +52,8 @@ class CentralArrangement:
 
 @dataclass(frozen=True)
 class AffineArrangement:
-    """Finite set of distinct affine hyperplanes a.x = c."""
+    """Finite set of distinct affine hyperplanes a.x = c (ZeroForm on a zero
+    normal, DuplicateHyperplane on two proportional hyperplanes)."""
 
     dim: int
     hyperplanes: tuple  # tuple of (normal tuple, constant) pairs, jointly primitive
@@ -61,6 +64,7 @@ class AffineArrangement:
                 raise DimensionMismatch(
                     f"normal {normal} has {len(normal)} coefficients, expected {self.dim}"
                 )
+        _distinct(normalize_affine(normal, c) for normal, c in self.hyperplanes)
 
     @property
     def n_hyperplanes(self):
@@ -125,21 +129,29 @@ def canonicalize(raw_forms, dim):
     """Build a CentralArrangement from raw rational coefficient vectors.
 
     Scaling is quotiented out, so proportional inputs collide and raise
-    DuplicateHyperplane with both offending positions.  Input order is kept.
+    DuplicateHyperplane with both offending positions.  Input order is kept,
+    and each form is checked in turn, so the first bad one is reported.
     """
-    forms = []
-    seen = {}
-    for idx, raw in enumerate(raw_forms):
+
+    def form(idx, raw):
         if len(raw) != dim:
             raise DimensionMismatch(
                 f"form {idx} has {len(raw)} coefficients, expected {dim}"
             )
-        form = normalize_form(raw)
-        if form in seen:
-            raise DuplicateHyperplane(seen[form], idx)
-        seen[form] = idx
-        forms.append(form)
-    return CentralArrangement(dim, tuple(forms))
+        return normalize_form(raw)
+
+    return CentralArrangement(dim, _distinct(form(idx, raw) for idx, raw in enumerate(raw_forms)))
+
+
+def _distinct(keys):
+    """The tuple of keys, drawn one at a time; DuplicateHyperplane with both
+    positions at the first key equal to an earlier one."""
+    seen = {}
+    for idx, key in enumerate(keys):
+        if key in seen:
+            raise DuplicateHyperplane(seen[key], idx)
+        seen[key] = idx
+    return tuple(seen)
 
 
 def normalize_affine(normal, constant):

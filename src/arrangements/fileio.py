@@ -174,12 +174,12 @@ def _flat_to_record(flat, cell):
 
 def _flat_from_record(record):
     return Flat(
+        record["codim"],
+        sum(1 << j for j in record["hyperplanes"]),
         equations=tuple(
             tuple(_fraction_from_json(v) for v in row)
             for row in record["equations"]
         ),
-        codim=record["codim"],
-        contained=frozenset(record["hyperplanes"]),
     )
 
 

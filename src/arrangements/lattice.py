@@ -10,10 +10,11 @@ isomorphic to L(A^X)).  A^X is a dict from the primitive augmented row of
 each of its hyperplanes, positive at its pivot, to the mask of the
 hyperplanes of A that cut it out of X, so the covers of X are its keys.  A
 cover's own restriction takes one step (_restrict): eliminate the key's
-pivot from every other key, make the rows primitive, merge equal rows and
-drop the row that vanishes and any nonzero constant (a hyperplane parallel
-to the cover).  Every flat arises this way, so the 2**n subset enumeration
-is never needed, and only two levels of restrictions are alive at once.
+pivot from the keys nonzero there, make those primitive again, merge equal
+rows and drop the row that vanishes and any nonzero constant (a hyperplane
+parallel to the cover).  Every flat arises this way, so the 2**n subset
+enumeration is never needed, and only two levels of restrictions are alive
+at once.
 The same loop fills in the Moebius values from the cover pairs alone, by
 Weisner's theorem (Stanley, Enumerative Combinatorics I, Cor. 3.9.3) on the
 geometric lattice of the hyperplanes through X: mu(X) = -sum of mu(Y) over
@@ -21,14 +22,16 @@ the flats Y that X covers and that do not lie on X's lowest-numbered
 hyperplane.  decone and ziegler_restriction are the same step, onto
 alpha_{h0} = 1 and alpha_{h0} = 0.
 
-Flats are ordered by (codimension, mask).  A flat's equations (the
-canonical RREF of its hyperplanes' rows over exact rationals, each row of
-length dim+1 reading sum(row[i] * x_i) + row[dim] = 0) are computed on
-first use: only output and the check of a looked-up flat read them.
+Flats are ordered by (codimension, mask) and carry their arrangement's
+rows (_member).  Their equations (the canonical RREF of the hyperplanes'
+rows over exact rationals, each row of length dim+1 reading
+sum(row[i] * x_i) + row[dim] = 0) are computed on first use, for output
+and the brute-force Moebius oracle only.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -42,26 +45,30 @@ from .polynomials import IntPoly
 class Flat:
     """A nonempty intersection of hyperplanes, identified by its hyperplane set.
 
-    codim: codimension; contained: indices of all hyperplanes of the
-    ambient arrangement that vanish on the flat; equality and hashing read
-    these two only.  rows: the integer rows of every hyperplane of the
-    ambient arrangement, shared by the flats of one lattice (None for a
+    codim: codimension; mask: the int bitmask of the ambient arrangement's
+    hyperplanes that vanish on the flat (bit j for hyperplane j); equality
+    and hashing read these two only.  rows: the integer rows of all the
+    ambient hyperplanes, shared by the flats of one lattice (None for a
     flat built from its equations).  equations: canonical RREF rows
     (Fraction tuples of length dim+1), computed from rows on first use.
     """
 
     codim: int
-    contained: frozenset
+    mask: int
 
-    def __init__(self, equations, codim, contained, rows=None):
+    def __init__(self, codim, mask, rows=None, equations=None):
         # frozen: set attributes the way cached_property sets equations
-        self.__dict__.update(codim=codim, contained=frozenset(contained), rows=rows)
+        self.__dict__.update(codim=codim, mask=mask, rows=rows)
         if equations is not None:
             self.__dict__["equations"] = equations
 
     @cached_property
+    def contained(self):  # the indices of the flat's hyperplanes
+        return frozenset(j for j in range(self.mask.bit_length()) if self.mask >> j & 1)
+
+    @cached_property
     def equations(self):
-        own = [self.rows[j] for j in self.contained]
+        own = [row for j, row in enumerate(self.rows) if self.mask >> j & 1]
         return echelon(own, len(self.rows[0]) if own else 0).rref()
 
 
@@ -76,42 +83,34 @@ def hyperplane_rows(arr):
 class IntersectionLattice:
     """All flats of an arrangement, with Moebius values.
 
-    flats are ordered by codimension, then by mask, the int bitmask of the
-    hyperplanes containing the flat (bit j for hyperplane j); moebius and
-    masks are parallel to flats.  The partial order is reverse inclusion:
-    X <= Y means X contains Y, which is equivalent to mask(X) being a
-    subset of mask(Y).
+    flats are ordered by (codim, mask); moebius is parallel to flats.  The
+    partial order is reverse inclusion: X <= Y means X contains Y, which is
+    equivalent to X.mask being a subset of Y.mask.
     """
 
     ambient_dim: int
     flats: tuple
     moebius: tuple
-    masks: tuple
 
     def level(self, codim):
         return [f for f in self.flats if f.codim == codim]
 
     def level_sizes(self):
-        sizes = {}
-        for f in self.flats:
-            sizes[f.codim] = sizes.get(f.codim, 0) + 1
-        return sizes
+        return dict(Counter(f.codim for f in self.flats))
 
     @cached_property
     def _index(self):
-        return {m: i for i, m in enumerate(self.masks)}
+        return {f: i for i, f in enumerate(self.flats)}
 
     def index_of(self, flat):
-        """Position of the flat with flat's hyperplane set and equations, or None."""
-        i = self._index.get(sum(1 << j for j in flat.contained))
-        if i is None or (self.flats[i] is not flat and self.flats[i].equations != flat.equations):
-            return None
-        return i
+        """Position of flat, or None unless it belongs here (see _member)."""
+        i = self._index.get(flat)
+        return i if i is not None and _member(flat, self.flats[i].rows) else None
 
     def _position(self, flat):
         i = self.index_of(flat)
         if i is None:
-            raise FlatNotInLattice(f"no flat with these hyperplanes and equations: {flat}")
+            raise FlatNotInLattice(f"not a flat of this lattice: {flat}")
         return i
 
     def lookup(self, flat):
@@ -148,38 +147,36 @@ def intersection_lattice(arr):
         level = nxt
 
     keys.sort()
-    masks = tuple(m for _, m in keys)
-    return IntersectionLattice(arr.dim, _flats(keys, rows), tuple(map(mu.get, masks)), masks)
+    flats = tuple(Flat(c, m, rows) for c, m in keys)
+    return IntersectionLattice(arr.dim, flats, tuple(mu[m] for _, m in keys))
+
+
+def _member(flat, rows):
+    """A flat belongs to the lattice of the rows it carries, at (codim, mask)."""
+    return flat.rows == rows
 
 
 def _restrict(pairs, target=None):
-    """The restriction {key: mask} of (integer row, hyperplane mask) pairs
-    onto target, an integer row (without one, of the pairs themselves).
-    Target's pivot is eliminated from every row; then each row is made
-    primitive and positive at its pivot, equal rows are merged in first-seen
-    order, and rows that vanish or are nonzero constants are dropped.  The
-    rows stay zero at the pivots eliminated before, so two rows are
-    proportional modulo the flat exactly when they give equal keys."""
+    """The restriction {key: mask} of (row, hyperplane mask) pairs.  Without
+    a target, each integer row is made a key: primitive and positive at its
+    pivot, dropped if it vanishes or is a nonzero constant.  Onto a target
+    row the pairs are keys: target's pivot is eliminated from those nonzero
+    there, which are made keys again; the others pass through.  Equal keys
+    merge in first-seen order.  Keys stay zero at the pivots eliminated
+    before, so rows are proportional modulo the flat iff their keys agree."""
     p = None if target is None else _pivot_col(target)
     out = {}
     for row, bits in pairs:
-        if p is not None and row[p]:
-            row = [target[p] * x - row[p] * y for x, y in zip(row, target)]
-        row = _strip_gcd(row)
-        q = _pivot_col(row)
-        if q is None or q == len(row) - 1:
-            continue
-        key = tuple(row) if row[q] > 0 else tuple(-v for v in row)
-        out[key] = out.get(key, 0) | bits
+        if p is None or row[p]:
+            if p is not None:
+                row = [target[p] * x - row[p] * y for x, y in zip(row, target)]
+            row = _strip_gcd(row)
+            q = _pivot_col(row)
+            if q is None or q == len(row) - 1:
+                continue
+            row = tuple(row) if row[q] > 0 else tuple(-v for v in row)
+        out[row] = out.get(row, 0) | bits
     return out
-
-
-def _flats(keys, rows):
-    """The flats with these (codim, mask) keys, over these hyperplane rows."""
-    n = len(rows)
-    return tuple(
-        Flat(None, c, (j for j in range(n) if m >> j & 1), rows) for c, m in keys
-    )
 
 
 def char_poly(arr, lattice=None):

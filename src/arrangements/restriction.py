@@ -31,7 +31,8 @@ from dataclasses import dataclass, field
 
 from .core import AffineArrangement, CentralArrangement, Multiarrangement, _essential_forms
 from .errors import FlatNotInLattice, IndexOutOfRange, TheoremViolation, WrongRank
-from .lattice import _flats, _restrict, hyperplane_rows, intersection_lattice, reduced_char_poly
+from .lattice import (Flat, _member, _restrict, hyperplane_rows, intersection_lattice,
+                      reduced_char_poly)
 from .linalg import _pivot_col
 
 
@@ -45,9 +46,9 @@ def _check_index(arr, h0):
 def _onto(arr, h0, constant):
     """(j, the restriction of A onto the row alpha_{h0} + (constant,)), with j
     the pivot position of alpha; every key is zero at j."""
-    rows = hyperplane_rows(arr)
-    target = rows[h0][:-1] + (constant,)
-    return _pivot_col(target), _restrict(((row, 1 << h) for h, row in enumerate(rows)), target)
+    keys = _restrict((row, 1 << h) for h, row in enumerate(hyperplane_rows(arr)))
+    target = tuple(arr.forms[h0]) + (constant,)
+    return _pivot_col(target), _restrict(keys.items(), target)
 
 
 def decone(arr, h0):
@@ -72,9 +73,9 @@ def ziegler_restriction(arr, h0):
 def localize_and_essentialize(multi, flat):
     """Essentialization of the localization (A_X, m_X) at a flat X of the
     intersection lattice of multi.base (FlatNotInLattice for any other)."""
-    if flat.rows != hyperplane_rows(multi.base):
+    if not _member(flat, hyperplane_rows(multi.base)):
         raise FlatNotInLattice("not a flat of the arrangement's intersection lattice")
-    idx = [i for i in sorted(flat.contained) if multi.mult[i] > 0]
+    idx = [i for i, m in enumerate(multi.mult) if m > 0 and flat.mask >> i & 1]
     rank, forms = _essential_forms([multi.base.forms[i] for i in idx], multi.dim)
     return Multiarrangement(
         CentralArrangement(rank, forms), tuple(multi.mult[i] for i in idx)
@@ -87,9 +88,9 @@ def _restriction_flats(lattice, h0, restriction):
     of L(A) not inside H0 to one of them."""
     bit = 1 << h0
     inside = {}  # codim in L(A) -> masks of the flats inside H0
-    for flat, mask in zip(lattice.flats, lattice.masks):
-        if mask & bit:
-            inside.setdefault(flat.codim, []).append(mask)
+    for flat in lattice.flats:
+        if flat.mask & bit:
+            inside.setdefault(flat.codim, []).append(flat.mask)
     # A'' in ziegler_restriction's order: by the first hyperplane other than h0
     traces = sorted(inside.get(2, ()), key=lambda z: (z ^ bit) & -(z ^ bit))
     keyed = sorted(
@@ -97,17 +98,17 @@ def _restriction_flats(lattice, h0, restriction):
         for codim, ys in inside.items()
         for y in ys
     )
-    flats = _flats([k[:2] for k in keyed], hyperplane_rows(restriction.base))
+    rows = hyperplane_rows(restriction.base)
+    flats = tuple(Flat(c, m, rows) for c, m, _ in keyed)
     by_parent = {k[2]: f for k, f in zip(keyed, flats)}
     image = {}
-    for flat, mask in zip(lattice.flats, lattice.masks):
-        if mask & bit:
-            continue
-        want = mask | bit
-        meet = next((y for y in inside.get(flat.codim + 1, ()) if y & want == want), None)
-        if meet is None:
-            raise TheoremViolation("no flat one level up meets H0; this is a bug")
-        image[mask] = by_parent[meet]
+    for flat in lattice.flats:
+        if not flat.mask & bit:
+            want = flat.mask | bit
+            meet = next((y for y in inside.get(flat.codim + 1, ()) if y & want == want), None)
+            if meet is None:
+                raise TheoremViolation("no flat one level up meets H0; this is a bug")
+            image[flat.mask] = by_parent[meet]
     return flats, image
 
 
@@ -120,8 +121,9 @@ def rho(arr, h0, flat, dA_lattice=None):
     lattice of decone(arr, h0) to skip building that one as well.
     """
     lat = dA_lattice if dA_lattice is not None else intersection_lattice(decone(arr, h0))
-    # hyperplane k of the deconing is hyperplane k (k < h0) or k + 1 of arr
-    mask = sum(1 << (k + (k >= h0)) for k in lat.lookup(flat).contained)
+    # hyperplane k of the deconing is k (k < h0) or k + 1 of arr: shift bits >= h0
+    mask = lat.lookup(flat).mask
+    mask += mask >> h0 << h0
     zr = ziegler_restriction(arr, h0)
     return _restriction_flats(intersection_lattice(arr), h0, zr)[1][mask]
 
@@ -167,9 +169,10 @@ def _b_table(chi0, lattice, h0, restriction):
     ell = lattice.ambient_dim
     b = _b_vector(chi0, ell)
     per = {}
-    for mask, mu in zip(lattice.masks, lattice.moebius):
-        if mask in image:
-            per[image[mask]] = per.get(image[mask], 0) + abs(mu)
+    for flat, mu in zip(lattice.flats, lattice.moebius):
+        x = image.get(flat.mask)
+        if x is not None:
+            per[x] = per.get(x, 0) + abs(mu)
     if tuple(sum(v for x, v in per.items() if x.codim == i) for i in range(ell)) != b:
         raise TheoremViolation("per-flat b decomposition disagrees with chi0")
     table = {x: {"b": v, "sigma": None} for x, v in per.items()}

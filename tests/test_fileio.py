@@ -3,16 +3,20 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arrangements import (
     CORPUS,
     InputError,
+    canonicalize,
     compare_coefficients,
     load_arrangement,
     loads_arrangement,
     parse_report,
     serialize_report,
 )
+from arrangements.core import normalize_form
 from arrangements.fileio import (
     fraction_to_json,
     parse_arrangement_dict,
@@ -102,16 +106,36 @@ def test_fraction_and_poly_helpers():
     assert poly_coefficients(chi) == [-6, 11, -6, 1]
 
 
-@pytest.mark.parametrize("name", ["generic34", "braid-ess3", "generic45"])
-def test_report_json_roundtrip(name):
-    entry = CORPUS[name]
-    report = compare_coefficients(entry.arrangement, entry.h0)
+def _assert_roundtrip(report):
     parsed = parse_report(serialize_report(report))
     assert parsed == report
     # flats compare by their hyperplane sets, so compare the equations too
     assert {x: x.equations for x in parsed.table.per_flat} == {
         x: x.equations for x in report.table.per_flat
     }
+
+
+@pytest.mark.parametrize("name", ["generic34", "braid-ess3", "generic45"])
+def test_report_json_roundtrip(name):
+    entry = CORPUS[name]
+    _assert_roundtrip(compare_coefficients(entry.arrangement, entry.h0))
+
+
+# 3 to 6 pairwise non-proportional forms in R^3 with entries in -2..2,
+# spanning the dual space
+_ESSENTIAL_RANK3 = (
+    st.lists(st.tuples(*[st.integers(-2, 2)] * 3).filter(any), min_size=3, max_size=6,
+             unique_by=normalize_form)
+    .map(lambda forms: canonicalize(forms, 3))
+    .filter(lambda arr: arr.is_essential())
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_ESSENTIAL_RANK3)
+def test_report_json_roundtrip_on_random_inputs(arr):
+    for h0 in range(arr.n_hyperplanes):
+        _assert_roundtrip(compare_coefficients(arr, h0))
 
 
 def test_report_json_is_exact_integers_only():

@@ -73,12 +73,12 @@ CHECKS = {
     "direction-flat-rank": (
         """
         import dataclasses
-        from arrangements import CORPUS, b_coefficients, intersection_lattice, restriction
+        from arrangements import CORPUS, Flat, b_coefficients, intersection_lattice, restriction
         arr = CORPUS["braid-ess3"].arrangement
         lat = intersection_lattice(arr)
         # H0 = hyperplane 0 drops out of every codimension-2 hyperplane set
-        masks = tuple(m & ~1 if f.codim == 2 else m for f, m in zip(lat.flats, lat.masks))
-        restriction.intersection_lattice = lambda arr: dataclasses.replace(lat, masks=masks)
+        flats = tuple(Flat(2, f.mask & ~1, f.rows) if f.codim == 2 else f for f in lat.flats)
+        restriction.intersection_lattice = lambda arr: dataclasses.replace(lat, flats=flats)
         b_coefficients(arr, 0)
         """,
         "no flat one level up meets H0; this is a bug",

@@ -1,6 +1,7 @@
 """Intersection lattices, Moebius functions and characteristic polynomials."""
 
 from collections import Counter
+from functools import partial
 from math import factorial, prod
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from arrangements import (
     CORPUS,
     AffineArrangement,
+    DuplicateHyperplane,
     FlatNotInLattice,
     IntPoly,
     NonzeroRemainder,
@@ -16,10 +18,13 @@ from arrangements import (
     char_poly_recursion,
     decone,
     intersection_lattice,
+    localize_and_essentialize,
     moebius_bruteforce,
     reduced_char_poly,
+    simple_multiarrangement,
 )
 from arrangements.core import CentralArrangement, normalize_affine
+from arrangements.linalg import _Echelon
 from conftest import make, random_central, seeded
 
 
@@ -112,7 +117,7 @@ def test_affine_lattice_via_decone():
         assert coeffs(char_poly(dA)) == [6, -5, 1]
 
 
-def test_lookup_and_flat_not_in_lattice():
+def test_lookup_and_flat_not_in_lattice(monkeypatch):
     arr = make([[1, 0], [0, 1]], 2)
     other = make([[1, 1], [1, -1]], 2)
     lat = intersection_lattice(arr)
@@ -122,6 +127,22 @@ def test_lookup_and_flat_not_in_lattice():
     for flat in lat.flats:
         assert lat.lookup(flat) is flat
         assert lat.index_of(flat) is not None
+    # equal equations over other rows: a flat belongs to the lattice of its
+    # own rows only, for lookups and localization alike
+    scaled = CentralArrangement(2, ((2, 0), (0, 1)))
+    for flat in lat.flats:
+        with pytest.raises(FlatNotInLattice):
+            intersection_lattice(scaled).lookup(flat)
+        with pytest.raises(FlatNotInLattice):
+            localize_and_essentialize(simple_multiarrangement(scaled), flat)
+    # a lookup reads (codim, mask) and the rows, never the equations, even
+    # for the equal flats of a second build
+    arr = CORPUS["braid-ess4"].arrangement
+    lat, again = intersection_lattice(arr), intersection_lattice(arr)
+    monkeypatch.setattr(_Echelon, "rref", lambda self: pytest.fail("equations computed"))
+    for flat in again.flats:
+        assert lat.lookup(flat) == flat
+        assert lat.moebius_of(flat) == again.moebius_of(flat)
 
 
 def test_lattice_rank_for_non_essential_arrangement():
@@ -199,8 +220,13 @@ def test_braid_moebius_closed_form(n, size):
     [
         # rows built directly: not primitive, not sign-normalized
         (CentralArrangement(2, ((2, 0), (0, -3), (1, 1))), (0, 1, 2, 4, 7), (1, -1, -1, -1, 2)),
-        # proportional rows are one hyperplane of the lattice
-        (CentralArrangement(2, ((1, 0), (2, 0), (0, 1))), (0, 3, 4, 7), (1, -1, -1, 1)),
+        # proportional rows are no arrangement: the constructor refuses them
+        pytest.param(
+            partial(CentralArrangement, 2, ((1, 0), (2, 0), (0, 1))),
+            DuplicateHyperplane,
+            None,
+            id="arr1-masks1-moebius1",
+        ),
         (
             AffineArrangement(2, (((2, 0), 4), ((0, 1), 1), ((1, 0), 5))),
             (0, 1, 2, 4, 3, 6),
@@ -209,6 +235,10 @@ def test_braid_moebius_closed_form(n, size):
     ],
 )
 def test_lattice_of_unnormalized_rows(arr, masks, moebius):
+    if masks is DuplicateHyperplane:
+        with pytest.raises(DuplicateHyperplane):
+            arr()
+        return
     lat = intersection_lattice(arr)
-    assert lat.masks == masks
+    assert tuple(f.mask for f in lat.flats) == masks
     assert lat.moebius == moebius

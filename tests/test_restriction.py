@@ -109,6 +109,7 @@ def test_rho_preserves_codim_and_order():
     for flat, image in images.items():
         assert image.codim == flat.codim
         zr_lattice.lookup(image)  # image is a genuine flat of L(A'')
+        assert rho(arr, h0, flat, dA_lattice) == image
     # rho is onto L(A'').
     assert {f.equations for f in images.values()} == {
         f.equations for f in zr_lattice.flats
@@ -129,11 +130,7 @@ def test_rho_rejects_foreign_flat():
 
     arr = CORPUS["braid-ess3"].arrangement
     # an affine line that is no intersection of deconed hyperplanes
-    foreign = Flat(
-        equations=((Fraction(1), Fraction(0), Fraction(17)),),
-        codim=1,
-        contained=frozenset(),
-    )
+    foreign = Flat(1, 0, equations=((Fraction(1), Fraction(0), Fraction(17)),))
     with pytest.raises(FlatNotInLattice):
         rho(arr, 0, foreign)
 
