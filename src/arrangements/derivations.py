@@ -243,7 +243,7 @@ def _new_generators(gens, kernel, monos, rank, d):
     free columns alone.
     """
     width = len(kernel)
-    free = {max(i for i, c in enumerate(vec) if c): k for k, vec in enumerate(kernel)}
+    free = {next(i for i in reversed(range(len(vec))) if vec[i]): k for k, vec in enumerate(kernel)}
     n_monos = len(monos)
     monos_index = {m: k for k, m in enumerate(monos)}
     span = _Echelon(width)

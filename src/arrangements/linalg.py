@@ -7,20 +7,37 @@ and `_Echelon.contains`, which scale them to integers first, and leave
 only through `_Echelon.rref`: its Fraction rows are canonical (equal row
 spaces give identical rows) and are printed as the equations of a flat.
 
-`nullspace` takes sparse integer rows and computes the kernel modulo a
-31-bit prime first (numpy int64 Gauss-Jordan; residues below 2**31 keep
-every product below 2**62).  For each free column f the mod-p vector with a
-1 at f is lifted to an integer vector by rational reconstruction (Wang
-1981), and the lifted vectors are then checked exactly over the integers
-against every row.  Passing the check is a proof that they are positive
-multiples of the canonical rational basis: rank mod p never exceeds rank
-over Q, so there are at least as many free columns mod p as over Q; a
-verified vector is supported on the pivot columns before f and on f itself,
-where it is nonzero, so f is free over Q as well.  The free columns
-therefore agree, and a kernel vector is fixed by its entries at the free
-columns.  When a lift or the check fails the next prime is tried, and after
-the last one the kernel comes from exact integer elimination of the full
-rows, which is also the reference the tests compare against.
+`nullspace` takes sparse integer rows and computes the kernel modulo
+31-bit primes (numpy int64 Gauss-Jordan; residues below 2**31 keep every
+product below 2**62).  For each free column f the mod-p vector with a 1 at
+f is lifted to an integer vector by rational reconstruction (Wang 1981),
+and the lifted vectors are then checked exactly over the integers against
+every row.  Passing the check is a proof that they are positive multiples
+of the canonical rational basis: rank mod p never exceeds rank over Q, so
+there are at least as many free columns mod p as over Q; a verified vector
+is supported on the pivot columns before f and on f itself, where it is
+nonzero, so f is free over Q as well.  The free columns therefore agree,
+and a kernel vector is fixed by its entries at the free columns.
+
+When a lift or the check fails, the next prime of `_PRIMES` is reduced.
+If its pivot columns are those already in use, its vectors are combined
+with the earlier ones by the Chinese remainder theorem and the lift is
+tried again against the product of the primes, so entries beyond one
+prime's reconstruction bound (about 2**15) still lift.  Residues with
+different pivot columns do not combine.  Each prefix of the columns has at
+least the rank over Q that it has mod p, so the pivot list over Q has at
+least as many pivots as any mod-p list and, with as many, is
+lexicographically no later: keeping the list with more pivots, or with as
+many and lexicographically earlier, and skipping the other prime, never
+gives up the list over Q for another.  The proof above only needs the
+pivot list in use to come from some prime, whichever primes were combined.
+After the last prime the kernel comes from exact integer elimination of
+the full rows, which is also the reference the tests compare against.
+
+The exact check sums each row times each lifted vector in int64 when
+max|row entry| * max|vector entry| * (most nonzeros in a row) < 2**63:
+every partial sum is then below 2**63 in absolute value, so no sum wraps
+and int64 gives the integers' answer.  Otherwise it sums Python ints.
 
 Before the RREF, the columns that a row with a single nonzero entry forces
 to 0 are removed, to a fixpoint (structured Gaussian elimination,
@@ -32,7 +49,8 @@ Q is therefore the kernel of the remaining system with zeros put back, and
 its free columns are the remaining system's.  The certificate carries over
 unchanged: the remaining system's rank mod p still never exceeds its rank
 over Q, so the mod-p count cannot undercount the free columns, and the
-exact check runs against the original rows.
+exact check against the remaining system is the check against the original
+rows, since the lifted vectors are 0 on the removed columns.
 """
 
 from __future__ import annotations
@@ -43,7 +61,9 @@ from math import gcd, isqrt, lcm
 
 import numpy as np
 
-_PRIMES = (2147483647, 2147483629)
+_PRIMES = (2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549)
+# Terms of the exact check held in memory at once.
+_BLOCK = 1 << 16
 
 
 def _to_int_row(row):
@@ -217,36 +237,73 @@ def _denominator(u, p, bound):
     return abs(t1)
 
 
-def _lift(v, p):
-    """Integer vector congruent mod p to a positive multiple of v, with
-    entries and multiplier at most sqrt(p/2), or None."""
-    bound = isqrt(p // 2)
-    den = 1
-    while True:
-        w = v * den % p
-        w[w > p // 2] -= p
-        big = np.flatnonzero(np.abs(w) > bound)
-        if not big.size:
-            return w
-        q = _denominator(int(w[big[0]]), p, bound)
-        if q is None or den * q > bound:
-            return None
-        den *= q
+def _lift(vecs, m):
+    """Integer rows congruent mod m to positive multiples of the rows of
+    vecs, with entries and multipliers at most sqrt(m/2), or None.
+
+    vecs holds residues in [0, m): int64 for one prime (a residue times a
+    multiplier stays below 2**46), Python ints for a product of primes.
+    Only the rows with an entry beyond the bound look for a multiplier.
+    """
+    bound, half = isqrt(m // 2), m // 2
+    w = np.where(vecs > half, vecs - m, vecs)
+    for i in np.flatnonzero((np.abs(w) > bound).any(axis=1)):
+        den, row = 1, w[i]
+        while True:
+            big = np.flatnonzero(np.abs(row) > bound)
+            if not big.size:
+                break
+            q = _denominator(int(row[big[0]]), m, bound)
+            if q is None or den * q > bound:
+                return None
+            den *= q
+            row = vecs[i] * den % m
+            row[row > half] -= m
+        w[i] = row
+    return w
 
 
-def _kills(rows, basis):
-    """True iff every basis vector satisfies every row exactly over Z."""
+def _crt(vecs, m, more, p):
+    """Python-int residues mod m*p congruent to vecs mod m and to the int64
+    residues `more` mod p."""
+    vecs = vecs.astype(object)
+    step = (more - (vecs % p).astype(np.int64)) % p * pow(m, -1, p) % p
+    return vecs + m * step.astype(object)
+
+
+def _sum_dtype(rows, basis):
+    """np.int64 when no partial sum of a row times a row of `basis` can
+    reach 2**63 (see the module docstring), else object (Python ints)."""
+    if not rows:
+        return np.int64
+    entry = max(abs(v) for row in rows for v in row.values())
+    width = max(len(row) for row in rows)
+    if entry * width * int(np.abs(basis).max()) < 2**63:
+        return np.int64
+    return object
+
+
+def _kills(rows, basis, dtype):
+    """True iff every row of the integer array `basis` satisfies every sparse
+    row exactly, the sums taken in `dtype` (`_sum_dtype` says which is exact).
+    The terms are formed for a block of basis rows at a time."""
     cols, vals, starts = [], [], []
     for row in rows:
         if row:
             starts.append(len(cols))
             cols.extend(row)
             vals.extend(row.values())
-    if not starts or not basis:
+    if not starts:
         return True
-    table = np.array(basis, dtype=object).T
-    terms = np.array(vals, dtype=object)[:, None] * table[cols]
-    return bool((np.add.reduceat(terms, starts, axis=0) == 0).all())
+    table = basis.T.astype(dtype)
+    cols = np.array(cols)
+    vals = np.array(vals, dtype=dtype)[:, None]
+    step = max(1, _BLOCK // len(cols))
+    for k in range(0, len(basis), step):
+        terms = vals * table[cols, k : k + step]
+        if np.add.reduceat(terms, starts, axis=0).any():
+            return False
+    return True
 
 
 def _forced_zero_columns(rows):
@@ -273,36 +330,6 @@ def _forced_zero_columns(rows):
     return forced
 
 
-def _modular_nullspace(rows, ncols, p):
-    """The kernel basis of `nullspace` computed mod p, or None when a lift
-    or the exact check fails."""
-    forced = _forced_zero_columns(rows)
-    keep = [c for c in range(ncols) if c not in forced]
-    index = {c: k for k, c in enumerate(keep)}
-    reduced = []
-    for row in rows:
-        live = {index[c]: v for c, v in row.items() if c not in forced}
-        if live:
-            reduced.append(live)
-    red, pivots = _rref_mod(reduced, len(keep), p)
-    free = sorted(set(range(len(keep))) - set(pivots))
-    vecs = np.zeros((len(free), len(keep)), dtype=np.int64)
-    vecs[np.arange(len(free)), free] = 1
-    vecs[:, pivots] = (-red[:, free].T) % p
-    basis = []
-    for v in vecs:
-        w = _lift(v, p)
-        if w is None:
-            return None
-        ints = w.tolist()
-        g = gcd(*ints)
-        full = [0] * ncols
-        for c, x in zip(keep, ints):
-            full[c] = x // g
-        basis.append(tuple(full))
-    return basis if _kills(rows, basis) else None
-
-
 def nullspace(rows, ncols):
     """Canonical basis of the right kernel of sparse integer rows.
 
@@ -311,10 +338,37 @@ def nullspace(rows, ncols):
     the free position, scaled to primitive integers (a positive multiple).
     Returns a list of int tuples (empty list for a trivial kernel).
     """
+    forced = _forced_zero_columns(rows)
+    keep = [c for c in range(ncols) if c not in forced]
+    index = {c: k for k, c in enumerate(keep)}
+    reduced = []
+    for row in rows:
+        live = {index[c]: v for c, v in row.items() if c not in forced}
+        if live:
+            reduced.append(live)
+    used = None
     for p in _PRIMES:
-        basis = _modular_nullspace(rows, ncols, p)
-        if basis is not None:
-            return basis
+        red, pivots = _rref_mod(reduced, len(keep), p)
+        free = sorted(set(range(len(keep))) - set(pivots))
+        if not free:  # rank mod p never exceeds rank over Q
+            return []
+        vecs = np.zeros((len(free), len(keep)), dtype=np.int64)
+        vecs[np.arange(len(free)), free] = 1
+        vecs[:, pivots] = (-red[:, free].T) % p
+        if used is None or (-len(pivots), pivots) < (-len(used), used):
+            used, modulus, residues = pivots, p, vecs
+        elif pivots == used:
+            residues, modulus = _crt(residues, modulus, vecs, p), modulus * p
+        else:
+            continue
+        basis = _lift(residues, modulus)
+        if basis is None:
+            continue
+        basis //= np.gcd.reduce(basis, axis=1)[:, None]
+        if _kills(reduced, basis, _sum_dtype(reduced, basis)):
+            full = np.zeros((len(free), ncols), dtype=basis.dtype)
+            full[:, keep] = basis
+            return [tuple(v) for v in full.tolist()]
     return _exact_nullspace(rows, ncols)
 
 

@@ -115,6 +115,7 @@ def test_invariant_raises_under_python_O(name):
 
 WRONG_LIFT = """
 import sys
+from math import prod
 from arrangements import CORPUS, linalg, simple_multiarrangement
 from arrangements.derivations import _graded_kernel
 assert False, "-O did not strip asserts"
@@ -124,9 +125,13 @@ expected = [_graded_kernel(multi, d)[0] for d in range(1, 4)]
 linalg._PRIMES = primes
 real_lift, real_exact = linalg._lift, linalg._exact_nullspace
 
-def wrong_lift(v, p):
-    w = real_lift(v, p)
-    w[0] += 1
+lifts = []
+
+def wrong_lift(vecs, m):
+    # entry 0 of every lifted vector, at every prime and every CRT product
+    w = real_lift(vecs, m)
+    w[:, 0] += 1
+    lifts.append(m)
     return w
 
 fallbacks = []
@@ -139,6 +144,8 @@ linalg._lift, linalg._exact_nullspace = wrong_lift, counting_exact
 got = [_graded_kernel(multi, d)[0] for d in range(1, 4)]
 if got != expected:
     sys.exit("a wrong lift was returned")
+if sorted(set(lifts)) != sorted(prod(primes[:k]) for k in range(1, len(primes) + 1)):
+    sys.exit("a lift was not tried against every product of primes")
 print(len(fallbacks), "exact fallbacks")
 """
 

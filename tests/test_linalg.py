@@ -1,8 +1,12 @@
 """The certified modular kernel (`linalg.nullspace`) against the exact
 integer-elimination path it falls back to."""
 
+import json
+from math import prod
+from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -37,57 +41,183 @@ def sparse_matrices(draw):
     return draw(st.permutations(rows)), ncols
 
 
-@pytest.mark.parametrize("primes", [linalg._PRIMES, (3,)], ids=["31-bit", "tiny"])
+@pytest.mark.parametrize(
+    "primes", [linalg._PRIMES, (3,), (3, 5, 7)], ids=["31-bit", "tiny", "tiny-crt"]
+)
 @settings(max_examples=80, deadline=None)
 @given(sparse_matrices())
 @example(([{0: 3, 1: 1}, {1: 1}], 2))
+@example(([{0: 1, 1: 1}, {0: 1, 1: 6, 2: 1}], 3))
+@example(([{0: 4, 1: 1}, {0: 1, 1: 4}], 2))
 def test_nullspace_matches_exact_elimination(primes, matrix):
-    # With p = 3 the rank mod p often drops below the rank over Q; the
-    # exact check must then reject the lift and the fallback take over.
+    # With p = 3, 5 or 7 the rank mod p often drops below the rank over Q,
+    # and the pivot lists differ between the primes: the exact check must
+    # reject a wrong lift, CRT must combine only matching pivot lists, and
+    # the fallback take over when every prime fails.
     rows, ncols = matrix
     with mock.patch.object(linalg, "_PRIMES", primes):
         assert linalg.nullspace(rows, ncols) == linalg._exact_nullspace(rows, ncols)
 
 
-def test_rank_drop_mod_p_is_rejected():
-    # No row has a single entry, so the whole system reaches the mod-p RREF.
-    rows, ncols = [{0: 3, 1: 1}, {0: 1, 1: 2}], 2  # rank 2 over Q, rank 1 mod 5
-    assert linalg._modular_nullspace(rows, ncols, 5) is None
-    assert linalg._modular_nullspace(rows, ncols, linalg._PRIMES[0]) == []
+@pytest.fixture
+def spies(monkeypatch):
+    """Records the modulus of every lift and counts the exact fallbacks."""
+    lifts, fallbacks = [], []
+    real_lift, real_exact = linalg._lift, linalg._exact_nullspace
+
+    def recording_lift(vecs, m):
+        w = real_lift(vecs, m)
+        lifts.append((m, w is not None))
+        return w
+
+    def counting_exact(rows, ncols):
+        fallbacks.append(ncols)
+        return real_exact(rows, ncols)
+
+    monkeypatch.setattr(linalg, "_lift", recording_lift)
+    monkeypatch.setattr(linalg, "_exact_nullspace", counting_exact)
+    return lifts, fallbacks
 
 
-def test_single_entry_rows_are_solved_before_the_prime():
+def test_rank_drop_mod_p_is_rejected(spies):
+    # Rank 2 over Q, rank 1 mod 5; no row has a single entry, so the whole
+    # system reaches the mod-p RREF.  The first kernel vector mod 5, (2, 1),
+    # does not lift; the second, (1, 1), lifts and fails the exact check.
+    lifts, fallbacks = spies
+    for rows, lifted in ([{0: 3, 1: 1}, {0: 1, 1: 2}], False), ([{0: 1, 1: -1}, {0: 1, 1: 4}], True):
+        lifts.clear()
+        fallbacks.clear()
+        with mock.patch.object(linalg, "_PRIMES", (5,)):
+            assert linalg.nullspace(rows, 2) == []
+        assert lifts == [(5, lifted)] and fallbacks == [2]
+        with mock.patch.object(linalg, "_PRIMES", linalg._PRIMES[:1]):
+            assert linalg.nullspace(rows, 2) == []
+        assert fallbacks == [2]
+
+
+def test_single_entry_rows_are_solved_before_the_prime(spies):
     # {1: 1} forces column 1 to 0, which leaves {0: 3} forcing column 0:
     # the kernel is trivial whatever the prime, 3 included.
     rows, ncols = [{0: 3, 1: 1}, {1: 1}], 2
     assert linalg._forced_zero_columns(rows) == {0, 1}
-    assert linalg._modular_nullspace(rows, ncols, 3) == []
+    with mock.patch.object(linalg, "_PRIMES", (3,)):
+        assert linalg.nullspace(rows, ncols) == []
+    assert spies[1] == []
 
 
-def test_failed_reconstruction_returns_the_exact_basis(monkeypatch):
-    # The top degrees of {x, y, x+y} with m = (12, 13, 12) have kernel
-    # entries beyond what one 31-bit prime reconstructs.
-    multi = multiarrangement(canonicalize([[1, 0], [0, 1], [1, 1]], 2), [12, 13, 12])
-    lifts, kernels = [], []
-    real_lift, real_nullspace = linalg._lift, linalg.nullspace
+# Pivots (0, 1) over Q and mod 3, 7, 11; (0, 2) mod 5, where the first two
+# columns are dependent.  The kernel vector (1, -1, 5) needs a modulus above
+# 2 * 5**2 to lift, so 3 * 7 fails and 3 * 7 * 11 lifts.
+_DEPENDENT_MOD_5 = [{0: 1, 1: 1}, {0: 1, 1: 6, 2: 1}]
+# Rank 2 over Q and mod 7, rank 1 mod 3 (the determinant is 15); column 2
+# is in no row, so the kernel is spanned by its unit vector.
+_RANK_1_MOD_3 = [{0: 4, 1: 1}, {0: 1, 1: 4}]
 
-    def recording_lift(v, p):
-        w = real_lift(v, p)
-        lifts.append(w is not None)
-        return w
+
+@pytest.mark.parametrize(
+    "rows, primes, moduli, kernel",
+    [
+        (_DEPENDENT_MOD_5, (5, 3, 7, 11), [5, 3, 21, 231], [(1, -1, 5)]),
+        (_DEPENDENT_MOD_5, (3, 5, 7, 11), [3, 21, 231], [(1, -1, 5)]),
+        (_RANK_1_MOD_3, (3, 7, 11), [3, 7], [(0, 0, 1)]),
+    ],
+    ids=["earlier-list-replaces", "later-list-skipped", "longer-list-replaces"],
+)
+def test_crt_combines_only_the_best_pivot_list(spies, rows, primes, moduli, kernel):
+    lifts, fallbacks = spies
+    with mock.patch.object(linalg, "_PRIMES", primes):
+        assert linalg.nullspace(rows, 3) == kernel
+    assert [m for m, _ in lifts] == moduli
+    assert lifts[-1] == (moduli[-1], True) and fallbacks == []
+
+
+@pytest.fixture
+def kernels(monkeypatch):
+    """Every (rows, ncols, basis) that `derivations` gets from `nullspace`."""
+    out = []
+    real_nullspace = linalg.nullspace
 
     def recording_nullspace(rows, ncols):
         basis = real_nullspace(rows, ncols)
-        kernels.append((rows, ncols, basis))
+        out.append((rows, ncols, basis))
         return basis
 
-    monkeypatch.setattr(linalg, "_lift", recording_lift)
     monkeypatch.setattr(derivations, "nullspace", recording_nullspace)
-    verdict = derivations.find_free_basis(multi)
-    assert verdict.exponents == (18, 19)
-    assert not all(lifts)
+    return out
+
+
+def _assert_crt_lifts(kernels, lifts, fallbacks):
+    assert kernels and fallbacks == []
+    assert any(m in linalg._PRIMES and not ok for m, ok in lifts)  # one prime fails
+    assert any(m not in linalg._PRIMES and ok for m, ok in lifts)  # CRT lifts
     for rows, ncols, basis in kernels:
         assert basis == linalg._exact_nullspace(rows, ncols)
+
+
+def test_failed_reconstruction_returns_the_exact_basis(spies, kernels):
+    # The top degrees of {x, y, x+y} with m = (12, 13, 12) have kernel
+    # entries beyond what one 31-bit prime reconstructs; the primes
+    # combined by CRT lift them without exact elimination.
+    multi = multiarrangement(canonicalize([[1, 0], [0, 1], [1, 1]], 2), [12, 13, 12])
+    verdict = derivations.find_free_basis(multi)
+    assert verdict.exponents == (18, 19)
+    _assert_crt_lifts(kernels, *spies)
+
+
+def test_crt_lifts_the_transformed_b3_kernel(spies, kernels):
+    # The degree-6 kernel of B3-transformed has 67-bit entries: five primes
+    # are needed before the lift succeeds.
+    data = json.loads((Path(__file__).parent / "bases" / "B3-transformed.json").read_text())
+    multi = multiarrangement(canonicalize(data["hyperplanes"], data["dim"]), data["mult"])
+    derivations._graded_kernel(multi, 6)
+    _assert_crt_lifts(kernels, *spies)
+    assert max(abs(x) for v in kernels[0][2] for x in v).bit_length() == 67
+    assert max(m for m, ok in spies[0] if ok) == prod(linalg._PRIMES[:5])
+
+
+@st.composite
+def certificates(draw):
+    """Sparse rows with a basis of their kernel, [D*I | A] against the
+    columns of [-A; D*I], columns shuffled; sometimes one basis entry is off
+    by one.  Entries up to 2**31 put max|row| * max|basis| * width on both
+    sides of 2**63."""
+    r, k = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    entries = st.integers(-9, 9) | st.integers(-(2**31), 2**31)
+    d = draw(entries.filter(bool))
+    a = draw(st.lists(st.lists(entries, min_size=k, max_size=k), min_size=r, max_size=r))
+    order = draw(st.permutations(range(r + k)))
+    rows = [[d * (i == j) for j in range(r)] + a[i] for i in range(r)]
+    basis = [[-a[i][j] for i in range(r)] + [d * (i == j) for i in range(k)] for j in range(k)]
+    if draw(st.booleans()):
+        basis[draw(st.integers(0, k - 1))][draw(st.integers(0, r + k - 1))] += 1
+    rows = [{order[c]: v for c, v in enumerate(row) if v} for row in rows]
+    basis = [[v[order.index(c)] for c in range(r + k)] for v in basis]
+    return rows, np.array(basis, dtype=object)
+
+
+@settings(max_examples=150, deadline=None)
+@given(certificates())
+@example(([{0: 2**31, 1: 2**31}], np.array([[2**31, -(2**31)]], dtype=object)))
+def test_int64_certificate_matches_python_ints(pair):
+    rows, basis = pair
+    exact = all(sum(v * int(b[c]) for c, v in row.items()) == 0 for row in rows for b in basis)
+    entry = max(abs(v) for row in rows for v in row.values())
+    width = max(len(row) for row in rows)
+    fits = entry * width * int(np.abs(basis).max()) < 2**63
+    dtype = linalg._sum_dtype(rows, basis)
+    assert dtype is (np.int64 if fits else object)
+    assert linalg._kills(rows, basis, dtype) == exact
+    assert linalg._kills(rows, basis, object) == exact
+    if fits:
+        assert linalg._kills(rows, basis.astype(np.int64), np.int64) == exact
+
+
+def test_int64_certificate_would_wrap_past_the_guard():
+    # 2**32 * 2**32 wraps to 0 in int64: unguarded, the check would accept.
+    rows, basis = [{0: 2**32}], np.array([[2**32]], dtype=object)
+    assert linalg._kills(rows, basis, np.int64)
+    assert linalg._sum_dtype(rows, basis) is object
+    assert not linalg._kills(rows, basis, object)
 
 
 def test_graded_kernels_match_exact_path_with_non_unit_pivots():

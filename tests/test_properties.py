@@ -39,7 +39,7 @@ from arrangements import (
 )
 from arrangements import derivations
 from arrangements.core import CentralArrangement, normalize_affine, normalize_form
-from arrangements.linalg import _Echelon, echelon
+from arrangements.linalg import _Echelon, det, echelon
 from arrangements.polynomials import monomials
 from arrangements.restriction import _restriction_flats
 from conftest import random_central, seeded
@@ -201,6 +201,26 @@ def test_chi_and_levels_ignore_order_and_scaling_of_hyperplanes(pair):
     arr, other = pair
     assert char_poly(other) == char_poly(arr)
     assert intersection_lattice(other).level_sizes() == intersection_lattice(arr).level_sizes()
+
+
+_B3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, -1, 0), (1, 0, 1), (1, 0, -1), (0, 1, 1), (0, 1, -1))
+_FREE3 = {"B3": (_B3, (1, 3, 5)), "A3-ess": (CORPUS["braid-ess3"].arrangement.forms, (1, 2, 3))}
+_SIGNS3 = st.lists(st.sampled_from((-1, 0, 1)), min_size=3, max_size=3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(_FREE3)), st.lists(_SIGNS3, min_size=3, max_size=3).filter(det))
+@example("B3", [[0, -1, -1], [1, -1, 1], [-1, 1, 0]])
+def test_exponents_and_chi_ignore_coordinate_changes(name, matrix):
+    # A coordinate change (forms times an invertible {-1, 0, 1} matrix)
+    # keeps chi and the exponents.  Its kernel entries can outgrow one
+    # prime's reconstruction bound: the example lifts its degree-5 kernel
+    # only after two primes are combined.
+    forms, exponents = _FREE3[name]
+    moved = [[sum(f[i] * matrix[i][j] for i in range(3)) for j in range(3)] for f in forms]
+    moved = canonicalize(moved, 3)
+    assert char_poly(moved) == char_poly(canonicalize(forms, 3)) == IntPoly.from_roots(exponents)
+    assert find_free_basis(simple_multiarrangement(moved)).exponents == exponents
 
 
 @settings(max_examples=60, deadline=None)
