@@ -8,6 +8,14 @@ degree (a generator is new exactly when it falls outside the
 polynomial-ring span of the earlier ones, by the graded Nakayama count),
 and verdicts are certified either by the Saito determinant identity or by
 a Hilbert-series contradiction, so Free and NotFree are both proofs.
+The constraint rows of a graded piece come from one substitution table
+per hyperplane (`polynomials.residue_table`), and the Saito determinant
+is decided at one integer point (`saito_check`).
+
+A rank-2 D(A,m) is free with exponents d1 + d2 = |m| (Saito; Ziegler
+1989), so its Hilbert function below d2 is max(0, d - d1 + 1): one kernel
+below d2 fixes d1, and the rank-2 search computes kernels only there and
+at d1 and d2.  From rank 3 on the search scans every degree.
 
 The span test runs in coordinates on D(A,m)_d itself.  The canonical
 kernel vector of a free column f is supported on the pivot columns before
@@ -23,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import prod
+from operator import add
 
 from .core import Multiarrangement, essentialize, var_names
 from .errors import (
@@ -33,21 +42,18 @@ from .errors import (
     WrongRank,
 )
 from .lattice import intersection_lattice
-from .linalg import _Echelon, nullspace, primitive_vector
+from .linalg import _Echelon, det, nullspace, primitive_vector
 from .polynomials import (
     IntPoly,
-    linear_powers,
     mp_add_inplace,
-    mp_determinant,
     mp_divisible_by_linear_power,
     mp_format,
     mp_from_linear,
     mp_mul,
     mp_pow,
-    mp_proportionality,
     monomial_count,
-    monomial_residue_mod_linear_power,
     monomials,
+    residue_table,
 )
 from .restriction import localize_and_essentialize
 
@@ -182,6 +188,39 @@ def derivation_membership(theta, multi):
     return True
 
 
+def _constraint_rows(multi, d, monos):
+    """The constraint rows of the degree-d piece of D(A,m), as
+    {(h, e, reduced_exps): {column: int}}.
+
+    Column i * N + k stands for x**monos[k] d/dx_i.  For a hyperplane h
+    with form alpha, the field puts sum_i alpha_i * (its x**monos[k] d/dx_i
+    coefficient) into alpha(theta), so each residue term (e, reduced_exps)
+    of x**monos[k] modulo alpha**m(h) (`polynomials.residue_table`) writes
+    alpha_i * value into column i * N + k of row (h, e, reduced_exps).
+    """
+    n_monos = len(monos)
+    rows = {}
+    for h in multi.effective():
+        alpha = multi.base.forms[h]
+        j = next(i for i, a in enumerate(alpha) if a != 0)
+        terms = [
+            [(e, w_exps, [(i * n_monos, a * v) for i, a in enumerate(alpha) if a != 0])
+             for e, w_exps, v in entry]
+            for entry in residue_table(alpha, multi.mult[h], d)
+        ]
+        for k, mono in enumerate(monos):
+            base = list(mono)
+            base[j] = 0
+            for e, w_exps, cols in terms[mono[j]]:
+                key = (h, e, tuple(map(add, base, w_exps)))
+                row = rows.get(key)
+                if row is None:
+                    row = rows[key] = {}
+                for offset, value in cols:
+                    row[offset + k] = value
+    return rows
+
+
 def _graded_kernel(multi, d):
     """Canonical basis of the degree-d piece of D(A,m), each vector scaled
     to primitive integers.
@@ -189,24 +228,11 @@ def _graded_kernel(multi, d):
     Returns (kernel vectors, monomial list): a vector is indexed by
     component-major (i * N + k) positions over the degree-d monomials.
     """
-    ell = multi.dim
-    monos = monomials(ell, d)
-    n_monos = len(monos)
-    ncols = ell * n_monos
+    monos = monomials(multi.dim, d)
+    ncols = multi.dim * len(monos)
     if ncols == 0:
         return [], monos
-    rows = {}
-    for h in multi.effective():
-        alpha = multi.base.forms[h]
-        power = multi.mult[h]
-        powers = linear_powers(alpha, d)
-        for k, mono in enumerate(monos):
-            residues = monomial_residue_mod_linear_power(mono, alpha, power, powers)
-            for key, val in residues.items():
-                row = rows.setdefault((h,) + key, {})
-                for i, a in enumerate(alpha):
-                    if a != 0:
-                        row[i * n_monos + k] = a * val
+    rows = _constraint_rows(multi, d, monos)
     return nullspace([row for _, row in sorted(rows.items())], ncols), monos
 
 
@@ -277,6 +303,40 @@ def _partitions(total, parts, minimum=1):
     return out
 
 
+def _rank2_generators(ess, bound):
+    """The two minimal generators of an essential rank-2 D(A,m), from the
+    kernels at the probe degree d* = ceil(|m|/2) - 1 and at the exponents
+    (see `find_free_basis`); None when d* or d2 lies above bound.  A
+    kernel of dimension k > 0 at d* gives d1 = d* - k + 1, and k = 0 gives
+    d1 = d2 = |m|/2; D_0 = 0, so degree 0 needs no kernel.
+    """
+    total = ess.total
+    probe = (total + 1) // 2 - 1
+    if probe > bound:
+        return None
+    kernels = {probe: _graded_kernel(ess, probe)} if probe else {}
+    dim = len(kernels[probe][0]) if kernels else 0
+    d1 = probe - dim + 1 if dim else total // 2
+    if d1 < 1 or not dim and total % 2:
+        raise TheoremViolation(
+            f"graded dimension {dim} at degree {probe} contradicts the "
+            f"rank-2 Hilbert function for |m| = {total}"
+        )
+    d2 = total - d1
+    if d2 > bound:
+        return None
+    gens = []
+    for d in sorted({d1, d2}):
+        kernel, monos = kernels.get(d) or _graded_kernel(ess, d)
+        gens += _new_generators(gens, kernel, monos, 2, d)
+    if [g.degree for g in gens] != [d1, d2]:
+        raise TheoremViolation(
+            f"rank-2 minimal generators at degrees {[g.degree for g in gens]}, "
+            f"not at the exponents ({d1}, {d2})"
+        )
+    return gens
+
+
 def find_free_basis(multi, degree_bound=None):
     """Decide freeness of D(A,m) by exact minimal-generator search.
 
@@ -288,6 +348,16 @@ def find_free_basis(multi, degree_bound=None):
     failing the determinant identity, no exponent partition matching the
     graded dimensions, or exhaustion of all degrees up to |m|.  Unknown only
     occurs when a user-supplied bound below |m| runs out.
+
+    A rank-2 D(A,m) is free with exponents d1 <= d2, d1 + d2 = |m|
+    (Saito; Ziegler 1989), so dim D_d = max(0, d - d1 + 1) for d < d2.
+    The probe degree ceil(|m|/2) - 1 lies below d2, and the dimension of
+    its kernel fixes both exponents.  The rank-2 search then selects
+    generators at d1 and d2 alone (`_rank2_generators`): there the scan
+    would see the same kernels and earlier generators, and it finds no
+    generator at any other degree, so the basis is the scan's.  It is
+    Unknown when the probe degree or d2 lies above the bound, and a
+    dimension off the rank-2 Hilbert function raises TheoremViolation.
     """
     ess, center_dim = essentialize(multi)
     rank = ess.dim
@@ -310,6 +380,13 @@ def find_free_basis(multi, degree_bound=None):
 
     total = ess.total
     bound = total if degree_bound is None else int(degree_bound)
+    if rank == 2:
+        gens = _rank2_generators(ess, bound)
+        if gens is None:
+            return FreenessVerdict(UNKNOWN, bound=bound, essential=ess)
+        if not saito_check(gens, ess):
+            raise TheoremViolation("rank-2 generators fail the Saito criterion")
+        return free(tuple(g.degree for g in gens), gens)
     partitions = _partitions(total, rank)
     gens = []
     for d in range(1, bound + 1):
@@ -364,7 +441,17 @@ def find_free_basis(multi, degree_bound=None):
 
 def saito_check(basis, multi):
     """Exact Saito criterion: det(theta_i(x_j)) is a nonzero constant
-    multiple of Q(A,m)."""
+    multiple of Q(A,m).
+
+    By Saito's lemma (Orlik-Terao, Thm. 4.19; Ziegler 1989 for
+    multiplicities) Q(A,m) divides the determinant of any fields of
+    D(A,m).  Once each field is checked to lie in D(A,m) and their degrees
+    sum to |m| = deg Q(A,m), the determinant is c * Q(A,m) with c a
+    constant, so c != 0 exactly when it is nonzero at one point off every
+    hyperplane.  The point (1, t, t**2, ...) with t = 2 + max|coefficient|
+    is one: the last nonzero term of a form outweighs all earlier ones.
+    The verdict is one exact integer determinant at that point.
+    """
     basis = tuple(basis)
     if len(basis) != multi.dim:
         raise DimensionMismatch(
@@ -378,11 +465,13 @@ def saito_check(basis, multi):
         return False
     if sum(theta.degree for theta in basis) != multi.total:
         return False
-    det = mp_determinant([list(theta.components) for theta in basis])
-    if not det:
-        return False
-    c = mp_proportionality(det, defining_polynomial(multi))
-    return c is not None and c != 0
+    t = 2 + max((abs(c) for form in multi.base.forms for c in form), default=0)
+    point = [t**i for i in range(multi.dim)]
+    return det([
+        [sum(c * prod(map(pow, point, exps)) for exps, c in comp.items())
+         for comp in theta.components]
+        for theta in basis
+    ]) != 0
 
 
 def rank2_exponents(multi):

@@ -375,8 +375,8 @@ def nullspace(rows, ncols):
 def det(rows):
     """Exact determinant of a square rational matrix (Bareiss elimination).
 
-    The package no longer calls it: it is the reference the tests compare
-    `oracles.minor_bound` against.
+    `derivations.saito_check` evaluates the Saito determinant with it, and
+    the tests compare `oracles.minor_bound` against it.
     """
     n = len(rows)
     if n == 0:

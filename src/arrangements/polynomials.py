@@ -5,15 +5,15 @@ Two representations live here:
 * IntPoly: dense univariate polynomials in t with integer coefficients
   (characteristic polynomials and friends).
 * mp_* helpers: sparse multivariate polynomials as dicts mapping exponent
-  tuples to integer coefficients (derivation components, Saito
-  determinants).  Plain dicts keep the hot paths cheap; only
-  mp_proportionality returns a rational.
+  tuples to integer coefficients (derivation components, and the residues
+  modulo powers of a linear form that define D(A,m)).  Plain dicts keep
+  the hot paths cheap.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
+from operator import add
 
 
 def signed_sum(terms, sep="*"):
@@ -196,33 +196,13 @@ def mp_pow(p, k):
     return out
 
 
-def mp_degree(poly):
-    return max((sum(e) for e in poly), default=-1)
-
-
-def mp_proportionality(p, q):
-    """Rational c with p == c*q, or None if the polynomials are not proportional.
-
-    q must be nonzero.
-    """
-    if not q:
-        raise ValueError("reference polynomial is zero")
-    if not p:
-        return Fraction(0)
-    e0, c0 = next(iter(q.items()))
-    if e0 not in p:
-        return None
-    c = Fraction(p[e0], 1) / Fraction(c0, 1)
-    for e, v in q.items():
-        if p.get(e, 0) != c * v:
-            return None
-    if len(p) != len(q):
-        return None
-    return c
-
-
 def mp_determinant(matrix):
-    """Determinant of a matrix of sparse polynomials by cofactor expansion."""
+    """Determinant of a matrix of sparse polynomials by cofactor expansion.
+
+    The package no longer calls it: `saito_check` evaluates the Saito
+    determinant at one integer point, and the tests compare that verdict
+    against this symbolic one.
+    """
     n = len(matrix)
     if n == 0:
         return mp_const(0, 1)
@@ -267,19 +247,44 @@ def monomial_count(nvars, degree):
     return comb(degree + nvars - 1, nvars - 1)
 
 
-def linear_powers(alpha, top):
-    """[(-w)**0, (-w)**1, ..., (-w)**top] for w = sum_{i != j} alpha_i x_i,
-    j the pivot (first nonzero) position of alpha, each power from the
-    previous one: the table `monomial_residue_mod_linear_power` reads."""
+def residue_table(alpha, power, degree):
+    """The substitution table of a linear form, a power m and a degree d.
+
+    With j the pivot (first nonzero) position of alpha, z = alpha(x) and
+    w = sum_{i != j} alpha_i x_i, x_j = (z - w)/alpha_j, so
+    alpha_j**d * x_j**k = alpha_j**(d - k) * (z - w)**k.  Entry k lists the
+    terms of that expansion with z-degree e < m as (e, w_exps, value):
+    value = alpha_j**(d - k) * C(k, e) * [coefficient of x**w_exps in
+    (-w)**(k - e)], and w_exps has a zero in the pivot slot.  The residue
+    of a degree-d monomial x**a is entry a_j with a's other exponents added
+    to each w_exps (`monomial_residue_mod_linear_power`).
+    """
+    n = len(alpha)
     j = next(i for i, c in enumerate(alpha) if c != 0)
-    w = mp_from_linear([-c if i != j else 0 for i, c in enumerate(alpha)])
-    out = [mp_const(len(alpha), 1)]
-    for _ in range(top):
-        out.append(mp_mul(out[-1], w))
-    return out
+    minus_w = mp_from_linear([-c if i != j else 0 for i, c in enumerate(alpha)])
+    powers = [mp_const(n, 1)]
+    for _ in range(degree):
+        powers.append(mp_mul(powers[-1], minus_w))
+    table = []
+    for k in range(degree + 1):
+        scale = alpha[j] ** (degree - k)
+        table.append([
+            (e, mono, comb(k, e) * scale * c)
+            for e in range(min(power, k + 1))
+            for mono, c in powers[k - e].items()
+        ])
+    return table
 
 
-def monomial_residue_mod_linear_power(exps, alpha, power, powers=None):
+def _shifted_residue(entry, exps, j):
+    """{(e, exps + w_exps with a zero pivot slot): value} over a table
+    entry: the residue of x**exps when the entry is the one of exps[j]."""
+    base = list(exps)
+    base[j] = 0
+    return {(e, tuple(map(add, base, mono))): v for e, mono, v in entry}
+
+
+def monomial_residue_mod_linear_power(exps, alpha, power):
     """Expansion of a monomial in coordinates adapted to a linear form.
 
     With z = alpha(x) and j the pivot (first nonzero) position of alpha, the
@@ -288,42 +293,26 @@ def monomial_residue_mod_linear_power(exps, alpha, power, powers=None):
     alpha_j**|exps| * x**exps with z-degree e < power; reduced_exps has a
     zero in the pivot slot.  A key fixes |exps| = e + |reduced_exps|, so
     the monomials sharing a key share the scale, and alpha**power divides
-    a polynomial iff these residues all cancel.  powers is the table of
-    `linear_powers(alpha, top)` for some top >= exps[j], shared by callers
-    that expand many monomials against one form; it is built when omitted.
+    a polynomial iff these residues all cancel.  It is entry exps[j] of
+    `residue_table(alpha, power, |exps|)`, shifted by the other exponents.
     """
     j = next(i for i, c in enumerate(alpha) if c != 0)
-    aj = exps[j]
-    base = list(exps)
-    base[j] = 0
-    base = tuple(base)
-    if powers is None:
-        powers = linear_powers(alpha, aj)
-    # x_j = (z - w)/c_j with w = sum_{i != j} alpha_i x_i; powers[k] = (-w)**k
-    # alpha_j**|exps| * x_j**aj = alpha_j**(|exps| - aj) * (z - w)**aj
-    cj_pow = alpha[j] ** (sum(exps) - aj)
-    out = {}
-    for e in range(min(power, aj + 1)):
-        rest = powers[aj - e]
-        binom = comb(aj, e) * cj_pow
-        for mono, c in rest.items():
-            key = (e, tuple(a + b for a, b in zip(base, mono)))
-            v = out.get(key, 0) + binom * c
-            if v == 0:
-                out.pop(key, None)
-            else:
-                out[key] = v
-    return out
+    return _shifted_residue(residue_table(alpha, power, sum(exps))[exps[j]], exps, j)
 
 
 def mp_divisible_by_linear_power(poly, alpha, power):
-    """True iff alpha(x)**power divides the polynomial exactly."""
+    """True iff alpha(x)**power divides the polynomial exactly: the
+    residues of its terms, one substitution table per degree, cancel."""
     if power == 0 or not poly:
         return True
-    powers = linear_powers(alpha, mp_degree(poly))
+    j = next(i for i, c in enumerate(alpha) if c != 0)
+    tables = {}
     acc = {}
     for exps, c in poly.items():
-        residues = monomial_residue_mod_linear_power(exps, alpha, power, powers)
+        d = sum(exps)
+        if d not in tables:
+            tables[d] = residue_table(alpha, power, d)
+        residues = _shifted_residue(tables[d][exps[j]], exps, j)
         for key, v in residues.items():
             s = acc.get(key, 0) + c * v
             if s == 0:

@@ -29,7 +29,7 @@ from arrangements import (
     simple_multiarrangement,
     ziegler_restriction,
 )
-from arrangements.polynomials import monomial_count, mp_degree
+from arrangements.polynomials import monomial_count
 from arrangements.restriction import localize_and_essentialize
 from conftest import make
 
@@ -77,7 +77,7 @@ def test_defining_polynomial():
     multi = multiarrangement(make([[1, 0], [0, 1]], 2), (2, 1))
     q = defining_polynomial(multi)
     assert q == {(2, 1): 1}
-    assert mp_degree(q) == 3
+    assert {sum(e) for e in q} == {3}
     with_zero = multiarrangement(make([[1, 0], [0, 1]], 2), (2, 0))
     assert defining_polynomial(with_zero) == {(2, 0): 1}
 

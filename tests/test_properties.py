@@ -4,6 +4,8 @@ and Hypothesis properties that shrink a failure to a minimal input."""
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import product
+from math import comb
 from unittest import mock
 
 from hypothesis import example, given, settings
@@ -14,6 +16,7 @@ from arrangements import (
     AffineArrangement,
     BadPrime,
     IntPoly,
+    PolyVectorField,
     abe_yoshinaga_free_check,
     b_coefficients,
     canonicalize,
@@ -22,6 +25,7 @@ from arrangements import (
     char_poly_recursion,
     compare_coefficients,
     decone,
+    defining_polynomial,
     essentialize,
     find_free_basis,
     finite_field_char_poly,
@@ -40,7 +44,14 @@ from arrangements import (
 from arrangements import derivations
 from arrangements.core import CentralArrangement, normalize_affine, normalize_form
 from arrangements.linalg import _Echelon, det, echelon
-from arrangements.polynomials import monomials
+from arrangements.polynomials import (
+    monomial_residue_mod_linear_power,
+    monomials,
+    mp_add_inplace,
+    mp_determinant,
+    mp_from_linear,
+    mp_mul,
+)
 from arrangements.restriction import _restriction_flats
 from conftest import random_central, seeded
 
@@ -540,3 +551,196 @@ def test_free_column_span_selects_the_full_width_generators(drawn):
     verdict = find_free_basis(multi, bound)
     with mock.patch.object(derivations, "_new_generators", _full_width_new_generators):
         assert find_free_basis(multi, bound) == verdict
+
+
+def _full_scan(multi, bound, kernels):
+    """Reference for the rank-2 search of `find_free_basis`: the graded
+    kernel and its new generators at every degree 1..bound, until two
+    generators are found.  kernels memoizes the kernels by degree.
+    Returns (status, exponents, basis reprs, bound)."""
+    gens = []
+    for d in range(1, bound + 1):
+        if d not in kernels:
+            kernels[d] = derivations._graded_kernel(multi, d)
+        gens += derivations._new_generators(gens, *kernels[d], 2, d)
+        if len(gens) >= 2:
+            degrees = tuple(g.degree for g in gens)
+            free = len(gens) == 2 and sum(degrees) == multi.total and saito_check(gens, multi)
+            return ("Free" if free else "NotFree"), degrees, [repr(g) for g in gens], None
+    if bound >= multi.total:
+        return "NotFree", None, None, None
+    return "Unknown", None, None, bound
+
+
+@st.composite
+def _rank2_multiarrangements(draw):
+    """3-5 lines in the plane with entries in -3..3 and multiplicities 1-6."""
+    _, forms = draw(
+        _central_forms(min_dim=2, max_dim=2, max_forms=5).filter(lambda d: len(d[1]) >= 3)
+    )
+    mult = draw(st.lists(st.integers(1, 6), min_size=len(forms), max_size=len(forms)))
+    return multiarrangement(canonicalize(forms, 2), mult)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_rank2_multiarrangements())
+@example(multiarrangement(canonicalize([[1, 0], [0, 1], [1, 1]], 2), [12, 13, 12]))
+@example(multiarrangement(canonicalize([[1, 0], [0, 1], [1, 1]], 2), [1, 1, 6]))
+@example(multiarrangement(canonicalize([[2, 3], [3, -1], [1, 1], [1, -2]], 2), [2, 2, 2, 2]))
+def test_rank2_search_matches_the_full_scan(multi):
+    # The rank-2 search computes kernels only at the probe degree and the
+    # two exponents; under every bound it must give the full scan's status,
+    # exponents, basis and bound, compute no kernel twice, and none above
+    # the bound.  The examples have exponents (18, 19), (2, 6) with
+    # d1 below the probe degree, and (4, 4) with an empty probe kernel.
+    kernels = {}
+    for bound in range(multi.total + 2):
+        degrees = []
+        real = derivations._graded_kernel
+
+        def spy(m, d):
+            degrees.append(d)
+            return real(m, d)
+
+        with mock.patch.object(derivations, "_graded_kernel", spy):
+            verdict = find_free_basis(multi, bound)
+        assert len(set(degrees)) == len(degrees) <= 3
+        assert all(1 <= d <= bound for d in degrees)
+        basis = None if verdict.basis is None else [repr(g) for g in verdict.basis]
+        got = (verdict.status, verdict.exponents, basis, verdict.bound)
+        assert got == _full_scan(multi, bound, kernels)
+
+
+def _symbolic_saito(basis, multi):
+    """Reference for the verdict of `saito_check` on fields of D(A,m):
+    the expanded determinant det(theta_i(x_j)) equals c * Q(A,m) for a
+    nonzero constant c."""
+    if any(theta.is_zero for theta in basis):
+        return False
+    det_poly = mp_determinant([list(theta.components) for theta in basis])
+    q = defining_polynomial(multi)
+    if set(det_poly) != set(q):
+        return False
+    e0 = next(iter(q))
+    c = Fraction(det_poly[e0], q[e0])
+    return all(det_poly[e] == c * q[e] for e in q)
+
+
+def _shifted_field(theta, exps):
+    """x**exps * theta."""
+    return PolyVectorField([
+        {tuple(a + b for a, b in zip(e, exps)): c for e, c in comp.items()}
+        for comp in theta.components
+    ])
+
+
+def _added_fields(theta, other):
+    return PolyVectorField([mp_add_inplace(dict(p), q) for p, q in zip(theta.components, other.components)])
+
+
+@st.composite
+def _free_multiarrangements(draw):
+    """A free multiarrangement: a rank-2 one, the boolean arrangement with
+    multiplicities 1-3, or B3, essentialized A3 or the supersolvable
+    corpus entry, the last three under an invertible {-1, 0, 1} change of
+    coordinates."""
+    kind = draw(st.sampled_from(("rank2", "boolean3", "B3", "A3-ess", "supersolvable3")))
+    if kind == "rank2":
+        return draw(_rank2_multiarrangements())
+    if kind == "boolean3":
+        mult = draw(st.lists(st.integers(1, 3), min_size=3, max_size=3))
+        return multiarrangement(CORPUS["boolean3"].arrangement, mult)
+    forms = _FREE3[kind][0] if kind in _FREE3 else CORPUS[kind].arrangement.forms
+    matrix = draw(st.lists(_SIGNS3, min_size=3, max_size=3).filter(det))
+    moved = [[sum(f[i] * matrix[i][j] for i in range(3)) for j in range(3)] for f in forms]
+    return simple_multiarrangement(canonicalize(moved, 3))
+
+
+@settings(max_examples=25, deadline=None)
+@given(_free_multiarrangements())
+@example(simple_multiarrangement(canonicalize(_B3, 3)))
+@example(multiarrangement(canonicalize([[1, 0], [0, 1], [1, 1]], 2), [1, 1, 6]))
+def test_evaluated_saito_verdict_matches_the_expanded_determinant(multi):
+    # saito_check decides c != 0 in det = c * Q(A,m) from one evaluation;
+    # the expanded determinant must agree on the found basis and on the
+    # fields made from it by replacing theta_i with x * theta_k, or with
+    # x**a * theta_k + x**b * theta_l of theta_i's degree (a sum of two).
+    # The sums keep the degrees summing to |m|, so only the determinant
+    # decides them: a basis when k or l is i, else det = 0.
+    basis = list(find_free_basis(multi).basis)
+    dim = multi.dim
+
+    def power(g):
+        return (g,) + (0,) * (dim - 1)
+
+    candidates = [basis]
+    for i, k in product(range(dim), repeat=2):
+        x = tuple(int(v == (i + k) % dim) for v in range(dim))
+        candidates.append(basis[:i] + [_shifted_field(basis[k], x)] + basis[i + 1:])
+        for l in range(k, dim):
+            gap_k, gap_l = (basis[i].degree - basis[j].degree for j in (k, l))
+            if min(gap_k, gap_l) >= 0:
+                summed = _added_fields(
+                    _shifted_field(basis[k], power(gap_k)), _shifted_field(basis[l], power(gap_l))
+                )
+                candidates.append(basis[:i] + [summed] + basis[i + 1:])
+    decided_by_det = {True: 0, False: 0}
+    for fields in candidates:
+        expected = _symbolic_saito(fields, multi)
+        assert saito_check(fields, multi) is expected
+        if sum(theta.degree for theta in fields) == multi.total:
+            decided_by_det[expected] += 1
+    assert decided_by_det[True] and decided_by_det[False]
+
+
+def _expanded_residue(exps, alpha, power):
+    """alpha_j**|exps| * x**exps as a polynomial in z = alpha(x) and the
+    non-pivot variables, {(e, exps of the rest): int} for z-degree
+    e < power, by expanding (z - w)**exps[j] with w = alpha - alpha_j x_j."""
+    j = next(i for i, a in enumerate(alpha) if a)
+    aj = exps[j]
+    minus_w = mp_from_linear([-a if i != j else 0 for i, a in enumerate(alpha)])
+    base = tuple(0 if i == j else a for i, a in enumerate(exps))
+    out = {}
+    for e in range(min(power, aj + 1)):
+        scale = comb(aj, e) * alpha[j] ** (sum(exps) - aj)
+        rest = {(0,) * len(alpha): 1}
+        for _ in range(aj - e):
+            rest = mp_mul(rest, minus_w)
+        for mono, c in rest.items():
+            out[(e, tuple(a + b for a, b in zip(base, mono)))] = scale * c
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    _central_forms(min_dim=2, max_dim=4, max_forms=5).flatmap(
+        lambda d: st.tuples(
+            st.just(d),
+            st.lists(st.integers(1, 8), min_size=len(d[1]), max_size=len(d[1])),
+            st.integers(0, 6),
+        )
+    )
+)
+@example(((3, [[2, 3, -1], [0, 3, 1], [1, 0, 0]]), [9, 1, 2], 3))
+def test_table_rows_match_the_per_monomial_rows(drawn):
+    # The constraint rows written from one substitution table per
+    # (form, multiplicity, degree) must have the keys, columns and values
+    # of rows built from one residue per monomial, and each residue must
+    # be the direct expansion of (z - w)**a_j.  The example has pivot
+    # coefficient 2 and multiplicity 9 > d + 1.
+    (dim, forms), mult, d = drawn
+    multi = multiarrangement(canonicalize(forms, dim), mult)
+    monos = monomials(dim, d)
+    expected = {}
+    for h in multi.effective():
+        alpha, power = multi.base.forms[h], multi.mult[h]
+        for k, mono in enumerate(monos):
+            residues = monomial_residue_mod_linear_power(mono, alpha, power)
+            assert residues == _expanded_residue(mono, alpha, power)
+            for key, val in residues.items():
+                row = expected.setdefault((h,) + key, {})
+                for i, a in enumerate(alpha):
+                    if a:
+                        row[i * len(monos) + k] = a * val
+    assert derivations._constraint_rows(multi, d, monos) == expected

@@ -38,7 +38,9 @@ def test_every_traced_layer_is_a_package_function():
         assert fn.__module__.startswith("arrangements."), qualname
 
 
-def test_traced_exponents_reports_kernel_counts(capsys):
+def _traced_exponents(path, capsys):
+    """The JSON output and the per-layer summary of a traced `exponents`
+    run on one input file."""
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
@@ -47,15 +49,32 @@ def test_traced_exponents_reports_kernel_counts(capsys):
     recorder = tracer.Recorder()
     try:
         recorder.install()
-        assert cli.main(["exponents", str(TESTS / "bases" / "B3.json"), "--json"]) == 0
+        assert cli.main(["exponents", str(path), "--json"]) == 0
     finally:
         for module, names in saved:
             vars(module).update(names)
-    assert json.loads(capsys.readouterr().out)["exponents"] == [1, 3, 5]
-    kernels = tracer.summarize(recorder.spans)["linalg.nullspace"]
+    return json.loads(capsys.readouterr().out), tracer.summarize(recorder.spans)
+
+
+def test_traced_exponents_reports_kernel_counts(capsys):
+    out, summary = _traced_exponents(TESTS / "bases" / "B3.json", capsys)
+    assert out["exponents"] == [1, 3, 5]
+    kernels = summary["linalg.nullspace"]
     # degrees d = 1..5 of B3: 3 * C(d + 2, 2) columns, and the kernel is
     # D(A)_d, free on generators of degrees 1, 3 and 5
     degrees = range(1, 6)
     assert kernels["calls"] == len(degrees)
     assert kernels["cols"] == sum(3 * comb(d + 2, 2) for d in degrees)
     assert kernels["kernel_dim"] == sum(comb(d - e + 2, 2) for d in degrees for e in (1, 3, 5) if d >= e)
+
+
+def test_traced_rank2_exponents_compute_two_kernels(capsys):
+    # |m| = 37: the probe degree 18 has a one-dimensional kernel, so the
+    # exponents are (18, 19) and the search computes the kernels at 18
+    # (2 * 19 columns) and 19 (2 * 20 columns) only, not all of 1..19
+    out, summary = _traced_exponents(TESTS / "bases" / "three-lines-12-13-12.json", capsys)
+    assert out["exponents"] == [18, 19]
+    kernels = summary["linalg.nullspace"]
+    assert kernels["calls"] == 2
+    assert kernels["cols"] == 38 + 40
+    assert kernels["kernel_dim"] == 1 + 3
