@@ -13,9 +13,16 @@ per hyperplane (`polynomials.residue_table`), and the Saito determinant
 is decided at one integer point (`saito_check`).
 
 A rank-2 D(A,m) is free with exponents d1 + d2 = |m| (Saito; Ziegler
-1989), so its Hilbert function below d2 is max(0, d - d1 + 1): one kernel
-below d2 fixes d1, and the rank-2 search computes kernels only there and
-at d1 and d2.  From rank 3 on the search scans every degree.
+1989), and `_rank2_exponents` gives them without a basis: (1, n - 1) for
+n lines of multiplicity one, (|m| - m_H, m_H) when some line has
+m_H >= |m|/2 (Wakefield-Yuzvinsky, Trans. AMS 359, 2007), and
+(floor(|m|/2), ceil(|m|/2)) for three lines otherwise (Wakamiko, Tokyo J.
+Math. 30, 2007).  Else the probe rule decides: the Hilbert function below
+d2 is max(0, d - d1 + 1), and the probe degree ceil(|m|/2) - 1 lies below
+d2, so the dimension of that one kernel fixes d1.  Callers that read no
+basis (the localization sweep, sigma and the restriction criteria, through
+`_bounded_search`) stop there; `find_free_basis` computes kernels only at
+d1 and d2 for the basis.  From rank 3 on the search scans every degree.
 
 The span test runs in coordinates on D(A,m)_d itself.  The canonical
 kernel vector of a free column f is supported on the pivot columns before
@@ -140,11 +147,12 @@ class FreenessVerdict:
     """Outcome of a freeness decision.
 
     status is one of "Free", "NotFree", "Unknown".  exponents and basis are
-    set for Free via the basis search (criteria-derived Free verdicts carry
-    exponents only); the basis lives in the coordinates of `essential`, the
-    essentialized model actually searched (equal to the input when that was
-    already essential).  witness explains NotFree; bound is the degree bound
-    that an Unknown search exhausted.
+    set for Free via the basis search (criteria-derived Free verdicts, and
+    those of `_bounded_search` below rank 3, carry exponents only); the
+    basis lives in the coordinates of `essential`, the essentialized model
+    actually searched (equal to the input when that was already
+    essential).  witness explains NotFree; bound is the degree bound that
+    an Unknown search exhausted.
     """
 
     status: str
@@ -303,26 +311,45 @@ def _partitions(total, parts, minimum=1):
     return out
 
 
-def _rank2_generators(ess, bound):
-    """The two minimal generators of an essential rank-2 D(A,m), from the
-    kernels at the probe degree d* = ceil(|m|/2) - 1 and at the exponents
-    (see `find_free_basis`); None when d* or d2 lies above bound.  A
-    kernel of dimension k > 0 at d* gives d1 = d* - k + 1, and k = 0 gives
-    d1 = d2 = |m|/2; D_0 = 0, so degree 0 needs no kernel.
+def _rank2_exponents(ess, kernels=None):
+    """The exponents (d1, d2), d1 <= d2, of an essential rank-2 D(A,m):
+    the closed forms of the module docstring, else the probe rule.  At the
+    probe degree d* = ceil(|m|/2) - 1, a kernel of dimension k > 0 gives
+    d1 = d* - k + 1, and k = 0 gives d1 = d2 = |m|/2.  A dict passed as
+    kernels receives the probe kernel by degree.
     """
     total = ess.total
+    heavy = max(ess.mult)
+    if heavy == 1:
+        return 1, total - 1
+    if 2 * heavy >= total:
+        return total - heavy, heavy
+    if len(ess.mult) == 3:
+        return total // 2, total - total // 2
     probe = (total + 1) // 2 - 1
-    if probe > bound:
-        return None
-    kernels = {probe: _graded_kernel(ess, probe)} if probe else {}
-    dim = len(kernels[probe][0]) if kernels else 0
+    kernel = _graded_kernel(ess, probe)
+    if kernels is not None:
+        kernels[probe] = kernel
+    dim = len(kernel[0])
     d1 = probe - dim + 1 if dim else total // 2
     if d1 < 1 or not dim and total % 2:
         raise TheoremViolation(
             f"graded dimension {dim} at degree {probe} contradicts the "
             f"rank-2 Hilbert function for |m| = {total}"
         )
-    d2 = total - d1
+    return d1, total - d1
+
+
+def _rank2_generators(ess, bound):
+    """The two minimal generators of an essential rank-2 D(A,m), from the
+    kernels at its exponents (`_rank2_exponents`); None when d2 lies above
+    bound.  Since d2 >= ceil(|m|/2), a bound below that needs no kernel,
+    and otherwise the probe degree lies within the bound.
+    """
+    if 2 * bound < ess.total:
+        return None
+    kernels = {}
+    d1, d2 = _rank2_exponents(ess, kernels)
     if d2 > bound:
         return None
     gens = []
@@ -350,14 +377,18 @@ def find_free_basis(multi, degree_bound=None):
     occurs when a user-supplied bound below |m| runs out.
 
     A rank-2 D(A,m) is free with exponents d1 <= d2, d1 + d2 = |m|
-    (Saito; Ziegler 1989), so dim D_d = max(0, d - d1 + 1) for d < d2.
-    The probe degree ceil(|m|/2) - 1 lies below d2, and the dimension of
-    its kernel fixes both exponents.  The rank-2 search then selects
-    generators at d1 and d2 alone (`_rank2_generators`): there the scan
-    would see the same kernels and earlier generators, and it finds no
-    generator at any other degree, so the basis is the scan's.  It is
-    Unknown when the probe degree or d2 lies above the bound, and a
-    dimension off the rank-2 Hilbert function raises TheoremViolation.
+    (Saito; Ziegler 1989), and `_rank2_exponents` gives them: (1, n - 1)
+    for n simple lines, (|m| - m_H, m_H) when some m_H >= |m|/2
+    (Wakefield-Yuzvinsky, Trans. AMS 359, 2007), the balanced pair for
+    three lines (Wakamiko, Tokyo J. Math. 30, 2007), and otherwise one
+    kernel at the probe degree ceil(|m|/2) - 1: it lies below d2, where
+    dim D_d = max(0, d - d1 + 1), so its dimension fixes d1.  The rank-2
+    search then selects generators at d1 and d2 alone
+    (`_rank2_generators`), reusing the probe kernel: there the scan would
+    see the same kernels and earlier generators, and it finds no generator
+    at any other degree, so the basis is the scan's.  It is Unknown exactly
+    when d2 lies above the bound, and a probe dimension off the rank-2
+    Hilbert function raises TheoremViolation.
     """
     ess, center_dim = essentialize(multi)
     rank = ess.dim
@@ -484,21 +515,23 @@ def rank2_exponents(multi):
         raise EmptyMultiarrangement("rank-2 exponents need at least one hyperplane")
     if multi.dim != 2 or multi.rank() != 2:
         raise WrongRank("expected an essential multiarrangement of rank 2")
-    verdict = _bounded_search(multi, 2)
+    verdict = find_free_basis(multi)
+    if not verdict.is_free:
+        raise TheoremViolation("a rank-2 multiarrangement must be free")
     return Exponents(verdict.exponents, basis=verdict.basis)
 
 
 def _bounded_search(multi, rank, degree_bound=None):
-    """find_free_basis under the one degree-bound rule, for a
-    multiarrangement of the given rank: a user bound applies from rank 3
-    on.  Rank <= 2 multiarrangements are always free, so their search runs
-    to |m| and must end Free (TheoremViolation otherwise)."""
+    """The freeness verdict of a multiarrangement of the given rank, for
+    callers that read no basis, under the one degree-bound rule: a user
+    bound applies from rank 3 on, where find_free_basis searches.  A
+    multiarrangement of rank <= 2 is free, and its exponents need no
+    search: (|m|) at rank 1, `_rank2_exponents` at rank 2."""
     if rank > 2:
         return find_free_basis(multi, degree_bound)
-    verdict = find_free_basis(multi)
-    if not verdict.is_free:
-        raise TheoremViolation("a rank-2 multiarrangement must be free")
-    return verdict
+    ess, center_dim = essentialize(multi)
+    exponents = _rank2_exponents(ess) if ess.dim == 2 else (ess.total,) * ess.dim
+    return FreenessVerdict(FREE, exponents=(0,) * center_dim + tuple(exponents), essential=ess)
 
 
 def multi_char_poly_free(exponents):

@@ -1,9 +1,14 @@
 """End-to-end CLI behaviour: output, JSON mode, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import arrangements
 from arrangements import CORPUS, parse_report
 from arrangements.cli import main
 
@@ -134,9 +139,19 @@ def test_abe_yoshinaga_bound_skips_a_rank2_restriction(capsys):
     assert out.endswith("  abe-yoshinaga  Free(1, 2, 3)\n")
 
 
-@pytest.mark.parametrize("name", ["braid-ess3", "supersolvable3", "generic34"])
-def test_freeness_all_searches_the_restriction_once(capsys, monkeypatch, name):
+@pytest.mark.parametrize(
+    "name, restriction_searches",
+    [
+        pytest.param("braid-ess3", 0, id="braid-ess3"),
+        pytest.param("supersolvable3", 0, id="supersolvable3"),
+        pytest.param("generic34", 0, id="generic34"),
+        pytest.param("braid-ess4", 1, id="braid-ess4"),
+    ],
+)
+def test_freeness_all_searches_the_restriction_once(capsys, monkeypatch, name, restriction_searches):
     # Both restriction criteria read one search of A''; saito searches A.
+    # A rank-2 A'' (the rank-3 inputs) is not searched at all: its
+    # exponents need no basis.  braid-ess4 has a rank-3 A''.
     from arrangements import cli, criteria, derivations, ziegler_restriction
 
     entry = CORPUS[name]
@@ -151,10 +166,9 @@ def test_freeness_all_searches_the_restriction_once(capsys, monkeypatch, name):
         monkeypatch.setattr(module, "find_free_basis", spy)
     code, _, _ = run(capsys, "freeness", f"corpus:{name}", "--h0", str(entry.h0))
     assert code == 0
-    assert searched == [
-        ziegler_restriction(entry.arrangement, entry.h0),
-        entry.multiarrangement(),
-    ]
+    restriction = ziegler_restriction(entry.arrangement, entry.h0)
+    assert restriction_searches == (restriction.rank() > 2)
+    assert searched == [restriction] * restriction_searches + [entry.multiarrangement()]
 
 
 def _count_lattices_of(monkeypatch, arr):
@@ -459,3 +473,31 @@ def test_main_reuses_one_parser_and_leaks_no_state(capsys):
     ]:
         cli._build_parser.cache_clear()
         assert run(capsys, *argv) == shared
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["compare", "corpus:braid-ess4", "--h0", "0", "--json"], id="compare"),
+        pytest.param(["exponents", "corpus:braid-ess3"], id="exponents"),
+    ],
+)
+def test_closed_stdout_exits_1_without_a_traceback(argv):
+    # The read end of the pipe is closed before the child writes, as with
+    # `arrangements compare FILE --json | true`.
+    read, write = os.pipe()
+    os.close(read)
+    src = str(Path(arrangements.__file__).resolve().parents[1])
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "arrangements.cli", *argv],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == 1
+    assert proc.stderr == ""

@@ -261,8 +261,9 @@ def test_sigma_ignores_user_bound_on_rank2_localizations():
 
 
 def test_localization_sweep_searches_each_distinct_localization_once(monkeypatch):
-    # Every hyperplane of multiplicity one localizes to the same rank-1
-    # multiarrangement, so one search serves all of them.
+    # Localizations repeat: the 16 flats of rank >= 3 give 9 distinct
+    # multiarrangements, and one search serves each.  Those of rank <= 2
+    # take their exponents without a search.
     from arrangements import derivations
 
     multi = simple_multiarrangement(CORPUS["braid-ess4"].arrangement)
@@ -285,23 +286,34 @@ def test_localization_sweep_searches_each_distinct_localization_once(monkeypatch
 
 def test_sigma_coefficients_searches_a_non_free_top_once(monkeypatch):
     # The top of a non-free multiarrangement is searched before the sweep;
-    # the sweep reuses that verdict for its last flat, the center.
+    # the sweep reuses that verdict for its last flat, the center.  Its
+    # localizations of rank <= 2 take their exponents without a search, so
+    # the top (rank 3) is the only search.
     from arrangements import derivations
 
     zr = ziegler_restriction(CORPUS["generic45"].arrangement, 0)
     expected = sigma_coefficients(zr)
     calls = []
     real = derivations.find_free_basis
+    rank2 = []
+    real_rank2 = derivations._rank2_exponents
 
     def counting(local, bound=None):
         calls.append(local)
         return real(local, bound)
 
+    def counting_rank2(ess, kernels=None):
+        rank2.append(ess)
+        return real_rank2(ess, kernels)
+
     monkeypatch.setattr(derivations, "find_free_basis", counting)
+    monkeypatch.setattr(derivations, "_rank2_exponents", counting_rank2)
     assert sigma_coefficients(zr) == expected
+    assert rank2
     assert not find_free_basis(calls[0]).is_free
     assert calls[0].dim == 3
-    assert len(calls) == len(set(calls)) == 6
+    assert all(c.rank() >= 3 for c in calls)
+    assert len(calls) == len(set(calls)) == 1
 
 
 def test_sigma_per_flat_needs_essential_input():

@@ -611,6 +611,53 @@ def test_rank2_search_matches_the_full_scan(multi):
         assert got == _full_scan(multi, bound, kernels)
 
 
+@st.composite
+def _rank2_lines(draw):
+    """2-6 lines in the plane with entries in -3..3 and multiplicities 1-8."""
+    _, forms = draw(
+        _central_forms(min_dim=2, max_dim=2, max_forms=6).filter(lambda d: len(d[1]) >= 2)
+    )
+    mult = draw(st.lists(st.integers(1, 8), min_size=len(forms), max_size=len(forms)))
+    return multiarrangement(canonicalize(forms, 2), mult)
+
+
+def _needs_the_probe(mult):
+    """No closed form applies: not simple, no line with m_H >= |m|/2, and
+    more than three lines."""
+    return max(mult) > 1 and 2 * max(mult) < sum(mult) and len(mult) > 3
+
+
+_FOUR_LINES = [[1, 0], [0, 1], [1, 1], [1, -1]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_rank2_lines())
+@example(multiarrangement(canonicalize(_FOUR_LINES + [[1, 2]], 2), [1] * 5))
+@example(multiarrangement(canonicalize([[1, 0], [1, 3]], 2), [3, 5]))
+@example(multiarrangement(canonicalize(_FOUR_LINES, 2), [4, 1, 2, 1]))
+@example(multiarrangement(canonicalize([[1, 0], [0, 1], [1, 1]], 2), [4, 5, 6]))
+@example(multiarrangement(canonicalize(_FOUR_LINES, 2), [2, 2, 2, 2]))
+@example(multiarrangement(canonicalize(_FOUR_LINES, 2), [3, 1, 2, 1]))
+def test_rank2_exponents_match_the_basis_search(multi):
+    # The exponents that callers without a basis read must be those of the
+    # generators the basis search finds, and those of a full scan of every
+    # degree.  A closed form computes no kernel; the probe computes one.
+    # The examples: simple, two lines, a heavy line with m_H = |m|/2, three
+    # balanced lines, and the probe at an even |m| (empty kernel) and at an
+    # odd |m| with m_H = (|m| - 1)/2.
+    degrees = []
+    real = derivations._graded_kernel
+
+    def spy(m, d):
+        degrees.append(d)
+        return real(m, d)
+
+    with mock.patch.object(derivations, "_graded_kernel", spy):
+        exponents = derivations._rank2_exponents(multi)
+    assert degrees == ([(multi.total + 1) // 2 - 1] if _needs_the_probe(multi.mult) else [])
+    assert exponents == find_free_basis(multi).exponents == _full_scan(multi, multi.total, {})[1]
+
+
 def _symbolic_saito(basis, multi):
     """Reference for the verdict of `saito_check` on fields of D(A,m):
     the expanded determinant det(theta_i(x_j)) equals c * Q(A,m) for a
