@@ -285,7 +285,10 @@ def _cmd_freeness(args):
         if arr.dim < 2:
             notes.append("abe-yoshinaga: skipped (needs dim >= 2)")
     if args.method in ("saito", "all"):
-        results["saito"] = find_free_basis(multi, degree_bound=bound)
+        # the exponents abe-yoshinaga proved are where Saito's basis lives
+        proven = results.get("abe-yoshinaga")
+        candidates = proven.exponents if proven is not None and proven.is_free else None
+        results["saito"] = find_free_basis(multi, degree_bound=bound, candidates=candidates)
     merged = _merge_verdicts(results)
 
     if args.json:

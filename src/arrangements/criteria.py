@@ -112,8 +112,12 @@ def compare_coefficients(arr, h0, degree_bound=None, assert_tame=False):
     table, restriction_flats = _b_table(chi0, lattice, h0, restriction)
     # one sweep: the global verdict, sigma and the per-flat sigma values.
     # The center localizes to the essentialization of A'', whose dimension
-    # is the rank of A''; A's rank is one more.
-    top, local = _localization_sweep(restriction, degree_bound, restriction_flats)
+    # is the rank of A''; A's rank is one more.  A free A'' has the roots
+    # of chi0 as its exponents (Terao 1981; Ziegler 1989), so its search
+    # tries those degrees first.
+    top, local = _localization_sweep(
+        restriction, degree_bound, restriction_flats, candidates=chi0.nonnegative_roots()
+    )
     rank_r = top.essential.dim
     sig = _sigma_column(top.essential, top, local)
     for flat, entry in table.per_flat.items():

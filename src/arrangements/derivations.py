@@ -22,7 +22,14 @@ d2 is max(0, d - d1 + 1), and the probe degree ceil(|m|/2) - 1 lies below
 d2, so the dimension of that one kernel fixes d1.  Callers that read no
 basis (the localization sweep, sigma and the restriction criteria, through
 `_bounded_search`) stop there; `find_free_basis` computes kernels only at
-d1 and d2 for the basis.  From rank 3 on the search scans every degree.
+d1 and d2 for the basis.
+
+From rank 3 on the search scans every degree, unless the caller holds
+candidate exponents: the roots of chi_0(A) for the Ziegler restriction
+A'' (a free A has chi_0(A,t) = prod (t - d_i) over the exponents of A'';
+Terao 1981, Ziegler 1989), or exponents another criterion proved.  Then
+kernels are computed at those degrees alone, and Saito's criterion is the
+proof; any other outcome falls back to the full scan.
 
 The span test runs in coordinates on D(A,m)_d itself.  The canonical
 kernel vector of a free column f is supported on the pivot columns before
@@ -364,7 +371,29 @@ def _rank2_generators(ess, bound):
     return gens
 
 
-def find_free_basis(multi, degree_bound=None):
+def _targeted_generators(ess, candidates, bound, kernels):
+    """The minimal generators of an essential D(A,m) of rank >= 3 from the
+    kernels at the distinct degrees of `candidates`, its exponents if it is
+    free (entries below 1, such as the zeros of a center, are ignored);
+    None unless each degree gives as many new generators as its
+    multiplicity among the candidates and together they pass saito_check.
+    Candidates that are not rank-many, do not sum to |m| or exceed bound
+    compute no kernel.  kernels receives each kernel computed, by degree.
+    """
+    targets = sorted(d for d in candidates if d > 0)
+    if len(targets) != ess.dim or sum(targets) != ess.total or targets[-1] > bound:
+        return None
+    gens = []
+    for d in sorted(set(targets)):
+        kernel, monos = kernels[d] = _graded_kernel(ess, d)
+        new = _new_generators(gens, kernel, monos, ess.dim, d)
+        if len(new) != targets.count(d):
+            return None
+        gens += new
+    return gens if saito_check(gens, ess) else None
+
+
+def find_free_basis(multi, degree_bound=None, candidates=None):
     """Decide freeness of D(A,m) by exact minimal-generator search.
 
     Scans degrees 1..bound (default |m|, which is decisive): at each degree
@@ -389,6 +418,16 @@ def find_free_basis(multi, degree_bound=None):
     at any other degree, so the basis is the scan's.  It is Unknown exactly
     when d2 lies above the bound, and a probe dimension off the rank-2
     Hilbert function raises TheoremViolation.
+
+    From rank 3 on, a caller that holds the exponents a free answer must
+    have passes them as candidates: the roots of chi_0(A) for a Ziegler
+    restriction A'' (Terao 1981; Ziegler 1989), or exponents already
+    proved by another criterion.  Kernels are then computed only at the
+    candidate degrees (`_targeted_generators`), and the result is Free
+    only when Saito's criterion certifies the generators found there.
+    Otherwise the full scan runs, reusing those kernels, so NotFree
+    witnesses and Unknown are the full scan's.  A free D(A,m) has no
+    minimal generator at a skipped degree, so its basis is the scan's too.
     """
     ess, center_dim = essentialize(multi)
     rank = ess.dim
@@ -418,10 +457,15 @@ def find_free_basis(multi, degree_bound=None):
         if not saito_check(gens, ess):
             raise TheoremViolation("rank-2 generators fail the Saito criterion")
         return free(tuple(g.degree for g in gens), gens)
+    kernels = {}
+    if candidates is not None:
+        gens = _targeted_generators(ess, candidates, bound, kernels)
+        if gens is not None:
+            return free(tuple(g.degree for g in gens), gens)
     partitions = _partitions(total, rank)
     gens = []
     for d in range(1, bound + 1):
-        kernel, monos = _graded_kernel(ess, d)
+        kernel, monos = kernels.get(d) or _graded_kernel(ess, d)
         gens += _new_generators(gens, kernel, monos, rank, d)
         if len(gens) > rank:
             return FreenessVerdict(
@@ -521,14 +565,15 @@ def rank2_exponents(multi):
     return Exponents(verdict.exponents, basis=verdict.basis)
 
 
-def _bounded_search(multi, rank, degree_bound=None):
+def _bounded_search(multi, rank, degree_bound=None, candidates=None):
     """The freeness verdict of a multiarrangement of the given rank, for
     callers that read no basis, under the one degree-bound rule: a user
-    bound applies from rank 3 on, where find_free_basis searches.  A
-    multiarrangement of rank <= 2 is free, and its exponents need no
-    search: (|m|) at rank 1, `_rank2_exponents` at rank 2."""
+    bound applies from rank 3 on, where find_free_basis searches (with
+    the candidate exponents, if any).  A multiarrangement of rank <= 2 is
+    free, and its exponents need no search: (|m|) at rank 1,
+    `_rank2_exponents` at rank 2."""
     if rank > 2:
-        return find_free_basis(multi, degree_bound)
+        return find_free_basis(multi, degree_bound, candidates)
     ess, center_dim = essentialize(multi)
     exponents = _rank2_exponents(ess) if ess.dim == 2 else (ess.total,) * ess.dim
     return FreenessVerdict(FREE, exponents=(0,) * center_dim + tuple(exponents), essential=ess)
@@ -557,11 +602,12 @@ def elementary_symmetric(values, k):
     return sum(prod(combo) for combo in combinations(values, k))
 
 
-def _localization_sweep(ess, degree_bound=None, flats=None, top=None):
+def _localization_sweep(ess, degree_bound=None, flats=None, top=None, candidates=None):
     """One freeness search per flat of an essential multiarrangement; the
     only place localization searches run.  Pass the flats of the
-    intersection lattice of ess.base to reuse them, and ess's own verdict
-    as top when it is already known.
+    intersection lattice of ess.base to reuse them, ess's own verdict as
+    top when it is already known, and the exponents ess must have if it is
+    free as candidates, for the search of the last flat.
 
     Returns (verdict, products): products maps each flat, in lattice order,
     to the product of its localization's exponents (None unless Free).  The
@@ -576,7 +622,8 @@ def _localization_sweep(ess, degree_bound=None, flats=None, top=None):
         local = localize_and_essentialize(ess, flat)
         verdict = verdicts.get(local)
         if verdict is None:
-            verdict = verdicts[local] = _bounded_search(local, flat.codim, degree_bound)
+            hint = candidates if flat is flats[-1] else None
+            verdict = verdicts[local] = _bounded_search(local, flat.codim, degree_bound, hint)
         products[flat] = prod(verdict.exponents) if verdict.is_free else None
     return verdict, products
 

@@ -48,7 +48,7 @@ def _rational(value, where):
     if isinstance(value, bool):
         raise InputError(f"{where}: expected a rational number, got {value!r}")
     if isinstance(value, int):
-        return Fraction(value)
+        return value
     if isinstance(value, str):
         try:
             return Fraction(value)

@@ -127,6 +127,19 @@ class IntPoly:
                     rem[k + j] -= factor * c
         return IntPoly(q), IntPoly(rem[:d])
 
+    def nonnegative_roots(self):
+        """The roots r_1 <= ... <= r_n when self = prod (t - r_i) over
+        nonnegative integers, else None.  Such roots sum to minus the
+        coefficient of t**(n - 1), which bounds each of them."""
+        if not self.is_monic():
+            return None
+        roots, rest = [], self
+        for r in range(-self.coefficient(self.degree - 1) + 1):
+            while rest.degree > 0 and rest(r) == 0:
+                rest = rest.divmod_monic(IntPoly((-r, 1)))[0]
+                roots.append(r)
+        return roots if rest.degree == 0 else None
+
     def to_string(self, sep="*"):
         """The polynomial in t, highest degree first; sep joins a coefficient
         to its power of t ("2*t^2" by default, "2t^2" with sep="")."""

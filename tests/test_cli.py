@@ -158,9 +158,9 @@ def test_freeness_all_searches_the_restriction_once(capsys, monkeypatch, name, r
     searched = []
     real = derivations.find_free_basis
 
-    def spy(multi, degree_bound=None):
+    def spy(multi, degree_bound=None, candidates=None):
         searched.append(multi)
-        return real(multi, degree_bound)
+        return real(multi, degree_bound, candidates)
 
     for module in (cli, criteria, derivations):
         monkeypatch.setattr(module, "find_free_basis", spy)
@@ -198,6 +198,55 @@ def test_freeness_all_builds_the_lattice_of_a_at_most_once(capsys, monkeypatch, 
     code, _, _ = run(capsys, "freeness", f"corpus:{name}", "--method", "all")
     assert code == 0
     assert sum(calls) == builds
+
+
+# D4: x_i - x_j and x_i + x_j, free with exponents (1, 3, 3, 5)
+D4 = json.dumps({
+    "dim": 4,
+    "hyperplanes": [[int(k == i) - s * int(k == j) for k in range(4)]
+                    for s in (1, -1) for i in range(4) for j in range(i + 1, 4)],
+})
+
+
+@pytest.mark.parametrize(
+    "argv, shown, kernels",
+    [
+        pytest.param(("compare", "--h0", "0"), "arrangement Tame (verified-free)",
+                     [(3, 3), (3, 5)], id="compare"),
+        pytest.param(
+            ("freeness", "--h0", "0", "--method", "all"),
+            "merged: Free(1, 3, 3, 5)",
+            [(3, d) for d in range(1, 6)] + [(4, 1), (4, 3), (4, 5)],
+            id="freeness-all",
+        ),
+        pytest.param(("exponents",), "Free(1, 3, 3, 5)", [(4, d) for d in range(1, 6)],
+                     id="exponents"),
+    ],
+)
+def test_searches_compute_kernels_only_at_the_exponents_they_hold(
+    capsys, monkeypatch, tmp_path, argv, shown, kernels
+):
+    # (rank, degree) of every graded kernel on D4.  compare searches A''
+    # (exponents 3, 3, 5) at the roots of chi_0(A) alone, and its rank-2
+    # localizations need no kernel.  freeness --method all scans A'' in
+    # full, then searches A at the exponents abe-yoshinaga proved.
+    # exponents holds no exponents and scans every degree up to 5.
+    from arrangements import derivations
+
+    path = tmp_path / "d4.json"
+    path.write_text(D4)
+    computed = []
+    real = derivations._graded_kernel
+
+    def spy(multi, d):
+        computed.append((multi.dim, d))
+        return real(multi, d)
+
+    monkeypatch.setattr(derivations, "_graded_kernel", spy)
+    code, out, _ = run(capsys, argv[0], str(path), *argv[1:])
+    assert code == 0
+    assert shown in out
+    assert computed == kernels
 
 
 @pytest.mark.parametrize("name", ["braid-ess3", "generic34", "braid-ess4"])

@@ -275,9 +275,9 @@ def test_localization_sweep_searches_each_distinct_localization_once(monkeypatch
     calls = []
     real = derivations.find_free_basis
 
-    def counting(local, bound=None):
+    def counting(local, bound=None, candidates=None):
         calls.append((local, bound))
-        return real(local, bound)
+        return real(local, bound, candidates)
 
     monkeypatch.setattr(derivations, "find_free_basis", counting)
     assert sigma_per_flat(multi) == expected
@@ -298,9 +298,9 @@ def test_sigma_coefficients_searches_a_non_free_top_once(monkeypatch):
     rank2 = []
     real_rank2 = derivations._rank2_exponents
 
-    def counting(local, bound=None):
+    def counting(local, bound=None, candidates=None):
         calls.append(local)
-        return real(local, bound)
+        return real(local, bound, candidates)
 
     def counting_rank2(ess, kernels=None):
         rank2.append(ess)

@@ -45,6 +45,26 @@ def test_parse_rational_strings_and_mult():
     assert inp.multiarrangement().total == 3
 
 
+def test_integer_entries_reach_canonicalize_as_ints(monkeypatch):
+    # JSON integers stay int, so canonicalize takes the integer path; only
+    # "p/q" strings become Fractions.  Both spellings give one arrangement.
+    from arrangements import fileio
+
+    seen = []
+    real = fileio.canonicalize
+
+    def spy(forms, dim):
+        seen.append([type(v) for form in forms for v in form])
+        return real(forms, dim)
+
+    monkeypatch.setattr(fileio, "canonicalize", spy)
+    ints = loads_arrangement('{"dim": 2, "hyperplanes": [[2, -4], [0, 3]]}')
+    strings = loads_arrangement('{"dim": 2, "hyperplanes": [["2", "-4/1"], [0, "3/1"]]}')
+    assert seen == [[int] * 4, [Fraction, Fraction, int, Fraction]]
+    assert ints.arrangement == strings.arrangement
+    assert ints.arrangement.forms == ((1, -2), (0, 1))
+
+
 @pytest.mark.parametrize(
     "doc, fragment",
     [

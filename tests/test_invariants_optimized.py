@@ -3,8 +3,9 @@
 Each check runs in a child interpreter started with -O (which strips
 `assert` statements) after a monkeypatch forces it to fail; the child must
 see TheoremViolation with the check's own message.  The exact check that
-certifies a modular kernel must likewise reject a wrong lift under -O, and
-the package holds no `assert` statement at all.
+certifies a modular kernel must likewise reject a wrong lift under -O, wrong
+candidate exponents must leave a freeness search with the full scan's
+verdict, and the package holds no `assert` statement at all.
 """
 
 import ast
@@ -164,6 +165,43 @@ def test_kernel_certificate_rejects_a_wrong_lift_under_python_O():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "3 exact fallbacks\n"
+
+
+WRONG_CANDIDATES = """
+import sys
+from arrangements import canonicalize, find_free_basis, simple_multiarrangement
+assert False, "-O did not strip asserts"
+b3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [1, -1, 0], [1, 0, 1], [1, 0, -1],
+      [0, 1, 1], [0, 1, -1]]
+# six planes, no three through a line: seeded with (2, 2, 2), the degree-2
+# kernel gives three new generators (x, y and z times the Euler field) and
+# only Saito's criterion rejects them
+generic6 = [[0, 1, 0], [0, 1, 2], [2, -1, 1], [1, 0, 2], [1, 2, -1], [0, 1, 1]]
+for forms, wrong in ((b3, (1, 4, 4)), (b3, (2, 3, 4)), (generic6, (2, 2, 2))):
+    multi = simple_multiarrangement(canonicalize(forms, 3))
+    got = find_free_basis(multi, None, wrong)
+    if got != find_free_basis(multi):
+        sys.exit(f"the candidates {wrong} changed the verdict")
+    print(got.status, got.exponents, got.witness)
+"""
+
+
+def test_wrong_candidates_keep_the_full_scan_verdict_under_python_O():
+    # The targeted scan accepts only a Saito-certified basis, and any other
+    # outcome falls back to the full scan: the verdict, exponents, basis
+    # and witness stay the full scan's without asserts too.
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", WRONG_CANDIDATES],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (
+        "Free (1, 3, 5) None\n" * 2
+        + "NotFree None graded dimension 3 at degree 2 matches no exponent partition of |m|\n"
+    )
 
 
 def test_package_has_no_assert_statement():

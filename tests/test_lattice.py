@@ -242,3 +242,15 @@ def test_lattice_of_unnormalized_rows(arr, masks, moebius):
     lat = intersection_lattice(arr)
     assert tuple(f.mask for f in lat.flats) == masks
     assert lat.moebius == moebius
+
+
+def test_nonnegative_roots_exactly_when_the_polynomial_splits_over_them():
+    # chi_0 of the essentialized braid arrangement A4 splits with roots
+    # 2, 3, 4; that of five generic hyperplanes in Q^4 does not.
+    assert reduced_char_poly(CORPUS["braid-ess4"].arrangement).nonnegative_roots() == [2, 3, 4]
+    assert reduced_char_poly(CORPUS["generic45"].arrangement).nonnegative_roots() is None
+    assert IntPoly.from_roots([3, 0, 5, 3]).nonnegative_roots() == [0, 3, 3, 5]
+    assert IntPoly((1,)).nonnegative_roots() == []
+    assert IntPoly.from_roots([2, -1]).nonnegative_roots() is None
+    assert IntPoly((10, -5, 1)).nonnegative_roots() is None  # t^2 - 5t + 10
+    assert IntPoly((-2, 2)).nonnegative_roots() is None  # 2t - 2 is not monic

@@ -34,6 +34,7 @@ from arrangements import (
     moebius_bruteforce,
     multiarrangement,
     rank2_exponents,
+    reduced_char_poly,
     region_count_recursion,
     saito_check,
     simple_multiarrangement,
@@ -791,3 +792,107 @@ def test_table_rows_match_the_per_monomial_rows(drawn):
                     if a:
                         row[i * len(monos) + k] = a * val
     assert derivations._constraint_rows(multi, d, monos) == expected
+
+
+def _d_forms(n):
+    """D_n: x_i - x_j and x_i + x_j."""
+    return [[int(k == i) - s * int(k == j) for k in range(n)]
+            for s in (1, -1) for i in range(n) for j in range(i + 1, n)]
+
+
+_D4 = canonicalize(_d_forms(4), 4)
+_B4 = canonicalize(_d_forms(4) + [f[:4] for f in _IDENTITY5[:4]], 4)
+# six planes with no three through a line: not free, and its only
+# derivations of degree 2 are x * theta_E, y * theta_E and z * theta_E
+_GENERIC6 = canonicalize([[0, 1, 0], [0, 1, 2], [2, -1, 1], [1, 0, 2], [1, 2, -1], [0, 1, 1]], 3)
+
+
+def _verdict_fields(verdict):
+    basis = None if verdict.basis is None else [repr(g) for g in verdict.basis]
+    return verdict.status, verdict.exponents, basis, verdict.witness, verdict.bound
+
+
+@st.composite
+def _seeded_searches(draw):
+    """A rank-3 or rank-4 arrangement A, or its Ziegler restriction A''
+    onto a drawn hyperplane; two candidate multisets: the roots of chi(A)
+    (of chi_0(A) for A''), or a drawn partition of |m| into rank-many
+    parts when those are not nonnegative integers, and that multiset with
+    one entry raised by one and another lowered by one; a degree bound
+    (None, 2 or 3)."""
+    rank = draw(st.integers(3, 4))
+    dim, forms = draw(
+        _central_forms(min_dim=rank, max_dim=rank, max_forms=rank + 3, coeff=5 - rank).filter(
+            lambda d: canonicalize(d[1], d[0]).rank() == d[0]
+        )
+    )
+    arr = canonicalize(forms, dim)
+    if draw(st.booleans()):
+        multi, chi = simple_multiarrangement(arr), char_poly(arr)
+    else:
+        multi = ziegler_restriction(arr, draw(st.integers(0, len(forms) - 1)))
+        chi = reduced_char_poly(arr)
+    ess, _ = essentialize(multi)
+    seed = chi.nonnegative_roots() or list(
+        draw(st.sampled_from(derivations._partitions(ess.total, ess.dim)))
+    )
+    i, j = draw(st.lists(st.integers(0, len(seed) - 1), min_size=2, max_size=2, unique=True))
+    wrong = list(seed)
+    wrong[i] += 1
+    wrong[j] -= 1
+    return multi, (tuple(seed), tuple(wrong)), draw(st.sampled_from((None, 2, 3)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_seeded_searches())
+@example((ziegler_restriction(_D4, 0), ((3, 3, 5), (3, 4, 4)), None))
+@example((simple_multiarrangement(_D4), ((1, 3, 3, 5), (1, 2, 4, 5)), None))
+@example((simple_multiarrangement(canonicalize(_B3, 3)), ((1, 3, 5), (1, 4, 4)), None))
+@example((simple_multiarrangement(canonicalize(_B3, 3)), ((1, 3, 5), (2, 3, 4)), 3))
+@example((simple_multiarrangement(CORPUS["generic45"].arrangement), ((1, 1, 1, 2), (1, 1, 2, 1)), None))
+@example((ziegler_restriction(CORPUS["generic45"].arrangement, 0), ((1, 1, 2), (2, 1, 1)), None))
+@example((simple_multiarrangement(_GENERIC6), ((2, 2, 2), (1, 2, 3)), None))
+def test_targeted_scan_matches_the_full_scan(drawn):
+    # Seeded with candidate exponents, the search must give the full
+    # scan's status, exponents, basis, witness and bound, compute no kernel
+    # twice and none above the bound; seeded with the exponents of a free
+    # answer, it computes kernels at their distinct degrees alone.  The
+    # examples: D4's A'' and D4 with the roots of chi_0 and chi, B3 also
+    # under a bound below its top exponent, generic45 and its A'' (not
+    # free), and six generic planes seeded with (2, 2, 2), where the
+    # degree-2 kernel has three new generators that fail Saito's criterion.
+    multi, seeds, bound = drawn
+    full = _verdict_fields(find_free_basis(multi, bound))
+    real = derivations._graded_kernel
+    for seed in seeds:
+        degrees = []
+
+        def spy(m, d):
+            degrees.append(d)
+            return real(m, d)
+
+        with mock.patch.object(derivations, "_graded_kernel", spy):
+            verdict = find_free_basis(multi, bound, seed)
+        assert _verdict_fields(verdict) == full
+        assert len(set(degrees)) == len(degrees)
+        assert all(1 <= d <= (multi.total if bound is None else bound) for d in degrees)
+        positive = sorted(d for d in seed if d > 0)
+        if verdict.is_free and multi.rank() >= 3 and positive == [d for d in verdict.exponents if d]:
+            assert degrees == sorted(set(positive))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(_rank3_arrangements(), _rank4_arrangements().map(lambda d: d[:2])))
+@example((CORPUS["braid-ess4"].arrangement, 0))
+@example((canonicalize(_B3, 3), 0))
+@example((_B4, 0))
+@example((_D4, 0))
+def test_free_arrangement_chi0_is_the_product_over_restriction_exponents(drawn):
+    # Terao's factorization and Ziegler's theorem: a free A has
+    # chi_0(A,t) = prod (t - d_i) over the exponents of A''; a center adds
+    # zeros to both.  The examples are A4 (essentialized), B3, B4 and D4.
+    arr, h0 = drawn
+    if find_free_basis(simple_multiarrangement(arr)).is_free:
+        restriction = find_free_basis(ziegler_restriction(arr, h0))
+        assert restriction.is_free
+        assert reduced_char_poly(arr) == IntPoly.from_roots(restriction.exponents)
