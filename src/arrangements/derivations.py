@@ -12,24 +12,30 @@ The constraint rows of a graded piece come from one substitution table
 per hyperplane (`polynomials.residue_table`), and the Saito determinant
 is decided at one integer point (`saito_check`).
 
-A rank-2 D(A,m) is free with exponents d1 + d2 = |m| (Saito; Ziegler
-1989), and `_rank2_exponents` gives them without a basis: (1, n - 1) for
-n lines of multiplicity one, (|m| - m_H, m_H) when some line has
+A rank-2 D(A,m) is free with exponents d1 <= d2, d1 + d2 = |m| (Saito;
+Ziegler 1989), and `_rank2_exponents` gives them without a basis: (1, n - 1)
+for n lines of multiplicity one, (|m| - m_H, m_H) when some line has
 m_H >= |m|/2 (Wakefield-Yuzvinsky, Trans. AMS 359, 2007), and
 (floor(|m|/2), ceil(|m|/2)) for three lines otherwise (Wakamiko, Tokyo J.
 Math. 30, 2007).  Else the probe rule decides: the Hilbert function below
 d2 is max(0, d - d1 + 1), and the probe degree ceil(|m|/2) - 1 lies below
 d2, so the dimension of that one kernel fixes d1.  Callers that read no
 basis (the localization sweep, sigma and the restriction criteria, through
-`_bounded_search`) stop there; `find_free_basis` computes kernels only at
-d1 and d2 for the basis.
+`_bounded_search`) stop there.
 
-From rank 3 on the search scans every degree, unless the caller holds
-candidate exponents: the roots of chi_0(A) for the Ziegler restriction
-A'' (a free A has chi_0(A,t) = prod (t - d_i) over the exponents of A'';
-Terao 1981, Ziegler 1989), or exponents another criterion proved.  Then
-kernels are computed at those degrees alone, and Saito's criterion is the
-proof; any other outcome falls back to the full scan.
+A search that holds its exponents computes kernels at those degrees alone
+(`_targeted_generators`), and Saito's criterion is the proof.  A free
+D(A,m) has no minimal generator at a skipped degree, and at the others the
+scan would see the same kernels and earlier generators, so the basis is
+the full scan's.  At rank 2 the exponents are the ones above; the search
+is Unknown exactly when d2 lies above the bound, and any other failure is
+a TheoremViolation.  From rank 3 on the search scans every degree, unless
+the caller holds candidate exponents: the roots of chi_0(A) for the
+Ziegler restriction A'' (a free A has chi_0(A,t) = prod (t - d_i) over the
+exponents of A''; Terao 1981, Ziegler 1989), or exponents another
+criterion proved.  Any outcome but a certified basis then falls back to
+the full scan, reusing the kernels, so NotFree witnesses and Unknown are
+the full scan's.
 
 The span test runs in coordinates on D(A,m)_d itself.  The canonical
 kernel vector of a free column f is supported on the pivot columns before
@@ -278,13 +284,17 @@ def _new_generators(gens, kernel, monos, rank, d):
     generators: each lies outside the polynomial-ring span of `gens` and of
     the kernel vectors before it.
 
-    The test runs on the kernel's free columns (see the module docstring):
-    kernel vector k, whose last nonzero entry is its free column, becomes
-    the unit row e_k, and a shifted generator x**a * g is read off at the
-    free columns alone.
+    The test runs on the kernel's free columns (see the module docstring),
+    where kernel vector k is the unit vector e_k.  It is new exactly when no
+    vector in the span of the shifted generators x**a * g has its last
+    nonzero entry at k, so one echelon of those rows, with the columns
+    reversed, gives the answer: k is new when width - 1 - k is no pivot.
     """
     width = len(kernel)
-    free = {next(i for i in reversed(range(len(vec))) if vec[i]): k for k, vec in enumerate(kernel)}
+    free = {
+        next(i for i in reversed(range(len(vec))) if vec[i]): width - 1 - k
+        for k, vec in enumerate(kernel)
+    }
     n_monos = len(monos)
     monos_index = {m: k for k, m in enumerate(monos)}
     span = _Echelon(width)
@@ -298,13 +308,12 @@ def _new_generators(gens, kernel, monos, rank, d):
                     if k is not None:
                         row[k] = c
             span.add(row)
-    out = []
-    for k, vec in enumerate(kernel):
-        unit = [0] * width
-        unit[k] = 1
-        if span.add(unit):
-            out.append(_field_from_vector(vec, monos, rank))
-    return out
+    pivots = set(span.pivots)
+    return [
+        _field_from_vector(vec, monos, rank)
+        for k, vec in enumerate(kernel)
+        if width - 1 - k not in pivots
+    ]
 
 
 def _partitions(total, parts, minimum=1):
@@ -347,45 +356,22 @@ def _rank2_exponents(ess, kernels=None):
     return d1, total - d1
 
 
-def _rank2_generators(ess, bound):
-    """The two minimal generators of an essential rank-2 D(A,m), from the
-    kernels at its exponents (`_rank2_exponents`); None when d2 lies above
-    bound.  Since d2 >= ceil(|m|/2), a bound below that needs no kernel,
-    and otherwise the probe degree lies within the bound.
-    """
-    if 2 * bound < ess.total:
-        return None
-    kernels = {}
-    d1, d2 = _rank2_exponents(ess, kernels)
-    if d2 > bound:
-        return None
-    gens = []
-    for d in sorted({d1, d2}):
-        kernel, monos = kernels.get(d) or _graded_kernel(ess, d)
-        gens += _new_generators(gens, kernel, monos, 2, d)
-    if [g.degree for g in gens] != [d1, d2]:
-        raise TheoremViolation(
-            f"rank-2 minimal generators at degrees {[g.degree for g in gens]}, "
-            f"not at the exponents ({d1}, {d2})"
-        )
-    return gens
-
-
 def _targeted_generators(ess, candidates, bound, kernels):
-    """The minimal generators of an essential D(A,m) of rank >= 3 from the
-    kernels at the distinct degrees of `candidates`, its exponents if it is
-    free (entries below 1, such as the zeros of a center, are ignored);
-    None unless each degree gives as many new generators as its
-    multiplicity among the candidates and together they pass saito_check.
-    Candidates that are not rank-many, do not sum to |m| or exceed bound
-    compute no kernel.  kernels receives each kernel computed, by degree.
+    """The minimal generators of an essential D(A,m) from the kernels at
+    the distinct degrees of `candidates`, its exponents if it is free
+    (entries below 1, such as the zeros of a center, are ignored); None
+    unless each degree gives as many new generators as its multiplicity
+    among the candidates and together they pass saito_check.  Candidates
+    that are not rank-many, do not sum to |m| or exceed bound compute no
+    kernel.  A kernel already in kernels (by degree) is reused, and each
+    kernel computed is added there.
     """
     targets = sorted(d for d in candidates if d > 0)
     if len(targets) != ess.dim or sum(targets) != ess.total or targets[-1] > bound:
         return None
     gens = []
     for d in sorted(set(targets)):
-        kernel, monos = kernels[d] = _graded_kernel(ess, d)
+        kernel, monos = kernels[d] = kernels.get(d) or _graded_kernel(ess, d)
         new = _new_generators(gens, kernel, monos, ess.dim, d)
         if len(new) != targets.count(d):
             return None
@@ -405,29 +391,10 @@ def find_free_basis(multi, degree_bound=None, candidates=None):
     graded dimensions, or exhaustion of all degrees up to |m|.  Unknown only
     occurs when a user-supplied bound below |m| runs out.
 
-    A rank-2 D(A,m) is free with exponents d1 <= d2, d1 + d2 = |m|
-    (Saito; Ziegler 1989), and `_rank2_exponents` gives them: (1, n - 1)
-    for n simple lines, (|m| - m_H, m_H) when some m_H >= |m|/2
-    (Wakefield-Yuzvinsky, Trans. AMS 359, 2007), the balanced pair for
-    three lines (Wakamiko, Tokyo J. Math. 30, 2007), and otherwise one
-    kernel at the probe degree ceil(|m|/2) - 1: it lies below d2, where
-    dim D_d = max(0, d - d1 + 1), so its dimension fixes d1.  The rank-2
-    search then selects generators at d1 and d2 alone
-    (`_rank2_generators`), reusing the probe kernel: there the scan would
-    see the same kernels and earlier generators, and it finds no generator
-    at any other degree, so the basis is the scan's.  It is Unknown exactly
-    when d2 lies above the bound, and a probe dimension off the rank-2
-    Hilbert function raises TheoremViolation.
-
-    From rank 3 on, a caller that holds the exponents a free answer must
-    have passes them as candidates: the roots of chi_0(A) for a Ziegler
-    restriction A'' (Terao 1981; Ziegler 1989), or exponents already
-    proved by another criterion.  Kernels are then computed only at the
-    candidate degrees (`_targeted_generators`), and the result is Free
-    only when Saito's criterion certifies the generators found there.
-    Otherwise the full scan runs, reusing those kernels, so NotFree
-    witnesses and Unknown are the full scan's.  A free D(A,m) has no
-    minimal generator at a skipped degree, so its basis is the scan's too.
+    A search that holds its exponents computes kernels at those degrees
+    alone (see the module docstring): rank 2 always, with the exponents of
+    `_rank2_exponents`, and from rank 3 on when the caller passes them as
+    candidates.
     """
     ess, center_dim = essentialize(multi)
     rank = ess.dim
@@ -450,18 +417,23 @@ def find_free_basis(multi, degree_bound=None, candidates=None):
 
     total = ess.total
     bound = total if degree_bound is None else int(degree_bound)
-    if rank == 2:
-        gens = _rank2_generators(ess, bound)
-        if gens is None:
-            return FreenessVerdict(UNKNOWN, bound=bound, essential=ess)
-        if not saito_check(gens, ess):
-            raise TheoremViolation("rank-2 generators fail the Saito criterion")
-        return free(tuple(g.degree for g in gens), gens)
     kernels = {}
+    if rank == 2:
+        # d2 >= |m|/2, so a lower bound needs no kernel; else the probe
+        # degree lies within the bound
+        if 2 * bound < total:
+            return FreenessVerdict(UNKNOWN, bound=bound, essential=ess)
+        candidates = _rank2_exponents(ess, kernels)
     if candidates is not None:
         gens = _targeted_generators(ess, candidates, bound, kernels)
         if gens is not None:
             return free(tuple(g.degree for g in gens), gens)
+        if rank == 2:
+            if candidates[1] > bound:
+                return FreenessVerdict(UNKNOWN, bound=bound, essential=ess)
+            raise TheoremViolation(
+                f"no basis passes the Saito criterion at the rank-2 exponents {candidates}"
+            )
     partitions = _partitions(total, rank)
     gens = []
     for d in range(1, bound + 1):

@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import isqrt, prod
 
 import numpy as np
 
@@ -82,17 +81,6 @@ def minor_bound(arr):
 
     grow(len(rows), 0, [1])
     return best
-
-
-def _hadamard_bound(arr):
-    """isqrt of the product of the dim largest squared row norms.
-
-    Hadamard's inequality bounds every square submatrix's |det| by the
-    product of its row norms; the rows are nonzero integer vectors, so each
-    norm is at least 1 and this bounds minor_bound(arr) from above.
-    """
-    norms = sorted((sum(v * v for v in f) for f in arr.forms), reverse=True)
-    return isqrt(prod(norms[: arr.dim]))
 
 
 def _is_prime(q):
@@ -191,11 +179,9 @@ def finite_field_char_poly(arr, primes=None, with_witnesses=False):
     InconsistentCounts is raised.
     """
     ell = arr.dim
-    if primes is None and _hadamard_bound(arr) ** ell <= MAX_POINTS:
-        # The minor bound is at most r, the largest integer with
-        # r**dim <= MAX_POINTS.  If fewer than dim+1 primes are <= r, the
-        # search above the minor bound stops at the first prime above r,
-        # as this one does, with the same BadPrime; skip the minors.
+    if primes is None:
+        # Every prime must satisfy q**dim <= MAX_POINTS, whatever the minor
+        # bound, so too few of them (dim >= 6) refuse before any minor.
         _primes_above(0, ell, ell + 1)
     bound = minor_bound(arr)
     if primes is None:

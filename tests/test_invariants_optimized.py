@@ -50,6 +50,15 @@ CHECKS = {
         """,
         "a rank-2 multiarrangement must be free",
     ),
+    "rank2-exponents-without-a-basis": (
+        """
+        from arrangements import CORPUS, derivations
+        # the true exponents of three-lines-221 are (2, 3)
+        derivations._rank2_exponents = lambda ess, kernels=None: (1, 4)
+        derivations.find_free_basis(CORPUS["three-lines-221"].multiarrangement())
+        """,
+        "no basis passes the Saito criterion at the rank-2 exponents (1, 4)",
+    ),
     "sigma-exceeds-b": (
         """
         from arrangements import CORPUS, compare_coefficients, criteria

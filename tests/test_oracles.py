@@ -221,9 +221,9 @@ def test_moebius_bruteforce_size_limit():
 
 
 def test_budget_refusal_skips_the_minor_enumeration(monkeypatch):
-    # Only six primes fit 6-dimensional point counts and boolean6 has
-    # Hadamard bound 1, so the oracle refuses before enumerating minors,
-    # with the message the search above the minor bound gives.
+    # Only six primes fit 6-dimensional point counts, so the oracle refuses
+    # before enumerating minors; boolean6 has minor bound 1, and the message
+    # is the one the search above the minor bound gives.
     from arrangements import oracles
 
     boolean6 = make([[int(i == j) for j in range(6)] for i in range(6)], 6)
@@ -236,19 +236,17 @@ def test_budget_refusal_skips_the_minor_enumeration(monkeypatch):
     assert str(refused.value).startswith("17**6 exceeds")
 
 
-def test_budget_refusal_past_the_hadamard_bound_enumerates_minors(monkeypatch):
-    # One coefficient of 20 puts the Hadamard bound past 14 (14**6 is the
-    # largest sixth power within budget): the minors are enumerated and the
-    # minor bound 20 names the first prime above it.
+def test_budget_refusal_decides_on_the_dimension_alone(monkeypatch):
+    # A coefficient of 20 gives minor bound 20, past 14 (14**6 is the
+    # largest sixth power within budget); the dimension alone still refuses,
+    # naming the first prime above 14, and no minor is enumerated.
     from arrangements import oracles
 
     forms = [[int(i == j) for j in range(6)] for i in range(6)]
     forms[0][1] = 20
     arr = make(forms, 6)
-    calls = []
-    exact = oracles.minor_bound
-    monkeypatch.setattr(oracles, "minor_bound", lambda a: calls.append(a) or exact(a))
-    with pytest.raises(BadPrime, match=r"^23\*\*6 exceeds"):
+    assert minor_bound(arr) == 20
+    monkeypatch.setattr(oracles, "minor_bound", None)  # any call fails
+    with pytest.raises(BadPrime, match=r"^17\*\*6 exceeds"):
         finite_field_char_poly(arr)
-    assert calls == [arr]
 

@@ -26,6 +26,7 @@ from arrangements import (
     compare_coefficients,
     decone,
     defining_polynomial,
+    derivation_membership,
     essentialize,
     find_free_basis,
     finite_field_char_poly,
@@ -520,11 +521,12 @@ def _full_width_new_generators(gens, kernel, monos, rank, d):
 
 
 @st.composite
-def _small_multiarrangements(draw):
-    """A multiarrangement of rank r = 3 (multiplicities 1-3) or 4
-    (multiplicities 1-2) with at most r + 2 hyperplanes, essential or with
-    one extra coordinate, and a degree bound (None, 1 or 2)."""
-    rank = draw(st.integers(3, 4))
+def _small_multiarrangements(draw, min_rank=2):
+    """A multiarrangement of rank r = min_rank..4 (multiplicities 1-3 up
+    to rank 2, 1-2 at rank 3, 1 at rank 4) with at most r + 2 hyperplanes,
+    entries in -2..2, essential or with one extra coordinate, and a degree
+    bound (None, 1 or 2)."""
+    rank = draw(st.integers(min_rank, 4))
     dim, forms = draw(
         _central_forms(min_dim=rank, max_dim=rank, max_forms=rank + 2, coeff=2).filter(
             lambda d: canonicalize(d[1], d[0]).rank() == d[0]
@@ -533,7 +535,7 @@ def _small_multiarrangements(draw):
     if draw(st.booleans()):
         forms = _embed(forms, draw(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim)))
         dim += 1
-    mult = draw(st.lists(st.integers(1, 5 - rank), min_size=len(forms), max_size=len(forms)))
+    mult = draw(st.lists(st.integers(1, min(3, 5 - rank)), min_size=len(forms), max_size=len(forms)))
     return multiarrangement(canonicalize(forms, dim), mult), draw(st.sampled_from((None, 1, 2)))
 
 
@@ -543,11 +545,16 @@ def _small_multiarrangements(draw):
 @example((simple_multiarrangement(CORPUS["braid-ess4"].arrangement), 2))
 @example((simple_multiarrangement(CORPUS["generic34"].arrangement), None))
 @example((multiarrangement(canonicalize(_IDENTITY5[:4], 5), [2, 1, 3, 1]), 1))
+@example((multiarrangement(canonicalize([[1, 0], [0, 1], [1, 1], [1, -1]], 2), [2, 2, 2, 2]), None))
+@example((multiarrangement(canonicalize([[1, 0], [0, 1], [1, 1]], 2), [1, 1, 6]), None))
+@example((multiarrangement(canonicalize([[1, 0], [0, 1], [1, 1]], 2), [12, 13, 12]), None))
 def test_free_column_span_selects_the_full_width_generators(drawn):
-    # The span test on the kernel's free columns must pick the same
-    # generators as the test on full rows, so the status, exponents, basis
-    # and witness agree.  The examples cover Free, Unknown under a bound,
-    # NotFree, and a non-essential input.
+    # The span test on the kernel's free columns, read off the pivots of
+    # one echelon, must pick the same generators as the test on full rows,
+    # so the status, exponents, basis and witness agree.  The examples
+    # cover Free, Unknown under a bound, NotFree, a non-essential input,
+    # and rank 2 with d1 = d2 = 4, with d1 = 2 below the probe degree 3,
+    # and with exponents (18, 19).
     multi, bound = drawn
     verdict = find_free_basis(multi, bound)
     with mock.patch.object(derivations, "_new_generators", _full_width_new_generators):
@@ -896,3 +903,35 @@ def test_free_arrangement_chi0_is_the_product_over_restriction_exponents(drawn):
         restriction = find_free_basis(ziegler_restriction(arr, h0))
         assert restriction.is_free
         assert reduced_char_poly(arr) == IntPoly.from_roots(restriction.exponents)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_small_multiarrangements(min_rank=1).map(lambda d: d[0]))
+@example(multiarrangement(canonicalize(_IDENTITY5[:1], 5), [3]))
+@example(multiarrangement(canonicalize([[1, 0], [0, 1], [1, 1]], 2), [2, 2, 1]))
+@example(simple_multiarrangement(canonicalize(_B3, 3)))
+@example(simple_multiarrangement(_D4))
+@example(simple_multiarrangement(_GENERIC6))
+def test_every_free_basis_passes_the_public_saito_check(multi):
+    # Whatever the candidates (none, the roots of chi of the base
+    # arrangement or the most balanced partition of |m| when chi does not
+    # split, or that multiset with its first entry lowered and its last
+    # raised), a Free verdict's basis lies in D(A,m) of the model searched,
+    # has the nonzero exponents as degrees, and passes the public
+    # saito_check.  The examples: one plane of multiplicity 3 in dimension
+    # 5, three lines (2, 2, 1), B3, D4, and six generic planes, whose
+    # degree-2 kernel has three new generators that fail Saito's criterion.
+    ess, _ = essentialize(multi)
+    roots = char_poly(multi.base).nonnegative_roots()
+    if roots is None:
+        roots = [0] * (multi.dim - ess.dim) + list(derivations._partitions(ess.total, ess.dim)[-1])
+    wrong = list(roots)
+    wrong[0] -= 1
+    wrong[-1] += 1
+    for candidates in (None, tuple(roots), tuple(wrong)):
+        verdict = find_free_basis(multi, None, candidates)
+        if not verdict.is_free:
+            continue
+        assert all(derivation_membership(theta, verdict.essential) for theta in verdict.basis)
+        assert [theta.degree for theta in verdict.basis] == [e for e in verdict.exponents if e]
+        assert saito_check(verdict.basis, verdict.essential)
