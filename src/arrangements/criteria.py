@@ -104,9 +104,8 @@ def compare_coefficients(arr, h0, degree_bound=None, assert_tame=False):
     ell = arr.dim
     if ell < 2:
         raise WrongRank("coefficient comparison needs ambient dimension at least 2")
+    _check_index(arr, h0)
     lattice = intersection_lattice(arr)
-    # an empty arrangement fails on chi0 (NonzeroRemainder) before the
-    # index check of ziegler_restriction could
     chi0 = reduced_char_poly(arr, lattice)
     restriction = ziegler_restriction(arr, h0)
     table, restriction_flats = _b_table(chi0, lattice, h0, restriction)
@@ -171,7 +170,6 @@ def mca_check(arr, h0, degree_bound=None):
     allows (equality at t = -1); None while any sigma stays unresolved."""
     if arr.dim < 2:
         raise WrongRank("minimal-chamber check needs ambient dimension at least 2")
-    _check_index(arr, h0)
     return compare_coefficients(arr, h0, degree_bound).mca
 
 
@@ -187,8 +185,7 @@ def _restriction_verdicts(arr, h0, degree_bound=None):
     rank 3; b of A is read from one L(A) only when A'' is Free."""
     if arr.dim < 2:
         raise WrongRank("criterion needs ambient dimension at least 2")
-    rank = arr.rank()  # A'' has rank one less
-    verdict = _bounded_search(ziegler_restriction(arr, h0), rank - 1, degree_bound)
+    verdict = _bounded_search(ziegler_restriction(arr, h0), degree_bound)
     if verdict.is_unknown:
         return {"abe-yoshinaga": FreenessVerdict(UNKNOWN, bound=verdict.bound)}
     if verdict.is_not_free:
@@ -209,7 +206,7 @@ def _restriction_verdicts(arr, h0, degree_bound=None):
             f"{b[2]} differs from sigma_2 = {elementary_symmetric(e, 2)}",
         }
         out = {m: FreenessVerdict(NOT_FREE, witness=w) for m, w in out.items()}
-    if arr.dim != 3 or rank != 3:
+    if arr.dim != 3 or verdict.essential.dim != 2:  # A'' has rank one less than A
         del out["yoshinaga"]
     return out
 

@@ -12,30 +12,30 @@ The constraint rows of a graded piece come from one substitution table
 per hyperplane (`polynomials.residue_table`), and the Saito determinant
 is decided at one integer point (`saito_check`).
 
-A rank-2 D(A,m) is free with exponents d1 <= d2, d1 + d2 = |m| (Saito;
-Ziegler 1989), and `_rank2_exponents` gives them without a basis: (1, n - 1)
-for n lines of multiplicity one, (|m| - m_H, m_H) when some line has
-m_H >= |m|/2 (Wakefield-Yuzvinsky, Trans. AMS 359, 2007), and
-(floor(|m|/2), ceil(|m|/2)) for three lines otherwise (Wakamiko, Tokyo J.
-Math. 30, 2007).  Else the probe rule decides: the Hilbert function below
-d2 is max(0, d - d1 + 1), and the probe degree ceil(|m|/2) - 1 lies below
-d2, so the dimension of that one kernel fixes d1.  Callers that read no
-basis (the localization sweep, sigma and the restriction criteria, through
-`_bounded_search`) stop there.
+A search of the essentialization takes one of three routes.  Below rank 3
+the exponents come from theorems (`_exponents_by_theorem`): () at rank 0,
+(|m|) at rank 1, and at rank 2, where D(A,m) is free with d1 <= d2,
+d1 + d2 = |m| (Saito; Ziegler 1989), (1, n - 1) for n lines of
+multiplicity one, (|m| - m_H, m_H) when some line has m_H >= |m|/2
+(Wakefield-Yuzvinsky, Trans. AMS 359, 2007), (floor(|m|/2), ceil(|m|/2))
+for three lines otherwise (Wakamiko, Tokyo J. Math. 30, 2007), else the
+probe rule: the Hilbert function below d2 is max(0, d - d1 + 1), and the
+probe degree ceil(|m|/2) - 1 lies below d2, so that one kernel's dimension
+fixes d1.  Callers that read no basis (`_bounded_search`) stop there.
 
-A search that holds its exponents computes kernels at those degrees alone
-(`_targeted_generators`), and Saito's criterion is the proof.  A free
+A search that holds its exponents, those or from rank 3 on candidates the
+caller passes, computes kernels at those degrees alone
+(`_targeted_generators`), and Saito's criterion is the proof: a free
 D(A,m) has no minimal generator at a skipped degree, and at the others the
 scan would see the same kernels and earlier generators, so the basis is
-the full scan's.  At rank 2 the exponents are the ones above; the search
-is Unknown exactly when d2 lies above the bound, and any other failure is
-a TheoremViolation.  From rank 3 on the search scans every degree, unless
-the caller holds candidate exponents: the roots of chi_0(A) for the
-Ziegler restriction A'' (a free A has chi_0(A,t) = prod (t - d_i) over the
-exponents of A''; Terao 1981, Ziegler 1989), or exponents another
-criterion proved.  Any outcome but a certified basis then falls back to
-the full scan, reusing the kernels, so NotFree witnesses and Unknown are
-the full scan's.
+the full scan's.  Below rank 3 it is Unknown exactly when d2 lies above
+the bound (rank 1 has none), and a failure is a TheoremViolation.  From
+rank 3 on the candidates are the roots of chi_0(A) for the Ziegler
+restriction A'' (a free A has chi_0(A,t) = prod (t - d_i) over the
+exponents of A''; Terao 1981, Ziegler 1989) or exponents another
+criterion proved, and any outcome but a certified basis falls back to the
+full scan, reusing the kernels.  The full scan stops NotFree once the
+graded dimensions fit no free module (`_hilbert_exponents`).
 
 The span test runs in coordinates on D(A,m)_d itself.  The canonical
 kernel vector of a free column f is supported on the pivot columns before
@@ -316,25 +316,32 @@ def _new_generators(gens, kernel, monos, rank, d):
     ]
 
 
-def _partitions(total, parts, minimum=1):
-    """Nondecreasing tuples of `parts` integers >= minimum summing to total."""
-    if parts == 0:
-        return [()] if total == 0 else []
-    out = []
-    for first in range(minimum, total // parts + 1):
-        for rest in _partitions(total - first, parts - 1, first):
-            out.append((first,) + rest)
-    return out
+def _hilbert_exponents(found, rank, total, d, dim):
+    """`found`, the exponents below d of a free D(A,m) of this rank and |m|,
+    extended by those equal to d, given dim D_d; None when no such module
+    exists.  dim D_d = sum_i C(d - e_i + r - 1, r - 1) counts 1 for each
+    exponent equal to d and 0 for one above, and those above d must make up
+    the rest of |m|."""
+    n = dim - sum(monomial_count(rank, d - e) for e in found)
+    if n < 0:
+        return None
+    found += (d,) * n
+    left, rest = rank - len(found), total - sum(found)
+    fits = rest == 0 if left == 0 else 0 < left and left * (d + 1) <= rest
+    return found if fits else None
 
 
-def _rank2_exponents(ess, kernels=None):
-    """The exponents (d1, d2), d1 <= d2, of an essential rank-2 D(A,m):
-    the closed forms of the module docstring, else the probe rule.  At the
-    probe degree d* = ceil(|m|/2) - 1, a kernel of dimension k > 0 gives
-    d1 = d* - k + 1, and k = 0 gives d1 = d2 = |m|/2.  A dict passed as
-    kernels receives the probe kernel by degree.
+def _exponents_by_theorem(ess, kernels=None):
+    """The exponents of an essential D(A,m) of rank <= 2: () at rank 0,
+    (|m|) at rank 1, and at rank 2 the closed forms of the module
+    docstring, else the probe rule.  At the probe degree
+    d* = ceil(|m|/2) - 1, a kernel of dimension k > 0 gives d1 = d* - k + 1,
+    and k = 0 gives d1 = d2 = |m|/2.  A dict passed as kernels receives the
+    probe kernel by degree.
     """
     total = ess.total
+    if ess.dim < 2:
+        return (total,) * ess.dim
     heavy = max(ess.mult)
     if heavy == 1:
         return 1, total - 1
@@ -367,7 +374,7 @@ def _targeted_generators(ess, candidates, bound, kernels):
     kernel computed is added there.
     """
     targets = sorted(d for d in candidates if d > 0)
-    if len(targets) != ess.dim or sum(targets) != ess.total or targets[-1] > bound:
+    if len(targets) != ess.dim or sum(targets) != ess.total or max(targets, default=0) > bound:
         return None
     gens = []
     for d in sorted(set(targets)):
@@ -387,103 +394,85 @@ def find_free_basis(multi, degree_bound=None, candidates=None):
     polynomial-ring span of the generators already found.  Free is certified
     by the Saito determinant; NotFree by any of: more than rank-many minimal
     generators, rank-many with degree sum different from |m|, rank-many
-    failing the determinant identity, no exponent partition matching the
-    graded dimensions, or exhaustion of all degrees up to |m|.  Unknown only
-    occurs when a user-supplied bound below |m| runs out.
-
-    A search that holds its exponents computes kernels at those degrees
-    alone (see the module docstring): rank 2 always, with the exponents of
-    `_rank2_exponents`, and from rank 3 on when the caller passes them as
-    candidates.
+    failing the determinant identity, graded dimensions that fit no free
+    module, or exhaustion of all degrees up to |m|.  Unknown only occurs
+    when a user-supplied bound below |m| runs out.  Below rank 3, and with
+    candidate exponents, it computes kernels at the exponents alone (see
+    the module docstring).
     """
     ess, center_dim = essentialize(multi)
-    rank = ess.dim
-    zeros = (0,) * center_dim
+    return _search(ess, center_dim, degree_bound, candidates)
 
-    def free(exponents, basis):
-        return FreenessVerdict(
-            FREE,
-            exponents=zeros + tuple(exponents),
-            basis=tuple(basis),
-            essential=ess,
-        )
 
-    if rank == 0:
-        return free((), ())
-    if rank == 1:
-        # one hyperplane x**m in one variable: basis x**m d/dx
-        m = ess.total
-        return free((m,), (PolyVectorField([{(m,): 1}]),))
+def _search(ess, center_dim, degree_bound, candidates):
+    """The verdict of `find_free_basis` on an essential ess, with
+    center_dim zero exponents in front of its own."""
+    rank, total = ess.dim, ess.total
+    # below rank 2 the basis, () or x**m d/dx, is found whatever the bound
+    bound = total if degree_bound is None or rank < 2 else int(degree_bound)
 
-    total = ess.total
-    bound = total if degree_bound is None else int(degree_bound)
+    def verdict(status, **fields):
+        return FreenessVerdict(status, essential=ess, **fields)
+
+    def free(gens):
+        exponents = (0,) * center_dim + tuple(g.degree for g in gens)
+        return verdict(FREE, exponents=exponents, basis=tuple(gens))
+
     kernels = {}
-    if rank == 2:
-        # d2 >= |m|/2, so a lower bound needs no kernel; else the probe
-        # degree lies within the bound
+    if rank <= 2:
+        # d2 >= |m|/2, so a bound below |m|/2 needs no kernel
         if 2 * bound < total:
-            return FreenessVerdict(UNKNOWN, bound=bound, essential=ess)
-        candidates = _rank2_exponents(ess, kernels)
+            return verdict(UNKNOWN, bound=bound)
+        candidates = _exponents_by_theorem(ess, kernels)
+        if max(candidates, default=0) > bound:
+            return verdict(UNKNOWN, bound=bound)
     if candidates is not None:
         gens = _targeted_generators(ess, candidates, bound, kernels)
         if gens is not None:
-            return free(tuple(g.degree for g in gens), gens)
-        if rank == 2:
-            if candidates[1] > bound:
-                return FreenessVerdict(UNKNOWN, bound=bound, essential=ess)
+            return free(gens)
+        if rank <= 2:
             raise TheoremViolation(
-                f"no basis passes the Saito criterion at the rank-2 exponents {candidates}"
+                f"no basis passes the Saito criterion at the rank-{rank} exponents {candidates}"
             )
-    partitions = _partitions(total, rank)
-    gens = []
+    gens, found = [], ()
     for d in range(1, bound + 1):
         kernel, monos = kernels.get(d) or _graded_kernel(ess, d)
         gens += _new_generators(gens, kernel, monos, rank, d)
         if len(gens) > rank:
-            return FreenessVerdict(
+            return verdict(
                 NOT_FREE,
                 witness=f"{len(gens)} minimal generators by degree {d} "
                 f"exceed the rank {rank}",
-                essential=ess,
             )
         if len(gens) == rank:
             degrees = tuple(g.degree for g in gens)
             if sum(degrees) != total:
-                return FreenessVerdict(
+                return verdict(
                     NOT_FREE,
                     witness=f"minimal generator degrees {degrees} "
                     f"sum to {sum(degrees)}, not |m| = {total}",
-                    essential=ess,
                 )
             if saito_check(gens, ess):
-                return free(degrees, gens)
-            return FreenessVerdict(
+                return free(gens)
+            return verdict(
                 NOT_FREE,
                 witness="rank-many minimal generators fail the determinant "
                 f"criterion at degrees {degrees}",
-                essential=ess,
             )
-        dim_d = len(kernel)
-        partitions = [
-            e
-            for e in partitions
-            if sum(monomial_count(rank, d - ei) for ei in e) == dim_d
-        ]
-        if not partitions:
-            return FreenessVerdict(
+        found = _hilbert_exponents(found, rank, total, d, len(kernel))
+        if found is None:
+            return verdict(
                 NOT_FREE,
-                witness=f"graded dimension {dim_d} at degree {d} matches "
+                witness=f"graded dimension {len(kernel)} at degree {d} matches "
                 "no exponent partition of |m|",
-                essential=ess,
             )
     if bound >= total:
-        return FreenessVerdict(
+        return verdict(
             NOT_FREE,
             witness=f"fewer than {rank} minimal generators exist up to "
             f"degree |m| = {total}, where any free basis must live",
-            essential=ess,
         )
-    return FreenessVerdict(UNKNOWN, bound=bound, essential=ess)
+    return verdict(UNKNOWN, bound=bound)
 
 
 def saito_check(basis, multi):
@@ -537,18 +526,17 @@ def rank2_exponents(multi):
     return Exponents(verdict.exponents, basis=verdict.basis)
 
 
-def _bounded_search(multi, rank, degree_bound=None, candidates=None):
-    """The freeness verdict of a multiarrangement of the given rank, for
-    callers that read no basis, under the one degree-bound rule: a user
-    bound applies from rank 3 on, where find_free_basis searches (with
-    the candidate exponents, if any).  A multiarrangement of rank <= 2 is
-    free, and its exponents need no search: (|m|) at rank 1,
-    `_rank2_exponents` at rank 2."""
-    if rank > 2:
-        return find_free_basis(multi, degree_bound, candidates)
+def _bounded_search(multi, degree_bound=None, candidates=None):
+    """The freeness verdict of a multiarrangement, for callers that read no
+    basis, under the one degree-bound rule: a user bound applies from rank
+    3 on, where `find_free_basis` searches (with the candidate exponents,
+    if any).  Below rank 3 D(A,m) is free, and `_exponents_by_theorem`
+    gives its exponents without a search."""
     ess, center_dim = essentialize(multi)
-    exponents = _rank2_exponents(ess) if ess.dim == 2 else (ess.total,) * ess.dim
-    return FreenessVerdict(FREE, exponents=(0,) * center_dim + tuple(exponents), essential=ess)
+    if ess.dim > 2:
+        return _search(ess, center_dim, degree_bound, candidates)
+    exponents = (0,) * center_dim + _exponents_by_theorem(ess)
+    return FreenessVerdict(FREE, exponents=exponents, essential=ess)
 
 
 def multi_char_poly_free(exponents):
@@ -584,8 +572,7 @@ def _localization_sweep(ess, degree_bound=None, flats=None, top=None, candidates
     Returns (verdict, products): products maps each flat, in lattice order,
     to the product of its localization's exponents (None unless Free).  The
     last flat, the center, localizes to ess itself, so verdict is the global
-    one.  Each distinct localization is searched once, by _bounded_search
-    at its rank codim X.
+    one.  Each distinct localization is searched once, by _bounded_search.
     """
     products = {}
     verdicts = {} if top is None else {ess: top}
@@ -595,7 +582,7 @@ def _localization_sweep(ess, degree_bound=None, flats=None, top=None, candidates
         verdict = verdicts.get(local)
         if verdict is None:
             hint = candidates if flat is flats[-1] else None
-            verdict = verdicts[local] = _bounded_search(local, flat.codim, degree_bound, hint)
+            verdict = verdicts[local] = _bounded_search(local, degree_bound, hint)
         products[flat] = prod(verdict.exponents) if verdict.is_free else None
     return verdict, products
 
@@ -638,12 +625,10 @@ def sigma_coefficients(multi, degree_bound=None):
     sums the local exponent products over the codimension-k flats, staying
     None whenever one of them is unresolved within the bound.
     """
-    ess, _ = essentialize(multi)
-    verdict = products = None
-    if ess.dim >= 2:
-        verdict = _bounded_search(ess, ess.dim, degree_bound)
-        if not verdict.is_free:
-            products = _localization_sweep(ess, degree_bound, top=verdict)[1]
+    verdict = _bounded_search(multi, degree_bound)
+    ess, products = verdict.essential, None
+    if not verdict.is_free:
+        products = _localization_sweep(ess, degree_bound, top=verdict)[1]
     return _sigma_column(ess, verdict, products)
 
 

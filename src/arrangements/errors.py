@@ -39,7 +39,9 @@ class FlatNotInLattice(ArrangementError):
 class NonzeroRemainder(ArrangementError):
     """chi(A,t) of a central arrangement failed to be divisible by t-1.
 
-    This signals an internal bug, never a property of the input.
+    An arrangement with no hyperplanes raises it, since chi = t**dim (as
+    `charpoly --reduced` does); on any other input it signals an internal
+    bug.
     """
 
 

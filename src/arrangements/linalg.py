@@ -373,25 +373,18 @@ def nullspace(rows, ncols):
 
 
 def det(rows):
-    """Exact determinant of a square rational matrix (Bareiss elimination).
+    """Exact determinant of a square integer matrix (Bareiss elimination).
 
     `derivations.saito_check` evaluates the Saito determinant with it, and
     the tests compare `oracles.minor_bound` against it.
     """
     n = len(rows)
+    m = [list(row) for row in rows]
+    for row in m:
+        if len(row) != n or not all(isinstance(x, int) for x in row):
+            raise ValueError("determinant needs a square integer matrix")
     if n == 0:
-        return Fraction(1)
-    m = []
-    scale = Fraction(1)
-    for row in rows:
-        if len(row) != n:
-            raise ValueError("determinant needs a square matrix")
-        fracs = [Fraction(x) for x in row]
-        denom = 1
-        for x in fracs:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-        scale /= denom
-        m.append([int(x * denom) for x in fracs])
+        return 1
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -402,11 +395,11 @@ def det(rows):
                     sign = -sign
                     break
             else:
-                return Fraction(0)
+                return 0
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
             m[i][k] = 0
         prev = m[k][k]
-    return scale * sign * m[n - 1][n - 1]
+    return sign * m[n - 1][n - 1]
 

@@ -152,6 +152,7 @@ def b_coefficients(arr, h0):
     """
     if arr.dim < 2:
         raise WrongRank("coefficient comparison needs ambient dimension at least 2")
+    _check_index(arr, h0)
     lat = intersection_lattice(arr)
     return _b_table(reduced_char_poly(arr, lat), lat, h0, ziegler_restriction(arr, h0))[0]
 

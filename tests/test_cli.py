@@ -73,6 +73,27 @@ def test_exponents_unknown_exit_code(capsys):
     assert "Unknown" in out
 
 
+@pytest.mark.parametrize(
+    "text, code, expected",
+    [
+        ('{"dim": 1, "hyperplanes": [[1]]}', 0, "dim 1, 1 hyperplanes, |m| = 1\nFree(1)\n  (x)*d/dx\n"),
+        ('{"dim": 2, "hyperplanes": []}', 0, "dim 2, 0 hyperplanes, |m| = 0\nFree(0, 0)\n"),
+        (
+            '{"dim": 3, "hyperplanes": [[1,0,0],[0,1,0]]}',
+            2,
+            "dim 3, 2 hyperplanes, |m| = 2\nUnknown (degree bound 0)\n",
+        ),
+    ],
+    ids=["rank-1", "rank-0", "rank-2"],
+)
+def test_exponents_bound_zero_below_rank_3(capsys, tmp_path, text, code, expected):
+    # Rank 0 and rank 1 ignore the bound; rank 2 is Unknown because
+    # d2 = 1 exceeds it.
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    assert run(capsys, "exponents", str(path), "--bound", "0") == (code, expected, "")
+
+
 def test_freeness_all_methods_agree(capsys):
     code, out, _ = run(capsys, "freeness", "corpus:braid-ess3", "--method", "all")
     assert code == 0
@@ -152,18 +173,17 @@ def test_freeness_all_searches_the_restriction_once(capsys, monkeypatch, name, r
     # Both restriction criteria read one search of A''; saito searches A.
     # A rank-2 A'' (the rank-3 inputs) is not searched at all: its
     # exponents need no basis.  braid-ess4 has a rank-3 A''.
-    from arrangements import cli, criteria, derivations, ziegler_restriction
+    from arrangements import derivations, ziegler_restriction
 
     entry = CORPUS[name]
     searched = []
-    real = derivations.find_free_basis
+    real = derivations._search
 
-    def spy(multi, degree_bound=None, candidates=None):
-        searched.append(multi)
-        return real(multi, degree_bound, candidates)
+    def spy(ess, center_dim, degree_bound, candidates):
+        searched.append(ess)
+        return real(ess, center_dim, degree_bound, candidates)
 
-    for module in (cli, criteria, derivations):
-        monkeypatch.setattr(module, "find_free_basis", spy)
+    monkeypatch.setattr(derivations, "_search", spy)
     code, _, _ = run(capsys, "freeness", f"corpus:{name}", "--h0", str(entry.h0))
     assert code == 0
     restriction = ziegler_restriction(entry.arrangement, entry.h0)
@@ -441,7 +461,7 @@ def test_malformed_file_diagnostic(capsys, tmp_path):
     assert "hyperplanes[0][1]" in err
 
 
-@pytest.mark.parametrize("argv", [("ziegler", "--h0", "0"), ("freeness",)])
+@pytest.mark.parametrize("argv", [("ziegler", "--h0", "0"), ("freeness",), ("compare", "--h0", "0")])
 def test_hyperplane_index_into_an_empty_arrangement(capsys, tmp_path, argv):
     path = tmp_path / "empty.json"
     path.write_text('{"dim": 2, "hyperplanes": []}')

@@ -5,11 +5,12 @@ import pytest
 import arrangements.criteria as criteria
 from arrangements import (
     CORPUS,
-    NonzeroRemainder,
+    IndexOutOfRange,
     SigmaStatus,
     TheoremViolation,
     WrongRank,
     abe_yoshinaga_free_check,
+    b_coefficients,
     compare_coefficients,
     elementary_symmetric,
     find_free_basis,
@@ -136,10 +137,14 @@ def test_compare_computes_the_ziegler_restriction_once(monkeypatch):
     assert calls == [0]
 
 
-def test_compare_rejects_an_empty_arrangement_on_chi0():
-    # No hyperplane means no restriction either; the error names chi0.
-    with pytest.raises(NonzeroRemainder):
-        compare_coefficients(make([], 3), 0)
+@pytest.mark.parametrize(
+    "compare", [compare_coefficients, b_coefficients], ids=["compare_coefficients", "b_coefficients"]
+)
+def test_compare_rejects_an_empty_arrangement_on_the_index(compare):
+    # No hyperplane means no h0: the index check runs before chi0, which
+    # has no (t - 1) factor here.
+    with pytest.raises(IndexOutOfRange, match="the arrangement has no hyperplanes"):
+        compare(make([], 3), 0)
 
 
 def test_theorem_violation_guard_fires_on_bad_sigma(monkeypatch):

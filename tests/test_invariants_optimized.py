@@ -54,7 +54,7 @@ CHECKS = {
         """
         from arrangements import CORPUS, derivations
         # the true exponents of three-lines-221 are (2, 3)
-        derivations._rank2_exponents = lambda ess, kernels=None: (1, 4)
+        derivations._exponents_by_theorem = lambda ess, kernels=None: (1, 4)
         derivations.find_free_basis(CORPUS["three-lines-221"].multiarrangement())
         """,
         "no basis passes the Saito criterion at the rank-2 exponents (1, 4)",

@@ -47,6 +47,7 @@ from arrangements import derivations
 from arrangements.core import CentralArrangement, normalize_affine, normalize_form
 from arrangements.linalg import _Echelon, det, echelon
 from arrangements.polynomials import (
+    monomial_count,
     monomial_residue_mod_linear_power,
     monomials,
     mp_add_inplace,
@@ -661,7 +662,7 @@ def test_rank2_exponents_match_the_basis_search(multi):
         return real(m, d)
 
     with mock.patch.object(derivations, "_graded_kernel", spy):
-        exponents = derivations._rank2_exponents(multi)
+        exponents = derivations._exponents_by_theorem(multi)
     assert degrees == ([(multi.total + 1) // 2 - 1] if _needs_the_probe(multi.mult) else [])
     assert exponents == find_free_basis(multi).exponents == _full_scan(multi, multi.total, {})[1]
 
@@ -814,6 +815,75 @@ _B4 = canonicalize(_d_forms(4) + [f[:4] for f in _IDENTITY5[:4]], 4)
 _GENERIC6 = canonicalize([[0, 1, 0], [0, 1, 2], [2, -1, 1], [1, 0, 2], [1, 2, -1], [0, 1, 1]], 3)
 
 
+def _partitions(total, parts, minimum=1):
+    """Nondecreasing tuples of `parts` integers >= minimum summing to total."""
+    if parts == 0:
+        return [()] if total == 0 else []
+    out = []
+    for first in range(minimum, total // parts + 1):
+        for rest in _partitions(total - first, parts - 1, first):
+            out.append((first,) + rest)
+    return out
+
+
+def _hilbert_function(exponents, rank, degrees):
+    return [sum(monomial_count(rank, d - e) for e in exponents) for d in degrees]
+
+
+def _partition_stop(rank, total, dims):
+    """Reference for the full scan's stop rule: the first degree d at
+    which no exponent partition of |m| into rank parts has the graded
+    dimensions dims[:d] of degrees 1..d, or None."""
+    partitions = _partitions(total, rank)
+    for d, dim in enumerate(dims, 1):
+        partitions = [e for e in partitions if _hilbert_function(e, rank, [d]) == [dim]]
+        if not partitions:
+            return d
+    return None
+
+
+def _hilbert_stop(rank, total, dims):
+    found = ()
+    for d, dim in enumerate(dims, 1):
+        found = derivations._hilbert_exponents(found, rank, total, d, dim)
+        if found is None:
+            return d
+    return None
+
+
+@st.composite
+def _graded_dimensions(draw):
+    """rank 1-5, |m| <= 18, and the dimensions of degrees 1..|m| of a free
+    module with drawn exponents, one of them moved by -1, 0 or +1, or an
+    arbitrary sequence of small dimensions."""
+    rank = draw(st.integers(1, 5))
+    total = draw(st.integers(rank, 18))
+    if draw(st.booleans()):
+        dims = _hilbert_function(draw(st.sampled_from(_partitions(total, rank))), rank, range(1, total + 1))
+        dims[draw(st.integers(0, total - 1))] += draw(st.sampled_from((-1, 0, 1)))
+    else:
+        dims = draw(st.lists(st.integers(0, 12), max_size=total))
+    return rank, total, dims
+
+
+@settings(max_examples=300, deadline=None)
+@given(_graded_dimensions())
+@example((3, 9, [0, 0, 3, 9, 18, 30, 45, 63, 84]))
+@example((3, 9, [1, 2]))
+@example((2, 4, [0, 3]))
+@example((2, 6, [0, 0, 1]))
+def test_hilbert_stop_rule_matches_the_partition_filter(drawn):
+    # The full scan ends NotFree at the first degree whose dimensions fit
+    # no free module; reading the exponents off the Hilbert function must
+    # stop exactly where filtering every partition of |m| does.  The
+    # examples: exponents (3, 3, 3), which never stop; B3's (1, 3, 5) with
+    # one dimension too few at degree 2 (a negative count); three exponents
+    # at degree 2 of rank 2; and an exponent 3 of rank 2 that leaves 3 of
+    # |m| = 6 for one exponent above 3.
+    rank, total, dims = drawn
+    assert _hilbert_stop(rank, total, dims) == _partition_stop(rank, total, dims)
+
+
 def _verdict_fields(verdict):
     basis = None if verdict.basis is None else [repr(g) for g in verdict.basis]
     return verdict.status, verdict.exponents, basis, verdict.witness, verdict.bound
@@ -841,7 +911,7 @@ def _seeded_searches(draw):
         chi = reduced_char_poly(arr)
     ess, _ = essentialize(multi)
     seed = chi.nonnegative_roots() or list(
-        draw(st.sampled_from(derivations._partitions(ess.total, ess.dim)))
+        draw(st.sampled_from(_partitions(ess.total, ess.dim)))
     )
     i, j = draw(st.lists(st.integers(0, len(seed) - 1), min_size=2, max_size=2, unique=True))
     wrong = list(seed)
@@ -924,7 +994,7 @@ def test_every_free_basis_passes_the_public_saito_check(multi):
     ess, _ = essentialize(multi)
     roots = char_poly(multi.base).nonnegative_roots()
     if roots is None:
-        roots = [0] * (multi.dim - ess.dim) + list(derivations._partitions(ess.total, ess.dim)[-1])
+        roots = [0] * (multi.dim - ess.dim) + list(_partitions(ess.total, ess.dim)[-1])
     wrong = list(roots)
     wrong[0] -= 1
     wrong[-1] += 1

@@ -38,9 +38,8 @@ def test_every_traced_layer_is_a_package_function():
         assert fn.__module__.startswith("arrangements."), qualname
 
 
-def _traced_exponents(path, capsys):
-    """The JSON output and the per-layer summary of a traced `exponents`
-    run on one input file."""
+def _traced(capsys, *argv):
+    """The JSON output and the per-layer summary of one traced CLI run."""
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
@@ -49,7 +48,7 @@ def _traced_exponents(path, capsys):
     recorder = tracer.Recorder()
     try:
         recorder.install()
-        assert cli.main(["exponents", str(path), "--json"]) == 0
+        assert cli.main([*argv, "--json"]) == 0
     finally:
         for module, names in saved:
             vars(module).update(names)
@@ -57,7 +56,7 @@ def _traced_exponents(path, capsys):
 
 
 def test_traced_exponents_reports_kernel_counts(capsys):
-    out, summary = _traced_exponents(TESTS / "bases" / "B3.json", capsys)
+    out, summary = _traced(capsys, "exponents", str(TESTS / "bases" / "B3.json"))
     assert out["exponents"] == [1, 3, 5]
     kernels = summary["linalg.nullspace"]
     # degrees d = 1..5 of B3: 3 * C(d + 2, 2) columns, and the kernel is
@@ -72,9 +71,21 @@ def test_traced_rank2_exponents_compute_two_kernels(capsys):
     # |m| = 37: the probe degree 18 has a one-dimensional kernel, so the
     # exponents are (18, 19) and the search computes the kernels at 18
     # (2 * 19 columns) and 19 (2 * 20 columns) only, not all of 1..19
-    out, summary = _traced_exponents(TESTS / "bases" / "three-lines-12-13-12.json", capsys)
+    out, summary = _traced(capsys, "exponents", str(TESTS / "bases" / "three-lines-12-13-12.json"))
     assert out["exponents"] == [18, 19]
     kernels = summary["linalg.nullspace"]
     assert kernels["calls"] == 2
     assert kernels["cols"] == 38 + 40
     assert kernels["kernel_dim"] == 1 + 3
+
+
+def test_traced_compare_counts_stay_put(capsys):
+    # compare on braid-ess4 searches its rank-3 A'' at the roots of chi_0,
+    # once: a refactor that adds a kernel, a Saito check or an
+    # essentialization shows up here
+    out, summary = _traced(capsys, "compare", "corpus:braid-ess4", "--h0", "0")
+    assert out["mca"] is True
+    kernels = summary["linalg.nullspace"]
+    assert (kernels["calls"], kernels["cols"], kernels["kernel_dim"]) == (3, 93, 15)
+    assert summary["derivations.saito_check"]["calls"] == 1
+    assert summary["core.essentialize"]["calls"] == 8
