@@ -11,6 +11,8 @@ rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
 
 from .errors import DimensionMismatch, DuplicateHyperplane, ZeroForm
 from .linalg import echelon, primitive_vector
@@ -41,7 +43,7 @@ class CentralArrangement:
 
     def rank(self):
         """Codimension of the common intersection of all hyperplanes."""
-        return echelon(self.forms, self.dim).rank if self.forms else 0
+        return echelon(self.forms).rank
 
     def is_essential(self):
         return self.rank() == self.dim
@@ -108,7 +110,7 @@ class Multiarrangement:
         """Codimension of the intersection of the positive-multiplicity
         hyperplanes."""
         forms = [self.base.forms[i] for i in self.effective()]
-        return echelon(forms, self.dim).rank if forms else 0
+        return echelon(forms).rank
 
     def is_essential(self):
         return self.rank() == self.dim
@@ -117,10 +119,20 @@ class Multiarrangement:
         return f"Multiarrangement(dim={self.dim}, n={self.base.n_hyperplanes}, |m|={self.total})"
 
 
+def _integer_row(raw):
+    """A rational row times the lcm of its denominators: integers, and raw
+    itself when it holds only ints."""
+    if all(isinstance(x, int) for x in raw):
+        return raw
+    fracs = [Fraction(x) for x in raw]
+    denom = lcm(*(x.denominator for x in fracs))
+    return [x.numerator * (denom // x.denominator) for x in fracs]
+
+
 def normalize_form(raw):
     """Primitive integer vector with positive leading entry; ZeroForm if zero."""
     try:
-        return primitive_vector(raw)
+        return primitive_vector(_integer_row(raw))
     except ValueError as exc:
         raise ZeroForm(str(exc)) from None
 
@@ -156,12 +168,10 @@ def _distinct(keys):
 
 def normalize_affine(normal, constant):
     """Jointly primitive (normal, constant) with positive leading normal entry."""
-    vec = list(normal) + [constant]
     if not any(normal):
         raise ZeroForm("affine hyperplane needs a nonzero normal")
-    prim = primitive_vector(vec)
-    if next(v for v in prim[:-1] if v != 0) < 0:
-        prim = tuple(-v for v in prim)
+    # the normal is nonzero, so primitive_vector's sign is the normal's
+    prim = primitive_vector(_integer_row(list(normal) + [constant]))
     return prim[:-1], prim[-1]
 
 
@@ -184,7 +194,7 @@ def form_to_string(form, names=None):
     return signed_sum(zip(form, names or var_names(len(form))))
 
 
-def _essential_forms(forms, dim):
+def _essential_forms(forms):
     """Integer forms rewritten in coordinates on their span.
 
     Returns (rank, new forms): each form's entries at the pivot columns of
@@ -192,7 +202,7 @@ def _essential_forms(forms, dim):
     span is the identity at those columns, so the entries there are
     exactly the form's coordinates in that basis.
     """
-    pivots = echelon(forms, dim).pivots
+    pivots = echelon(forms).pivots
     return len(pivots), tuple(normalize_form([f[p] for p in pivots]) for f in forms)
 
 
@@ -206,7 +216,7 @@ def essentialize(arr):
     multi = isinstance(arr, Multiarrangement)
     base = arr.base if multi else arr
     idx = arr.effective() if multi else range(base.n_hyperplanes)
-    rank, forms = _essential_forms([base.forms[i] for i in idx], arr.dim)
+    rank, forms = _essential_forms([base.forms[i] for i in idx])
     if rank == arr.dim and len(forms) == base.n_hyperplanes:
         return arr, 0
     ess = CentralArrangement(rank, forms)

@@ -297,7 +297,7 @@ def _new_generators(gens, kernel, monos, rank, d):
     }
     n_monos = len(monos)
     monos_index = {m: k for k, m in enumerate(monos)}
-    span = _Echelon(width)
+    span = _Echelon()
     for g in gens:
         for shift in monomials(rank, d - g.degree):
             row = [0] * width

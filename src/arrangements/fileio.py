@@ -8,9 +8,11 @@ Arrangement files are JSON documents:
      "mult": [2, 1, 1]}
 
 `labels` and `mult` are optional.  Form entries are integers or exact
-rationals written as "p/q" strings; floats are rejected to keep everything
-exact.  Malformed input raises InputError with the offending field in the
-message.
+rationals written as strings of the form [+-]digits[/digits] ("3", "-1/2");
+floats, and strings in any other spelling ("1.5", "1e3", "1_000", " 1/2"),
+are rejected to keep everything exact.  Malformed input, and an integer
+longer than Python converts (4 300 digits by default), raise InputError
+with the offending field in the message.
 
 Reports serialize to flat JSON with exact integers only; `parse_report`
 inverts `serialize_report` exactly (dataclass equality holds after a round
@@ -20,6 +22,7 @@ trip).
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -44,6 +47,9 @@ class ArrangementInput:
         return Multiarrangement(self.arrangement, tuple(mult))
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def _rational(value, where):
     if isinstance(value, bool):
         raise InputError(f"{where}: expected a rational number, got {value!r}")
@@ -51,9 +57,11 @@ def _rational(value, where):
         return value
     if isinstance(value, str):
         try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            raise InputError(f"{where}: invalid rational string {value!r}") from None
+            if _RATIONAL.fullmatch(value):
+                return Fraction(value)
+        except (ValueError, ZeroDivisionError):  # too many digits, or "p/0"
+            pass
+        raise InputError(f"{where}: invalid rational string {value!r}")
     if isinstance(value, float):
         raise InputError(
             f"{where}: floats are not accepted; write an exact \"p/q\" string"
@@ -132,6 +140,8 @@ def loads_arrangement(text, where="input"):
         raise InputError(
             f"{where}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer past Python's conversion limit
+        raise InputError(f"{where}: an integer has too many digits") from exc
     return parse_arrangement_dict(data, where)
 
 

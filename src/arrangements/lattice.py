@@ -69,7 +69,7 @@ class Flat:
     @cached_property
     def equations(self):
         own = [row for j, row in enumerate(self.rows) if self.mask >> j & 1]
-        return echelon(own, len(self.rows[0]) if own else 0).rref()
+        return echelon(own).rref()
 
 
 def hyperplane_rows(arr):

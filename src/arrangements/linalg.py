@@ -2,10 +2,10 @@
 
 Elimination happens on primitive integer rows (cross-multiplication plus
 gcd stripping), so no floating point is ever involved and intermediate
-growth stays under control.  Rational rows enter only through `echelon`
-and `_Echelon.contains`, which scale them to integers first, and leave
-only through `_Echelon.rref`: its Fraction rows are canonical (equal row
-spaces give identical rows) and are printed as the equations of a flat.
+growth stays under control.  No rational row enters: `core` scales input
+to integers once.  Fractions leave only through `_Echelon.rref`: its rows
+are canonical (equal row spaces give identical rows) and are printed as
+the equations of a flat.
 
 `nullspace` takes sparse integer rows and computes the kernel modulo
 31-bit primes (numpy int64 Gauss-Jordan; residues below 2**31 keep every
@@ -66,20 +66,6 @@ _PRIMES = (2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 214748354
 _BLOCK = 1 << 16
 
 
-def _to_int_row(row):
-    """Scale a rational row to a primitive integer list (gcd 1), or None if zero."""
-    if all(isinstance(x, int) for x in row):
-        ints = row
-    else:
-        fracs = [Fraction(x) for x in row]
-        denom = lcm(*(x.denominator for x in fracs))
-        ints = [x.numerator * (denom // x.denominator) for x in fracs]
-    g = gcd(*ints)
-    if g == 0:
-        return None
-    return [v // g for v in ints]
-
-
 def _strip_gcd(row):
     g = gcd(*row)
     if g > 1:
@@ -88,18 +74,17 @@ def _strip_gcd(row):
 
 
 def primitive_vector(vec):
-    """Canonical representative of a rational vector up to positive scaling:
+    """Canonical representative of an integer vector up to positive scaling:
     primitive integers with the first nonzero entry positive.
 
     Raises ValueError on the zero vector.
     """
-    row = _to_int_row(vec)
-    if row is None:
+    g = gcd(*vec)
+    if g == 0:
         raise ValueError("zero vector has no primitive representative")
-    lead = next(v for v in row if v != 0)
-    if lead < 0:
-        row = [-v for v in row]
-    return tuple(row)
+    if next(v for v in vec if v != 0) < 0:
+        g = -g
+    return tuple(v // g for v in vec)
 
 
 def _pivot_col(row):
@@ -112,8 +97,7 @@ def _pivot_col(row):
 class _Echelon:
     """Incremental integer row echelon: rows kept primitive, pivots sorted."""
 
-    def __init__(self, ncols):
-        self.ncols = ncols
+    def __init__(self):
         self.rows = []      # primitive int rows, pivot columns strictly increasing
         self.pivots = []    # pivot column per row
 
@@ -139,13 +123,6 @@ class _Echelon:
         self.pivots.insert(pos, p)
         return True
 
-    def contains(self, row):
-        """True if the rational row lies in the current row space."""
-        introw = _to_int_row(row)
-        if introw is None:
-            return True
-        return self.reduce(introw) is None
-
     @property
     def rank(self):
         return len(self.rows)
@@ -167,13 +144,11 @@ class _Echelon:
         return tuple(out)
 
 
-def echelon(rows, ncols):
-    """Build an _Echelon from rational rows."""
-    e = _Echelon(ncols)
+def echelon(rows):
+    """Build an _Echelon from integer rows."""
+    e = _Echelon()
     for r in rows:
-        introw = _to_int_row(r)
-        if introw is not None:
-            e.add(introw)
+        e.add(r)
     return e
 
 
@@ -186,15 +161,16 @@ def _exact_nullspace(rows, ncols):
         for c, v in row.items():
             vec[c] = v
         dense.append(vec)
-    red = echelon(dense, ncols).rref()
+    red = echelon(dense).rref()
     pivots = [_pivot_col(r) for r in red]
     basis = []
     for f in sorted(set(range(ncols)) - set(pivots)):
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
+        den = lcm(*(r[f].denominator for r in red))
+        v = [0] * ncols
+        v[f] = den
         for r, p in zip(red, pivots):
-            v[p] = -r[f]
-        basis.append(tuple(_to_int_row(v)))
+            v[p] = -r[f].numerator * (den // r[f].denominator)
+        basis.append(tuple(_strip_gcd(v)))
     return basis
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import add, sub
 
 import numpy as np
 
@@ -241,38 +242,32 @@ def _restrict_onto(head, rest):
     return tuple(sorted(out))
 
 
-def region_count_recursion(arr):
-    """Chambers of the real complement by r(A) = r(A - H) + r(A | H)."""
+def _deletion_restriction(arr, empty, combine):
+    """f(A) by f(A) = combine(f(A - H), f(A | H)), memoized, with
+    f = empty(d) on the arrangement with no hyperplanes in dimension d."""
     dim, pairs = _affine_pairs(arr)
     memo = {}
 
     def rec(d, hyps):
         if not hyps:
-            return 1
+            return empty(d)
         key = (d, hyps)
         if key not in memo:
             head, tail = hyps[0], hyps[1:]
-            memo[key] = rec(d, tail) + rec(d - 1, _restrict_onto(head, tail))
+            memo[key] = combine(rec(d, tail), rec(d - 1, _restrict_onto(head, tail)))
         return memo[key]
 
     return rec(dim, pairs)
+
+
+def region_count_recursion(arr):
+    """Chambers of the real complement by r(A) = r(A - H) + r(A | H)."""
+    return _deletion_restriction(arr, lambda d: 1, add)
 
 
 def char_poly_recursion(arr):
     """Characteristic polynomial by chi(A) = chi(A - H) - chi(A | H)."""
-    dim, pairs = _affine_pairs(arr)
-    memo = {}
-
-    def rec(d, hyps):
-        if not hyps:
-            return IntPoly.monomial(d)
-        key = (d, hyps)
-        if key not in memo:
-            head, tail = hyps[0], hyps[1:]
-            memo[key] = rec(d, tail) - rec(d - 1, _restrict_onto(head, tail))
-        return memo[key]
-
-    return rec(dim, pairs)
+    return _deletion_restriction(arr, IntPoly.monomial, sub)
 
 
 def moebius_bruteforce(arr, flat=None):
@@ -290,7 +285,7 @@ def moebius_bruteforce(arr, flat=None):
     spans = {}
     for mask in range(1 << n):
         sel = [rows[i] for i in range(n) if mask >> i & 1]
-        ech = echelon(sel, dim + 1)
+        ech = echelon(sel)
         if any(
             all(r[j] == 0 for j in range(dim)) and r[dim] != 0 for r in ech.rows
         ):
@@ -308,7 +303,7 @@ def moebius_bruteforce(arr, flat=None):
         for other in order:
             if len(other) >= len(key):
                 break  # order is by rank; only strictly larger flats matter
-            if all(ech.contains(r) for r in other):
+            if all(ech.reduce(r) is None for r in spans[other].rows):
                 acc += mu[other]
         mu[key] = -acc
     if flat is None:

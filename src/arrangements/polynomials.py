@@ -275,15 +275,15 @@ def residue_table(alpha, power, degree):
     n = len(alpha)
     j = next(i for i, c in enumerate(alpha) if c != 0)
     minus_w = mp_from_linear([-c if i != j else 0 for i, c in enumerate(alpha)])
-    powers = [mp_const(n, 1)]
-    for _ in range(degree):
+    powers = [mp_const(n, 1)]  # the nonzero powers of -w: only the 0th when w = 0
+    while minus_w and len(powers) <= degree:
         powers.append(mp_mul(powers[-1], minus_w))
     table = []
     for k in range(degree + 1):
         scale = alpha[j] ** (degree - k)
         table.append([
             (e, mono, comb(k, e) * scale * c)
-            for e in range(min(power, k + 1))
+            for e in range(max(0, k + 1 - len(powers)), min(power, k + 1))
             for mono, c in powers[k - e].items()
         ])
     return table

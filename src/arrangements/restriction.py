@@ -76,7 +76,7 @@ def localize_and_essentialize(multi, flat):
     if not _member(flat, hyperplane_rows(multi.base)):
         raise FlatNotInLattice("not a flat of the arrangement's intersection lattice")
     idx = [i for i, m in enumerate(multi.mult) if m > 0 and flat.mask >> i & 1]
-    rank, forms = _essential_forms([multi.base.forms[i] for i in idx], multi.dim)
+    rank, forms = _essential_forms([multi.base.forms[i] for i in idx])
     return Multiarrangement(
         CentralArrangement(rank, forms), tuple(multi.mult[i] for i in idx)
     )

@@ -262,8 +262,8 @@ def test_sigma_ignores_user_bound_on_rank2_localizations():
 
 def test_localization_sweep_searches_each_distinct_localization_once(monkeypatch):
     # Localizations repeat: the 16 flats of rank >= 3 give 9 distinct
-    # multiarrangements, and one search serves each.  Those of rank <= 2
-    # take their exponents without a search.
+    # multiarrangements, and one search (`_search`) serves each.  Those of
+    # rank <= 2 take their exponents without a search.
     from arrangements import derivations
 
     multi = simple_multiarrangement(CORPUS["braid-ess4"].arrangement)
@@ -273,15 +273,15 @@ def test_localization_sweep_searches_each_distinct_localization_once(monkeypatch
         verdict = find_free_basis(localize_and_essentialize(multi, flat))
         expected[flat] = prod(verdict.exponents) if verdict.is_free else None
     calls = []
-    real = derivations.find_free_basis
+    real = derivations._search
 
-    def counting(local, bound=None, candidates=None):
-        calls.append((local, bound))
-        return real(local, bound, candidates)
+    def counting(local, center_dim, bound, candidates):
+        calls.append((local, center_dim, bound))
+        return real(local, center_dim, bound, candidates)
 
-    monkeypatch.setattr(derivations, "find_free_basis", counting)
+    monkeypatch.setattr(derivations, "_search", counting)
     assert sigma_per_flat(multi) == expected
-    assert len(calls) == len(set(calls)) < len(flats)
+    assert len(calls) == len(set(calls)) == 9
 
 
 def test_sigma_coefficients_searches_a_non_free_top_once(monkeypatch):

@@ -1,5 +1,6 @@
 """Arrangement file parsing and report round-trips."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from arrangements import (
     parse_report,
     serialize_report,
 )
+from arrangements.cli import main
 from arrangements.core import normalize_form
 from arrangements.fileio import (
     fraction_to_json,
@@ -36,7 +38,7 @@ def test_parse_minimal_document():
 
 def test_parse_rational_strings_and_mult():
     inp = loads_arrangement(
-        '{"dim": 2, "hyperplanes": [["1/2", 0], [0, "-2/3"]],'
+        '{"dim": 2, "hyperplanes": [["+1/2", 0], [0, "-2/3"]],'
         ' "mult": [2, 1], "labels": ["a", "b"]}'
     )
     assert inp.arrangement.forms == ((1, 0), (0, 1))
@@ -90,6 +92,32 @@ def test_parse_rejections_name_the_field(doc, fragment):
     assert fragment in str(info.value)
 
 
+@pytest.mark.parametrize(
+    "value", ["1.5", "1e3", "1e10000000", "1_000", " 1/2", "1/2 ", "\u0661"]
+)
+def test_rational_strings_outside_the_grammar_are_refused(value):
+    # Only [+-]digits[/digits] is a rational string.  Fraction alone would
+    # read decimals, exponents (1e10000000 takes seconds to expand),
+    # underscores, padding and non-ASCII digits.
+    doc = json.dumps({"dim": 2, "hyperplanes": [[1, value]]})
+    with pytest.raises(InputError) as info:
+        loads_arrangement(doc)
+    assert "hyperplanes[0][1]" in str(info.value)
+
+
+def test_an_integer_too_long_to_convert_is_an_input_error(tmp_path, capsys):
+    # json.loads raises a plain ValueError past Python's int conversion
+    # limit (4 300 digits by default); charpoly exits 1 with one line.
+    text = '{"dim": 2, "hyperplanes": [[1, ' + "1" * 5000 + "]]}"
+    with pytest.raises(InputError, match="too many digits"):
+        loads_arrangement(text)
+    path = tmp_path / "long.json"
+    path.write_text(text)
+    assert main(["charpoly", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and err.startswith("error: ")
+
+
 def test_parse_syntax_error_reports_line():
     with pytest.raises(InputError) as info:
         loads_arrangement('{"dim": 2,\n "hyperplanes": [[1, 0],]}')
@@ -102,8 +130,6 @@ def test_load_arrangement_missing_file(tmp_path):
 
 
 def test_load_arrangement_roundtrip_through_file(tmp_path):
-    import json
-
     entry = CORPUS["generic34"]
     path = tmp_path / "generic34.json"
     path.write_text(json.dumps(entry.as_input()))
@@ -159,8 +185,6 @@ def test_report_json_roundtrip_on_random_inputs(arr):
 
 
 def test_report_json_is_exact_integers_only():
-    import json
-
     entry = CORPUS["generic34"]
     report = compare_coefficients(entry.arrangement, entry.h0)
     data = json.loads(serialize_report(report))

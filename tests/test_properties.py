@@ -5,7 +5,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, lcm
 from unittest import mock
 
 from hypothesis import example, given, settings
@@ -265,14 +265,17 @@ def _direction_table(arr, h0):
     """
     restriction = ziegler_restriction(arr, h0)
     lat = intersection_lattice(decone(arr, h0))
-    ncols = restriction.dim + 1
     table = {}
     for flat, mu in zip(lat.flats, lat.moebius):
-        ech = echelon([r[:-1] + (Fraction(0),) for r in flat.equations], ncols)
+        rows = []
+        for r in flat.equations:  # directions, scaled to integers
+            den = lcm(*(v.denominator for v in r))
+            rows.append([int(v * den) for v in r[:-1]] + [0])
+        ech = echelon(rows)
         equations = ech.rref()
         contained = frozenset(
             i for i, f in enumerate(restriction.base.forms)
-            if ech.contains(tuple(f) + (0,))
+            if ech.reduce(tuple(f) + (0,)) is None
         )
         assert len(equations) == flat.codim
         image = (contained, equations)
@@ -366,10 +369,10 @@ def _solve_coordinates(rows, form):
     return [aug[i][rank] for i in range(rank)]
 
 
-def _reference_essential_forms(forms, dim):
+def _reference_essential_forms(forms):
     """Each form's coordinates in the canonical Fraction RREF basis of the
     forms' span, made primitive: (rank, forms)."""
-    rows = echelon(forms, dim).rref()
+    rows = echelon(forms).rref()
     return len(rows), tuple(normalize_form(_solve_coordinates(rows, f)) for f in forms)
 
 
@@ -404,7 +407,7 @@ def test_essentialize_matches_the_rref_coordinates(arr):
     forms = [base.forms[i] for i in idx]
     ess, center_dim = essentialize(arr)
     ess_base = ess.base if multi else ess
-    rank, expected = _reference_essential_forms(forms, arr.dim)
+    rank, expected = _reference_essential_forms(forms)
     assert rank == arr.rank()
     assert center_dim + ess.dim == arr.dim
     assert ess.dim == rank
@@ -505,7 +508,7 @@ def _full_width_new_generators(gens, kernel, monos, rank, d):
     generator written out over all rank * N positions."""
     n_monos = len(monos)
     monos_index = {m: k for k, m in enumerate(monos)}
-    span = _Echelon(rank * n_monos)
+    span = _Echelon()
     for g in gens:
         for shift in monomials(rank, d - g.degree):
             row = [0] * (rank * n_monos)
@@ -779,12 +782,16 @@ def _expanded_residue(exps, alpha, power):
     )
 )
 @example(((3, [[2, 3, -1], [0, 3, 1], [1, 0, 0]]), [9, 1, 2], 3))
+@example(((2, [[1, 0], [0, 1]]), [7, 5], 3))
+@example(((3, [[0, 0, 1], [1, 1, 0], [0, 1, 0]]), [8, 6, 2], 4))
 def test_table_rows_match_the_per_monomial_rows(drawn):
     # The constraint rows written from one substitution table per
     # (form, multiplicity, degree) must have the keys, columns and values
     # of rows built from one residue per monomial, and each residue must
-    # be the direct expansion of (z - w)**a_j.  The example has pivot
-    # coefficient 2 and multiplicity 9 > d + 1.
+    # be the direct expansion of (z - w)**a_j.  The first example has
+    # pivot coefficient 2 and multiplicity 9 > d + 1; the others have
+    # coordinate forms (w = 0, so only the 0th power of -w is nonzero)
+    # with multiplicity above the degree.
     (dim, forms), mult, d = drawn
     multi = multiarrangement(canonicalize(forms, dim), mult)
     monos = monomials(dim, d)
