@@ -13,9 +13,6 @@ example.  --verify reruns the computation through the independent oracles and
 exits 3 on any mismatch.  Exit codes: 0 ok/definitive, 2 Unknown verdict,
 3 verification mismatch or a failed internal invariant (TheoremViolation,
 e.g. freeness criteria that disagree), 1 usage or input error.
-
-The environment variable ARRANGEMENTS_DEGREE_BOUND supplies a default for
---bound when set.
 """
 
 from __future__ import annotations
@@ -45,7 +42,6 @@ from .linalg import _pivot_col
 from .oracles import char_poly_recursion, finite_field_char_poly, region_count_recursion
 from .restriction import ziegler_restriction
 
-ENV_BOUND = "ARRANGEMENTS_DEGREE_BOUND"
 _RESTRICTION = ("yoshinaga", "abe-yoshinaga")
 
 
@@ -79,19 +75,10 @@ def _require_simple(inp, command):
 
 
 def _bound(args):
-    """--bound, else ENV_BOUND, else None; a negative bound is an input error."""
-    name, raw = "--bound", args.bound
-    if raw is None:
-        name, raw = ENV_BOUND, os.environ.get(ENV_BOUND)
-    if raw in (None, ""):
-        return None
-    try:
-        bound = int(raw)
-    except ValueError:
-        raise InputError(f"{ENV_BOUND} must be an integer, got {raw!r}") from None
-    if bound < 0:
-        raise InputError(f"{name} must be a nonnegative integer, got {bound}")
-    return bound
+    """--bound, or None; a negative bound is an input error."""
+    if args.bound is not None and args.bound < 0:
+        raise InputError(f"--bound must be a nonnegative integer, got {args.bound}")
+    return args.bound
 
 
 def _header(arr):

@@ -35,6 +35,7 @@ class CentralArrangement:
                 raise DimensionMismatch(
                     f"form {f} has {len(f)} coefficients, expected {self.dim}"
                 )
+            _require_ints(f)
         _distinct(map(normalize_form, self.forms))
 
     @property
@@ -61,11 +62,12 @@ class AffineArrangement:
     hyperplanes: tuple  # tuple of (normal tuple, constant) pairs, jointly primitive
 
     def __post_init__(self):
-        for normal, _c in self.hyperplanes:
+        for normal, c in self.hyperplanes:
             if len(normal) != self.dim:
                 raise DimensionMismatch(
                     f"normal {normal} has {len(normal)} coefficients, expected {self.dim}"
                 )
+            _require_ints((*normal, c))
         _distinct(normalize_affine(normal, c) for normal, c in self.hyperplanes)
 
     @property
@@ -117,6 +119,12 @@ class Multiarrangement:
 
     def __repr__(self):
         return f"Multiarrangement(dim={self.dim}, n={self.base.n_hyperplanes}, |m|={self.total})"
+
+
+def _require_ints(row):
+    """TypeError unless row holds only ints; rational forms enter by canonicalize."""
+    if not all(isinstance(x, int) for x in row):
+        raise TypeError(f"{row} has a non-integer entry; build rational forms with canonicalize")
 
 
 def _integer_row(raw):

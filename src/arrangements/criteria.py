@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
-from .core import Multiarrangement, simple_multiarrangement
+from .core import Multiarrangement, essentialize, simple_multiarrangement
 from .derivations import (
     FREE,
     NOT_FREE,
@@ -36,7 +36,7 @@ from .derivations import (
 )
 from .errors import TheoremViolation, WrongRank
 from .lattice import intersection_lattice, reduced_char_poly
-from .restriction import CoefficientTable, _b_table, _b_vector, _check_index, ziegler_restriction
+from .restriction import CoefficientTable, _b_table, _b_vector, ziegler_restriction
 
 TAME = "Tame"
 
@@ -102,12 +102,9 @@ def compare_coefficients(arr, h0, degree_bound=None, assert_tame=False):
     implementation bug.
     """
     ell = arr.dim
-    if ell < 2:
-        raise WrongRank("coefficient comparison needs ambient dimension at least 2")
-    _check_index(arr, h0)
+    restriction = ziegler_restriction(arr, h0)
     lattice = intersection_lattice(arr)
     chi0 = reduced_char_poly(arr, lattice)
-    restriction = ziegler_restriction(arr, h0)
     table, restriction_flats = _b_table(chi0, lattice, h0, restriction)
     # one sweep: the global verdict, sigma and the per-flat sigma values.
     # The center localizes to the essentialization of A'', whose dimension
@@ -168,8 +165,6 @@ def compare_coefficients(arr, h0, degree_bound=None, assert_tame=False):
 def mca_check(arr, h0, degree_bound=None):
     """True iff the deconing has exactly as many chambers as the sigma side
     allows (equality at t = -1); None while any sigma stays unresolved."""
-    if arr.dim < 2:
-        raise WrongRank("minimal-chamber check needs ambient dimension at least 2")
     return compare_coefficients(arr, h0, degree_bound).mca
 
 
@@ -183,9 +178,7 @@ def _restriction_verdicts(arr, h0, degree_bound=None):
     """{"yoshinaga": ..., "abe-yoshinaga": ...} from one search of the
     Ziegler restriction A'' onto h0, yoshinaga only when arr is essential of
     rank 3; b of A is read from one L(A) only when A'' is Free."""
-    if arr.dim < 2:
-        raise WrongRank("criterion needs ambient dimension at least 2")
-    verdict = _bounded_search(ziegler_restriction(arr, h0), degree_bound)
+    verdict = _bounded_search(*essentialize(ziegler_restriction(arr, h0)), degree_bound)
     if verdict.is_unknown:
         return {"abe-yoshinaga": FreenessVerdict(UNKNOWN, bound=verdict.bound)}
     if verdict.is_not_free:

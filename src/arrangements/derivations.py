@@ -526,13 +526,10 @@ def rank2_exponents(multi):
     return Exponents(verdict.exponents, basis=verdict.basis)
 
 
-def _bounded_search(multi, degree_bound=None, candidates=None):
-    """The freeness verdict of a multiarrangement, for callers that read no
-    basis, under the one degree-bound rule: a user bound applies from rank
-    3 on, where `find_free_basis` searches (with the candidate exponents,
-    if any).  Below rank 3 D(A,m) is free, and `_exponents_by_theorem`
-    gives its exponents without a search."""
-    ess, center_dim = essentialize(multi)
+def _bounded_search(ess, center_dim, degree_bound=None, candidates=None):
+    """`_search` for callers that read no basis, under the one degree-bound
+    rule: a user bound applies from rank 3 on.  Below rank 3 D(A,m) is
+    free, and `_exponents_by_theorem` gives its exponents without a search."""
     if ess.dim > 2:
         return _search(ess, center_dim, degree_bound, candidates)
     exponents = (0,) * center_dim + _exponents_by_theorem(ess)
@@ -562,27 +559,28 @@ def elementary_symmetric(values, k):
     return sum(prod(combo) for combo in combinations(values, k))
 
 
-def _localization_sweep(ess, degree_bound=None, flats=None, top=None, candidates=None):
-    """One freeness search per flat of an essential multiarrangement; the
-    only place localization searches run.  Pass the flats of the
-    intersection lattice of ess.base to reuse them, ess's own verdict as
-    top when it is already known, and the exponents ess must have if it is
-    free as candidates, for the search of the last flat.
+def _localization_sweep(multi, degree_bound=None, flats=None, top=None, candidates=None):
+    """One freeness search per flat of a multiarrangement, essential or not
+    (compare passes A'' as it is); the only place localization searches
+    run.  Pass the flats of L(multi.base) to reuse them, the verdict of its
+    essentialization as top when it is known, and the exponents that must
+    have if it is free as candidates, for the search of the last flat.
 
     Returns (verdict, products): products maps each flat, in lattice order,
     to the product of its localization's exponents (None unless Free).  The
-    last flat, the center, localizes to ess itself, so verdict is the global
-    one.  Each distinct localization is searched once, by _bounded_search.
+    last flat, the center, localizes to the essentialization, so verdict is
+    the global one.  Each localization is essentialized once, and each
+    distinct one is searched once, by _bounded_search.
     """
     products = {}
-    verdicts = {} if top is None else {ess: top}
-    flats = flats if flats is not None else intersection_lattice(ess.base).flats
+    verdicts = {} if top is None else {top.essential: top}
+    flats = flats if flats is not None else intersection_lattice(multi.base).flats
     for flat in flats:
-        local = localize_and_essentialize(ess, flat)
+        local = localize_and_essentialize(multi, flat)
         verdict = verdicts.get(local)
         if verdict is None:
             hint = candidates if flat is flats[-1] else None
-            verdict = verdicts[local] = _bounded_search(local, degree_bound, hint)
+            verdict = verdicts[local] = _bounded_search(local, 0, degree_bound, hint)
         products[flat] = prod(verdict.exponents) if verdict.is_free else None
     return verdict, products
 
@@ -625,7 +623,7 @@ def sigma_coefficients(multi, degree_bound=None):
     sums the local exponent products over the codimension-k flats, staying
     None whenever one of them is unresolved within the bound.
     """
-    verdict = _bounded_search(multi, degree_bound)
+    verdict = _bounded_search(*essentialize(multi), degree_bound)
     ess, products = verdict.essential, None
     if not verdict.is_free:
         products = _localization_sweep(ess, degree_bound, top=verdict)[1]

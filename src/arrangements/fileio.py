@@ -10,9 +10,9 @@ Arrangement files are JSON documents:
 `labels` and `mult` are optional.  Form entries are integers or exact
 rationals written as strings of the form [+-]digits[/digits] ("3", "-1/2");
 floats, and strings in any other spelling ("1.5", "1e3", "1_000", " 1/2"),
-are rejected to keep everything exact.  Malformed input, and an integer
-longer than Python converts (4 300 digits by default), raise InputError
-with the offending field in the message.
+are rejected to keep everything exact.  Malformed input, nesting deeper
+than the decoder recurses and an integer longer than Python converts
+(4 300 digits by default) raise InputError naming the offending field.
 
 Reports serialize to flat JSON with exact integers only; `parse_report`
 inverts `serialize_report` exactly (dataclass equality holds after a round
@@ -142,6 +142,8 @@ def loads_arrangement(text, where="input"):
         ) from exc
     except ValueError as exc:  # an integer past Python's conversion limit
         raise InputError(f"{where}: an integer has too many digits") from exc
+    except RecursionError as exc:
+        raise InputError(f"{where}: arrays or objects nested too deeply") from exc
     return parse_arrangement_dict(data, where)
 
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import AffineArrangement, CentralArrangement, Multiarrangement, _essential_forms
+from .core import AffineArrangement, CentralArrangement, Multiarrangement, essentialize
 from .errors import FlatNotInLattice, IndexOutOfRange, TheoremViolation, WrongRank
 from .lattice import (Flat, _member, _restrict, hyperplane_rows, intersection_lattice,
                       reduced_char_poly)
@@ -61,7 +61,8 @@ def decone(arr, h0):
 
 
 def ziegler_restriction(arr, h0):
-    """Restriction onto H0 with multiplicity the number of colliding hyperplanes."""
+    """Restriction onto H0 with multiplicity the number of colliding
+    hyperplanes; the one check of an (A, h0) pair, index first."""
     _check_index(arr, h0)
     if arr.dim < 2:
         raise WrongRank("Ziegler restriction needs ambient dimension at least 2")
@@ -75,11 +76,8 @@ def localize_and_essentialize(multi, flat):
     intersection lattice of multi.base (FlatNotInLattice for any other)."""
     if not _member(flat, hyperplane_rows(multi.base)):
         raise FlatNotInLattice("not a flat of the arrangement's intersection lattice")
-    idx = [i for i, m in enumerate(multi.mult) if m > 0 and flat.mask >> i & 1]
-    rank, forms = _essential_forms([multi.base.forms[i] for i in idx])
-    return Multiarrangement(
-        CentralArrangement(rank, forms), tuple(multi.mult[i] for i in idx)
-    )
+    mult = tuple(m if flat.mask >> i & 1 else 0 for i, m in enumerate(multi.mult))
+    return essentialize(Multiarrangement(multi.base, mult))[0]
 
 
 def _restriction_flats(lattice, h0, restriction):
@@ -150,11 +148,9 @@ def b_coefficients(arr, h0):
     of the deconing, with the same Moebius values) with rho(Y) = X.
     TheoremViolation is raised unless sum_X b_i^X = b_i.
     """
-    if arr.dim < 2:
-        raise WrongRank("coefficient comparison needs ambient dimension at least 2")
-    _check_index(arr, h0)
+    restriction = ziegler_restriction(arr, h0)
     lat = intersection_lattice(arr)
-    return _b_table(reduced_char_poly(arr, lat), lat, h0, ziegler_restriction(arr, h0))[0]
+    return _b_table(reduced_char_poly(arr, lat), lat, h0, restriction)[0]
 
 
 def _b_vector(chi0, ell):

@@ -485,24 +485,17 @@ def test_mult_rejected_where_simple_needed(capsys):
     assert "simple" in err
 
 
-def test_env_var_degree_bound(capsys, monkeypatch):
-    monkeypatch.setenv("ARRANGEMENTS_DEGREE_BOUND", "1")
-    code, out, _ = run(capsys, "exponents", "corpus:braid-ess3")
+def test_degree_bound_comes_from_the_flag_alone(capsys, monkeypatch):
+    code, _, _ = run(capsys, "exponents", "corpus:braid-ess3", "--bound", "1")
     assert code == 2  # bound 1 leaves the search unresolved
-    monkeypatch.setenv("ARRANGEMENTS_DEGREE_BOUND", "notanint")
-    code, _, err = run(capsys, "exponents", "corpus:braid-ess3")
-    assert code == 1
-    assert "ARRANGEMENTS_DEGREE_BOUND" in err
-    monkeypatch.setenv("ARRANGEMENTS_DEGREE_BOUND", "-5")
-    assert run(capsys, "exponents", "corpus:braid-ess3") == (
-        1,
-        "",
-        "error: ARRANGEMENTS_DEGREE_BOUND must be a nonnegative integer, got -5\n",
-    )
-    monkeypatch.setenv("ARRANGEMENTS_DEGREE_BOUND", "0")
-    code, out, _ = run(capsys, "exponents", "corpus:braid-ess3")
+    code, out, _ = run(capsys, "exponents", "corpus:braid-ess3", "--bound", "0")
     assert code == 2
     assert "Unknown (degree bound 0)" in out
+    # a bound comes from --bound alone, never from the environment
+    unbounded = run(capsys, "exponents", "corpus:braid-ess3")
+    assert unbounded[0] == 0
+    monkeypatch.setenv("ARRANGEMENTS_DEGREE_BOUND", "0")
+    assert run(capsys, "exponents", "corpus:braid-ess3") == unbounded
 
 
 @pytest.mark.parametrize(
@@ -513,9 +506,7 @@ def test_env_var_degree_bound(capsys, monkeypatch):
         ("compare", "corpus:braid-ess4", "--h0", "0"),
     ],
 )
-def test_negative_bound_flag_is_an_input_error(capsys, monkeypatch, argv):
-    # the flag is checked even where the environment holds a valid bound
-    monkeypatch.setenv("ARRANGEMENTS_DEGREE_BOUND", "2")
+def test_negative_bound_flag_is_an_input_error(capsys, argv):
     assert run(capsys, *argv, "--bound", "-3") == (
         1,
         "",

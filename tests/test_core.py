@@ -52,6 +52,21 @@ def test_canonicalize_checks_lengths():
         canonicalize([[1, 0, 0]], 2)
 
 
+@pytest.mark.parametrize("entry", [Fraction(1, 2), Fraction(2, 1), 0.5, 1.0])
+def test_constructors_refuse_non_integer_entries(entry):
+    # the classes hold integer rows; rational forms go through canonicalize
+    with pytest.raises(TypeError, match="canonicalize"):
+        CentralArrangement(2, ((entry, 0), (0, 1)))
+    with pytest.raises(TypeError, match="canonicalize"):
+        AffineArrangement(2, (((entry, 0), 1), ((0, 1), 0)))
+    with pytest.raises(TypeError, match="canonicalize"):
+        AffineArrangement(2, (((1, 0), entry), ((0, 1), 0)))
+    # the length check comes first
+    with pytest.raises(DimensionMismatch):
+        CentralArrangement(3, ((entry, 0), (0, 1)))
+    assert canonicalize([[entry, 0], [0, 1]], 2).rank() == 2
+
+
 def test_rank_and_essential():
     arr = canonicalize([[1, 0, 0], [0, 1, 0], [1, 1, 0]], 3)
     assert arr.rank() == 2

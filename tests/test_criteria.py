@@ -147,6 +147,23 @@ def test_compare_rejects_an_empty_arrangement_on_the_index(compare):
         compare(make([], 3), 0)
 
 
+@pytest.mark.parametrize(
+    "check", [compare_coefficients, b_coefficients, mca_check, abe_yoshinaga_free_check]
+)
+def test_ziegler_restriction_is_the_one_check_of_a_pair(check):
+    # a dim-1 input and an index out of range fail in ziegler_restriction,
+    # and the index is checked first
+    cases = [
+        (make([[1]], 1), 0, WrongRank, "Ziegler restriction needs ambient dimension"),
+        (CORPUS["braid-ess3"].arrangement, 6, IndexOutOfRange, "outside 0..5"),
+        (make([[1]], 1), 1, IndexOutOfRange, "outside 0..0"),
+    ]
+    for arr, h0, error, message in cases:
+        with pytest.raises(error, match=message) as info:
+            check(arr, h0)
+        assert [e.name for e in info.traceback].count("ziegler_restriction") == 1
+
+
 def test_theorem_violation_guard_fires_on_bad_sigma(monkeypatch):
     # Force an impossible sigma vector through the comparison; with both
     # tameness tags Tame the guard must refuse to emit the report.

@@ -284,6 +284,27 @@ def test_localization_sweep_searches_each_distinct_localization_once(monkeypatch
     assert len(calls) == len(set(calls)) == 9
 
 
+def test_compare_essentializes_each_flat_of_the_restriction_once(capsys, monkeypatch):
+    # The sweep over L(A'') reduces each localization to its span once, in
+    # localize_and_essentialize; no search essentializes it again.
+    from arrangements import core
+    from arrangements.cli import main
+
+    calls = []
+    real = core._essential_forms
+
+    def counting(forms):
+        calls.append(forms)
+        return real(forms)
+
+    monkeypatch.setattr(core, "_essential_forms", counting)
+    assert main(["compare", "corpus:braid-ess4", "--h0", "0"]) == 0
+    capsys.readouterr()
+    swept = len(calls)
+    restriction = ziegler_restriction(CORPUS["braid-ess4"].arrangement, 0)
+    assert swept == len(intersection_lattice(restriction.base).flats) == 15
+
+
 def test_sigma_coefficients_searches_a_non_free_top_once(monkeypatch):
     # The top of a non-free multiarrangement is searched before the sweep;
     # the sweep reuses that verdict for its last flat, the center.  Its

@@ -118,6 +118,23 @@ def test_an_integer_too_long_to_convert_is_an_input_error(tmp_path, capsys):
     assert out == "" and err.count("\n") == 1 and err.startswith("error: ")
 
 
+_DEEP = '{"dim": 2, "hyperplanes": ' + "[" * 100_000
+
+
+def test_deep_nesting_is_an_input_error():
+    # json.loads raises RecursionError on nesting this deep
+    with pytest.raises(InputError, match="nested too deeply"):
+        loads_arrangement(_DEEP)
+
+
+def test_deep_nesting_exits_1_from_charpoly(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text(_DEEP)
+    assert main(["charpoly", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {path}: arrays or objects nested too deeply\n"
+
+
 def test_parse_syntax_error_reports_line():
     with pytest.raises(InputError) as info:
         loads_arrangement('{"dim": 2,\n "hyperplanes": [[1, 0],]}')

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import arrangements
 from arrangements import corpus
-from arrangements.cli import ENV_BOUND, main
+from arrangements.cli import main
 
 HERE = Path(__file__).parent
 GOLDEN = HERE / "golden_cli.json"
@@ -94,8 +94,7 @@ def run_cli(argv):
     return {"argv": argv, "stdout": out.getvalue(), "stderr": err.getvalue(), "exit": code}
 
 
-def test_golden_cli_outputs(monkeypatch):
-    monkeypatch.delenv(ENV_BOUND, raising=False)
+def test_golden_cli_outputs():
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert [g["argv"] for g in golden] == list(cases())
     for expected in golden:
@@ -103,7 +102,6 @@ def test_golden_cli_outputs(monkeypatch):
 
 
 def test_golden_bases(monkeypatch):
-    monkeypatch.delenv(ENV_BOUND, raising=False)
     monkeypatch.chdir(HERE)
     golden = json.loads(GOLDEN_BASES.read_text(encoding="utf-8"))
     assert [g["argv"] for g in golden] == list(basis_cases())
@@ -122,7 +120,6 @@ def test_golden_demos():
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit(__doc__)
-    os.environ.pop(ENV_BOUND, None)
     records = [run_cli(argv) for argv in cases()]
     GOLDEN.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {len(records)} runs to {GOLDEN}")
