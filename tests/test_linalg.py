@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arrangements import canonicalize, derivation_space_dim, derivations, linalg, multiarrangement
+from arrangements.polynomials import monomials
 from conftest import random_central, seeded
 
 
@@ -56,6 +57,64 @@ def test_nullspace_matches_exact_elimination(primes, matrix):
     # the fallback take over when every prime fails.
     rows, ncols = matrix
     with mock.patch.object(linalg, "_PRIMES", primes):
+        assert linalg.nullspace(rows, ncols) == linalg._exact_nullspace(rows, ncols)
+
+
+@st.composite
+def nonzero_matrices(draw):
+    """Matrices with every entry nonzero, the densest input there is."""
+    ncols = draw(st.integers(1, 7))
+    row = st.lists(st.integers(-9, 9).filter(bool), min_size=ncols, max_size=ncols)
+    return [dict(enumerate(r)) for r in draw(st.lists(row, min_size=1, max_size=6))], ncols
+
+
+def _d4_degree_4():
+    """The constraint rows of D(D4) in degree 4: 180 x 140, rank 112."""
+    data = json.loads((Path(__file__).parent / "bases" / "D4.json").read_text())
+    multi = multiarrangement(canonicalize(data["hyperplanes"], data["dim"]), [1] * 12)
+    monos = monomials(4, 4)
+    rows = derivations._constraint_rows(multi, 4, monos)
+    return [row for _, row in sorted(rows.items())], 4 * len(monos)
+
+
+_D4_DEGREE_4 = _d4_degree_4()
+# `_SPARSE_ENTRY_COST` for each hand-off: at 160 the D4 rows hand off after
+# 45 of their 112 pivots, whatever the prime.
+_HANDOFFS = {"first-pivot": 10**9, "midway": 160, "never": 0}
+
+
+@pytest.mark.parametrize("handoff", list(_HANDOFFS))
+@pytest.mark.parametrize(
+    "primes", [linalg._PRIMES, (3,), (3, 5, 7)], ids=["31-bit", "tiny", "tiny-crt"]
+)
+@settings(max_examples=40, deadline=None)
+@given(sparse_matrices() | nonzero_matrices())
+@example(_D4_DEGREE_4)
+@example(([{0: 3}], 2))  # nothing left mod 3: no step to hand off
+def test_dense_handoff_keeps_the_rref(handoff, primes, matrix):
+    # The RREF mod p is unique, so wherever the sparse elimination hands its
+    # rows to the dense loop, it must give the dense-only reduction.
+    rows, ncols = matrix
+    dense_rref, handed = linalg._dense_rref, []
+
+    def recording_dense_rref(m, pivots, start, p):
+        handed.append(len(pivots))
+        return dense_rref(m, pivots, start, p)
+
+    with mock.patch.object(linalg, "_SPARSE_ENTRY_COST", _HANDOFFS[handoff]), \
+            mock.patch.object(linalg, "_dense_rref", recording_dense_rref), \
+            mock.patch.object(linalg, "_PRIMES", primes):
+        for p in primes:
+            handed.clear()
+            red, pivots = linalg._rref_mod(rows, ncols, p)
+            expected = dense_rref(linalg._dense(rows, ncols, p), [], 0, p)
+            assert pivots == expected[1] and np.array_equal(red, expected[0])
+            if handoff == "first-pivot":
+                assert handed == [0] or handed == [] == pivots
+            elif handoff == "never":
+                assert handed == []
+            elif matrix is _D4_DEGREE_4:
+                assert handed == [45] and len(pivots) == 112
         assert linalg.nullspace(rows, ncols) == linalg._exact_nullspace(rows, ncols)
 
 
