@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import index
 
 from .errors import DimensionMismatch, DuplicateHyperplane, ZeroForm
 from .linalg import echelon, primitive_vector
@@ -92,6 +93,8 @@ class Multiarrangement:
     def __post_init__(self):
         if len(self.mult) != self.base.n_hyperplanes:
             raise DimensionMismatch("one multiplicity per hyperplane required")
+        if not all(isinstance(m, int) for m in self.mult):
+            raise TypeError(f"multiplicities {self.mult} must be ints")
         if any(m < 0 for m in self.mult):
             raise ValueError("multiplicities must be nonnegative")
 
@@ -184,7 +187,7 @@ def normalize_affine(normal, constant):
 
 
 def multiarrangement(arrangement, mult):
-    return Multiarrangement(arrangement, tuple(int(m) for m in mult))
+    return Multiarrangement(arrangement, tuple(map(index, mult)))
 
 
 def simple_multiarrangement(arrangement):

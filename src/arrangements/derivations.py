@@ -62,7 +62,7 @@ from .errors import (
     WrongRank,
 )
 from .lattice import intersection_lattice
-from .linalg import _Echelon, det, nullspace, primitive_vector
+from .linalg import _Echelon, det, nullspace
 from .polynomials import (
     IntPoly,
     mp_add_inplace,
@@ -246,8 +246,8 @@ def _graded_kernel(multi, d):
     """Canonical basis of the degree-d piece of D(A,m), each vector scaled
     to primitive integers.
 
-    Returns (kernel vectors, monomial list): a vector is indexed by
-    component-major (i * N + k) positions over the degree-d monomials.
+    Returns (kernel vectors, monomial list): a vector is a {i * N + k: int}
+    dict over the degree-d monomials, component-major.
     """
     monos = monomials(multi.dim, d)
     ncols = multi.dim * len(monos)
@@ -266,16 +266,12 @@ def derivation_space_dim(multi, d):
 
 
 def _field_from_vector(vec, monos, ell):
-    ints = primitive_vector(vec)
-    n_monos = len(monos)
-    comps = []
-    for i in range(ell):
-        comp = {}
-        for k, mono in enumerate(monos):
-            c = ints[i * n_monos + k]
-            if c:
-                comp[mono] = c
-        comps.append(comp)
+    """The field of a primitive kernel vector, first nonzero entry positive."""
+    sign = 1 if vec[min(vec)] > 0 else -1
+    comps = [{} for _ in range(ell)]
+    for c, v in vec.items():
+        i, k = divmod(c, len(monos))
+        comps[i][monos[k]] = sign * v
     return PolyVectorField(comps)
 
 
@@ -291,10 +287,7 @@ def _new_generators(gens, kernel, monos, rank, d):
     reversed, gives the answer: k is new when width - 1 - k is no pivot.
     """
     width = len(kernel)
-    free = {
-        next(i for i in reversed(range(len(vec))) if vec[i]): width - 1 - k
-        for k, vec in enumerate(kernel)
-    }
+    free = {max(vec): width - 1 - k for k, vec in enumerate(kernel)}
     n_monos = len(monos)
     monos_index = {m: k for k, m in enumerate(monos)}
     span = _Echelon()

@@ -7,20 +7,19 @@ to integers once.  Fractions leave only through `_Echelon.rref`: its rows
 are canonical (equal row spaces give identical rows) and are printed as
 the equations of a flat.
 
-`nullspace` takes sparse integer rows and computes the kernel modulo
-31-bit primes.  `_rref_mod` runs Gauss-Jordan on the {column: residue}
-rows themselves: it walks the columns left to right with a column -> rows
-index, pivots on the candidate row with the fewest nonzeros, and touches
-only the rows that hold the pivot column.  Where the rows fill in, a
-sparse step costs more than a step of the numpy int64 Gauss-Jordan loop,
-which pays for every zero but little per entry; so the rows go to that
-loop at once when the average row and column would already cost more
-sparse, else as soon as the next pivot would (`_dense_is_cheaper`, a cost
-model in integer arithmetic).  Residues below 2**31 keep every product
-below 2**62 in both loops.  The reduced row echelon form of a matrix over
-F_p is unique, so the pivot rows chosen and the point of the hand-off
-change the time and never the result: everything below reads only that
-RREF and its pivot columns.
+`nullspace` takes sparse integer rows, computes the kernel modulo 31-bit
+primes and returns {column: int} vectors.  `_rref_mod` runs Gauss-Jordan
+on the {column: residue} rows themselves: it walks the columns left to
+right with a column -> rows index, pivots on the candidate row with the
+fewest nonzeros, and touches only the rows that hold the pivot column.
+On dense rows a sparse step costs more than a step of the numpy int64
+Gauss-Jordan loop, which pays for every zero but little per entry; so the
+rows go to that loop instead when the input's average row and column
+would cost more sparse (an integer cost model, asked once).  Residues
+below 2**31 keep every product below 2**62 in both loops.  The reduced
+row echelon form over F_p is unique, so the pivot rows and the loop change
+the time and never the result: everything below reads only that RREF, as
+{column: residue} rows, and its pivot columns.
 
 For each free column f the mod-p kernel vector with a 1 at f is lifted to
 an integer vector by rational reconstruction (Wang 1981), and the lifted
@@ -166,15 +165,9 @@ def echelon(rows):
 
 
 def _exact_nullspace(rows, ncols):
-    """Canonical kernel basis by exact integer elimination, each vector
-    scaled to primitive integers (positive at its free column)."""
-    dense = []
-    for row in rows:
-        vec = [0] * ncols
-        for c, v in row.items():
-            vec[c] = v
-        dense.append(vec)
-    red = echelon(dense).rref()
+    """Canonical kernel basis by exact integer elimination: {column: int}
+    vectors, primitive and positive at their free column."""
+    red = echelon([row.get(c, 0) for c in range(ncols)] for row in rows).rref()
     pivots = [_pivot_col(r) for r in red]
     basis = []
     for f in sorted(set(range(ncols)) - set(pivots)):
@@ -183,41 +176,36 @@ def _exact_nullspace(rows, ncols):
         v[f] = den
         for r, p in zip(red, pivots):
             v[p] = -r[f].numerator * (den // r[f].denominator)
-        basis.append(tuple(_strip_gcd(v)))
+        basis.append({c: x for c, x in enumerate(_strip_gcd(v)) if x})
     return basis
 
 
-# The hand-off cost model, in units of one dense element update (a numpy
+# The engine cost model, in units of one dense element update (a numpy
 # int64 multiply, subtract and reduce of one entry: about 12 ns on a 2-vCPU
 # x86 VM with numpy 2.4).  A sparse entry update is a few dict and set
 # operations on Python ints, about 0.5 us there.  A dense step pays about
 # 4 000 units for its dozen numpy calls and column scans, however few
-# entries it updates; the fixed cost is set higher because a hand-off also
-# builds the dense array once.  On the graded kernels of the benchmark and
-# of coordinate-changed inputs, fixed costs from 5 000 to 10 000 timed alike.
+# entries it updates; the fixed cost is set higher to pay for building the
+# array and reading its rows back.  On the graded kernels of the benchmark
+# and of coordinate-changed inputs, fixed costs 5 000 to 10 000 timed alike.
 _SPARSE_ENTRY_COST = 40
 _DENSE_STEP_COST = 10000
 
 
-def _dense_is_cheaper(entries, rows, width):
-    """True when a pivot row with `entries` nonzeros, in a column that
-    `rows` rows hold (the pivot row among them), costs more to eliminate
-    sparsely than one dense step over `width` columns."""
-    return _SPARSE_ENTRY_COST * entries * rows > _DENSE_STEP_COST + rows * width
-
-
 def _rref_mod(rows, ncols, p):
-    """Reduced row echelon form mod p of sparse integer rows:
-    (int64 array of the nonzero rows, their pivot columns).
+    """Reduced row echelon form mod p of sparse integer rows: its nonzero
+    rows as {column: residue} dicts, and their pivot columns.
 
     Gauss-Jordan on {column: residue} rows, column by column, pivoting on
-    the candidate row with the fewest entries.  The rows go to `_dense_rref`
-    at once if the average step is cheaper dense, else as soon as the next
-    sparse step is.
+    the candidate row with the fewest entries; or `_dense_rref` when a
+    pivot row of the input's average length, in a column of its average
+    height, costs more to eliminate sparsely than one dense step.
     """
     nnz = sum(map(len, rows))
-    if nnz and _dense_is_cheaper(nnz // len(rows), nnz // ncols, ncols):
-        return _dense_rref(_dense(rows, ncols, p), [], 0, p)
+    if nnz:
+        height = nnz // ncols
+        if _SPARSE_ENTRY_COST * (nnz // len(rows)) * height > _DENSE_STEP_COST + height * ncols:
+            return _dense_rref(_dense(rows, ncols, p), p)
     rows = [r for row in rows if (r := {c: u for c, v in row.items() if (u := v % p)})]
     rows_at = [set() for _ in range(ncols)]
     for i, row in enumerate(rows):
@@ -231,9 +219,6 @@ def _rref_mod(rows, ncols, p):
             continue
         i = min(candidates, key=lambda k: (len(rows[k]), k))
         pivot, hits = rows[i], rows_at[c] - {i}
-        if _dense_is_cheaper(len(pivot), len(hits) + 1, ncols - c):
-            rest = done + [rows[k] for k in sorted(active) if rows[k]]
-            return _dense_rref(_dense(rest, ncols, p), pivots, c, p)
         active.remove(i)
         inv = pow(pivot[c], -1, p)
         if inv != 1:
@@ -258,7 +243,7 @@ def _rref_mod(rows, ncols, p):
         rows_at[c] = {i}
         done.append(pivot)
         pivots.append(c)
-    return _dense(done, ncols, p), pivots
+    return done, pivots
 
 
 def _dense(rows, ncols, p):
@@ -269,11 +254,11 @@ def _dense(rows, ncols, p):
     return m
 
 
-def _dense_rref(m, pivots, start, p):
-    """Finish a mod-p RREF in place from column `start`: the first
-    len(pivots) rows of m are reduced with those pivots, and the other rows
-    are zero before `start`."""
-    for c in range(start, m.shape[1]):
+def _dense_rref(m, p):
+    """`_rref_mod` of the int64 residue array m, reduced in place from
+    column 0."""
+    pivots = []
+    for c in range(m.shape[1]):
         r = len(pivots)
         if r == len(m):
             break
@@ -289,7 +274,15 @@ def _dense_rref(m, pivots, start, p):
         if others.size:
             m[others, c:] = (m[others, c:] - np.outer(m[others, c], m[r, c:])) % p
         pivots.append(c)
-    return m[: len(pivots)], pivots
+    return _sparse(m[: len(pivots)], range(m.shape[1])), pivots
+
+
+def _sparse(m, columns):
+    """The rows of the 2-D array m as {columns[j]: nonzero entry} dicts."""
+    out, (at, cols) = [{} for _ in m], np.nonzero(m)
+    for i, j, v in zip(at.tolist(), cols.tolist(), m[at, cols].tolist()):
+        out[i][columns[j]] = v
+    return out
 
 
 def _denominator(u, p, bound):
@@ -403,7 +396,8 @@ def nullspace(rows, ncols):
     rows are {column: nonzero int} dicts.  One basis vector per free column
     of the RREF, ordered by free column index: the RREF vector with a 1 in
     the free position, scaled to primitive integers (a positive multiple).
-    Returns a list of int tuples (empty list for a trivial kernel).
+    Returns {column: nonzero int} dicts, each with its free column as its
+    largest key (an empty list for a trivial kernel).
     """
     forced = _forced_zero_columns(rows)
     keep = [c for c in range(ncols) if c not in forced]
@@ -419,9 +413,15 @@ def nullspace(rows, ncols):
         free = sorted(set(range(len(keep))) - set(pivots))
         if not free:  # rank mod p never exceeds rank over Q
             return []
+        # vector k is 1 at free[k] and minus column free[k] of the RREF at
+        # the pivots; an RREF row's entries off its pivot are all free
+        slot = {f: k for k, f in enumerate(free)}
+        at, cols, vals = zip(
+            *[(k, f, 1) for f, k in slot.items()],
+            *[(slot[f], c, p - v) for row, c in zip(red, pivots) for f, v in row.items() if f != c],
+        )
         vecs = np.zeros((len(free), len(keep)), dtype=np.int64)
-        vecs[np.arange(len(free)), free] = 1
-        vecs[:, pivots] = (-red[:, free].T) % p
+        vecs[at, cols] = vals
         if used is None or (-len(pivots), pivots) < (-len(used), used):
             used, modulus, residues = pivots, p, vecs
         elif pivots == used:
@@ -433,9 +433,7 @@ def nullspace(rows, ncols):
             continue
         basis //= np.gcd.reduce(basis, axis=1)[:, None]
         if _kills(reduced, basis, _sum_dtype(reduced, basis)):
-            full = np.zeros((len(free), ncols), dtype=basis.dtype)
-            full[:, keep] = basis
-            return [tuple(v) for v in full.tolist()]
+            return _sparse(basis, keep)
     return _exact_nullspace(rows, ncols)
 
 

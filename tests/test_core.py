@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from arrangements import (
@@ -64,7 +65,16 @@ def test_constructors_refuse_non_integer_entries(entry):
     # the length check comes first
     with pytest.raises(DimensionMismatch):
         CentralArrangement(3, ((entry, 0), (0, 1)))
-    assert canonicalize([[entry, 0], [0, 1]], 2).rank() == 2
+    arr = canonicalize([[entry, 0], [0, 1]], 2)
+    assert arr.rank() == 2
+    # multiplicities are ints too: none is truncated, and numpy ints convert
+    for mult in ((entry, 1), ("2", 1)):
+        with pytest.raises(TypeError):
+            Multiarrangement(arr, mult)
+        with pytest.raises(TypeError):
+            multiarrangement(arr, list(mult))
+    converted = multiarrangement(arr, [np.int64(2), 1]).mult
+    assert converted == (2, 1) and type(converted[0]) is int
 
 
 def test_rank_and_essential():

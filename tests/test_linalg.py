@@ -2,7 +2,7 @@
 integer-elimination path it falls back to."""
 
 import json
-from math import prod
+from math import gcd, prod
 from pathlib import Path
 from unittest import mock
 
@@ -57,7 +57,14 @@ def test_nullspace_matches_exact_elimination(primes, matrix):
     # the fallback take over when every prime fails.
     rows, ncols = matrix
     with mock.patch.object(linalg, "_PRIMES", primes):
-        assert linalg.nullspace(rows, ncols) == linalg._exact_nullspace(rows, ncols)
+        basis = linalg.nullspace(rows, ncols)
+    assert basis == linalg._exact_nullspace(rows, ncols)
+    # what `derivations` reads: the largest key of a vector is its free
+    # column, increasing along the basis, positive there, and gcd 1
+    free = [max(v) for v in basis]
+    assert free == sorted(set(free))
+    for v, f in zip(basis, free):
+        assert v[f] > 0 and gcd(*v.values()) == 1
 
 
 @st.composite
@@ -78,9 +85,9 @@ def _d4_degree_4():
 
 
 _D4_DEGREE_4 = _d4_degree_4()
-# `_SPARSE_ENTRY_COST` for each hand-off: at 160 the D4 rows hand off after
-# 45 of their 112 pivots, whatever the prime.
-_HANDOFFS = {"first-pivot": 10**9, "midway": 160, "never": 0}
+# `_SPARSE_ENTRY_COST` that forces each engine of `_rref_mod`: the rows go
+# to the dense loop before the first pivot, or never.
+_HANDOFFS = {"first-pivot": 10**9, "never": 0}
 
 
 @pytest.mark.parametrize("handoff", list(_HANDOFFS))
@@ -90,31 +97,29 @@ _HANDOFFS = {"first-pivot": 10**9, "midway": 160, "never": 0}
 @settings(max_examples=40, deadline=None)
 @given(sparse_matrices() | nonzero_matrices())
 @example(_D4_DEGREE_4)
-@example(([{0: 3}], 2))  # nothing left mod 3: no step to hand off
+@example(([{0: 3}], 2))  # nothing left mod 3: no pivot for either engine
 def test_dense_handoff_keeps_the_rref(handoff, primes, matrix):
-    # The RREF mod p is unique, so wherever the sparse elimination hands its
-    # rows to the dense loop, it must give the dense-only reduction.
+    # The RREF mod p is unique, so the sparse and the dense engine must
+    # both give the dense reduction from column 0.  The engine is chosen
+    # once, before any pivot: the dense loop runs at most once per prime,
+    # on the unreduced residues, and never when the sparse cost is 0.
     rows, ncols = matrix
-    dense_rref, handed = linalg._dense_rref, []
+    dense_rref, calls = linalg._dense_rref, []
 
-    def recording_dense_rref(m, pivots, start, p):
-        handed.append(len(pivots))
-        return dense_rref(m, pivots, start, p)
+    def recording_dense_rref(m, p):
+        calls.append(m.copy())
+        return dense_rref(m, p)
 
     with mock.patch.object(linalg, "_SPARSE_ENTRY_COST", _HANDOFFS[handoff]), \
             mock.patch.object(linalg, "_dense_rref", recording_dense_rref), \
             mock.patch.object(linalg, "_PRIMES", primes):
         for p in primes:
-            handed.clear()
-            red, pivots = linalg._rref_mod(rows, ncols, p)
-            expected = dense_rref(linalg._dense(rows, ncols, p), [], 0, p)
-            assert pivots == expected[1] and np.array_equal(red, expected[0])
-            if handoff == "first-pivot":
-                assert handed == [0] or handed == [] == pivots
-            elif handoff == "never":
-                assert handed == []
-            elif matrix is _D4_DEGREE_4:
-                assert handed == [45] and len(pivots) == 112
+            calls.clear()
+            assert linalg._rref_mod(rows, ncols, p) == dense_rref(linalg._dense(rows, ncols, p), p)
+            assert len(calls) <= (handoff == "first-pivot")
+            assert all(np.array_equal(m, linalg._dense(rows, ncols, p)) for m in calls)
+            if matrix is _D4_DEGREE_4:
+                assert len(calls) == (handoff == "first-pivot")
         assert linalg.nullspace(rows, ncols) == linalg._exact_nullspace(rows, ncols)
 
 
@@ -176,9 +181,9 @@ _RANK_1_MOD_3 = [{0: 4, 1: 1}, {0: 1, 1: 4}]
 @pytest.mark.parametrize(
     "rows, primes, moduli, kernel",
     [
-        (_DEPENDENT_MOD_5, (5, 3, 7, 11), [5, 3, 21, 231], [(1, -1, 5)]),
-        (_DEPENDENT_MOD_5, (3, 5, 7, 11), [3, 21, 231], [(1, -1, 5)]),
-        (_RANK_1_MOD_3, (3, 7, 11), [3, 7], [(0, 0, 1)]),
+        (_DEPENDENT_MOD_5, (5, 3, 7, 11), [5, 3, 21, 231], [{0: 1, 1: -1, 2: 5}]),
+        (_DEPENDENT_MOD_5, (3, 5, 7, 11), [3, 21, 231], [{0: 1, 1: -1, 2: 5}]),
+        (_RANK_1_MOD_3, (3, 7, 11), [3, 7], [{2: 1}]),
     ],
     ids=["earlier-list-replaces", "later-list-skipped", "longer-list-replaces"],
 )
@@ -230,7 +235,7 @@ def test_crt_lifts_the_transformed_b3_kernel(spies, kernels):
     multi = multiarrangement(canonicalize(data["hyperplanes"], data["dim"]), data["mult"])
     derivations._graded_kernel(multi, 6)
     _assert_crt_lifts(kernels, *spies)
-    assert max(abs(x) for v in kernels[0][2] for x in v).bit_length() == 67
+    assert max(abs(x) for v in kernels[0][2] for x in v.values()).bit_length() == 67
     assert max(m for m, ok in spies[0] if ok) == prod(linalg._PRIMES[:5])
 
 

@@ -520,7 +520,7 @@ def _full_width_new_generators(gens, kernel, monos, rank, d):
     return [
         derivations._field_from_vector(vec, monos, rank)
         for vec in kernel
-        if span.add(list(vec))
+        if span.add([vec.get(c, 0) for c in range(rank * n_monos)])
     ]
 
 
