@@ -19,7 +19,9 @@ would cost more sparse (an integer cost model, asked once).  Residues
 below 2**31 keep every product below 2**62 in both loops.  The reduced
 row echelon form over F_p is unique, so the pivot rows and the loop change
 the time and never the result: everything below reads only that RREF, as
-{column: residue} rows, and its pivot columns.
+{column: residue} rows, and its pivot columns.  numpy runs only in the
+dense loop; from the RREF on, each kernel vector is a {column: residue}
+dict and then a {column: int} dict, holding only its nonzero entries.
 
 For each free column f the mod-p kernel vector with a 1 at f is lifted to
 an integer vector by rational reconstruction (Wang 1981), and the lifted
@@ -46,10 +48,14 @@ pivot list in use to come from some prime, whichever primes were combined.
 After the last prime the kernel comes from exact integer elimination of
 the full rows, which is also the reference the tests compare against.
 
-The exact check sums each row times each lifted vector in int64 when
-max|row entry| * max|vector entry| * (most nonzeros in a row) < 2**63:
-every partial sum is then below 2**63 in absolute value, so no sum wraps
-and int64 gives the integers' answer.  Otherwise it sums Python ints.
+The exact check multiplies each row by all lifted vectors at once.  With
+P = max|row entry| * (most nonzeros in a row) * max|vector entry| and
+bits = P.bit_length(), it packs each column's entries into one Python
+integer, vector k in digit k of base B = 2**bits.  A row times the packed
+columns is then the sum over k of s_k * B**k with s_k = row . v_k, and
+|s_k| <= P < B.  That sum is 0 exactly when every s_k is 0: s_0 is
+divisible by B and below it in absolute value, so s_0 = 0; divide by B
+and repeat.  The check is a proof over the integers with no overflow case.
 
 Before the RREF, the columns that a row with a single nonzero entry forces
 to 0 are removed, to a fixpoint (structured Gaussian elimination,
@@ -74,8 +80,6 @@ from math import gcd, isqrt, lcm
 import numpy as np
 
 _PRIMES = (2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549)
-# Terms of the exact check held in memory at once.
-_BLOCK = 1 << 16
 
 
 def _strip_gcd(row):
@@ -274,14 +278,14 @@ def _dense_rref(m, p):
         if others.size:
             m[others, c:] = (m[others, c:] - np.outer(m[others, c], m[r, c:])) % p
         pivots.append(c)
-    return _sparse(m[: len(pivots)], range(m.shape[1])), pivots
+    return _sparse(m[: len(pivots)]), pivots
 
 
-def _sparse(m, columns):
-    """The rows of the 2-D array m as {columns[j]: nonzero entry} dicts."""
+def _sparse(m):
+    """The rows of the 2-D array m as {column: nonzero entry} dicts."""
     out, (at, cols) = [{} for _ in m], np.nonzero(m)
     for i, j, v in zip(at.tolist(), cols.tolist(), m[at, cols].tolist()):
-        out[i][columns[j]] = v
+        out[i][j] = v
     return out
 
 
@@ -298,72 +302,56 @@ def _denominator(u, p, bound):
 
 
 def _lift(vecs, m):
-    """Integer rows congruent mod m to positive multiples of the rows of
-    vecs, with entries and multipliers at most sqrt(m/2), or None.
+    """Integer vectors congruent mod m to positive multiples of the
+    {column: residue} dicts vecs, with entries and multipliers at most
+    sqrt(m/2), or None.
 
-    vecs holds residues in [0, m): int64 for one prime (a residue times a
-    multiplier stays below 2**46), Python ints for a product of primes.
-    Only the rows with an entry beyond the bound look for a multiplier.
+    A vector's multiplier grows from the denominator of its first entry,
+    in column order, that is beyond the bound, until none is.
     """
     bound, half = isqrt(m // 2), m // 2
-    w = np.where(vecs > half, vecs - m, vecs)
-    for i in np.flatnonzero((np.abs(w) > bound).any(axis=1)):
-        den, row = 1, w[i]
+    out = []
+    for vec in vecs:
+        den = 1
         while True:
-            big = np.flatnonzero(np.abs(row) > bound)
-            if not big.size:
+            w = {c: u - m if (u := x * den % m) > half else u for c, x in vec.items()}
+            big = next((x for x in w.values() if abs(x) > bound), None)
+            if big is None:
                 break
-            q = _denominator(int(row[big[0]]), m, bound)
+            q = _denominator(big, m, bound)
             if q is None or den * q > bound:
                 return None
             den *= q
-            row = vecs[i] * den % m
-            row[row > half] -= m
-        w[i] = row
-    return w
+        out.append(w)
+    return out
 
 
 def _crt(vecs, m, more, p):
-    """Python-int residues mod m*p congruent to vecs mod m and to the int64
-    residues `more` mod p."""
-    vecs = vecs.astype(object)
-    step = (more - (vecs % p).astype(np.int64)) % p * pow(m, -1, p) % p
-    return vecs + m * step.astype(object)
+    """Residues mod m*p congruent to the {column: residue} dicts vecs mod m
+    and to the dicts `more` mod p, a missing key read as 0; keys in
+    increasing order."""
+    inv = pow(m, -1, p)
+    return [
+        {c: (x := a.get(c, 0)) + m * ((b.get(c, 0) - x) * inv % p) for c in sorted({*a, *b})}
+        for a, b in zip(vecs, more)
+    ]
 
 
-def _sum_dtype(rows, basis):
-    """np.int64 when no partial sum of a row times a row of `basis` can
-    reach 2**63 (see the module docstring), else object (Python ints)."""
+def _kills(rows, basis):
+    """True iff every {column: int} vector of `basis` satisfies every sparse
+    row exactly: one product per row entry against the packed columns (see
+    the module docstring)."""
     if not rows:
-        return np.int64
-    entry = max(abs(v) for row in rows for v in row.values())
-    width = max(len(row) for row in rows)
-    if entry * width * int(np.abs(basis).max()) < 2**63:
-        return np.int64
-    return object
-
-
-def _kills(rows, basis, dtype):
-    """True iff every row of the integer array `basis` satisfies every sparse
-    row exactly, the sums taken in `dtype` (`_sum_dtype` says which is exact).
-    The terms are formed for a block of basis rows at a time."""
-    cols, vals, starts = [], [], []
-    for row in rows:
-        if row:
-            starts.append(len(cols))
-            cols.extend(row)
-            vals.extend(row.values())
-    if not starts:
         return True
-    table = basis.T.astype(dtype)
-    cols = np.array(cols)
-    vals = np.array(vals, dtype=dtype)[:, None]
-    step = max(1, _BLOCK // len(cols))
-    for k in range(0, len(basis), step):
-        terms = vals * table[cols, k : k + step]
-        if np.add.reduceat(terms, starts, axis=0).any():
-            return False
-    return True
+    entry = max(abs(v) for row in rows for v in row.values())
+    top = max(abs(x) for vec in basis for x in vec.values())
+    bits = (entry * max(map(len, rows)) * top).bit_length()
+    packed = {}
+    for k, vec in enumerate(basis):
+        shift = k * bits
+        for c, x in vec.items():
+            packed[c] = packed.get(c, 0) + (x << shift)
+    return not any(sum(v * packed.get(c, 0) for c, v in row.items()) for row in rows)
 
 
 def _forced_zero_columns(rows):
@@ -413,15 +401,15 @@ def nullspace(rows, ncols):
         free = sorted(set(range(len(keep))) - set(pivots))
         if not free:  # rank mod p never exceeds rank over Q
             return []
-        # vector k is 1 at free[k] and minus column free[k] of the RREF at
-        # the pivots; an RREF row's entries off its pivot are all free
-        slot = {f: k for k, f in enumerate(free)}
-        at, cols, vals = zip(
-            *[(k, f, 1) for f, k in slot.items()],
-            *[(slot[f], c, p - v) for row, c in zip(red, pivots) for f, v in row.items() if f != c],
-        )
-        vecs = np.zeros((len(free), len(keep)), dtype=np.int64)
-        vecs[at, cols] = vals
+        # vector f is minus column f of the RREF at the pivots and 1 at f: an
+        # RREF row's entries off its pivot are all free, and its pivot is
+        # before them, so each vector's keys come in increasing order
+        vecs = {f: {} for f in free}
+        for row, c in zip(red, pivots):
+            for f, v in row.items():
+                if f != c:
+                    vecs[f][c] = p - v
+        vecs = [vec | {f: 1} for f, vec in vecs.items()]
         if used is None or (-len(pivots), pivots) < (-len(used), used):
             used, modulus, residues = pivots, p, vecs
         elif pivots == used:
@@ -431,9 +419,10 @@ def nullspace(rows, ncols):
         basis = _lift(residues, modulus)
         if basis is None:
             continue
-        basis //= np.gcd.reduce(basis, axis=1)[:, None]
-        if _kills(reduced, basis, _sum_dtype(reduced, basis)):
-            return _sparse(basis, keep)
+        gcds = [gcd(*vec.values()) for vec in basis]
+        basis = [{c: x // g for c, x in vec.items()} for vec, g in zip(basis, gcds)]
+        if _kills(reduced, basis):
+            return [{keep[c]: x for c, x in vec.items()} for vec in basis]
     return _exact_nullspace(rows, ncols)
 
 

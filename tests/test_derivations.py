@@ -147,6 +147,14 @@ def test_find_free_basis_unknown_below_bound():
     assert not find_free_basis(multi).is_unknown
 
 
+@pytest.mark.parametrize("bound, error", [(2.9, TypeError), (Fraction(3), TypeError), (-1, ValueError)])
+def test_find_free_basis_refuses_a_bound_that_is_no_natural_number(bound, error):
+    # int() would read 2.9 as the bound 2; -1 would end Unknown(bound=-1)
+    multi = simple_multiarrangement(CORPUS["braid-ess3"].arrangement)
+    with pytest.raises(error):
+        find_free_basis(multi, bound)
+
+
 def test_saito_check_rank_one_with_inert_direction():
     multi = multiarrangement(make([[1, 0]], 2), (2,))
     basis = (field({(2, 0): 1}, {}), field({}, {(0, 0): 1}))

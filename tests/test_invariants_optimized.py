@@ -142,9 +142,10 @@ real_lift, real_exact = linalg._lift, linalg._exact_nullspace
 lifts = []
 
 def wrong_lift(vecs, m):
-    # entry 0 of every lifted vector, at every prime and every CRT product
+    # column 0 of every lifted vector, at every prime and every CRT product
     w = real_lift(vecs, m)
-    w[:, 0] += 1
+    for v in w:
+        v[0] = v.get(0, 0) + 1
     lifts.append(m)
     return w
 

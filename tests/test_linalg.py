@@ -243,8 +243,8 @@ def test_crt_lifts_the_transformed_b3_kernel(spies, kernels):
 def certificates(draw):
     """Sparse rows with a basis of their kernel, [D*I | A] against the
     columns of [-A; D*I], columns shuffled; sometimes one basis entry is off
-    by one.  Entries up to 2**31 put max|row| * max|basis| * width on both
-    sides of 2**63."""
+    by one.  Entries up to 2**31 give digits of the packed check from a few
+    bits to 65."""
     r, k = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     entries = st.integers(-9, 9) | st.integers(-(2**31), 2**31)
     d = draw(entries.filter(bool))
@@ -255,33 +255,35 @@ def certificates(draw):
     if draw(st.booleans()):
         basis[draw(st.integers(0, k - 1))][draw(st.integers(0, r + k - 1))] += 1
     rows = [{order[c]: v for c, v in enumerate(row) if v} for row in rows]
-    basis = [[v[order.index(c)] for c in range(r + k)] for v in basis]
-    return rows, np.array(basis, dtype=object)
+    basis = [{c: x for c in range(r + k) if (x := v[order.index(c)])} for v in basis]
+    return rows, basis
 
 
 @settings(max_examples=150, deadline=None)
 @given(certificates())
-@example(([{0: 2**31, 1: 2**31}], np.array([[2**31, -(2**31)]], dtype=object)))
-def test_int64_certificate_matches_python_ints(pair):
+@example(([{0: 2**31, 1: 2**31}], [{0: 2**31, 1: -(2**31)}]))
+def test_packed_certificate_matches_python_ints(pair):
     rows, basis = pair
-    exact = all(sum(v * int(b[c]) for c, v in row.items()) == 0 for row in rows for b in basis)
-    entry = max(abs(v) for row in rows for v in row.values())
-    width = max(len(row) for row in rows)
-    fits = entry * width * int(np.abs(basis).max()) < 2**63
-    dtype = linalg._sum_dtype(rows, basis)
-    assert dtype is (np.int64 if fits else object)
-    assert linalg._kills(rows, basis, dtype) == exact
-    assert linalg._kills(rows, basis, object) == exact
-    if fits:
-        assert linalg._kills(rows, basis.astype(np.int64), np.int64) == exact
+    exact = all(sum(v * b.get(c, 0) for c, v in row.items()) == 0 for row in rows for b in basis)
+    assert linalg._kills(rows, basis) == exact
 
 
-def test_int64_certificate_would_wrap_past_the_guard():
-    # 2**32 * 2**32 wraps to 0 in int64: unguarded, the check would accept.
-    rows, basis = [{0: 2**32}], np.array([[2**32]], dtype=object)
-    assert linalg._kills(rows, basis, np.int64)
-    assert linalg._sum_dtype(rows, basis) is object
-    assert not linalg._kills(rows, basis, object)
+_CARRY_SHIFTS = (0, 1, 5, 31, 63, 64)
+
+
+@pytest.mark.parametrize(
+    "rows, basis",
+    [
+        # 2**32 * 2**32 wraps to 0 in int64
+        ([{0: 2**32}], [{0: 2**32}]),
+        # -2**k in digit 0 is cancelled by a 1 in digit 1 if the digits
+        # are one bit narrower than |row . v| needs
+        *(([{0: 1}], [{0: -(2**k)}, {0: 1}]) for k in _CARRY_SHIFTS),
+    ],
+    ids=["int64-wrap", *(f"carry-{k}" for k in _CARRY_SHIFTS)],
+)
+def test_packed_certificate_refuses_wraps_and_carries(rows, basis):
+    assert not linalg._kills(rows, basis)
 
 
 def test_graded_kernels_match_exact_path_with_non_unit_pivots():
