@@ -20,8 +20,10 @@ below 2**31 keep every product below 2**62 in both loops.  The reduced
 row echelon form over F_p is unique, so the pivot rows and the loop change
 the time and never the result: everything below reads only that RREF, as
 {column: residue} rows, and its pivot columns.  numpy runs only in the
-dense loop; from the RREF on, each kernel vector is a {column: residue}
-dict and then a {column: int} dict, holding only its nonzero entries.
+dense loop and is imported there, at its first call, so a process whose
+kernels never fill in never loads it; from the RREF on, each kernel vector
+is a {column: residue} dict and then a {column: int} dict, holding only
+its nonzero entries.
 
 For each free column f the mod-p kernel vector with a 1 at f is lifted to
 an integer vector by rational reconstruction (Wang 1981), and the lifted
@@ -76,8 +78,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-
-import numpy as np
 
 _PRIMES = (2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549)
 
@@ -252,6 +252,7 @@ def _rref_mod(rows, ncols, p):
 
 def _dense(rows, ncols, p):
     """int64 array of the residues mod p of sparse integer rows."""
+    import numpy as np
     m = np.zeros((len(rows), ncols), dtype=np.int64)
     at = np.repeat(np.arange(len(rows)), [len(row) for row in rows])
     m[at, [c for row in rows for c in row]] = [v % p for row in rows for v in row.values()]
@@ -261,6 +262,7 @@ def _dense(rows, ncols, p):
 def _dense_rref(m, p):
     """`_rref_mod` of the int64 residue array m, reduced in place from
     column 0."""
+    import numpy as np
     pivots = []
     for c in range(m.shape[1]):
         r = len(pivots)
@@ -283,6 +285,7 @@ def _dense_rref(m, p):
 
 def _sparse(m):
     """The rows of the 2-D array m as {column: nonzero entry} dicts."""
+    import numpy as np
     out, (at, cols) = [{} for _ in m], np.nonzero(m)
     for i, j, v in zip(at.tolist(), cols.tolist(), m[at, cols].tolist()):
         out[i][j] = v

@@ -6,8 +6,11 @@ These deliberately avoid the machinery of the main pipeline:
   Lagrange-interpolates, with an exact bad-prime guard.  The guard,
   minor_bound, is the largest |minor| of the coefficient matrix, found by a
   depth-first Laplace expansion on integers that never descends below a
-  dependent row set; point_count visits one point per line through 0 (the
-  forms are linear, so a line lies on a hyperplane or misses it whole);
+  dependent row set; point_count counts one point per line through 0 (the
+  forms are linear, so a line lies on a hyperplane or misses it whole) in
+  plain Python ints: it chooses the coordinates left to right, drops a
+  partial point at the first form that vanishes there, and merges partial
+  points on which the forms left to check take the same values;
 * char_poly_recursion / region_count_recursion run the deletion-restriction
   recursions chi(A) = chi(A-H) - chi(A|H) and r(A) = r(A-H) + r(A|H)
   directly on affine data, never consulting Moebius values;
@@ -21,12 +24,11 @@ there cannot reach both sides of a comparison.  Keep them obvious.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from operator import add, sub
-
-import numpy as np
 
 from .core import AffineArrangement, CentralArrangement, normalize_affine
 from .errors import BadPrime, FlatNotInLattice, InconsistentCounts
@@ -35,7 +37,6 @@ from .linalg import echelon
 from .polynomials import IntPoly
 
 MAX_POINTS = 10 ** 7
-_CHUNK = 1 << 16
 
 
 def minor_bound(arr):
@@ -118,30 +119,62 @@ def good_primes(arr):
 
 
 def point_count(arr, q):
-    """Number of points of F_q**dim lying on no hyperplane.
+    """Number of points of F_q**dim lying on no hyperplane, for a prime q.
 
     The forms are linear, so x and c*x (c != 0) lie on the same hyperplanes
     and 0 lies on all of them: count one point per line through 0, the one
     whose first nonzero coordinate is 1, and multiply by q - 1.
     """
+    if not _is_prime(q):
+        raise BadPrime(f"{q} is not prime")
     ell = arr.dim
     if ell == 0 or not arr.forms:
         return q ** ell
-    w = np.array(arr.forms, dtype=np.int64) % q
-    lines = 0
-    for lead in range(ell):
-        # x[lead] = 1, zeros before it, every value of the coordinates after
-        tail = ell - lead - 1
-        total = q ** tail
-        for start in range(0, total, _CHUNK):
-            idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-            coords = np.empty((tail, idx.size), dtype=np.int64)
-            for k in range(tail):
-                coords[k] = idx % q
-                idx = idx // q
-            values = (w[:, lead + 1:] @ coords + w[:, lead:lead + 1]) % q
-            lines += int(np.all(values != 0, axis=0).sum())
+    lines = sum(
+        _chart_count([[c % q for c in f[lead:]] for f in arr.forms], q)
+        for lead in range(ell)
+    )
     return (q - 1) * lines
+
+
+def _chart_count(forms, q):
+    """Points (1, x_1, ..., x_t) of F_q**(t+1) on none of the forms, given
+    mod q on those coordinates.
+
+    x_1, ..., x_t are chosen left to right, and a partial point is kept as
+    the partial sums of the forms not yet checked, counted with its
+    multiplicity.  A form is checked once its last nonzero coefficient k
+    has its value, and a zero drops the partial point.  A form with k = t
+    is scaled to end in -1, so it rules out exactly the value x_t = (its
+    partial sum): each partial point x_1, ..., x_(t-1) adds q minus the
+    number of values ruled out.
+    """
+    t = len(forms[0]) - 1
+    ends = []  # (k, form), for the forms that can vanish
+    for f in forms:
+        k = max((i for i, c in enumerate(f) if c), default=None)
+        if k is None:
+            return 0  # the form vanishes on the whole chart
+        if k == t:
+            m = -pow(f[t], -1, q)
+            f = [c * m % q for c in f]
+        if k:  # a form with k = 0 is the nonzero constant f[0]
+            ends.append((k, f))
+    if t == 0:
+        return 1
+    ends.sort(key=lambda kf: kf[0])
+    states = Counter({tuple(f[0] for _, f in ends): 1})
+    for d in range(1, t):
+        col = [f[d] for _, f in ends]
+        n = sum(k == d for k, _ in ends)
+        ends, grown = ends[n:], Counter()
+        for sums, mult in states.items():
+            for x in range(q):
+                new = [(s + c * x) % q for s, c in zip(sums, col)]
+                if 0 not in new[:n]:
+                    grown[tuple(new[n:])] += mult
+        states = grown
+    return sum(mult * (q - len(set(sums))) for sums, mult in states.items())
 
 
 @dataclass(frozen=True)

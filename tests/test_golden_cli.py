@@ -117,6 +117,43 @@ def test_golden_demos():
         assert run_demo(expected["demo"]) == expected, expected["demo"]
 
 
+# Replays the golden runs in a fresh interpreter (cwd tests/): numpy stays
+# out of sys.modules until a graded kernel fills in enough to go to the
+# dense RREF engine, as those of bases/B3-transformed.json do.
+NUMPY_GUARD = """
+import json, sys
+import arrangements, arrangements.cli
+assert "numpy" not in sys.modules, "import arrangements.cli"
+from test_golden_cli import GOLDEN, GOLDEN_BASES, corpus, run_cli
+dense = "bases/B3-transformed.json"
+bases = json.loads(GOLDEN_BASES.read_text(encoding="utf-8"))
+for expected in json.loads(GOLDEN.read_text(encoding="utf-8")):
+    assert run_cli(expected["argv"]) == expected, expected["argv"]
+for name in corpus.names():
+    run_cli(["compare", f"corpus:{name}", "--h0", "0"])
+for expected in bases:
+    if dense not in expected["argv"]:
+        assert run_cli(expected["argv"]) == expected, expected["argv"]
+assert "numpy" not in sys.modules, "the golden runs"
+for expected in bases:
+    if dense in expected["argv"]:
+        assert run_cli(expected["argv"]) == expected, expected["argv"]
+assert "numpy" in sys.modules, dense
+"""
+
+
+def test_numpy_is_imported_only_by_the_dense_engine():
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_GUARD],
+        capture_output=True,
+        text=True,
+        cwd=HERE,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join((SRC, str(HERE)))},
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit(__doc__)

@@ -114,11 +114,54 @@ def _literal_point_count(forms, dim, q):
         (3, ((1, -1, 0), (0, 1, -1), (1, 0, -1), (2, 0, 7))),  # 2x+7z is 2x mod 7
         (3, ((0, 0, 1), (4, -6, 3))),
         (4, ((1, 2, 3, 4), (0, 1, 0, -1), (5, 0, 0, 2))),
+        # entries beyond int64
+        (1, ((2**63,),)),
+        (2, ((1, 2**63 + 1),)),  # 2**63 + 1 is 0 mod 3, 2 mod 5, 3 mod 7
+        (3, ((2**64 + 3, 1, 0), (0, 1, -(2**63)))),
     ],
 )
 def test_point_count_matches_literal_enumeration(dim, forms, q):
     arr = CentralArrangement(dim, forms)
     assert point_count(arr, q) == _literal_point_count(forms, dim, q)
+
+
+@st.composite
+def _forms_mod_small_q(draw):
+    """Nonzero forms with entries in -4..4, now and then one multiplied by q
+    (so it vanishes mod q) or zero past a cut (so it vanishes on every chart
+    whose leading coordinate is at or past the cut), repeats allowed."""
+    dim, q = draw(st.integers(1, 4)), draw(st.sampled_from((2, 3, 5, 7)))
+    forms = []
+    for _ in range(draw(st.integers(0, 6))):
+        f = draw(st.lists(st.integers(-4, 4), min_size=dim, max_size=dim))
+        kind = draw(st.sampled_from(("plain", "plain", "plain", "cut", "times q")))
+        if kind == "cut":
+            cut = draw(st.integers(1, dim))
+            f[cut:] = [0] * (dim - cut)
+        elif kind == "times q":
+            f = [q * c for c in f]
+        if any(f):
+            forms.append(tuple(f))
+    return dim, tuple(forms), q
+
+
+@settings(max_examples=200, deadline=None)
+@given(_forms_mod_small_q())
+@example((3, ((1, 0, 0),), 2))  # vanishes on the charts led by x_2 and x_3
+@example((2, ((3, -3), (1, 2)), 3))  # vanishes mod 3; 1 + 2t rules out t = 1
+@example((4, ((0, 0, 0, 7), (1, 1, 1, 1)), 7))  # vanishes mod 7 everywhere
+def test_point_count_property_matches_literal_enumeration(case):
+    dim, forms, q = case
+    holder = SimpleNamespace(dim=dim, forms=forms)
+    assert point_count(holder, q) == _literal_point_count(forms, dim, q)
+
+
+@pytest.mark.parametrize("q", [-3, 0, 1, 4, 9])
+def test_point_count_refuses_a_q_that_is_not_prime(q):
+    # "one point per line, times q - 1" holds only over a field: over Z/4
+    # the literal count for 2x is 2, the line count would give 3
+    with pytest.raises(BadPrime, match=rf"^{q} is not prime$"):
+        point_count(CentralArrangement(1, ((2,),)), q)
 
 
 def test_point_count_matches_char_poly_evaluation():
