@@ -7,6 +7,9 @@ sigma-coefficient comparison with its chamber-count bound; and independent
 oracles (finite-field point counts, deletion-restriction recursions,
 brute-force Moebius) for cross-checking all of it.  Everything is computed
 over the rationals with exact arithmetic.
+
+The public names are those of `__all__`.  A name that README or `demos/`
+uses stays public; a helper that only the tests use lives in the tests.
 """
 
 from .core import (
@@ -35,11 +38,9 @@ from .derivations import (
     FreenessVerdict,
     PolyVectorField,
     SigmaStatus,
-    defining_polynomial,
     derivation_membership,
     derivation_space_dim,
     elementary_symmetric,
-    euler_field,
     find_free_basis,
     multi_char_poly_free,
     rank2_exponents,
@@ -140,12 +141,10 @@ __all__ = [
     "char_poly_recursion",
     "compare_coefficients",
     "decone",
-    "defining_polynomial",
     "derivation_membership",
     "derivation_space_dim",
     "elementary_symmetric",
     "essentialize",
-    "euler_field",
     "find_free_basis",
     "finite_field_char_poly",
     "form_to_string",

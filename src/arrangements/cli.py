@@ -31,7 +31,6 @@ from .derivations import FREE, UNKNOWN, find_free_basis
 from .errors import ArrangementError, BadPrime, InputError, TheoremViolation
 from .fileio import (
     ArrangementInput,
-    fraction_to_json,
     load_arrangement,
     poly_coefficients,
     serialize_report,
@@ -175,9 +174,7 @@ def _cmd_ziegler(args):
                 {
                     "dim": multi.dim,
                     "h0": args.h0,
-                    "hyperplanes": [
-                        [fraction_to_json(v) for v in f] for f in multi.base.forms
-                    ],
+                    "hyperplanes": [list(f) for f in multi.base.forms],
                     "mult": list(multi.mult),
                     "total": multi.total,
                     "labels": labels,

@@ -42,8 +42,12 @@ kernel vector of a free column f is supported on the pivot columns before
 f and on f, where it is nonzero, so restricting a vector of D(A,m)_d to
 the free columns is an isomorphism onto Q^(free columns) that sends kernel
 vector k to a positive multiple of the unit vector e_k.  Every shifted
-generator x**a * g lies in D(A,m)_d, so rank tests on these restrictions
-are exact and select the same generators as tests on the full rows.
+generator x**a * g lies in D(A,m)_d, so its restriction is a nonzero row,
+and kernel vector k is new exactly when no vector in the span of those
+rows has its last nonzero entry at k.  With the columns reversed, those
+entries are the pivot columns of the span's RREF, so the new generators
+are read off the free columns of one certified kernel (`nullspace`) of
+the restricted rows, and they are the ones a test on the full rows picks.
 """
 
 from __future__ import annotations
@@ -62,15 +66,12 @@ from .errors import (
     WrongRank,
 )
 from .lattice import intersection_lattice
-from .linalg import _Echelon, det, nullspace
+from .linalg import det, nullspace
 from .polynomials import (
     IntPoly,
     mp_add_inplace,
     mp_divisible_by_linear_power,
     mp_format,
-    mp_from_linear,
-    mp_mul,
-    mp_pow,
     monomial_count,
     monomials,
     residue_table,
@@ -136,16 +137,6 @@ class PolyVectorField:
         return " + ".join(parts) if parts else "0"
 
 
-def euler_field(dim):
-    """The field x_1 d/dx_1 + ... + x_dim d/dx_dim."""
-    comps = []
-    for i in range(dim):
-        e = [0] * dim
-        e[i] = 1
-        comps.append({tuple(e): 1})
-    return PolyVectorField(comps)
-
-
 class Exponents(tuple):
     """Nondecreasing exponent tuple, optionally carrying a certifying basis."""
 
@@ -186,14 +177,6 @@ class FreenessVerdict:
     @property
     def is_unknown(self):
         return self.status == UNKNOWN
-
-
-def defining_polynomial(multi):
-    """Q(A,m): the product of alpha_H**m(H) over effective hyperplanes."""
-    out = {(0,) * multi.dim: 1}
-    for i in multi.effective():
-        out = mp_mul(out, mp_pow(mp_from_linear(multi.base.forms[i]), multi.mult[i]))
-    return out
 
 
 def derivation_membership(theta, multi):
@@ -280,32 +263,31 @@ def _new_generators(gens, kernel, monos, rank, d):
     generators: each lies outside the polynomial-ring span of `gens` and of
     the kernel vectors before it.
 
-    The test runs on the kernel's free columns (see the module docstring),
-    where kernel vector k is the unit vector e_k.  It is new exactly when no
-    vector in the span of the shifted generators x**a * g has its last
-    nonzero entry at k, so one echelon of those rows, with the columns
-    reversed, gives the answer: k is new when width - 1 - k is no pivot.
+    Each shifted generator x**a * g is written on the kernel's free
+    columns, reversed, where kernel vector k is column width - 1 - k; k is
+    new exactly when that column is free in the kernel of these rows (see
+    the module docstring).
     """
     width = len(kernel)
     free = {max(vec): width - 1 - k for k, vec in enumerate(kernel)}
     n_monos = len(monos)
     monos_index = {m: k for k, m in enumerate(monos)}
-    span = _Echelon()
+    rows = []
     for g in gens:
         for shift in monomials(rank, d - g.degree):
-            row = [0] * width
+            row = {}
             for i, comp in enumerate(g.components):
                 for exps, c in comp.items():
                     moved = tuple(a + b for a, b in zip(exps, shift))
                     k = free.get(i * n_monos + monos_index[moved])
                     if k is not None:
                         row[k] = c
-            span.add(row)
-    pivots = set(span.pivots)
+            rows.append(row)
+    new = {max(vec) for vec in nullspace(rows, width)}
     return [
         _field_from_vector(vec, monos, rank)
         for k, vec in enumerate(kernel)
-        if width - 1 - k not in pivots
+        if width - 1 - k in new
     ]
 
 

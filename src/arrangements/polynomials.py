@@ -201,14 +201,6 @@ def mp_mul(p, q):
     return out
 
 
-def mp_pow(p, k):
-    nvars = len(next(iter(p))) if p else 0
-    out = mp_const(nvars, 1)
-    for _ in range(k):
-        out = mp_mul(out, p)
-    return out
-
-
 def mp_determinant(matrix):
     """Determinant of a matrix of sparse polynomials by cofactor expansion.
 

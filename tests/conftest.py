@@ -3,8 +3,15 @@
 import random
 from fractions import Fraction
 
-from arrangements import canonicalize, intersection_lattice, rho, ziegler_restriction
+from arrangements import (
+    PolyVectorField,
+    canonicalize,
+    intersection_lattice,
+    rho,
+    ziegler_restriction,
+)
 from arrangements.errors import ArrangementError
+from arrangements.polynomials import mp_const, mp_from_linear, mp_mul
 from arrangements.restriction import _restriction_flats
 
 
@@ -42,6 +49,33 @@ def random_central(rng, dim=None, max_hyperplanes=7):
 
 def seeded(seed):
     return random.Random(seed)
+
+
+def mp_pow(p, k):
+    """p**k for a sparse polynomial p."""
+    nvars = len(next(iter(p))) if p else 0
+    out = mp_const(nvars, 1)
+    for _ in range(k):
+        out = mp_mul(out, p)
+    return out
+
+
+def defining_polynomial(multi):
+    """Q(A,m): the product of alpha_H**m(H) over effective hyperplanes."""
+    out = {(0,) * multi.dim: 1}
+    for i in multi.effective():
+        out = mp_mul(out, mp_pow(mp_from_linear(multi.base.forms[i]), multi.mult[i]))
+    return out
+
+
+def euler_field(dim):
+    """The field x_1 d/dx_1 + ... + x_dim d/dx_dim."""
+    comps = []
+    for i in range(dim):
+        e = [0] * dim
+        e[i] = 1
+        comps.append({tuple(e): 1})
+    return PolyVectorField(comps)
 
 
 def rho_images(arr, h0, dA_lattice):

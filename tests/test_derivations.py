@@ -13,11 +13,9 @@ from arrangements import (
     NotADerivation,
     PolyVectorField,
     WrongRank,
-    defining_polynomial,
     derivation_membership,
     derivation_space_dim,
     elementary_symmetric,
-    euler_field,
     find_free_basis,
     intersection_lattice,
     multi_char_poly_free,
@@ -31,7 +29,7 @@ from arrangements import (
 )
 from arrangements.polynomials import monomial_count
 from arrangements.restriction import localize_and_essentialize
-from conftest import make
+from conftest import defining_polynomial, euler_field, make
 
 
 def field(*components):

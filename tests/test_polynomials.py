@@ -9,9 +9,9 @@ from arrangements.polynomials import (
     mp_divisible_by_linear_power,
     mp_from_linear,
     mp_mul,
-    mp_pow,
     monomial_residue_mod_linear_power,
 )
+from conftest import mp_pow
 
 
 @st.composite

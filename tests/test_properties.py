@@ -25,7 +25,6 @@ from arrangements import (
     char_poly_recursion,
     compare_coefficients,
     decone,
-    defining_polynomial,
     derivation_membership,
     essentialize,
     find_free_basis,
@@ -43,7 +42,7 @@ from arrangements import (
     yoshinaga_3d,
     ziegler_restriction,
 )
-from arrangements import derivations
+from arrangements import derivations, linalg
 from arrangements.core import CentralArrangement, normalize_affine, normalize_form
 from arrangements.linalg import _Echelon, det, echelon
 from arrangements.polynomials import (
@@ -56,7 +55,7 @@ from arrangements.polynomials import (
     mp_mul,
 )
 from arrangements.restriction import _restriction_flats
-from conftest import random_central, seeded
+from conftest import defining_polynomial, random_central, seeded
 
 
 def test_oracle_triple_agreement_random():
@@ -219,17 +218,25 @@ def test_chi_and_levels_ignore_order_and_scaling_of_hyperplanes(pair):
 
 _B3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, -1, 0), (1, 0, 1), (1, 0, -1), (0, 1, 1), (0, 1, -1))
 _FREE3 = {"B3": (_B3, (1, 3, 5)), "A3-ess": (CORPUS["braid-ess3"].arrangement.forms, (1, 2, 3))}
-_SIGNS3 = st.lists(st.sampled_from((-1, 0, 1)), min_size=3, max_size=3)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.sampled_from(sorted(_FREE3)), st.lists(_SIGNS3, min_size=3, max_size=3).filter(det))
+def _matrices3(c):
+    """Invertible 3 x 3 integer matrices with entries in -c..c."""
+    row = st.lists(st.integers(-c, c), min_size=3, max_size=3)
+    return st.lists(row, min_size=3, max_size=3).filter(det)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(_FREE3)), st.sampled_from((1, 3)).flatmap(_matrices3))
 @example("B3", [[0, -1, -1], [1, -1, 1], [-1, 1, 0]])
+@example("B3", [[-2, -2, -3], [-1, -3, 3], [-3, -1, -1]])
 def test_exponents_and_chi_ignore_coordinate_changes(name, matrix):
-    # A coordinate change (forms times an invertible {-1, 0, 1} matrix)
-    # keeps chi and the exponents.  Its kernel entries can outgrow one
-    # prime's reconstruction bound: the example lifts its degree-5 kernel
-    # only after two primes are combined.
+    # A coordinate change (forms times an invertible matrix with entries in
+    # -1..1, or in -3..3 for about half the examples) keeps chi and the
+    # exponents.  Its kernel entries can outgrow one prime's reconstruction
+    # bound: the first example lifts its degree-5 kernel only after two
+    # primes are combined, and the second lifts one span kernel of the
+    # generators' coefficients that way.
     forms, exponents = _FREE3[name]
     moved = [[sum(f[i] * matrix[i][j] for i in range(3)) for j in range(3)] for f in forms]
     moved = canonicalize(moved, 3)
@@ -543,26 +550,35 @@ def _small_multiarrangements(draw, min_rank=2):
     return multiarrangement(canonicalize(forms, dim), mult), draw(st.sampled_from((None, 1, 2)))
 
 
-@settings(max_examples=60, deadline=None)
-@given(_small_multiarrangements())
-@example((simple_multiarrangement(CORPUS["braid-ess4"].arrangement), None))
-@example((simple_multiarrangement(CORPUS["braid-ess4"].arrangement), 2))
-@example((simple_multiarrangement(CORPUS["generic34"].arrangement), None))
-@example((multiarrangement(canonicalize(_IDENTITY5[:4], 5), [2, 1, 3, 1]), 1))
-@example((multiarrangement(canonicalize([[1, 0], [0, 1], [1, 1], [1, -1]], 2), [2, 2, 2, 2]), None))
-@example((multiarrangement(canonicalize([[1, 0], [0, 1], [1, 1]], 2), [1, 1, 6]), None))
-@example((multiarrangement(canonicalize([[1, 0], [0, 1], [1, 1]], 2), [12, 13, 12]), None))
-def test_free_column_span_selects_the_full_width_generators(drawn):
-    # The span test on the kernel's free columns, read off the pivots of
-    # one echelon, must pick the same generators as the test on full rows,
-    # so the status, exponents, basis and witness agree.  The examples
-    # cover Free, Unknown under a bound, NotFree, a non-essential input,
-    # and rank 2 with d1 = d2 = 4, with d1 = 2 below the probe degree 3,
-    # and with exponents (18, 19).
+_WIDE = linalg._PRIMES
+
+
+@settings(max_examples=120, deadline=None)
+@given(_small_multiarrangements(), st.sampled_from((_WIDE, (3,), (3, 5, 7))))
+@example((simple_multiarrangement(CORPUS["braid-ess4"].arrangement), None), _WIDE)
+@example((simple_multiarrangement(CORPUS["braid-ess4"].arrangement), 2), _WIDE)
+@example((simple_multiarrangement(CORPUS["generic34"].arrangement), None), _WIDE)
+@example((multiarrangement(canonicalize(_IDENTITY5[:4], 5), [2, 1, 3, 1]), 1), _WIDE)
+@example((multiarrangement(canonicalize([[1, 0], [0, 1], [1, 1], [1, -1]], 2), [2, 2, 2, 2]), None), _WIDE)
+@example((multiarrangement(canonicalize([[1, 0], [0, 1], [1, 1]], 2), [1, 1, 6]), None), _WIDE)
+@example((multiarrangement(canonicalize([[1, 0], [0, 1], [1, 1]], 2), [12, 13, 12]), None), _WIDE)
+@example((multiarrangement(canonicalize([[0, 1], [1, 1], [1, -2]], 2), [1, 3, 3]), None), (3,))
+@example((multiarrangement(canonicalize([[0, 1], [1, 1], [1, -2]], 2), [1, 3, 3]), None), (3, 5, 7))
+def test_free_column_span_selects_the_full_width_generators(drawn, primes):
+    # The span test on the kernel's free columns, read off the free columns
+    # of one certified kernel, must pick the same generators as the test on
+    # full rows, so the status, exponents, basis and witness agree.  The
+    # examples cover Free, Unknown under a bound, NotFree, a non-essential
+    # input, and rank 2 with d1 = d2 = 4, with d1 = 2 below the probe
+    # degree 3, and with exponents (18, 19).  With p = 3, 5 or 7 the span
+    # rows often lose rank mod p, so a span kernel needs the lift, CRT, the
+    # exact check or the fallback: free columns read off one prime's RREF
+    # alone give a wrong basis on the last two examples.
     multi, bound = drawn
-    verdict = find_free_basis(multi, bound)
-    with mock.patch.object(derivations, "_new_generators", _full_width_new_generators):
-        assert find_free_basis(multi, bound) == verdict
+    with mock.patch.object(linalg, "_PRIMES", primes):
+        verdict = find_free_basis(multi, bound)
+        with mock.patch.object(derivations, "_new_generators", _full_width_new_generators):
+            assert find_free_basis(multi, bound) == verdict
 
 
 def _full_scan(multi, bound, kernels):
@@ -710,7 +726,7 @@ def _free_multiarrangements(draw):
         mult = draw(st.lists(st.integers(1, 3), min_size=3, max_size=3))
         return multiarrangement(CORPUS["boolean3"].arrangement, mult)
     forms = _FREE3[kind][0] if kind in _FREE3 else CORPUS[kind].arrangement.forms
-    matrix = draw(st.lists(_SIGNS3, min_size=3, max_size=3).filter(det))
+    matrix = draw(_matrices3(1))
     moved = [[sum(f[i] * matrix[i][j] for i in range(3)) for j in range(3)] for f in forms]
     return simple_multiarrangement(canonicalize(moved, 3))
 

@@ -60,33 +60,40 @@ def test_traced_exponents_reports_kernel_counts(capsys):
     assert out["exponents"] == [1, 3, 5]
     kernels = summary["linalg.nullspace"]
     # degrees d = 1..5 of B3: 3 * C(d + 2, 2) columns, and the kernel is
-    # D(A)_d, free on generators of degrees 1, 3 and 5
+    # D(A)_d, free on generators of degrees 1, 3 and 5.  Each degree also
+    # takes one span kernel, dim D(A)_d columns wide, whose dimension is
+    # the number of new generators there: 3 in all
     degrees = range(1, 6)
-    assert kernels["calls"] == len(degrees)
-    assert kernels["cols"] == sum(3 * comb(d + 2, 2) for d in degrees)
-    assert kernels["kernel_dim"] == sum(comb(d - e + 2, 2) for d in degrees for e in (1, 3, 5) if d >= e)
+    dims = sum(comb(d - e + 2, 2) for d in degrees for e in (1, 3, 5) if d >= e)
+    assert kernels["calls"] == 2 * len(degrees) == 10
+    assert kernels["cols"] == sum(3 * comb(d + 2, 2) for d in degrees) + dims == 211
+    assert kernels["kernel_dim"] == dims + 3 == 49
 
 
 def test_traced_rank2_exponents_compute_two_kernels(capsys):
     # |m| = 37: the probe degree 18 has a one-dimensional kernel, so the
     # exponents are (18, 19) and the search computes the kernels at 18
-    # (2 * 19 columns) and 19 (2 * 20 columns) only, not all of 1..19
+    # (2 * 19 columns) and 19 (2 * 20 columns) only, not all of 1..19,
+    # and one span kernel at each, as wide as the kernel there (1 and 3),
+    # with one new generator each
     out, summary = _traced(capsys, "exponents", str(TESTS / "bases" / "three-lines-12-13-12.json"))
     assert out["exponents"] == [18, 19]
     kernels = summary["linalg.nullspace"]
-    assert kernels["calls"] == 2
-    assert kernels["cols"] == 38 + 40
-    assert kernels["kernel_dim"] == 1 + 3
+    assert kernels["calls"] == 2 + 2
+    assert kernels["cols"] == 38 + 40 + 1 + 3
+    assert kernels["kernel_dim"] == 1 + 3 + 1 + 1
 
 
 def test_traced_compare_counts_stay_put(capsys):
     # compare on braid-ess4 searches its rank-3 A'' at the roots of chi_0,
     # once: a refactor that adds a kernel, a Saito check or an
-    # essentialization shows up here
+    # essentialization shows up here.  Each of the 3 graded kernels (93
+    # columns, dimension 15) is followed by its span kernel (15 columns,
+    # one per kernel vector, and one dimension per new generator)
     out, summary = _traced(capsys, "compare", "corpus:braid-ess4", "--h0", "0")
     assert out["mca"] is True
     kernels = summary["linalg.nullspace"]
-    assert (kernels["calls"], kernels["cols"], kernels["kernel_dim"]) == (3, 93, 15)
+    assert (kernels["calls"], kernels["cols"], kernels["kernel_dim"]) == (6, 108, 18)
     assert summary["derivations.saito_check"]["calls"] == 1
     # one essentialization per flat of L(A''), made by the sweep's
     # localize_and_essentialize
