@@ -13,6 +13,33 @@ below dimension 3).  At rank 3 it is Yoshinaga's criterion, "the deconing
 has (1 + d1)(1 + d2) chambers": sum b = 1 + |m''| + b_2 and (1 + d1)(1 + d2)
 = 1 + |m''| + sigma_2.  `_free_by_restriction` states the rule, and A'' is
 searched under the degree-bound rule of `derivations._bounded_search`.
+
+Without a degree bound, `compare_coefficients` first tries to prove A free
+from L(A) alone, by Abe's division theorem (T. Abe, Divisionally free
+arrangements of hyperplanes, Invent. Math. 204 (2016)):
+
+* Division theorem: if some H in A has chi0(A^H, t) dividing chi0(A, t),
+  then A is free if and only if A^H is free.
+* Definition: an essential A of rank l is divisionally free when there is
+  a flag V = X_0 > X_1 > ... > X_{l-2} with X_i in L_i(A) and
+  chi0(A^{X_i}, t) dividing chi0(A^{X_{i-1}}, t) for i = 1, ..., l - 2.  A
+  non-essential A is divisionally free when its essentialization is: both
+  have the lattice L(A), and their chi differ by a power of t, so for A of
+  rank r the flag ends at X_{r-2}.  A^{X_{r-2}} has rank 2, hence is
+  free, and the division theorem applied down the flag makes A free.
+* Terao (1981): a free A with exponents (d_1, ..., d_l) has chi(A, t) =
+  prod (t - d_i).  So chi0 of a free A splits over the nonnegative
+  integers, and an A whose chi0 does not is not tried.
+* Ziegler (1989): for a free A with exponents (1, d_2, ..., d_l), the
+  Ziegler restriction A'' is free with exponents (d_2, ..., d_l).  The
+  nonzero ones, the exponents of the essentialization of A'', are the
+  nonzero roots of chi0(A).
+* For a flat X of L(A'') and the flat X' of L(A) that is the same subspace
+  of H0, (A'')_X is the Ziegler restriction of the localization A_{X'},
+  which is free when A is (Orlik-Terao, Arrangements of Hyperplanes, 1992,
+  Thm. 4.37).  Its exponents are (1, d_2, ..., d_k) and zeros, and
+  mu(X') = (-1)**k d_2 ... d_k, so the exponent product of (A'')_X, the
+  per-flat sigma of X, is |mu(X')|.
 """
 
 from __future__ import annotations
@@ -36,6 +63,7 @@ from .derivations import (
 )
 from .errors import TheoremViolation, WrongRank
 from .lattice import intersection_lattice, reduced_char_poly
+from .polynomials import IntPoly
 from .restriction import CoefficientTable, _b_table, _b_vector, ziegler_restriction
 
 TAME = "Tame"
@@ -105,15 +133,25 @@ def compare_coefficients(arr, h0, degree_bound=None, assert_tame=False):
     restriction = ziegler_restriction(arr, h0)
     lattice = intersection_lattice(arr)
     chi0 = reduced_char_poly(arr, lattice)
-    table, restriction_flats = _b_table(chi0, lattice, h0, restriction)
-    # one sweep: the global verdict, sigma and the per-flat sigma values.
-    # The center localizes to the essentialization of A'', whose dimension
-    # is the rank of A''; A's rank is one more.  A free A'' has the roots
-    # of chi0 as its exponents (Terao 1981; Ziegler 1989), so its search
-    # tries those degrees first.
-    top, local = _localization_sweep(
-        restriction, degree_bound, restriction_flats, candidates=chi0.nonnegative_roots()
-    )
+    table, restriction_flats, parents = _b_table(chi0, lattice, h0, restriction)
+    roots = chi0.nonnegative_roots()
+    if degree_bound is None and roots is not None and _divisionally_free(lattice, chi0):
+        # A is free: the global verdict and the per-flat sigma values come
+        # from L(A) as the module docstring says, with no search
+        mu = dict(zip((f.mask for f in lattice.flats), lattice.moebius))
+        top = FreenessVerdict(
+            FREE, exponents=tuple(r for r in roots if r), essential=essentialize(restriction)[0]
+        )
+        local = {x: abs(mu[y]) for x, y in zip(restriction_flats, parents)}
+    else:
+        # one sweep: the global verdict, sigma and the per-flat sigma
+        # values.  The center localizes to the essentialization of A''.  A
+        # free A'' has the roots of chi0 as its exponents (Terao 1981;
+        # Ziegler 1989), so its search tries those degrees first.
+        top, local = _localization_sweep(restriction, degree_bound, restriction_flats,
+                                         candidates=roots)
+    # the essentialization of A'' has the rank of A'' as its dimension;
+    # A's rank is one more
     rank_r = top.essential.dim
     sig = _sigma_column(top.essential, top, local)
     for flat, entry in table.per_flat.items():
@@ -160,6 +198,47 @@ def compare_coefficients(arr, h0, degree_bound=None, assert_tame=False):
         mca=mca,
         degree_bound=degree_bound,
     )
+
+
+def _divisionally_free(lattice, chi0):
+    """Whether A is divisionally free, read off L(A) and chi0 alone (module
+    docstring): some chain of covers V = X_0 < X_1 < ... < X_k in L(A), with
+    rank(A) - k <= 2, has chi0(A^{X_i}) dividing chi0(A^{X_{i-1}}) at each
+    step; chi0(A^Y) divides chi0(A^X) exactly when chi(A^Y) divides
+    chi(A^X), both being (t - 1) chi0.  L(A^X) is the interval [X, top],
+    the flats Y whose mask holds X's, so chi(A^X, t) sums mu(X, Y)
+    t**dim(Y) over it.  Each flat's chi, and whether a chain goes on from
+    it, is computed once, by mask."""
+    flats, dim, rank = lattice.flats, lattice.ambient_dim, lattice.rank
+    chis = {0: chi0 * IntPoly((-1, 1))}
+    chains = {}
+
+    def chi(x):
+        if x.mask not in chis:
+            below, coeffs = [], [0] * (dim + 1)  # (mask, mu(X, Z)) of the interval so far
+            for y in flats:
+                if y.mask & x.mask == x.mask:
+                    out = ~y.mask
+                    mu = -sum(m for z, m in below if not z & out) if below else 1
+                    below.append((y.mask, mu))
+                    coeffs[dim - y.codim] += mu
+            chis[x.mask] = IntPoly(coeffs)
+        return chis[x.mask]
+
+    def chain_from(x):
+        if rank - x.codim <= 2:
+            return True
+        if x.mask not in chains:
+            here = chi(x)
+            chains[x.mask] = any(
+                y.mask & x.mask == x.mask
+                and not here.divmod_monic(chi(y))[1].coeffs
+                and chain_from(y)
+                for y in lattice.level(x.codim + 1)
+            )
+        return chains[x.mask]
+
+    return chain_from(flats[0])
 
 
 def mca_check(arr, h0, degree_bound=None):

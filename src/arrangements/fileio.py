@@ -161,8 +161,10 @@ def load_arrangement(path):
 
 
 def fraction_to_json(value):
-    frac = Fraction(value)
-    return int(frac) if frac.denominator == 1 else f"{frac.numerator}/{frac.denominator}"
+    """An int, or "p/q" in lowest terms, for a Fraction or an int."""
+    if value.denominator == 1:
+        return value.numerator
+    return f"{value.numerator}/{value.denominator}"
 
 
 def _fraction_from_json(value):

@@ -398,6 +398,8 @@ def nullspace(rows, ncols):
         live = {index[c]: v for c, v in row.items() if c not in forced}
         if live:
             reduced.append(live)
+    if not reduced:  # every kept column is free: the canonical basis is plain
+        return [{c: 1} for c in keep]
     used = None
     for p in _PRIMES:
         red, pivots = _rref_mod(reduced, len(keep), p)

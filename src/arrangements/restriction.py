@@ -81,9 +81,10 @@ def localize_and_essentialize(multi, flat):
 
 
 def _restriction_flats(lattice, h0, restriction):
-    """(the flats of L(A''), rho) read off L(A) as the module docstring says:
-    the flats in (codim, mask) order, and rho mapping the mask of each flat
-    of L(A) not inside H0 to one of them."""
+    """(the flats of L(A''), rho, parents) read off L(A) as the module
+    docstring says: the flats in (codim, mask) order, rho mapping the mask
+    of each flat of L(A) not inside H0 to one of them, and parents holding
+    the mask in L(A) of each flat, in the same order."""
     bit = 1 << h0
     inside = {}  # codim in L(A) -> masks of the flats inside H0
     for flat in lattice.flats:
@@ -107,7 +108,7 @@ def _restriction_flats(lattice, h0, restriction):
             if meet is None:
                 raise TheoremViolation("no flat one level up meets H0; this is a bug")
             image[flat.mask] = by_parent[meet]
-    return flats, image
+    return flats, image, tuple(by_parent)
 
 
 def rho(arr, h0, flat, dA_lattice=None):
@@ -160,9 +161,9 @@ def _b_vector(chi0, ell):
 
 
 def _b_table(chi0, lattice, h0, restriction):
-    """(the CoefficientTable of b_coefficients, the flats of L(A'')), from
-    chi0 and L(A)."""
-    flats, image = _restriction_flats(lattice, h0, restriction)
+    """(the CoefficientTable of b_coefficients, the flats of L(A''), their
+    masks in L(A)), from chi0 and L(A)."""
+    flats, image, parents = _restriction_flats(lattice, h0, restriction)
     ell = lattice.ambient_dim
     b = _b_vector(chi0, ell)
     per = {}
@@ -173,4 +174,4 @@ def _b_table(chi0, lattice, h0, restriction):
     if tuple(sum(v for x, v in per.items() if x.codim == i) for i in range(ell)) != b:
         raise TheoremViolation("per-flat b decomposition disagrees with chi0")
     table = {x: {"b": v, "sigma": None} for x, v in per.items()}
-    return CoefficientTable(b=b, sigma=None, per_flat=table), flats
+    return CoefficientTable(b=b, sigma=None, per_flat=table), flats, parents

@@ -231,8 +231,10 @@ D4 = json.dumps({
 @pytest.mark.parametrize(
     "argv, shown, kernels",
     [
-        pytest.param(("compare", "--h0", "0"), "arrangement Tame (verified-free)",
-                     [(3, 3), (3, 5)], id="compare"),
+        pytest.param(("compare", "--h0", "0"), "arrangement Tame (verified-free)", [],
+                     id="compare"),
+        pytest.param(("compare", "--h0", "0", "--bound", "5"),
+                     "arrangement Tame (verified-free)", [(3, 3), (3, 5)], id="compare-bound"),
         pytest.param(
             ("freeness", "--h0", "0", "--method", "all"),
             "merged: Free(1, 3, 3, 5)",
@@ -246,11 +248,13 @@ D4 = json.dumps({
 def test_searches_compute_kernels_only_at_the_exponents_they_hold(
     capsys, monkeypatch, tmp_path, argv, shown, kernels
 ):
-    # (rank, degree) of every graded kernel on D4.  compare searches A''
-    # (exponents 3, 3, 5) at the roots of chi_0(A) alone, and its rank-2
-    # localizations need no kernel.  freeness --method all scans A'' in
-    # full, then searches A at the exponents abe-yoshinaga proved.
-    # exponents holds no exponents and scans every degree up to 5.
+    # (rank, degree) of every graded kernel on D4.  D4 is divisionally
+    # free, so compare reads A'' off L(A) and computes no kernel; under a
+    # bound it searches A'' (exponents 3, 3, 5) at the roots of chi_0(A)
+    # alone, and its rank-2 localizations need no kernel.  freeness
+    # --method all scans A'' in full, then searches A at the exponents
+    # abe-yoshinaga proved.  exponents holds no exponents and scans every
+    # degree up to 5.
     from arrangements import derivations
 
     path = tmp_path / "d4.json"

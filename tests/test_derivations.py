@@ -292,7 +292,9 @@ def test_localization_sweep_searches_each_distinct_localization_once(monkeypatch
 
 def test_compare_essentializes_each_flat_of_the_restriction_once(capsys, monkeypatch):
     # The sweep over L(A'') reduces each localization to its span once, in
-    # localize_and_essentialize; no search essentializes it again.
+    # localize_and_essentialize; no search essentializes it again.  Without
+    # a bound braid-ess4, divisionally free, runs no sweep: A'' itself is
+    # the one essentialization.
     from arrangements import core
     from arrangements.cli import main
 
@@ -305,6 +307,9 @@ def test_compare_essentializes_each_flat_of_the_restriction_once(capsys, monkeyp
 
     monkeypatch.setattr(core, "_essential_forms", counting)
     assert main(["compare", "corpus:braid-ess4", "--h0", "0"]) == 0
+    assert len(calls) == 1
+    calls.clear()
+    assert main(["compare", "corpus:braid-ess4", "--h0", "0", "--bound", "4"]) == 0
     capsys.readouterr()
     swept = len(calls)
     restriction = ziegler_restriction(CORPUS["braid-ess4"].arrangement, 0)

@@ -194,8 +194,14 @@ _ESSENTIAL_RANK3 = (
 )
 
 
-@settings(max_examples=25, deadline=None)
-@given(_ESSENTIAL_RANK3)
+# 3 to 6 pairwise non-proportional forms in R^4 with entries in -1..1: rank
+# 4, or lower and then not essential
+_DIM4 = st.lists(st.tuples(*[st.integers(-1, 1)] * 4).filter(any), min_size=3, max_size=6,
+                 unique_by=normalize_form).map(lambda forms: canonicalize(forms, 4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(_ESSENTIAL_RANK3, _DIM4))
 def test_report_json_roundtrip_on_random_inputs(arr):
     for h0 in range(arr.n_hyperplanes):
         _assert_roundtrip(compare_coefficients(arr, h0))

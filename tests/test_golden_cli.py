@@ -4,10 +4,13 @@ Every corpus entry runs through eight subcommand variants, in text and in
 --json mode, and three rank-4 entries also run `compare` under --bound 1,
 2 and 3 and with --assert-tame (the tameness tags then come from the
 restriction's verdict or, when it is Unknown, from the fallback search);
-stdout, stderr and the exit code must match golden_cli.json exactly.  golden_bases.json pins `exponents` in both modes on the inputs in
-bases/, whose graded kernels are larger than any corpus entry's (over a
-hundred columns, non-unit pivots, degrees where rational reconstruction
-fails), so the canonical bases they print are fixed too.  golden_demos.json
+stdout, stderr and the exit code must match golden_cli.json exactly, and
+the `compare` runs must match it again with the divisional-freeness proof
+switched off, through the localization sweep.  golden_bases.json pins
+`exponents` in both modes on the inputs in bases/, whose graded kernels
+are larger than any corpus entry's (over a hundred columns, non-unit
+pivots, degrees where rational reconstruction fails), so the canonical
+bases they print are fixed too.  golden_demos.json
 pins the stdout and exit code of every script in demos/, each run in its
 own interpreter.  Regenerate all three files (only when an output change
 is intended) with
@@ -24,7 +27,7 @@ import sys
 from pathlib import Path
 
 import arrangements
-from arrangements import corpus
+from arrangements import corpus, criteria
 from arrangements.cli import main
 
 HERE = Path(__file__).parent
@@ -98,6 +101,17 @@ def test_golden_cli_outputs():
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert [g["argv"] for g in golden] == list(cases())
     for expected in golden:
+        assert run_cli(expected["argv"]) == expected, " ".join(expected["argv"])
+
+
+def test_golden_compare_outputs_through_the_sweep(monkeypatch):
+    # compare reads a divisionally free input off L(A); its localization
+    # sweep, which that proof replaces, must print the same bytes
+    monkeypatch.setattr(criteria, "_divisionally_free", lambda lattice, chi0: False)
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    replayed = [g for g in golden if g["argv"][0] == "compare"]
+    assert replayed
+    for expected in replayed:
         assert run_cli(expected["argv"]) == expected, " ".join(expected["argv"])
 
 

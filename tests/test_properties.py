@@ -4,7 +4,7 @@ and Hypothesis properties that shrink a failure to a minimal input."""
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import comb, lcm
 from unittest import mock
 
@@ -42,7 +42,7 @@ from arrangements import (
     yoshinaga_3d,
     ziegler_restriction,
 )
-from arrangements import derivations, linalg
+from arrangements import criteria, derivations, linalg
 from arrangements.core import CentralArrangement, normalize_affine, normalize_form
 from arrangements.linalg import _Echelon, det, echelon
 from arrangements.polynomials import (
@@ -507,6 +507,78 @@ def test_freeness_criteria_agree(drawn):
     for verdict in answers:
         assert verdict.status == direct.status
         assert verdict.exponents == (direct.exponents if direct.is_free else None)
+
+
+def _reflection(kind, n):
+    """The reflection arrangement A_n (essentialized), B_n or D_n in R^n:
+    x_i - x_j, then x_i + x_j (B, D), then x_i (A, B)."""
+    pairs = list(combinations(range(n), 2))
+    forms = [[int(k == i) - int(k == j) for k in range(n)] for i, j in pairs]
+    if kind in "BD":
+        forms += [[int(k == i) + int(k == j) for k in range(n)] for i, j in pairs]
+    if kind in "AB":
+        forms += [[int(k == i) for k in range(n)] for i in range(n)]
+    return canonicalize(forms, n)
+
+
+_REFLECTION = [_reflection("A", n) for n in range(2, 6)] + [
+    _reflection(kind, n) for kind, low in (("B", 2), ("D", 3)) for n in range(low, 6)
+]
+
+
+@st.composite
+def _named_arrangements(draw):
+    """A reflection arrangement of rank at most 5 or the arrangement of a
+    corpus entry, and a hyperplane index."""
+    arr = draw(st.sampled_from(_REFLECTION + [e.arrangement for e in CORPUS.values()]))
+    return arr, draw(st.integers(0, arr.n_hyperplanes - 1))
+
+
+def test_reflection_arrangements_are_divisionally_free():
+    # Coxeter arrangements are inductively free, hence divisionally free
+    for arr in _REFLECTION:
+        lattice = intersection_lattice(arr)
+        assert criteria._divisionally_free(lattice, reduced_char_poly(arr, lattice))
+
+
+# five planes through the z-axis, z = 0 and x + 2z = 0: chi_0 = (t - 3)^2
+# splits, yet A is not free (b_2 = 9, sigma_2 = 8 at h0 = 0), so no plane
+# of A may have a restriction with 4 lines
+_SPLIT_NOT_FREE3 = canonicalize(
+    [[1, 1, 0], [0, 0, 1], [1, 2, 0], [1, -1, 0], [0, 1, 0], [2, 1, 0], [1, 0, 2]], 3
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_rank3_arrangements(), _rank4_arrangements().map(lambda d: d[:2]),
+                 _named_arrangements()))
+@example((_SPLIT_NOT_FREE3, 0))
+@example((_reflection("B", 5), 0))
+@example((_reflection("D", 5), 3))
+def test_divisional_freeness_agrees_with_the_search(drawn):
+    # compare_coefficients reads a divisionally free A off L(A); with that
+    # proof switched off the localization sweep must give the same report,
+    # and its global verdict must be Free with the nonzero roots of chi_0
+    # as exponents
+    arr, h0 = drawn
+    report = compare_coefficients(arr, h0)
+    real = derivations._localization_sweep
+    swept = []
+
+    def sweep(*args, **kwargs):
+        swept.append(real(*args, **kwargs))
+        return swept[-1]
+
+    with mock.patch.object(criteria, "_divisionally_free", return_value=False), \
+            mock.patch.object(criteria, "_localization_sweep", sweep):
+        assert compare_coefficients(arr, h0) == report
+    lattice = intersection_lattice(arr)
+    chi0 = reduced_char_poly(arr, lattice)
+    roots = chi0.nonnegative_roots()
+    if roots is not None and criteria._divisionally_free(lattice, chi0):
+        top = swept[0][0]
+        assert top.is_free
+        assert tuple(top.exponents) == tuple(r for r in roots if r)
 
 
 def _full_width_new_generators(gens, kernel, monos, rank, d):

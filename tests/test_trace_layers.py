@@ -85,12 +85,19 @@ def test_traced_rank2_exponents_compute_two_kernels(capsys):
 
 
 def test_traced_compare_counts_stay_put(capsys):
-    # compare on braid-ess4 searches its rank-3 A'' at the roots of chi_0,
+    # braid-ess4 is divisionally free, so compare reads A'' off L(A): no
+    # kernel, no Saito check, and one essentialization, of A'' itself.
+    # Under a bound it searches its rank-3 A'' at the roots of chi_0,
     # once: a refactor that adds a kernel, a Saito check or an
     # essentialization shows up here.  Each of the 3 graded kernels (93
     # columns, dimension 15) is followed by its span kernel (15 columns,
     # one per kernel vector, and one dimension per new generator)
     out, summary = _traced(capsys, "compare", "corpus:braid-ess4", "--h0", "0")
+    assert out["mca"] is True
+    assert "linalg.nullspace" not in summary
+    assert "derivations.saito_check" not in summary
+    assert summary["core.essentialize"]["calls"] == 1
+    out, summary = _traced(capsys, "compare", "corpus:braid-ess4", "--h0", "0", "--bound", "4")
     assert out["mca"] is True
     kernels = summary["linalg.nullspace"]
     assert (kernels["calls"], kernels["cols"], kernels["kernel_dim"]) == (6, 108, 18)
