@@ -28,7 +28,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from operator import add, sub
+from operator import add, index, sub
 
 from .core import AffineArrangement, CentralArrangement, normalize_affine
 from .errors import BadPrime, FlatNotInLattice, InconsistentCounts
@@ -125,6 +125,7 @@ def point_count(arr, q):
     and 0 lies on all of them: count one point per line through 0, the one
     whose first nonzero coordinate is 1, and multiply by q - 1.
     """
+    q = index(q)
     if not _is_prime(q):
         raise BadPrime(f"{q} is not prime")
     ell = arr.dim
@@ -220,7 +221,7 @@ def finite_field_char_poly(arr, primes=None, with_witnesses=False):
     bound = minor_bound(arr)
     if primes is None:
         primes = _primes_above(bound, ell, ell + 1)
-    primes = list(dict.fromkeys(int(q) for q in primes))
+    primes = list(dict.fromkeys(index(q) for q in primes))
     if len(primes) < ell + 1:
         raise BadPrime(f"need at least dim+1 = {ell + 1} distinct primes")
     for q in primes:

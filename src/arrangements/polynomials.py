@@ -13,7 +13,7 @@ Two representations live here:
 from __future__ import annotations
 
 from math import comb
-from operator import add
+from operator import add, index
 
 
 def signed_sum(terms, sep="*"):
@@ -37,13 +37,14 @@ class IntPoly:
     """Univariate polynomial with exact integer coefficients.
 
     coeffs[k] is the coefficient of t**k; trailing zeros are stripped so the
-    leading coefficient is nonzero unless the polynomial is zero.
+    leading coefficient is nonzero unless the polynomial is zero.  Coefficients
+    and roots go through operator.index: a float or Fraction raises TypeError.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        cs = [int(c) for c in coeffs]
+        cs = [index(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -61,7 +62,7 @@ class IntPoly:
         """Product of (t - r) over the given integer roots."""
         poly = cls((1,))
         for r in roots:
-            poly = poly * cls((-int(r), 1))
+            poly = poly * cls((-index(r), 1))
         return poly
 
     @property

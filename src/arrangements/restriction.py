@@ -38,7 +38,7 @@ from .linalg import _pivot_col
 
 def _check_index(arr, h0):
     n = arr.n_hyperplanes
-    if not isinstance(h0, int) or not 0 <= h0 < n:
+    if isinstance(h0, bool) or not isinstance(h0, int) or not 0 <= h0 < n:
         where = f" outside 0..{n - 1}" if n else ": the arrangement has no hyperplanes"
         raise IndexOutOfRange(f"hyperplane index {h0}{where}")
 

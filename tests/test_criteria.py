@@ -157,6 +157,7 @@ def test_ziegler_restriction_is_the_one_check_of_a_pair(check):
         (make([[1]], 1), 0, WrongRank, "Ziegler restriction needs ambient dimension"),
         (CORPUS["braid-ess3"].arrangement, 6, IndexOutOfRange, "outside 0..5"),
         (make([[1]], 1), 1, IndexOutOfRange, "outside 0..0"),
+        (CORPUS["braid-ess3"].arrangement, True, IndexOutOfRange, "index True outside 0..5"),
     ]
     for arr, h0, error, message in cases:
         with pytest.raises(error, match=message) as info:

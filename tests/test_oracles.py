@@ -1,5 +1,6 @@
 """Independent oracles: finite-field counts, recursions, brute-force Moebius."""
 
+from fractions import Fraction
 from itertools import combinations, product
 from types import SimpleNamespace
 
@@ -156,12 +157,21 @@ def test_point_count_property_matches_literal_enumeration(case):
     assert point_count(holder, q) == _literal_point_count(forms, dim, q)
 
 
-@pytest.mark.parametrize("q", [-3, 0, 1, 4, 9])
+_NOT_INTEGERS = [5.0, 7.9, pytest.param(Fraction(7), id="Fraction(7)"), pytest.param("7", id="'7'")]
+
+
+@pytest.mark.parametrize("q", [-3, 0, 1, 4, 9, *_NOT_INTEGERS])
 def test_point_count_refuses_a_q_that_is_not_prime(q):
     # "one point per line, times q - 1" holds only over a field: over Z/4
-    # the literal count for 2x is 2, the line count would give 3
+    # the literal count for 2x is 2, the line count would give 3; a q that
+    # is no integer is refused before any count, however close to a prime
+    arr = CentralArrangement(1, ((2,),))
+    if not isinstance(q, int):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            point_count(arr, q)
+        return
     with pytest.raises(BadPrime, match=rf"^{q} is not prime$"):
-        point_count(CentralArrangement(1, ((2,),)), q)
+        point_count(arr, q)
 
 
 def test_point_count_matches_char_poly_evaluation():
@@ -197,6 +207,10 @@ def test_finite_field_prime_validation():
         finite_field_char_poly(arr, primes=[4, 5, 7, 9])  # composites
     # a custom list of good primes works
     assert finite_field_char_poly(arr, primes=[5, 7, 11, 13]) == char_poly(arr)
+    # a prime that is no integer is refused, not truncated or parsed
+    for q in (5.0, 7.9, Fraction(7), "7"):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            finite_field_char_poly(arr, primes=[q, 11, 13, 17])
 
     skewed = make([[2, 1], [1, 3]], 2)
     assert minor_bound(skewed) == 5

@@ -1,10 +1,16 @@
-"""Divisibility by powers of a linear form, on integer residues."""
+"""Integer polynomials in t, and divisibility by powers of a linear form on
+integer residues."""
 
+from fractions import Fraction
+
+import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arrangements.core import normalize_form
 from arrangements.polynomials import (
+    IntPoly,
     mp_add_inplace,
     mp_divisible_by_linear_power,
     mp_from_linear,
@@ -12,6 +18,19 @@ from arrangements.polynomials import (
     monomial_residue_mod_linear_power,
 )
 from conftest import mp_pow
+
+
+@pytest.mark.parametrize("x", [Fraction(3, 2), Fraction(2), 2.7, 2.0, "2"], ids=repr)
+def test_int_poly_takes_integers_only(x):
+    # a coefficient or root that is no integer is refused, never truncated
+    for build in (lambda: IntPoly([x, 1]), lambda: IntPoly.monomial(2, x),
+                  lambda: IntPoly.from_roots([x])):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            build()
+    # numpy integers are integers
+    poly = IntPoly([np.int64(-6), np.int32(1)])
+    assert poly.coeffs == (-6, 1) and all(type(c) is int for c in poly.coeffs)
+    assert IntPoly.from_roots([np.int64(6)]) == poly
 
 
 @st.composite
