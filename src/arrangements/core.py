@@ -29,8 +29,7 @@ class CentralArrangement:
     forms: tuple  # tuple of primitive integer coefficient tuples
 
     def __post_init__(self):
-        if self.dim < 0:
-            raise DimensionMismatch("dimension must be nonnegative")
+        _check_dim(self.dim)
         for f in self.forms:
             if len(f) != self.dim:
                 raise DimensionMismatch(
@@ -63,6 +62,7 @@ class AffineArrangement:
     hyperplanes: tuple  # tuple of (normal tuple, constant) pairs, jointly primitive
 
     def __post_init__(self):
+        _check_dim(self.dim)
         for normal, c in self.hyperplanes:
             if len(normal) != self.dim:
                 raise DimensionMismatch(
@@ -93,7 +93,7 @@ class Multiarrangement:
     def __post_init__(self):
         if len(self.mult) != self.base.n_hyperplanes:
             raise DimensionMismatch("one multiplicity per hyperplane required")
-        if not all(isinstance(m, int) for m in self.mult):
+        if not all(isinstance(m, int) and not isinstance(m, bool) for m in self.mult):
             raise TypeError(f"multiplicities {self.mult} must be ints")
         if any(m < 0 for m in self.mult):
             raise ValueError("multiplicities must be nonnegative")
@@ -122,6 +122,22 @@ class Multiarrangement:
 
     def __repr__(self):
         return f"Multiarrangement(dim={self.dim}, n={self.base.n_hyperplanes}, |m|={self.total})"
+
+
+def _check_dim(dim):
+    """TypeError unless dim is an int other than a bool, as fileio reads a
+    dim; DimensionMismatch if it is negative."""
+    if isinstance(dim, bool) or not isinstance(dim, int):
+        raise TypeError(f"dimension {dim!r} must be an int")
+    if dim < 0:
+        raise DimensionMismatch("dimension must be nonnegative")
+
+
+def _count(x):
+    """operator.index(x), which numpy ints pass, except that a bool is no count."""
+    if isinstance(x, bool):
+        raise TypeError(f"{x!r} is a bool, not a count")
+    return index(x)
 
 
 def _require_ints(row):
@@ -187,7 +203,7 @@ def normalize_affine(normal, constant):
 
 
 def multiarrangement(arrangement, mult):
-    return Multiarrangement(arrangement, tuple(map(index, mult)))
+    return Multiarrangement(arrangement, tuple(map(_count, mult)))
 
 
 def simple_multiarrangement(arrangement):

@@ -55,9 +55,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import prod
-from operator import add, index
+from operator import add
 
-from .core import Multiarrangement, essentialize, var_names
+from .core import Multiarrangement, _count, essentialize, var_names
 from .errors import (
     DimensionMismatch,
     EmptyMultiarrangement,
@@ -383,10 +383,10 @@ def _search(ess, center_dim, degree_bound, candidates):
     """The verdict of `find_free_basis` on an essential ess, with
     center_dim zero exponents in front of its own."""
     rank, total = ess.dim, ess.total
-    if degree_bound is not None and index(degree_bound) < 0:
+    if degree_bound is not None and _count(degree_bound) < 0:
         raise ValueError(f"degree_bound must be nonnegative, got {degree_bound}")
     # below rank 2 the basis, () or x**m d/dx, is found whatever the bound
-    bound = total if degree_bound is None or rank < 2 else index(degree_bound)
+    bound = total if degree_bound is None or rank < 2 else _count(degree_bound)
 
     def verdict(status, **fields):
         return FreenessVerdict(status, essential=ess, **fields)

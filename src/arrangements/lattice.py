@@ -9,12 +9,12 @@ restrictions: the flats above a flat X are the flats of the restriction A^X
 isomorphic to L(A^X)).  A^X is a dict from the primitive augmented row of
 each of its hyperplanes, positive at its pivot, to the mask of the
 hyperplanes of A that cut it out of X, so the covers of X are its keys.  A
-cover's own restriction takes one step (_restrict): eliminate the key's
-pivot from the keys nonzero there, make those primitive again, merge equal
-rows and drop the row that vanishes and any nonzero constant (a hyperplane
-parallel to the cover).  Every flat arises this way, so the 2**n subset
-enumeration is never needed, and only two levels of restrictions are alive
-at once.
+cover's own restriction takes one step (_restrict): copy X's dict, and in
+the copy eliminate the cover key's pivot from the keys nonzero there only,
+make those primitive again, merge equal rows and drop the row that
+vanishes and any nonzero constant (a hyperplane parallel to the cover).
+Every flat arises this way, so the 2**n subset enumeration is never
+needed, and only two levels of restrictions are alive at once.
 The same loop fills in the Moebius values from the cover pairs alone, by
 Weisner's theorem (Stanley, Enumerative Combinatorics I, Cor. 3.9.3) on the
 geometric lattice of the hyperplanes through X: mu(X) = -sum of mu(Y) over
@@ -34,10 +34,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from math import gcd
 
 from .core import AffineArrangement, CentralArrangement
 from .errors import FlatNotInLattice, NonzeroRemainder
-from .linalg import _pivot_col, _strip_gcd, echelon
+from .linalg import _pivot_col, echelon, primitive_vector
 from .polynomials import IntPoly
 
 
@@ -127,7 +128,7 @@ class IntersectionLattice:
 def intersection_lattice(arr):
     """Enumerate all flats with their Moebius values (Weisner's rule)."""
     rows = hyperplane_rows(arr)
-    level = {0: _restrict((row, 1 << j) for j, row in enumerate(rows))}
+    level = {0: _keys(rows)}
     mu = {0: 1}
     keys = [(0, 0)]
     codim = 0
@@ -138,7 +139,7 @@ def intersection_lattice(arr):
             for row, bits in restricted.items():
                 cover = mask | bits
                 if cover not in nxt:
-                    nxt[cover] = _restrict(restricted.items(), row)
+                    nxt[cover] = _restrict(restricted, row)
                     mu[cover] = 0
                     keys.append((codim, cover))
                 # each cover pair is met once, after its level is complete
@@ -156,26 +157,30 @@ def _member(flat, rows):
     return flat.rows == rows
 
 
-def _restrict(pairs, target=None):
-    """The restriction {key: mask} of (row, hyperplane mask) pairs.  Without
-    a target, each integer row is made a key: primitive and positive at its
-    pivot, dropped if it vanishes or is a nonzero constant.  Onto a target
-    row the pairs are keys: target's pivot is eliminated from those nonzero
-    there, which are made keys again; the others pass through.  Equal keys
-    merge in first-seen order.  Keys stay zero at the pivots eliminated
-    before, so rows are proportional modulo the flat iff their keys agree."""
-    p = None if target is None else _pivot_col(target)
-    out = {}
-    for row, bits in pairs:
-        if p is None or row[p]:
-            if p is not None:
-                row = [target[p] * x - row[p] * y for x, y in zip(row, target)]
-            row = _strip_gcd(row)
-            q = _pivot_col(row)
-            if q is None or q == len(row) - 1:
-                continue
-            row = tuple(row) if row[q] > 0 else tuple(-v for v in row)
-        out[row] = out.get(row, 0) | bits
+def _keys(rows):
+    """The restriction of an arrangement's rows onto the ambient space: the
+    rows made keys (their normals are nonzero, no two are proportional)."""
+    return {primitive_vector(row): 1 << j for j, row in enumerate(rows)}
+
+
+def _restrict(parent, target):
+    """The restriction {key: mask} of the restriction parent onto a row
+    target with pivot p.  Keys zero at p pass through; each other key
+    becomes target[p] * key - key[p] * target, zero at p (so it meets no key
+    still to go), made primitive and positive at its pivot, dropped if it
+    vanishes or is a nonzero constant, else merged into an equal key or put
+    last.  Keys stay zero at the pivots eliminated before, so rows are
+    proportional modulo the flat iff their keys agree."""
+    p = _pivot_col(target)
+    a, out = target[p], dict(parent)
+    for row, bits in parent.items():
+        if b := row[p]:
+            del out[row]
+            row = [a * x - b * y for x, y in zip(row, target)]
+            if s := next(filter(None, row[:-1]), 0):  # primitive_vector inlined
+                g = gcd(*row) if s > 0 else -gcd(*row)
+                row = tuple([v // g for v in row]) if g != 1 else tuple(row)
+                out[row] = out.get(row, 0) | bits
     return out
 
 

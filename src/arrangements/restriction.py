@@ -7,9 +7,9 @@ the pivot x_j of alpha is eliminated, which turns a hyperplane beta into
 the integer normal alpha_j*beta_i - alpha_i*beta_j, with the constant
 -beta_j on the chart.  Coordinate conventions, fixed once so results are
 reproducible: both keep the positions i != j, in order, as coordinates.
-The hyperplanes of dA follow those of A; those of A'' come in order of
-their first hyperplane of A other than h0, with multiplicity the number
-of hyperplanes of A restricting to them.
+Both list their hyperplanes by the lowest bit of their masks, which is
+their first hyperplane of A other than h0 (_onto sorts on it): dA follows
+A, and a hyperplane of A'' has the size of its mask as multiplicity.
 
 The per-flat decomposition needs only L(A), because a flat is identified
 by its hyperplane set (its lattice mask):
@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 from .core import AffineArrangement, CentralArrangement, Multiarrangement, essentialize
 from .errors import FlatNotInLattice, IndexOutOfRange, TheoremViolation, WrongRank
-from .lattice import (Flat, _member, _restrict, hyperplane_rows, intersection_lattice,
+from .lattice import (Flat, _keys, _member, _restrict, hyperplane_rows, intersection_lattice,
                       reduced_char_poly)
 from .linalg import _pivot_col
 
@@ -45,10 +45,10 @@ def _check_index(arr, h0):
 
 def _onto(arr, h0, constant):
     """(j, the restriction of A onto the row alpha_{h0} + (constant,)), with j
-    the pivot position of alpha; every key is zero at j."""
-    keys = _restrict((row, 1 << h) for h, row in enumerate(hyperplane_rows(arr)))
+    the pivot position of alpha; every key is zero at j, in lowest-bit order."""
     target = tuple(arr.forms[h0]) + (constant,)
-    return _pivot_col(target), _restrict(keys.items(), target)
+    kept = _restrict(_keys(hyperplane_rows(arr)), target)
+    return _pivot_col(target), dict(sorted(kept.items(), key=lambda kv: kv[1] & -kv[1]))
 
 
 def decone(arr, h0):

@@ -77,6 +77,33 @@ def test_constructors_refuse_non_integer_entries(entry):
     assert converted == (2, 1) and type(converted[0]) is int
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: canonicalize([(1, 0), (0, 1)], 2.0),
+        lambda: CentralArrangement(Fraction(2), ((1, 0), (0, 1))),
+        lambda: canonicalize([(1,)], True),
+        lambda: AffineArrangement(2.0, (((1, 0), 1),)),
+        lambda: AffineArrangement(np.int64(2), (((1, 0), 1),)),
+    ],
+    ids=["float", "Fraction", "bool", "affine-float", "affine-numpy"],
+)
+def test_constructors_refuse_a_dim_that_is_not_an_int(build):
+    # as fileio reads a dim: 2.0 would reach char_poly and fail there
+    with pytest.raises(TypeError, match="dimension"):
+        build()
+
+
+def test_a_bool_is_no_multiplicity():
+    # operator.index(True) is 1; numpy ints still convert
+    arr = canonicalize([[1, 0], [0, 1], [1, 1]], 2)
+    with pytest.raises(TypeError):
+        multiarrangement(arr, [True, 2, 1])
+    with pytest.raises(TypeError):
+        Multiarrangement(arr, (True, 2, 1))
+    assert multiarrangement(arr, [np.int64(1), 2, 1]).mult == (1, 2, 1)
+
+
 def test_rank_and_essential():
     arr = canonicalize([[1, 0, 0], [0, 1, 0], [1, 1, 0]], 3)
     assert arr.rank() == 2
@@ -136,6 +163,8 @@ def test_var_names_and_form_rendering():
 def test_affine_arrangement_validation():
     with pytest.raises(DimensionMismatch):
         AffineArrangement(2, (((1, 0, 0), 1),))
+    with pytest.raises(DimensionMismatch):
+        AffineArrangement(-1, ())
     assert normalize_affine((0, -2), Fraction(4)) == ((0, 1), -2)
     with pytest.raises(ZeroForm):
         normalize_affine((0, 0), 1)

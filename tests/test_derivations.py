@@ -145,9 +145,12 @@ def test_find_free_basis_unknown_below_bound():
     assert not find_free_basis(multi).is_unknown
 
 
-@pytest.mark.parametrize("bound, error", [(2.9, TypeError), (Fraction(3), TypeError), (-1, ValueError)])
+@pytest.mark.parametrize(
+    "bound, error", [(2.9, TypeError), (Fraction(3), TypeError), (-1, ValueError), (True, TypeError)]
+)
 def test_find_free_basis_refuses_a_bound_that_is_no_natural_number(bound, error):
-    # int() would read 2.9 as the bound 2; -1 would end Unknown(bound=-1)
+    # int() would read 2.9 as the bound 2, and operator.index True as 1;
+    # -1 would end Unknown(bound=-1)
     multi = simple_multiarrangement(CORPUS["braid-ess3"].arrangement)
     with pytest.raises(error):
         find_free_basis(multi, bound)

@@ -4,7 +4,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arrangements import (
@@ -200,11 +200,23 @@ _DIM4 = st.lists(st.tuples(*[st.integers(-1, 1)] * 4).filter(any), min_size=3, m
                  unique_by=normalize_form).map(lambda forms: canonicalize(forms, 4))
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.one_of(_ESSENTIAL_RANK3, _DIM4))
-def test_report_json_roundtrip_on_random_inputs(arr):
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_ESSENTIAL_RANK3, _DIM4), st.one_of(st.none(), st.integers(0, 3)))
+@example(CORPUS["braid-ess4"].arrangement, 1)
+@example(CORPUS["boolean4"].arrangement, 0)
+def test_report_json_roundtrip_on_random_inputs(arr, bound):
+    # a degree bound is recorded in the report, and an Unknown sigma is None
     for h0 in range(arr.n_hyperplanes):
-        _assert_roundtrip(compare_coefficients(arr, h0))
+        _assert_roundtrip(compare_coefficients(arr, h0, bound))
+
+
+def test_report_json_roundtrip_keeps_a_sigma_left_unknown():
+    entry = CORPUS["braid-ess4"]
+    report = compare_coefficients(entry.arrangement, entry.h0, 1)
+    assert report.degree_bound == 1
+    assert report.table.sigma[3].value is None
+    assert None in [v["sigma"] for v in report.table.per_flat.values()]
+    _assert_roundtrip(report)
 
 
 def test_report_json_is_exact_integers_only():

@@ -1,6 +1,11 @@
 """Deconing, Ziegler restriction, localization, rho and b-coefficients."""
 
+from fractions import Fraction
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arrangements import (
     CORPUS,
@@ -8,6 +13,7 @@ from arrangements import (
     IndexOutOfRange,
     WrongRank,
     b_coefficients,
+    canonicalize,
     char_poly,
     decone,
     intersection_lattice,
@@ -17,6 +23,7 @@ from arrangements import (
     simple_multiarrangement,
     ziegler_restriction,
 )
+from arrangements.core import normalize_form
 from conftest import make, rho_images
 
 
@@ -54,6 +61,73 @@ def test_ziegler_restriction_shapes():
     zr = ziegler_restriction(braid4, 0)
     assert zr.total == 9
     assert sorted(zr.mult) == [1, 1, 1, 2, 2, 2]
+
+
+def test_restrictions_keep_the_order_of_a():
+    # A = {x, x+y+z, y, z}, h0 = x: y+z comes from the second hyperplane,
+    # so it comes first, in A'' and in dA alike
+    arr = make([[1, 0, 0], [1, 1, 1], [0, 1, 0], [0, 0, 1]], 3)
+    assert ziegler_restriction(arr, 0).base.forms == ((1, 1), (1, 0), (0, 1))
+    assert decone(arr, 0).hyperplanes == (((1, 1), -1), ((1, 0), 0), ((0, 1), 0))
+
+
+def _traces(arr, h0):
+    """Each hyperplane of A other than h0 on H0 = ker alpha, alpha = alpha_{h0},
+    in A's order: (the normal in the coordinates i != j, its constant c on
+    the chart {alpha = 1}, where normal . x = c), in exact Fractions, with j
+    the pivot of alpha."""
+    alpha = arr.forms[h0]
+    j = next(i for i, c in enumerate(alpha) if c)
+    out = []
+    for h, beta in enumerate(arr.forms):
+        if h != h0:
+            t = Fraction(beta[j], alpha[j])  # x_j = (1 - sum alpha_i x_i) / alpha_j
+            out.append(([beta[i] - t * alpha[i] for i in range(arr.dim) if i != j], -t))
+    return out
+
+
+def _proportional(u, v):
+    return all(a * d == b * c for (a, b), (c, d) in combinations(zip(u, v), 2))
+
+
+# 3 to 7 pairwise non-proportional forms in R^3 or R^4 with entries in
+# -2..2, of rank 3 or 4
+_RANK3_OR_4 = (
+    st.integers(3, 4)
+    .flatmap(lambda dim: st.tuples(
+        st.just(dim),
+        st.lists(st.tuples(*[st.integers(-2, 2)] * dim).filter(any), min_size=3, max_size=7,
+                 unique_by=normalize_form),
+    ))
+    .map(lambda drawn: canonicalize(drawn[1], drawn[0]))
+    .filter(lambda arr: arr.rank() >= 3)
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_RANK3_OR_4)
+def test_restrictions_come_in_order_of_their_first_hyperplane_of_a(arr):
+    # hyperplane k of dA is hyperplane k of A without h0; those of A'' come
+    # in order of their first hyperplane of A other than h0, with
+    # multiplicity the number that restrict onto them
+    for h0 in range(arr.n_hyperplanes):
+        traces = _traces(arr, h0)
+        deconed = decone(arr, h0).hyperplanes
+        assert len(deconed) == len(traces)
+        for (normal, c), (trace, tc) in zip(deconed, traces):
+            assert _proportional((*normal, c), (*trace, tc))
+        groups = []  # [a trace, how many restrict onto it], by first hyperplane
+        for trace, _ in traces:
+            group = next((g for g in groups if _proportional(g[0], trace)), None)
+            if group is None:
+                groups.append([trace, 1])
+            else:
+                group[1] += 1
+        restriction = ziegler_restriction(arr, h0)
+        assert len(restriction.base.forms) == len(groups)
+        for form, m, (trace, count) in zip(restriction.base.forms, restriction.mult, groups):
+            assert _proportional(form, trace)
+            assert m == count
 
 
 def test_ziegler_restriction_needs_rank_two():
