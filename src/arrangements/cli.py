@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 
@@ -31,6 +30,7 @@ from .derivations import FREE, UNKNOWN, find_free_basis
 from .errors import ArrangementError, BadPrime, InputError, TheoremViolation
 from .fileio import (
     ArrangementInput,
+    dumps_indented,
     load_arrangement,
     poly_coefficients,
     serialize_report,
@@ -125,7 +125,7 @@ def _print_checked(args, arr, fields, line, verified, mismatches):
         if args.verify:
             out["verified_by"] = verified
             out["mismatches"] = mismatches
-        print(json.dumps(out, indent=2))
+        print(dumps_indented(out))
     else:
         print(_header(arr))
         print(line)
@@ -170,7 +170,7 @@ def _cmd_ziegler(args):
     labels = [form_to_string(f, kept) for f in multi.base.forms]
     if args.json:
         print(
-            json.dumps(
+            dumps_indented(
                 {
                     "dim": multi.dim,
                     "h0": args.h0,
@@ -178,8 +178,7 @@ def _cmd_ziegler(args):
                     "mult": list(multi.mult),
                     "total": multi.total,
                     "labels": labels,
-                },
-                indent=2,
+                }
             )
         )
     else:
@@ -205,7 +204,7 @@ def _cmd_exponents(args):
     multi = inp.multiarrangement()
     verdict = find_free_basis(multi, degree_bound=_bound(args))
     if args.json:
-        print(json.dumps(verdict_to_dict(verdict), indent=2))
+        print(dumps_indented(verdict_to_dict(verdict)))
     else:
         print(_multi_header(multi))
         print(_verdict_line(verdict))
@@ -277,13 +276,12 @@ def _cmd_freeness(args):
 
     if args.json:
         print(
-            json.dumps(
+            dumps_indented(
                 {
                     "methods": {m: verdict_to_dict(v) for m, v in results.items()},
                     "skipped": notes,
                     "merged": verdict_to_dict(merged),
-                },
-                indent=2,
+                }
             )
         )
     else:
@@ -354,7 +352,7 @@ def _cmd_corpus(args):
         entries = [corpus_data.get(name) for name in corpus_data.names()]
         if args.json:
             print(
-                json.dumps(
+                dumps_indented(
                     [
                         {
                             "name": e.name,
@@ -364,8 +362,7 @@ def _cmd_corpus(args):
                             "mult": list(e.mult) if e.mult else None,
                         }
                         for e in entries
-                    ],
-                    indent=2,
+                    ]
                 )
             )
         else:
@@ -382,7 +379,7 @@ def _cmd_corpus(args):
         entry = corpus_data.get(args.name)
     except KeyError as exc:
         raise InputError(str(exc.args[0])) from None
-    print(json.dumps(entry.as_input(), indent=2))
+    print(dumps_indented(entry.as_input()))
     return 0
 
 

@@ -21,7 +21,8 @@ multiplicity one, (|m| - m_H, m_H) when some line has m_H >= |m|/2
 for three lines otherwise (Wakamiko, Tokyo J. Math. 30, 2007), else the
 probe rule: the Hilbert function below d2 is max(0, d - d1 + 1), and the
 probe degree ceil(|m|/2) - 1 lies below d2, so that one kernel's dimension
-fixes d1.  Callers that read no basis (`_bounded_search`) stop there.
+fixes d1.  Callers that read no basis (`_bounded_search`) stop there; the
+localization sweep reads the closed forms off a flat's multiplicities.
 
 A search that holds its exponents, those or from rank 3 on candidates the
 caller passes, computes kernels at those degrees alone
@@ -306,24 +307,32 @@ def _hilbert_exponents(found, rank, total, d, dim):
     return found if fits else None
 
 
-def _exponents_by_theorem(ess, kernels=None):
-    """The exponents of an essential D(A,m) of rank <= 2: () at rank 0,
-    (|m|) at rank 1, and at rank 2 the closed forms of the module
-    docstring, else the probe rule.  At the probe degree
-    d* = ceil(|m|/2) - 1, a kernel of dimension k > 0 gives d1 = d* - k + 1,
-    and k = 0 gives d1 = d2 = |m|/2.  A dict passed as kernels receives the
-    probe kernel by degree.
-    """
-    total = ess.total
-    if ess.dim < 2:
-        return (total,) * ess.dim
-    heavy = max(ess.mult)
+def _closed_form_exponents(rank, mult):
+    """The closed-form exponents of an essential D(A,m) of this rank and
+    these positive multiplicities; None for the probe and from rank 3 on."""
+    total = sum(mult)
+    if rank != 2:
+        return (total,) * rank if rank < 2 else None
+    heavy = max(mult)
     if heavy == 1:
         return 1, total - 1
     if 2 * heavy >= total:
         return total - heavy, heavy
-    if len(ess.mult) == 3:
+    if len(mult) == 3:
         return total // 2, total - total // 2
+    return None
+
+
+def _exponents_by_theorem(ess, kernels=None):
+    """The exponents of an essential D(A,m) of rank <= 2: the closed forms
+    (`_closed_form_exponents`), else the probe rule.  At the probe degree
+    d* = ceil(|m|/2) - 1, a kernel of dimension k > 0 gives d1 = d* - k + 1,
+    and k = 0 gives d1 = d2 = |m|/2.  A dict passed as kernels receives the
+    probe kernel by degree.
+    """
+    if (exponents := _closed_form_exponents(ess.dim, ess.mult)) is not None:
+        return exponents
+    total = ess.total
     probe = (total + 1) // 2 - 1
     kernel = _graded_kernel(ess, probe)
     if kernels is not None:
@@ -379,14 +388,21 @@ def find_free_basis(multi, degree_bound=None, candidates=None):
     return _search(ess, center_dim, degree_bound, candidates)
 
 
+def _valid_bound(degree_bound):
+    """degree_bound as an int, or None: a count (`core._count`), nonnegative."""
+    bound = degree_bound if degree_bound is None else _count(degree_bound)
+    if bound is not None and bound < 0:
+        raise ValueError(f"degree_bound must be nonnegative, got {degree_bound}")
+    return bound
+
+
 def _search(ess, center_dim, degree_bound, candidates):
     """The verdict of `find_free_basis` on an essential ess, with
     center_dim zero exponents in front of its own."""
     rank, total = ess.dim, ess.total
-    if degree_bound is not None and _count(degree_bound) < 0:
-        raise ValueError(f"degree_bound must be nonnegative, got {degree_bound}")
+    bound = _valid_bound(degree_bound)
     # below rank 2 the basis, () or x**m d/dx, is found whatever the bound
-    bound = total if degree_bound is None or rank < 2 else _count(degree_bound)
+    bound = total if bound is None or rank < 2 else bound
 
     def verdict(status, **fields):
         return FreenessVerdict(status, essential=ess, **fields)
@@ -507,6 +523,7 @@ def _bounded_search(ess, center_dim, degree_bound=None, candidates=None):
     """`_search` for callers that read no basis, under the one degree-bound
     rule: a user bound applies from rank 3 on.  Below rank 3 D(A,m) is
     free, and `_exponents_by_theorem` gives its exponents without a search."""
+    _valid_bound(degree_bound)
     if ess.dim > 2:
         return _search(ess, center_dim, degree_bound, candidates)
     exponents = (0,) * center_dim + _exponents_by_theorem(ess)
@@ -546,13 +563,19 @@ def _localization_sweep(multi, degree_bound=None, flats=None, top=None, candidat
     Returns (verdict, products): products maps each flat, in lattice order,
     to the product of its localization's exponents (None unless Free).  The
     last flat, the center, localizes to the essentialization, so verdict is
-    the global one.  Each localization is essentialized once, and each
+    the global one.  Other flats with closed-form exponents are not
+    localized; every other localization is essentialized once, and each
     distinct one is searched once, by _bounded_search.
     """
     products = {}
     verdicts = {} if top is None else {top.essential: top}
     flats = flats if flats is not None else intersection_lattice(multi.base).flats
     for flat in flats:
+        if flat is not flats[-1]:
+            mult = [m for i, m in enumerate(multi.mult) if flat.mask >> i & 1]
+            if (exponents := _closed_form_exponents(flat.codim, mult)) is not None:
+                products[flat] = prod(exponents)
+                continue
         local = localize_and_essentialize(multi, flat)
         verdict = verdicts.get(local)
         if verdict is None:

@@ -16,7 +16,7 @@ than the decoder recurses and an integer longer than Python converts
 
 Reports serialize to flat JSON with exact integers only; `parse_report`
 inverts `serialize_report` exactly (dataclass equality holds after a round
-trip).
+trip).  Every JSON document the package prints is written by `dumps_indented`.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .core import CentralArrangement, Multiarrangement, canonicalize
 from .criteria import ComparisonReport, TamenessTag
@@ -160,6 +161,33 @@ def load_arrangement(path):
 # Report serialization.
 
 
+def dumps_indented(value):
+    """Exactly `json.dumps(value, indent=2)` for dicts with str keys, lists,
+    tuples, ints, strs, None and bools (TypeError on anything else), since
+    json's C encoder does not run when `indent` is set."""
+    return _dumps(value, "\n")
+
+
+def _dumps(value, newline):
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, int):  # bools are ints
+        return "true" if value is True else "false" if value is False else int.__repr__(value)
+    if value is None:
+        return "null"
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        # most items of a report's lists are plain ints: write them in place
+        items = [int.__repr__(v) if type(v) is int else _dumps(v, inner) for v in value]
+        ends = "[]"
+    elif isinstance(value, dict):  # a key that is no str raises TypeError here
+        items = [encode_basestring_ascii(k) + ": " + _dumps(v, inner) for k, v in value.items()]
+        ends = "{}"
+    else:
+        raise TypeError(f"no JSON text for a {type(value).__name__}")
+    return ends[0] + inner + ("," + inner).join(items) + newline + ends[1] if items else ends
+
+
 def fraction_to_json(value):
     """An int, or "p/q" in lowest terms, for a Fraction or an int."""
     if value.denominator == 1:
@@ -180,7 +208,7 @@ def _flat_to_record(flat, cell):
     return {
         "codim": flat.codim,
         "equations": [[fraction_to_json(v) for v in row] for row in flat.equations],
-        "hyperplanes": sorted(flat.contained),
+        "hyperplanes": [j for j in range(flat.mask.bit_length()) if flat.mask >> j & 1],
         "b": cell["b"],
         "sigma": cell["sigma"],
     }
@@ -253,7 +281,7 @@ def report_from_dict(data):
 
 
 def serialize_report(report):
-    return json.dumps(report_to_dict(report), indent=2)
+    return dumps_indented(report_to_dict(report))
 
 
 def parse_report(text):

@@ -26,7 +26,8 @@ Flats are ordered by (codimension, mask) and carry their arrangement's
 rows (_member).  Their equations (the canonical RREF of the hyperplanes'
 rows over exact rationals, each row of length dim+1 reading
 sum(row[i] * x_i) + row[dim] = 0) are computed on first use, for output
-and the brute-force Moebius oracle only.
+and the brute-force Moebius oracle only; an integral entry is an int, which
+equals and hashes like a Fraction, so keys, sorts and round trips hold.
 """
 
 from __future__ import annotations
@@ -50,8 +51,8 @@ class Flat:
     hyperplanes that vanish on the flat (bit j for hyperplane j); equality
     and hashing read these two only.  rows: the integer rows of all the
     ambient hyperplanes, shared by the flats of one lattice (None for a
-    flat built from its equations).  equations: canonical RREF rows
-    (Fraction tuples of length dim+1), computed from rows on first use.
+    flat built from its equations).  equations: canonical RREF rows (int
+    and Fraction tuples of length dim+1), computed from rows on first use.
     """
 
     codim: int

@@ -144,7 +144,8 @@ class _Echelon:
         return len(self.rows)
 
     def rref(self):
-        """Canonical reduced row echelon form: tuple of Fraction tuples."""
+        """Canonical reduced row echelon form: a tuple of row tuples, each
+        entry an int where the pivot divides it and a Fraction otherwise."""
         rows = [list(r) for r in self.rows]
         for i in range(len(rows) - 1, -1, -1):
             p = self.pivots[i]
@@ -156,7 +157,7 @@ class _Echelon:
         out = []
         for i, r in enumerate(rows):
             piv = r[self.pivots[i]]
-            out.append(tuple(Fraction(x, piv) for x in r))
+            out.append(tuple(x // piv if x % piv == 0 else Fraction(x, piv) for x in r))
         return tuple(out)
 
 

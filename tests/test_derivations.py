@@ -13,6 +13,7 @@ from arrangements import (
     NotADerivation,
     PolyVectorField,
     WrongRank,
+    compare_coefficients,
     derivation_membership,
     derivation_space_dim,
     elementary_symmetric,
@@ -156,6 +157,29 @@ def test_find_free_basis_refuses_a_bound_that_is_no_natural_number(bound, error)
         find_free_basis(multi, bound)
 
 
+_BAD_BOUND_CALLS = {
+    # braid-ess3 has rank 3, so its A'' has rank 2: no search runs
+    "compare_coefficients": lambda bound: compare_coefficients(CORPUS["braid-ess3"].arrangement, 0, bound),
+    "sigma_coefficients": lambda bound: sigma_coefficients(
+        multiarrangement(make([[1, 0], [0, 1], [1, 1]], 2), (2, 1, 1)), bound
+    ),
+    "find_free_basis": lambda bound: find_free_basis(
+        multiarrangement(make([[1, 0], [0, 1], [1, 1]], 2), (2, 1, 1)), bound
+    ),
+}
+
+
+@pytest.mark.parametrize("call", sorted(_BAD_BOUND_CALLS))
+@pytest.mark.parametrize(
+    "bound, error", [(2.5, TypeError), (True, TypeError), (-4, ValueError), ("x", TypeError)]
+)
+def test_a_bad_bound_is_refused_below_rank_3(call, bound, error):
+    # a bound is checked as find_free_basis checks it even where no search
+    # reads it
+    with pytest.raises(error):
+        _BAD_BOUND_CALLS[call](bound)
+
+
 def test_saito_check_rank_one_with_inert_direction():
     multi = multiarrangement(make([[1, 0]], 2), (2,))
     basis = (field({(2, 0): 1}, {}), field({}, {(0, 0): 1}))
@@ -294,10 +318,12 @@ def test_localization_sweep_searches_each_distinct_localization_once(monkeypatch
 
 
 def test_compare_essentializes_each_flat_of_the_restriction_once(capsys, monkeypatch):
-    # The sweep over L(A'') reduces each localization to its span once, in
-    # localize_and_essentialize; no search essentializes it again.  Without
-    # a bound braid-ess4, divisionally free, runs no sweep: A'' itself is
-    # the one essentialization.
+    # The sweep over L(A'') reduces each localization it searches to its
+    # span once, in localize_and_essentialize; no search essentializes it
+    # again.  Without a bound braid-ess4, divisionally free, runs no sweep:
+    # A'' itself is the one essentialization.  Under a bound every flat of
+    # codim <= 2 of its A'' has closed-form exponents, read off the
+    # multiplicities, so only the center is essentialized.
     from arrangements import core
     from arrangements.cli import main
 
@@ -314,16 +340,17 @@ def test_compare_essentializes_each_flat_of_the_restriction_once(capsys, monkeyp
     calls.clear()
     assert main(["compare", "corpus:braid-ess4", "--h0", "0", "--bound", "4"]) == 0
     capsys.readouterr()
-    swept = len(calls)
     restriction = ziegler_restriction(CORPUS["braid-ess4"].arrangement, 0)
-    assert swept == len(intersection_lattice(restriction.base).flats) == 15
+    assert len(intersection_lattice(restriction.base).flats) == 15
+    assert len(calls) == 1
 
 
 def test_sigma_coefficients_searches_a_non_free_top_once(monkeypatch):
     # The top of a non-free multiarrangement is searched before the sweep;
     # the sweep reuses that verdict for its last flat, the center.  Its
     # localizations of rank <= 2 take their exponents without a search, so
-    # the top (rank 3) is the only search.
+    # the top (rank 3) is the only search; A'' is simple, so they are all
+    # closed forms, read off the multiplicities without the rank-2 rule.
     from arrangements import derivations
 
     zr = ziegler_restriction(CORPUS["generic45"].arrangement, 0)
@@ -344,7 +371,7 @@ def test_sigma_coefficients_searches_a_non_free_top_once(monkeypatch):
     monkeypatch.setattr(derivations, "_search", counting)
     monkeypatch.setattr(derivations, "_exponents_by_theorem", counting_rank2)
     assert sigma_coefficients(zr) == expected
-    assert rank2
+    assert not rank2
     assert len(calls) == len(set(calls)) == 1
     assert calls[0].dim == 3
     assert not find_free_basis(calls[0]).is_free

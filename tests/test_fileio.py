@@ -20,6 +20,7 @@ from arrangements import (
 from arrangements.cli import main
 from arrangements.core import normalize_form
 from arrangements.fileio import (
+    dumps_indented,
     fraction_to_json,
     parse_arrangement_dict,
     poly_coefficients,
@@ -170,8 +171,11 @@ def test_fraction_and_poly_helpers():
 
 
 def _assert_roundtrip(report):
-    parsed = parse_report(serialize_report(report))
+    text = serialize_report(report)
+    parsed = parse_report(text)
     assert parsed == report
+    # the int entries of the equations come back as Fractions and print alike
+    assert serialize_report(parsed) == text
     # flats compare by their hyperplane sets, so compare the equations too
     assert {x: x.equations for x in parsed.table.per_flat} == {
         x: x.equations for x in report.table.per_flat
@@ -246,3 +250,26 @@ def test_verdict_to_dict():
     assert data["status"] == "Free"
     assert sorted(data["exponents"]) == [2, 3]
     assert len(data["basis"]) == 2
+
+
+# strs with quotes, backslashes, control and non-ASCII characters
+_JSON_TEXT = st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f aZ\xe9\u2028\U0001f600') | st.characters())
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(2**200), 2**200) | _JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_JSON_TEXT, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_JSON_VALUES, st.sampled_from([1.5, float("nan"), {1, 2}, frozenset(), {3: "key"}, {None: 0}]))
+def test_dumps_indented_is_json_dumps_with_indent_2(value, bad):
+    # the one JSON writer prints what the json module prints with indent=2,
+    # and refuses what a report never holds, a float, a set and a key that
+    # is no str, wherever it sits
+    assert dumps_indented(value) == json.dumps(value, indent=2)
+    for wrapped in (bad, [value, bad], {"k": [bad]}, (value, {"k": bad})):
+        with pytest.raises(TypeError):
+            dumps_indented(wrapped)

@@ -3,12 +3,13 @@ and Hypothesis properties that shrink a failure to a minimal input."""
 
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
-from math import comb, lcm
+from math import comb, lcm, prod
 from unittest import mock
 
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from arrangements import (
@@ -37,6 +38,7 @@ from arrangements import (
     reduced_char_poly,
     region_count_recursion,
     saito_check,
+    sigma_per_flat,
     simple_multiarrangement,
     tameness_classify,
     yoshinaga_3d,
@@ -579,6 +581,79 @@ def test_divisional_freeness_agrees_with_the_search(drawn):
         top = swept[0][0]
         assert top.is_free
         assert tuple(top.exponents) == tuple(r for r in roots if r)
+
+
+@st.composite
+def _essential_multiarrangements(draw):
+    """An essential multiarrangement of rank 3 or 4 with at most 6
+    hyperplanes, multiplicities 1-3, and a hyperplane index.  The forms are
+    two forms u, v with entries in -1..1, up to three of u + v, u - v,
+    u + 2v, 2u + v (so a codim-2 flat may lie on four or five of them), and
+    others with entries in -1..1."""
+    dim = draw(st.sampled_from((3, 4)))
+    form = st.lists(st.integers(-1, 1), min_size=dim, max_size=dim).filter(any)
+    u, v = draw(form), draw(form)
+    pencil = draw(st.lists(st.sampled_from(((1, 1), (1, -1), (1, 2), (2, 1))), max_size=3))
+    forms = [u, v] + [[a * x + b * y for x, y in zip(u, v)] for a, b in pencil]
+    forms += draw(st.lists(form, max_size=6 - len(forms)))
+    by_hyperplane = {}  # proportional forms are one hyperplane: keep the first
+    for f in forms:
+        if any(f):
+            by_hyperplane.setdefault(normalize_form(f), f)
+    arr = canonicalize(list(by_hyperplane.values()), dim)
+    assume(arr.rank() == dim)
+    mult = draw(st.lists(st.integers(1, 3), min_size=arr.n_hyperplanes, max_size=arr.n_hyperplanes))
+    return multiarrangement(arr, mult), draw(st.integers(0, arr.n_hyperplanes - 1))
+
+
+# four planes through the z-axis with multiplicities (2, 2, 1, 1), and z = 0:
+# the z-axis has no closed form (four lines, none of half of |m| = 6, not
+# all simple), so the sweep must localize it and run the rank-2 probe; the
+# same four through x = y = 0 in 4-space, with z = 0 and w = 0
+_PROBE3 = multiarrangement(
+    canonicalize([[1, 0, 0], [0, 1, 0], [1, 1, 0], [1, -1, 0], [0, 0, 1]], 3), (2, 2, 1, 1, 1)
+)
+_PROBE4 = multiarrangement(
+    canonicalize([[1, 0, 0, 0], [0, 1, 0, 0], [1, 1, 0, 0], [1, -1, 0, 0], [0, 0, 1, 0],
+                  [0, 0, 0, 1]], 4),
+    (2, 2, 1, 1, 1, 2),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_essential_multiarrangements())
+@example((_PROBE3, 4))
+@example((_PROBE4, 0))
+def test_sweep_reads_closed_forms_where_the_search_agrees(drawn):
+    # every per-flat product of the sweep is the product of the exponents
+    # a search of that localization finds; only the center, the flats of
+    # codim >= 3 and the rank-2 probe cases are localized.  A bound that
+    # admits every exponent leaves compare's report as it is.
+    multi, h0 = drawn
+    flats = intersection_lattice(multi.base).flats
+    expected = {}
+    for flat in flats:
+        verdict = find_free_basis(localize_and_essentialize(multi, flat))
+        expected[flat] = prod(verdict.exponents) if verdict.is_free else None
+    reached = []
+    real = derivations.localize_and_essentialize
+
+    def localize(m, flat):
+        reached.append(flat)
+        return real(m, flat)
+
+    with mock.patch.object(derivations, "localize_and_essentialize", localize):
+        assert sigma_per_flat(multi) == expected
+    local = [[m for i, m in enumerate(multi.mult) if x.mask >> i & 1] for x in flats]
+    probes = {
+        x for x, ms in zip(flats, local)
+        if x.codim == 2 and len(ms) > 3 and max(ms) > 1 and 2 * max(ms) < sum(ms)
+    }
+    assert set(reached) == {x for x in flats if x.codim > 2} | probes
+    assert probes or multi not in (_PROBE3, _PROBE4)
+    report = compare_coefficients(multi.base, h0)
+    bounded = compare_coefficients(multi.base, h0, multi.base.n_hyperplanes)
+    assert replace(bounded, degree_bound=None) == report
 
 
 def _full_width_new_generators(gens, kernel, monos, rank, d):
