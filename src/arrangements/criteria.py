@@ -26,7 +26,10 @@ arrangements of hyperplanes, Invent. Math. 204 (2016)):
   non-essential A is divisionally free when its essentialization is: both
   have the lattice L(A), and their chi differ by a power of t, so for A of
   rank r the flag ends at X_{r-2}.  A^{X_{r-2}} has rank 2, hence is
-  free, and the division theorem applied down the flag makes A free.
+  free, and the division theorem applied down the flag makes A free.  The
+  flags are searched on restrictions, with no scan of L(A): each A^Y is
+  one restriction step from A^X, and chi(A^Y) is summed over the lattice's
+  walk of A^Y, whose Moebius values are mu(Y, .) on [Y, top].
 * Terao (1981): a free A with exponents (d_1, ..., d_l) has chi(A, t) =
   prod (t - d_i).  So chi0 of a free A splits over the nonnegative
   integers, and an A whose chi0 does not is not tried.
@@ -39,7 +42,7 @@ arrangements of hyperplanes, Invent. Math. 204 (2016)):
   which is free when A is (Orlik-Terao, Arrangements of Hyperplanes, 1992,
   Thm. 4.37).  Its exponents are (1, d_2, ..., d_k) and zeros, and
   mu(X') = (-1)**k d_2 ... d_k, so the exponent product of (A'')_X, the
-  per-flat sigma of X, is |mu(X')|.
+  per-flat sigma of X, is |mu(X')|, which is the b of X (restriction).
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ from .derivations import (
     find_free_basis,
 )
 from .errors import TheoremViolation, WrongRank
-from .lattice import intersection_lattice, reduced_char_poly
+from .lattice import _keys, _restrict, _walk, intersection_lattice, reduced_char_poly
 from .polynomials import IntPoly
 from .restriction import CoefficientTable, _b_table, _b_vector, ziegler_restriction
 
@@ -133,16 +136,15 @@ def compare_coefficients(arr, h0, degree_bound=None, assert_tame=False):
     restriction = ziegler_restriction(arr, h0)
     lattice = intersection_lattice(arr)
     chi0 = reduced_char_poly(arr, lattice)
-    table, restriction_flats, parents = _b_table(chi0, lattice, h0, restriction)
+    table, restriction_flats = _b_table(chi0, lattice, h0, restriction)
     roots = chi0.nonnegative_roots()
     if degree_bound is None and roots is not None and _divisionally_free(lattice, chi0):
         # A is free: the global verdict and the per-flat sigma values come
         # from L(A) as the module docstring says, with no search
-        mu = dict(zip((f.mask for f in lattice.flats), lattice.moebius))
         top = FreenessVerdict(
             FREE, exponents=tuple(r for r in roots if r), essential=essentialize(restriction)[0]
         )
-        local = {x: abs(mu[y]) for x, y in zip(restriction_flats, parents)}
+        local = {x: cell["b"] for x, cell in table.per_flat.items()}
     else:
         # one sweep: the global verdict, sigma and the per-flat sigma
         # values.  The center localizes to the essentialization of A''.  A
@@ -205,40 +207,32 @@ def _divisionally_free(lattice, chi0):
     docstring): some chain of covers V = X_0 < X_1 < ... < X_k in L(A), with
     rank(A) - k <= 2, has chi0(A^{X_i}) dividing chi0(A^{X_{i-1}}) at each
     step; chi0(A^Y) divides chi0(A^X) exactly when chi(A^Y) divides
-    chi(A^X), both being (t - 1) chi0.  L(A^X) is the interval [X, top],
-    the flats Y whose mask holds X's, so chi(A^X, t) sums mu(X, Y)
-    t**dim(Y) over it.  Each flat's chi, and whether a chain goes on from
-    it, is computed once, by mask."""
-    flats, dim, rank = lattice.flats, lattice.ambient_dim, lattice.rank
+    chi(A^X), both being (t - 1) chi0.  The covers Y of X are the keys of
+    A^X, whose bits added to X's mask give Y's.  Each flat's chi, and
+    whether a chain goes on from it, is computed once, by mask."""
+    dim, rank = lattice.ambient_dim, lattice.rank
     chis = {0: chi0 * IntPoly((-1, 1))}
     chains = {}
 
-    def chi(x):
-        if x.mask not in chis:
-            below, coeffs = [], [0] * (dim + 1)  # (mask, mu(X, Z)) of the interval so far
-            for y in flats:
-                if y.mask & x.mask == x.mask:
-                    out = ~y.mask
-                    mu = -sum(m for z, m in below if not z & out) if below else 1
-                    below.append((y.mask, mu))
-                    coeffs[dim - y.codim] += mu
-            chis[x.mask] = IntPoly(coeffs)
-        return chis[x.mask]
-
-    def chain_from(x):
-        if rank - x.codim <= 2:
+    def chain_from(x, codim, restricted):
+        if rank - codim <= 2:
             return True
-        if x.mask not in chains:
-            here = chi(x)
-            chains[x.mask] = any(
-                y.mask & x.mask == x.mask
-                and not here.divmod_monic(chi(y))[1].coeffs
-                and chain_from(y)
-                for y in lattice.level(x.codim + 1)
-            )
-        return chains[x.mask]
+        if x not in chains:
+            chains[x] = False
+            for row, bits in restricted.items():
+                y, above = x | bits, _restrict(restricted, row)
+                if y not in chis:  # mu(Y, Z) t**dim(Z) summed over [Y, top]
+                    coeffs = [0] * (dim - codim)
+                    keys, mu = _walk(above)
+                    for c, z in keys:
+                        coeffs[dim - codim - 1 - c] += mu[z]
+                    chis[y] = IntPoly(coeffs)
+                if not chis[x].divmod_monic(chis[y])[1].coeffs and chain_from(y, codim + 1, above):
+                    chains[x] = True
+                    break
+        return chains[x]
 
-    return chain_from(flats[0])
+    return chain_from(0, 0, _keys(lattice.flats[0].rows))
 
 
 def mca_check(arr, h0, degree_bound=None):

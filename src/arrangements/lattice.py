@@ -19,8 +19,12 @@ The same loop fills in the Moebius values from the cover pairs alone, by
 Weisner's theorem (Stanley, Enumerative Combinatorics I, Cor. 3.9.3) on the
 geometric lattice of the hyperplanes through X: mu(X) = -sum of mu(Y) over
 the flats Y that X covers and that do not lie on X's lowest-numbered
-hyperplane.  decone and ziegler_restriction are the same step, onto
-alpha_{h0} = 1 and alpha_{h0} = 0.
+hyperplane.  One walk (_walk) serves L(A) and every interval [X, top]:
+started from A^X instead of A's own rows it gives L(A^X), isomorphic to
+[X, top], with mu(X, .), because the masks of A^X leave out X's own
+hyperplanes, so the lowest bit of a cover is Weisner's atom relative to X.
+Cover pairs are met, never stored.  decone and ziegler_restriction are the
+same step, onto alpha_{h0} = 1 and alpha_{h0} = 0.
 
 Flats are ordered by (codimension, mask) and carry their arrangement's
 rows (_member).  Their equations (the canonical RREF of the hyperplanes'
@@ -129,7 +133,17 @@ class IntersectionLattice:
 def intersection_lattice(arr):
     """Enumerate all flats with their Moebius values (Weisner's rule)."""
     rows = hyperplane_rows(arr)
-    level = {0: _keys(rows)}
+    keys, mu = _walk(_keys(rows))
+    flats = tuple(Flat(c, m, rows) for c, m in keys)
+    return IntersectionLattice(arr.dim, flats, tuple(mu[m] for _, m in keys))
+
+
+def _walk(start):
+    """(the sorted (codim, mask) keys, {mask: mu}) of the flats of the
+    restriction start, by the module docstring's level loop.  Started from
+    A^X, the codims and masks are relative to X (its own hyperplanes are
+    in no mask) and mu is mu(X, .) on the interval [X, top]."""
+    level = {0: start}
     mu = {0: 1}
     keys = [(0, 0)]
     codim = 0
@@ -147,10 +161,8 @@ def intersection_lattice(arr):
                 if not mask & (cover & -cover):
                     mu[cover] -= mu[mask]
         level = nxt
-
     keys.sort()
-    flats = tuple(Flat(c, m, rows) for c, m in keys)
-    return IntersectionLattice(arr.dim, flats, tuple(mu[m] for _, m in keys))
+    return keys, mu
 
 
 def _member(flat, rows):

@@ -22,7 +22,14 @@ by its hyperplane set (its lattice mask):
   in order of their first hyperplane other than h0, and a flat inside H0 lies
   on Z exactly when mask(Z) is inside its mask.  Only the flats are read
   off: no caller needs Moebius values of L(A'');
-* rho(X) = X cap H0 is the flat one level up whose mask holds h0 and X's.
+* the b of a flat X of L(A'') is |mu(X')| for its parent flat X' in L(A).
+  It sums |mu(Y)| over the flats Y of the deconing with rho(Y) = X: the Y
+  off H0 with Y v H0 = X', which are the flats that X' covers off H0.
+  Weisner's theorem at the atom H0 sums their mu to -mu(X'), and they
+  share one sign, so their |mu| sum to |mu(X')|.
+
+rho(Y) = Y cap H0 stays only as the public map: the join of Y and H0, the
+first flat of L(A) whose mask holds h0's bit and Y's, one level up.
 """
 
 from __future__ import annotations
@@ -81,34 +88,18 @@ def localize_and_essentialize(multi, flat):
 
 
 def _restriction_flats(lattice, h0, restriction):
-    """(the flats of L(A''), rho, parents) read off L(A) as the module
-    docstring says: the flats in (codim, mask) order, rho mapping the mask
-    of each flat of L(A) not inside H0 to one of them, and parents holding
-    the mask in L(A) of each flat, in the same order."""
+    """(the flats of L(A''), parents) read off L(A) as the module docstring
+    says: the flats in (codim, mask) order, and parents holding the mask in
+    L(A) of each flat, in the same order."""
     bit = 1 << h0
-    inside = {}  # codim in L(A) -> masks of the flats inside H0
-    for flat in lattice.flats:
-        if flat.mask & bit:
-            inside.setdefault(flat.codim, []).append(flat.mask)
+    inside = [(f.codim, f.mask) for f in lattice.flats if f.mask & bit]
     # A'' in ziegler_restriction's order: by the first hyperplane other than h0
-    traces = sorted(inside.get(2, ()), key=lambda z: (z ^ bit) & -(z ^ bit))
+    traces = sorted((z for c, z in inside if c == 2), key=lambda z: (z ^ bit) & -(z ^ bit))
     keyed = sorted(
-        (codim - 1, sum(1 << i for i, z in enumerate(traces) if z & y == z), y)
-        for codim, ys in inside.items()
-        for y in ys
+        (c - 1, sum(1 << i for i, z in enumerate(traces) if z & y == z), y) for c, y in inside
     )
     rows = hyperplane_rows(restriction.base)
-    flats = tuple(Flat(c, m, rows) for c, m, _ in keyed)
-    by_parent = {k[2]: f for k, f in zip(keyed, flats)}
-    image = {}
-    for flat in lattice.flats:
-        if not flat.mask & bit:
-            want = flat.mask | bit
-            meet = next((y for y in inside.get(flat.codim + 1, ()) if y & want == want), None)
-            if meet is None:
-                raise TheoremViolation("no flat one level up meets H0; this is a bug")
-            image[flat.mask] = by_parent[meet]
-    return flats, image, tuple(by_parent)
+    return tuple(Flat(c, m, rows) for c, m, _ in keyed), tuple(y for _, _, y in keyed)
 
 
 def rho(arr, h0, flat, dA_lattice=None):
@@ -120,11 +111,15 @@ def rho(arr, h0, flat, dA_lattice=None):
     lattice of decone(arr, h0) to skip building that one as well.
     """
     lat = dA_lattice if dA_lattice is not None else intersection_lattice(decone(arr, h0))
+    y = lat.lookup(flat)
     # hyperplane k of the deconing is k (k < h0) or k + 1 of arr: shift bits >= h0
-    mask = lat.lookup(flat).mask
-    mask += mask >> h0 << h0
-    zr = ziegler_restriction(arr, h0)
-    return _restriction_flats(intersection_lattice(arr), h0, zr)[1][mask]
+    want = (y.mask + (y.mask >> h0 << h0)) | 1 << h0
+    lattice = intersection_lattice(arr)
+    join = next(x for x in lattice.flats if x.mask & want == want)
+    if join.codim != y.codim + 1:
+        raise TheoremViolation("no flat one level up meets H0; this is a bug")
+    flats, parents = _restriction_flats(lattice, h0, ziegler_restriction(arr, h0))
+    return flats[parents.index(join.mask)]
 
 
 @dataclass
@@ -146,7 +141,8 @@ def b_coefficients(arr, h0):
     """b-vector of A plus its decomposition over flats of A'' through rho.
 
     b_i^X sums |mu(Y)| over the flats Y of L(A) not inside H0 (the flats
-    of the deconing, with the same Moebius values) with rho(Y) = X.
+    of the deconing, with the same Moebius values) with rho(Y) = X, which
+    is |mu(X')| for the parent flat X' of X in L(A) (module docstring).
     TheoremViolation is raised unless sum_X b_i^X = b_i.
     """
     restriction = ziegler_restriction(arr, h0)
@@ -161,17 +157,13 @@ def _b_vector(chi0, ell):
 
 
 def _b_table(chi0, lattice, h0, restriction):
-    """(the CoefficientTable of b_coefficients, the flats of L(A''), their
-    masks in L(A)), from chi0 and L(A)."""
-    flats, image, parents = _restriction_flats(lattice, h0, restriction)
+    """(the CoefficientTable of b_coefficients, the flats of L(A'')), from
+    chi0 and L(A)."""
+    flats, parents = _restriction_flats(lattice, h0, restriction)
     ell = lattice.ambient_dim
     b = _b_vector(chi0, ell)
-    per = {}
-    for flat, mu in zip(lattice.flats, lattice.moebius):
-        x = image.get(flat.mask)
-        if x is not None:
-            per[x] = per.get(x, 0) + abs(mu)
-    if tuple(sum(v for x, v in per.items() if x.codim == i) for i in range(ell)) != b:
+    mu = dict(zip((f.mask for f in lattice.flats), lattice.moebius))
+    table = {x: {"b": abs(mu[y]), "sigma": None} for x, y in zip(flats, parents)}
+    if tuple(sum(c["b"] for x, c in table.items() if x.codim == i) for i in range(ell)) != b:
         raise TheoremViolation("per-flat b decomposition disagrees with chi0")
-    table = {x: {"b": v, "sigma": None} for x, v in per.items()}
-    return CoefficientTable(b=b, sigma=None, per_flat=table), flats, parents
+    return CoefficientTable(b=b, sigma=None, per_flat=table), flats

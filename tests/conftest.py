@@ -82,16 +82,19 @@ def rho_images(arr, h0, dA_lattice):
     """{flat of dA_lattice: rho(flat)}, from one L(A).
 
     `rho` builds L(A) per call, so mapping every flat through it would
-    build one lattice per flat; the map is computed once instead, and `rho`
+    build one lattice per flat; the map is computed once instead, each flat
+    going to the flat of L(A'') below its join with H0 in L(A), and `rho`
     itself is checked on the last flat.
     """
-    restriction = ziegler_restriction(arr, h0)
-    image = _restriction_flats(intersection_lattice(arr), h0, restriction)[1]
-    # hyperplane k of the deconing is hyperplane k (k < h0) or k + 1 of arr
-    out = {
-        flat: image[sum(1 << (k + (k >= h0)) for k in flat.contained)]
-        for flat in dA_lattice.flats
-    }
+    lattice = intersection_lattice(arr)
+    flats, parents = _restriction_flats(lattice, h0, ziegler_restriction(arr, h0))
+    by_parent = dict(zip(parents, flats))
+    out = {}
+    for flat in dA_lattice.flats:
+        # hyperplane k of the deconing is hyperplane k (k < h0) or k + 1 of arr
+        want = sum(1 << (k + (k >= h0)) for k in flat.contained) | 1 << h0
+        join = next(x for x in lattice.flats if x.mask & want == want)
+        out[flat] = by_parent[join.mask]
     last = dA_lattice.flats[-1]
     assert rho(arr, h0, last, dA_lattice) == out[last]
     return out

@@ -8,6 +8,9 @@ Run as `python3 tools/derive_corpus.py`.  For each corpus entry this script
   * counts chambers by recursion and by (-1)^l chi(-1),
   * derives b from the oracle-agreed chi, and the chamber bound sum(b) from
     an independent chamber count of the deconed arrangement,
+  * checks the per-flat b of b_coefficients against the paper's definition:
+    b^X sums |mu(Y)| over the flats Y of the deconing's own lattice with
+    rho(Y) = X, each mapped by the public rho,
   * derives exponents by basis search (the Saito determinant inside the
     search is the certificate) and, for free cases, checks the product
     formula chi = prod (t - e_i) against the finite-field chi,
@@ -27,6 +30,7 @@ from arrangements import (
     CORPUS,
     IntPoly,
     abe_yoshinaga_free_check,
+    b_coefficients,
     chamber_count,
     char_poly,
     char_poly_recursion,
@@ -40,6 +44,7 @@ from arrangements import (
     rank2_exponents,
     reduced_char_poly,
     region_count_recursion,
+    rho,
     sigma_coefficients,
     simple_multiarrangement,
     yoshinaga_3d,
@@ -95,6 +100,18 @@ def derive(entry):
     # sum(b) equals the chamber count of the deconed arrangement: derive the
     # latter by recursion, independently of any Moebius computation.
     assert sum(b) == region_count_recursion(decone(arr, h0)), "decone chambers"
+
+    # per-flat b by the paper's definition, grouped by the public rho.
+    dA_lattice = intersection_lattice(decone(arr, h0))
+    by_rho = {}
+    for flat, mu_y in zip(dA_lattice.flats, dA_lattice.moebius):
+        x = rho(arr, h0, flat, dA_lattice)
+        by_rho[x] = by_rho.get(x, 0) + abs(mu_y)
+    per_flat = {x: cell["b"] for x, cell in b_coefficients(arr, h0).per_flat.items()}
+    ok = per_flat == by_rho
+    print(f"  {'ok      ' if ok else 'MISMATCH'} {'per_flat_b':18} {len(by_rho)} flats of A''")
+    if not ok:
+        FAILURES.append((entry.name, "per_flat_b", per_flat, by_rho))
 
     # Freeness of the simple arrangement by basis search; the Saito
     # determinant inside the search certifies the Free answers.
