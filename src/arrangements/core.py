@@ -10,7 +10,6 @@ rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import index
@@ -20,23 +19,66 @@ from .linalg import echelon, primitive_vector
 from .polynomials import signed_sum
 
 
-@dataclass(frozen=True)
-class CentralArrangement:
+class _Value:
+    """Base of the package's plain value classes.
+
+    A subclass lists its fields in `_fields` and sets them in its own
+    __init__ (a frozen one through object.__setattr__).  Two instances are
+    equal when they are of the same class and their fields are equal
+    (another class gives NotImplemented), and repr reads
+    Name(field=value, ...).  Instances are mutable, so unhashable.
+    """
+
+    _fields = ()
+    __hash__ = None
+
+    def _values(self):
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class _Frozen(_Value):
+    """A value class whose fields never change: it hashes its fields, and
+    assigning or deleting an attribute raises AttributeError."""
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{self.__class__.__qualname__} is frozen: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{self.__class__.__qualname__} is frozen: cannot delete {name!r}")
+
+
+class CentralArrangement(_Frozen):
     """Finite set of distinct linear hyperplanes through the origin (ZeroForm
-    on a zero form, DuplicateHyperplane on two proportional forms)."""
+    on a zero form, DuplicateHyperplane on two proportional forms).
 
-    dim: int
-    forms: tuple  # tuple of primitive integer coefficient tuples
+    forms: tuple of primitive integer coefficient tuples.
+    """
 
-    def __post_init__(self):
-        _check_dim(self.dim)
-        for f in self.forms:
-            if len(f) != self.dim:
+    _fields = ("dim", "forms")
+
+    def __init__(self, dim, forms):
+        _check_dim(dim)
+        for f in forms:
+            if len(f) != dim:
                 raise DimensionMismatch(
-                    f"form {f} has {len(f)} coefficients, expected {self.dim}"
+                    f"form {f} has {len(f)} coefficients, expected {dim}"
                 )
             _require_ints(f)
-        _distinct(map(normalize_form, self.forms))
+        _distinct(map(normalize_form, forms))
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "forms", forms)
 
     @property
     def n_hyperplanes(self):
@@ -53,23 +95,26 @@ class CentralArrangement:
         return f"CentralArrangement(dim={self.dim}, n={len(self.forms)})"
 
 
-@dataclass(frozen=True)
-class AffineArrangement:
+class AffineArrangement(_Frozen):
     """Finite set of distinct affine hyperplanes a.x = c (ZeroForm on a zero
-    normal, DuplicateHyperplane on two proportional hyperplanes)."""
+    normal, DuplicateHyperplane on two proportional hyperplanes).
 
-    dim: int
-    hyperplanes: tuple  # tuple of (normal tuple, constant) pairs, jointly primitive
+    hyperplanes: tuple of (normal tuple, constant) pairs, jointly primitive.
+    """
 
-    def __post_init__(self):
-        _check_dim(self.dim)
-        for normal, c in self.hyperplanes:
-            if len(normal) != self.dim:
+    _fields = ("dim", "hyperplanes")
+
+    def __init__(self, dim, hyperplanes):
+        _check_dim(dim)
+        for normal, c in hyperplanes:
+            if len(normal) != dim:
                 raise DimensionMismatch(
-                    f"normal {normal} has {len(normal)} coefficients, expected {self.dim}"
+                    f"normal {normal} has {len(normal)} coefficients, expected {dim}"
                 )
             _require_ints((*normal, c))
-        _distinct(normalize_affine(normal, c) for normal, c in self.hyperplanes)
+        _distinct(normalize_affine(normal, c) for normal, c in hyperplanes)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "hyperplanes", hyperplanes)
 
     @property
     def n_hyperplanes(self):
@@ -79,24 +124,24 @@ class AffineArrangement:
         return f"AffineArrangement(dim={self.dim}, n={len(self.hyperplanes)})"
 
 
-@dataclass(frozen=True)
-class Multiarrangement:
+class Multiarrangement(_Frozen):
     """Central arrangement with a nonnegative multiplicity per hyperplane.
 
     Hyperplanes of multiplicity zero stay in the base for structural
     consistency but are invisible to every algebraic computation.
     """
 
-    base: CentralArrangement
-    mult: tuple
+    _fields = ("base", "mult")
 
-    def __post_init__(self):
-        if len(self.mult) != self.base.n_hyperplanes:
+    def __init__(self, base, mult):
+        if len(mult) != base.n_hyperplanes:
             raise DimensionMismatch("one multiplicity per hyperplane required")
-        if not all(isinstance(m, int) and not isinstance(m, bool) for m in self.mult):
-            raise TypeError(f"multiplicities {self.mult} must be ints")
-        if any(m < 0 for m in self.mult):
+        if not all(isinstance(m, int) and not isinstance(m, bool) for m in mult):
+            raise TypeError(f"multiplicities {mult} must be ints")
+        if any(m < 0 for m in mult):
             raise ValueError("multiplicities must be nonnegative")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "mult", mult)
 
     @property
     def dim(self):

@@ -14,11 +14,9 @@ the coordinate form z, matching the documented examples).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import (
-    CentralArrangement,
     Multiarrangement,
+    _Frozen,
     canonicalize,
     form_to_string,
     var_names,
@@ -28,14 +26,19 @@ TRIVIAL = "trivial"
 DERIVED = "derived-by-oracle"
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
-    name: str
-    description: str
-    arrangement: CentralArrangement
-    mult: tuple
-    h0: int
-    expected: dict
+class CorpusEntry(_Frozen):
+    """One corpus arrangement: its CentralArrangement, multiplicities (None
+    for the simple arrangement), h0 and expected invariants."""
+
+    _fields = ("name", "description", "arrangement", "mult", "h0", "expected")
+
+    def __init__(self, name, description, arrangement, mult, h0, expected):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "description", description)
+        object.__setattr__(self, "arrangement", arrangement)
+        object.__setattr__(self, "mult", mult)
+        object.__setattr__(self, "h0", h0)
+        object.__setattr__(self, "expected", expected)
 
     def multiarrangement(self):
         mult = self.mult or (1,) * self.arrangement.n_hyperplanes

@@ -47,10 +47,9 @@ arrangements of hyperplanes, Invent. Math. 204 (2016)):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
 
-from .core import Multiarrangement, essentialize, simple_multiarrangement
+from .core import Multiarrangement, _Frozen, _Value, essentialize, simple_multiarrangement
 from .derivations import (
     FREE,
     NOT_FREE,
@@ -67,18 +66,20 @@ from .derivations import (
 from .errors import TheoremViolation, WrongRank
 from .lattice import _keys, _restrict, _walk, intersection_lattice, reduced_char_poly
 from .polynomials import IntPoly
-from .restriction import CoefficientTable, _b_table, _b_vector, ziegler_restriction
+from .restriction import _b_table, _b_vector, ziegler_restriction
 
 TAME = "Tame"
 
 
-@dataclass(frozen=True)
-class TamenessTag:
+class TamenessTag(_Frozen):
     """Tameness classification: status "Tame" or "Unknown", with the reason
     recorded ("rank<=3", "verified-free" or "user-asserted")."""
 
-    status: str
-    reason: str = None
+    _fields = ("status", "reason")
+
+    def __init__(self, status, reason=None):
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "reason", reason)
 
     @property
     def is_tame(self):
@@ -104,20 +105,29 @@ def tameness_classify(arr, degree_bound=None, user_asserted=False):
     return _tameness_tag(rank, free, user_asserted)
 
 
-@dataclass
-class ComparisonReport:
-    """Everything compare_coefficients establishes about one (A, h0) pair."""
+class ComparisonReport(_Value):
+    """Everything compare_coefficients establishes about one (A, h0) pair.
 
-    dim: int
-    n_hyperplanes: int
-    h0: int
-    table: CoefficientTable
-    tame_arrangement: TamenessTag
-    tame_restriction: TamenessTag
-    inequality: tuple  # per index: True | False | None (None = sigma unresolved)
-    chamber_bound: tuple  # (sum of b, sum of sigma or None)
-    mca: object  # True | False | None
-    degree_bound: int = None
+    inequality holds per index True, False or None (sigma unresolved);
+    chamber_bound is (sum of b, sum of sigma or None); mca is True, False
+    or None.
+    """
+
+    _fields = ("dim", "n_hyperplanes", "h0", "table", "tame_arrangement", "tame_restriction",
+               "inequality", "chamber_bound", "mca", "degree_bound")
+
+    def __init__(self, dim, n_hyperplanes, h0, table, tame_arrangement, tame_restriction,
+                 inequality, chamber_bound, mca, degree_bound=None):
+        self.dim = dim
+        self.n_hyperplanes = n_hyperplanes
+        self.h0 = h0
+        self.table = table
+        self.tame_arrangement = tame_arrangement
+        self.tame_restriction = tame_restriction
+        self.inequality = inequality
+        self.chamber_bound = chamber_bound
+        self.mca = mca
+        self.degree_bound = degree_bound
 
     @property
     def all_sigma_exact(self):
@@ -209,7 +219,9 @@ def _divisionally_free(lattice, chi0):
     step; chi0(A^Y) divides chi0(A^X) exactly when chi(A^Y) divides
     chi(A^X), both being (t - 1) chi0.  The covers Y of X are the keys of
     A^X, whose bits added to X's mask give Y's.  Each flat's chi, and
-    whether a chain goes on from it, is computed once, by mask."""
+    whether a chain goes on from it, is computed once, by mask; an A^Y of
+    rank 2 with n lines has chi = t**(dim Y - 2) (t**2 - n t + n - 1), with
+    no walk."""
     dim, rank = lattice.ambient_dim, lattice.rank
     chis = {0: chi0 * IntPoly((-1, 1))}
     chains = {}
@@ -221,11 +233,14 @@ def _divisionally_free(lattice, chi0):
             chains[x] = False
             for row, bits in restricted.items():
                 y, above = x | bits, _restrict(restricted, row)
-                if y not in chis:  # mu(Y, Z) t**dim(Z) summed over [Y, top]
+                if y not in chis:
                     coeffs = [0] * (dim - codim)
-                    keys, mu = _walk(above)
-                    for c, z in keys:
-                        coeffs[dim - codim - 1 - c] += mu[z]
+                    if rank - codim == 3:  # A^Y has rank 2, its keys are its lines
+                        coeffs[-3:] = len(above) - 1, -len(above), 1
+                    else:  # mu(Y, Z) t**dim(Z) summed over [Y, top]
+                        keys, mu = _walk(above)
+                        for c, z in keys:
+                            coeffs[dim - codim - 1 - c] += mu[z]
                     chis[y] = IntPoly(coeffs)
                 if not chis[x].divmod_monic(chis[y])[1].coeffs and chain_from(y, codim + 1, above):
                     chains[x] = True

@@ -53,12 +53,11 @@ the restricted rows, and they are the ones a test on the full rows picks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import prod
 from operator import add
 
-from .core import Multiarrangement, _count, essentialize, var_names
+from .core import _Frozen, _Value, _count, essentialize, var_names
 from .errors import (
     DimensionMismatch,
     EmptyMultiarrangement,
@@ -147,8 +146,7 @@ class Exponents(tuple):
         return self
 
 
-@dataclass
-class FreenessVerdict:
+class FreenessVerdict(_Value):
     """Outcome of a freeness decision.
 
     status is one of "Free", "NotFree", "Unknown".  exponents and basis are
@@ -160,12 +158,16 @@ class FreenessVerdict:
     an Unknown search exhausted.
     """
 
-    status: str
-    exponents: tuple = None
-    basis: tuple = None
-    witness: str = None
-    bound: int = None
-    essential: Multiarrangement = None
+    _fields = ("status", "exponents", "basis", "witness", "bound", "essential")
+
+    def __init__(self, status, exponents=None, basis=None, witness=None, bound=None,
+                 essential=None):
+        self.status = status
+        self.exponents = exponents
+        self.basis = basis
+        self.witness = witness
+        self.bound = bound
+        self.essential = essential
 
     @property
     def is_free(self):
@@ -535,14 +537,16 @@ def multi_char_poly_free(exponents):
     return IntPoly.from_roots(exponents)
 
 
-@dataclass(frozen=True)
-class SigmaStatus:
+class SigmaStatus(_Frozen):
     """One sigma-coefficient: exact integer value or None, and how it was
     obtained ("definition", "rank<=2", "free-factorization",
     "local-to-global")."""
 
-    value: object
-    method: str
+    _fields = ("value", "method")
+
+    def __init__(self, value, method):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "method", method)
 
     @property
     def exact(self):

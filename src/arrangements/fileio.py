@@ -15,7 +15,7 @@ than the decoder recurses and an integer longer than Python converts
 (4 300 digits by default) raise InputError naming the offending field.
 
 Reports serialize to flat JSON with exact integers only; `parse_report`
-inverts `serialize_report` exactly (dataclass equality holds after a round
+inverts `serialize_report` exactly (value equality holds after a round
 trip).  Every JSON document the package prints is written by `dumps_indented`.
 """
 
@@ -23,11 +23,10 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
-from .core import CentralArrangement, Multiarrangement, canonicalize
+from .core import Multiarrangement, _Frozen, canonicalize
 from .criteria import ComparisonReport, TamenessTag
 from .derivations import SigmaStatus
 from .errors import ArrangementError, InputError
@@ -35,13 +34,15 @@ from .lattice import Flat
 from .restriction import CoefficientTable
 
 
-@dataclass(frozen=True)
-class ArrangementInput:
+class ArrangementInput(_Frozen):
     """A parsed arrangement file: base arrangement plus optional extras."""
 
-    arrangement: CentralArrangement
-    mult: tuple
-    labels: tuple
+    _fields = ("arrangement", "mult", "labels")
+
+    def __init__(self, arrangement, mult, labels):
+        object.__setattr__(self, "arrangement", arrangement)
+        object.__setattr__(self, "mult", mult)
+        object.__setattr__(self, "labels", labels)
 
     def multiarrangement(self):
         mult = self.mult or (1,) * self.arrangement.n_hyperplanes

@@ -37,18 +37,16 @@ equals and hashes like a Fraction, so keys, sorts and round trips hold.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 
-from .core import AffineArrangement, CentralArrangement
+from .core import AffineArrangement, CentralArrangement, _Frozen, _Value
 from .errors import FlatNotInLattice, NonzeroRemainder
 from .linalg import _pivot_col, echelon, primitive_vector
 from .polynomials import IntPoly
 
 
-@dataclass(frozen=True, init=False)
-class Flat:
+class Flat(_Frozen):
     """A nonempty intersection of hyperplanes, identified by its hyperplane set.
 
     codim: codimension; mask: the int bitmask of the ambient arrangement's
@@ -59,14 +57,23 @@ class Flat:
     and Fraction tuples of length dim+1), computed from rows on first use.
     """
 
-    codim: int
-    mask: int
+    _fields = ("codim", "mask")
 
     def __init__(self, codim, mask, rows=None, equations=None):
         # frozen: set attributes the way cached_property sets equations
         self.__dict__.update(codim=codim, mask=mask, rows=rows)
         if equations is not None:
             self.__dict__["equations"] = equations
+
+    # spelled out, not the base class's field loop: lattice dicts hash flats
+    # thousands of times per pass
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.codim == other.codim and self.mask == other.mask
+
+    def __hash__(self):
+        return hash((self.codim, self.mask))
 
     @cached_property
     def contained(self):  # the indices of the flat's hyperplanes
@@ -85,8 +92,7 @@ def hyperplane_rows(arr):
     return [tuple(normal) + (-c,) for normal, c in arr.hyperplanes]
 
 
-@dataclass
-class IntersectionLattice:
+class IntersectionLattice(_Value):
     """All flats of an arrangement, with Moebius values.
 
     flats are ordered by (codim, mask); moebius is parallel to flats.  The
@@ -94,9 +100,12 @@ class IntersectionLattice:
     equivalent to X.mask being a subset of Y.mask.
     """
 
-    ambient_dim: int
-    flats: tuple
-    moebius: tuple
+    _fields = ("ambient_dim", "flats", "moebius")
+
+    def __init__(self, ambient_dim, flats, moebius):
+        self.ambient_dim = ambient_dim
+        self.flats = flats
+        self.moebius = moebius
 
     def level(self, codim):
         return [f for f in self.flats if f.codim == codim]

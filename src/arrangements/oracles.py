@@ -25,12 +25,11 @@ there cannot reach both sides of a comparison.  Keep them obvious.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from operator import add, index, sub
 
-from .core import AffineArrangement, CentralArrangement, normalize_affine
+from .core import AffineArrangement, CentralArrangement, _Frozen, normalize_affine
 from .errors import BadPrime, FlatNotInLattice, InconsistentCounts
 from .lattice import hyperplane_rows
 from .linalg import echelon
@@ -178,11 +177,16 @@ def _chart_count(forms, q):
     return sum(mult * (q - len(set(sums))) for sums, mult in states.items())
 
 
-@dataclass(frozen=True)
-class PrimeWitness:
-    prime: int
-    point_count: int
-    accepted: bool
+class PrimeWitness(_Frozen):
+    """A prime q of the point-count oracle with the complement's number of
+    F_q points; accepted: the count fits the interpolant."""
+
+    _fields = ("prime", "point_count", "accepted")
+
+    def __init__(self, prime, point_count, accepted):
+        object.__setattr__(self, "prime", prime)
+        object.__setattr__(self, "point_count", point_count)
+        object.__setattr__(self, "accepted", accepted)
 
 
 def _lagrange(points):

@@ -34,9 +34,7 @@ first flat of L(A) whose mask holds h0's bit and Y's, one level up.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .core import AffineArrangement, CentralArrangement, Multiarrangement, essentialize
+from .core import AffineArrangement, CentralArrangement, Multiarrangement, _Value, essentialize
 from .errors import FlatNotInLattice, IndexOutOfRange, TheoremViolation, WrongRank
 from .lattice import (Flat, _keys, _member, _restrict, hyperplane_rows, intersection_lattice,
                       reduced_char_poly)
@@ -122,8 +120,7 @@ def rho(arr, h0, flat, dA_lattice=None):
     return flats[parents.index(join.mask)]
 
 
-@dataclass
-class CoefficientTable:
+class CoefficientTable(_Value):
     """b- and sigma-coefficient vectors with their per-flat decomposition.
 
     b[i] is the absolute coefficient of t**(l-1-i) in the reduced
@@ -132,9 +129,12 @@ class CoefficientTable:
     {"b": int, "sigma": int | None}.
     """
 
-    b: tuple
-    sigma: tuple | None = None
-    per_flat: dict = field(default_factory=dict)
+    _fields = ("b", "sigma", "per_flat")
+
+    def __init__(self, b, sigma=None, per_flat=None):
+        self.b = b
+        self.sigma = sigma
+        self.per_flat = {} if per_flat is None else per_flat
 
 
 def b_coefficients(arr, h0):

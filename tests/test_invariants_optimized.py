@@ -86,27 +86,29 @@ CHECKS = {
     ),
     "direction-flat-rank": (
         """
-        import dataclasses
-        from arrangements import CORPUS, Flat, decone, intersection_lattice, restriction
+        from arrangements import (CORPUS, Flat, IntersectionLattice, decone,
+                                  intersection_lattice, restriction)
         arr = CORPUS["braid-ess3"].arrangement
         lat = intersection_lattice(arr)
         dA_lattice = intersection_lattice(decone(arr, 0))
         # H0 = hyperplane 0 drops out of every codimension-2 hyperplane set
         flats = tuple(Flat(2, f.mask & ~1, f.rows) if f.codim == 2 else f for f in lat.flats)
-        restriction.intersection_lattice = lambda arr: dataclasses.replace(lat, flats=flats)
+        restriction.intersection_lattice = (
+            lambda arr: IntersectionLattice(lat.ambient_dim, flats, lat.moebius))
         restriction.rho(arr, 0, dA_lattice.level(1)[0], dA_lattice)
         """,
         "no flat one level up meets H0; this is a bug",
     ),
     "direction-flat-rank-b": (
         """
-        import dataclasses
-        from arrangements import CORPUS, Flat, b_coefficients, intersection_lattice, restriction
+        from arrangements import (CORPUS, Flat, IntersectionLattice, b_coefficients,
+                                  intersection_lattice, restriction)
         arr = CORPUS["braid-ess3"].arrangement
         lat = intersection_lattice(arr)
         # the corruption above: no flat of L(A'') is left at codimension 1
         flats = tuple(Flat(2, f.mask & ~1, f.rows) if f.codim == 2 else f for f in lat.flats)
-        restriction.intersection_lattice = lambda arr: dataclasses.replace(lat, flats=flats)
+        restriction.intersection_lattice = (
+            lambda arr: IntersectionLattice(lat.ambient_dim, flats, lat.moebius))
         b_coefficients(arr, 0)
         """,
         "per-flat b decomposition disagrees with chi0",

@@ -3,7 +3,6 @@ and Hypothesis properties that shrink a failure to a minimal input."""
 
 import random
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb, lcm, prod
@@ -619,6 +618,46 @@ def test_divisional_freeness_agrees_with_the_search(drawn):
         assert tuple(top.exponents) == tuple(r for r in roots if r)
 
 
+def _divisionally_free_by_walks(lattice, chi0):
+    """Reference for criteria._divisionally_free: every chi(A^Y) summed over
+    the walk of A^Y, the last (rank 2) step's too, and nothing memoized."""
+    dim, rank = lattice.ambient_dim, lattice.rank
+
+    def chi(restricted, codim):
+        coeffs = [0] * (dim - codim + 1)
+        keys, mu = _walk(restricted)
+        for c, z in keys:
+            coeffs[dim - codim - c] += mu[z]
+        return IntPoly(coeffs)
+
+    def chain_from(restricted, codim):
+        if rank - codim <= 2:
+            return True
+        here = chi(restricted, codim)
+        covers = (_restrict(restricted, row) for row in restricted)
+        return any(not here.divmod_monic(chi(above, codim + 1))[1].coeffs
+                   and chain_from(above, codim + 1) for above in covers)
+
+    assert chi(_keys(lattice.flats[0].rows), 0) == chi0 * IntPoly((-1, 1))
+    return chain_from(_keys(lattice.flats[0].rows), 0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_central_forms(max_dim=5))
+@example((3, _reflection("B", 3).forms))
+@example((4, _reflection("D", 4).forms))
+@example((4, _reflection("A", 4).forms))
+@example((3, _SPLIT_NOT_FREE3.forms))
+def test_divisional_freeness_reads_the_last_chi_off_the_lines(drawn):
+    # the last step of a chain takes chi of a rank-2 restriction from its
+    # number of lines; walking it gives the same answer
+    dim, forms = drawn
+    arr = canonicalize(forms, dim)
+    lattice = intersection_lattice(arr)
+    chi0 = reduced_char_poly(arr, lattice)
+    assert criteria._divisionally_free(lattice, chi0) is _divisionally_free_by_walks(lattice, chi0)
+
+
 @st.composite
 def _essential_multiarrangements(draw):
     """An essential multiarrangement of rank 3 or 4 with at most 6
@@ -689,7 +728,8 @@ def test_sweep_reads_closed_forms_where_the_search_agrees(drawn):
     assert probes or multi not in (_PROBE3, _PROBE4)
     report = compare_coefficients(multi.base, h0)
     bounded = compare_coefficients(multi.base, h0, multi.base.n_hyperplanes)
-    assert replace(bounded, degree_bound=None) == report
+    bounded.degree_bound = None
+    assert bounded == report
 
 
 def _full_width_new_generators(gens, kernel, monos, rank, d):

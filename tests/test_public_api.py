@@ -1,6 +1,8 @@
 """The public surface: `arrangements.__all__` is the names that `__init__`
 imports from the submodules, and every name that README's code or the demos
-import from the package is among them."""
+import from the package is among them; the value classes compare, hash and
+print by their fields; importing the command line loads no `dataclasses`,
+`inspect` or numpy."""
 
 import ast
 import json
@@ -9,9 +11,26 @@ import re
 import subprocess
 import sys
 from pathlib import Path
-from types import ModuleType
+from types import ModuleType, SimpleNamespace
+
+import pytest
 
 import arrangements
+from arrangements import (
+    AffineArrangement,
+    ArrangementInput,
+    CentralArrangement,
+    CoefficientTable,
+    ComparisonReport,
+    CorpusEntry,
+    Flat,
+    FreenessVerdict,
+    IntersectionLattice,
+    Multiarrangement,
+    PrimeWitness,
+    SigmaStatus,
+    TamenessTag,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 SUBMODULES = [
@@ -73,3 +92,99 @@ def test_import_binds_only_public_names_submodules_and_dunders():
     seen = json.loads(proc.stdout)
     bound = {name for name in seen["bound"] if not (name.startswith("__") and name.endswith("__"))}
     assert bound == set(seen["all"])
+
+
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_numpy():
+    # start-up cost: dataclasses pulls in inspect (and ast, dis, tokenize),
+    # and numpy waits for the dense engine's first call
+    proc = subprocess.run(
+        [sys.executable, "-s", "-c", "import sys, arrangements.cli; "
+         "print(sorted({'dataclasses', 'inspect', 'numpy'} & set(sys.modules)))"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+PAIR = CentralArrangement(2, ((0, 1), (1, 0)))
+TABLE = CoefficientTable((1, 1), (SigmaStatus(1, "definition"),), {Flat(1, 1): {"b": 1, "sigma": 1}})
+TAME = TamenessTag("Tame", "rank<=3")
+# class, fields, repr, frozen (hashable by its fields, no assignment)
+VALUES = [
+    (CentralArrangement, dict(dim=2, forms=((0, 1), (1, 0))),
+     "CentralArrangement(dim=2, n=2)", True),
+    (AffineArrangement, dict(dim=1, hyperplanes=(((1,), 0), ((1,), 1))),
+     "AffineArrangement(dim=1, n=2)", True),
+    (Multiarrangement, dict(base=PAIR, mult=(2, 1)),
+     "Multiarrangement(dim=2, n=2, |m|=3)", True),
+    (CorpusEntry, dict(name="pair", description="two lines", arrangement=PAIR, mult=(),
+                       h0=0, expected=(("chambers", 4),)),
+     "CorpusEntry(name='pair', description='two lines', arrangement=CentralArrangement(dim=2, n=2), "
+     "mult=(), h0=0, expected=(('chambers', 4),))", True),
+    (TamenessTag, dict(status="Tame", reason="rank<=3"),
+     "TamenessTag(status='Tame', reason='rank<=3')", True),
+    (ComparisonReport, dict(dim=2, n_hyperplanes=2, h0=0, table=TABLE, tame_arrangement=TAME,
+                            tame_restriction=TAME, inequality=(True,), chamber_bound=(2, 1),
+                            mca=True, degree_bound=3),
+     "ComparisonReport(dim=2, n_hyperplanes=2, h0=0, table=CoefficientTable(b=(1, 1), "
+     "sigma=(SigmaStatus(value=1, method='definition'),), per_flat={Flat(codim=1, mask=1): "
+     "{'b': 1, 'sigma': 1}}), tame_arrangement=TamenessTag(status='Tame', reason='rank<=3'), "
+     "tame_restriction=TamenessTag(status='Tame', reason='rank<=3'), inequality=(True,), "
+     "chamber_bound=(2, 1), mca=True, degree_bound=3)", False),
+    (FreenessVerdict, dict(status="Free", exponents=(1, 1)),
+     "FreenessVerdict(status='Free', exponents=(1, 1), basis=None, witness=None, bound=None, "
+     "essential=None)", False),
+    (SigmaStatus, dict(value=None, method="local-to-global"),
+     "SigmaStatus(value=None, method='local-to-global')", True),
+    (ArrangementInput, dict(arrangement=PAIR, mult=(1, 2), labels=("y", "x")),
+     "ArrangementInput(arrangement=CentralArrangement(dim=2, n=2), mult=(1, 2), "
+     "labels=('y', 'x'))", True),
+    (Flat, dict(codim=1, mask=2), "Flat(codim=1, mask=2)", True),
+    (IntersectionLattice, dict(ambient_dim=1, flats=(Flat(0, 0), Flat(1, 1)), moebius=(1, -1)),
+     "IntersectionLattice(ambient_dim=1, flats=(Flat(codim=0, mask=0), Flat(codim=1, mask=1)), "
+     "moebius=(1, -1))", False),
+    (PrimeWitness, dict(prime=5, point_count=24, accepted=True),
+     "PrimeWitness(prime=5, point_count=24, accepted=True)", True),
+    (CoefficientTable, dict(b=(1, 2), sigma=None, per_flat={}),
+     "CoefficientTable(b=(1, 2), sigma=None, per_flat={})", False),
+]
+
+
+@pytest.mark.parametrize("cls, fields, text, frozen", VALUES, ids=[v[0].__name__ for v in VALUES])
+def test_value_classes_compare_hash_and_print_by_their_fields(cls, fields, text, frozen):
+    value, same = cls(**fields), cls(**fields)
+    assert value == same and not value != same
+    assert repr(value) == text
+    # another class holding the same field values: a subclass or a namespace
+    assert value != type("Twin", (cls,), {})(**fields)
+    assert value != SimpleNamespace(**fields) and value.__eq__(SimpleNamespace(**fields)) is NotImplemented
+    name = next(iter(fields))
+    if frozen:
+        assert hash(value) == hash(same)
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+        assert value == same
+    else:
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(value)
+        setattr(value, name, None)
+        assert getattr(value, name) is None and value != same
+
+
+def test_value_class_defaults_and_keywords():
+    assert TamenessTag("Unknown").reason is None
+    assert TamenessTag(status="Tame", reason="user-asserted").reason == "user-asserted"
+    report = ComparisonReport(2, 2, 0, TABLE, TAME, TAME, (True,), (2, 1), None)
+    assert report.degree_bound is None
+    assert report == ComparisonReport(2, 2, 0, TABLE, TAME, TAME, (True,), (2, 1), None, None)
+    verdict = FreenessVerdict("Unknown")
+    assert (verdict.exponents, verdict.basis, verdict.witness, verdict.bound,
+            verdict.essential) == (None,) * 5
+    first, second = CoefficientTable((1,)), CoefficientTable((1,))
+    assert first.sigma is None and first.per_flat == {} and first.per_flat is not second.per_flat
+    assert Flat(1, 2, rows=[(0, 1, 0), (1, 0, 0)]) == Flat(1, 2)
