@@ -26,7 +26,7 @@ from . import corpus as corpus_data
 from .core import form_to_string, var_names
 from .criteria import _restriction_verdicts, abe_yoshinaga_free_check, yoshinaga_3d
 from .criteria import compare_coefficients
-from .derivations import FREE, UNKNOWN, find_free_basis
+from .derivations import UNKNOWN, find_free_basis
 from .errors import ArrangementError, BadPrime, InputError, TheoremViolation
 from .fileio import (
     ArrangementInput,
@@ -215,32 +215,28 @@ def _cmd_exponents(args):
 
 
 def _merge_verdicts(results):
-    """Later definitive verdicts beat Unknown; definitive verdicts must agree
-    (TheoremViolation otherwise)."""
-    merged = None
+    """The first definitive verdict that carries a basis, else the first
+    definitive one, else the first result.  Every definitive verdict must
+    agree with the first (TheoremViolation otherwise)."""
+    first = merged = None
     for method, verdict in results.items():
         if verdict.status == UNKNOWN:
             continue
-        if merged is None:
-            merged = verdict
-            continue
-        if merged.status != verdict.status:
+        if first is None:
+            first = merged = verdict
+        elif verdict.status != first.status:
             raise TheoremViolation(
-                f"freeness criteria disagree: {merged.status} vs "
+                f"freeness criteria disagree: {first.status} vs "
                 f"{verdict.status} ({method})"
             )
-        if merged.status == FREE and tuple(merged.exponents) != tuple(
-            verdict.exponents
-        ):
+        elif first.is_free and tuple(first.exponents) != tuple(verdict.exponents):
             raise TheoremViolation(
                 f"freeness criteria disagree on exponents: "
-                f"{merged.exponents} vs {verdict.exponents} ({method})"
+                f"{first.exponents} vs {verdict.exponents} ({method})"
             )
-        if verdict.basis is not None and merged.basis is None:
+        if merged.basis is None and verdict.basis is not None:
             merged = verdict
-    if merged is None:
-        merged = next(iter(results.values()))
-    return merged
+    return merged if merged is not None else next(iter(results.values()))
 
 
 def _cmd_freeness(args):

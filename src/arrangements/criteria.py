@@ -146,26 +146,24 @@ def compare_coefficients(arr, h0, degree_bound=None, assert_tame=False):
     restriction = ziegler_restriction(arr, h0)
     lattice = intersection_lattice(arr)
     chi0 = reduced_char_poly(arr, lattice)
-    table, restriction_flats = _b_table(chi0, lattice, h0, restriction)
+    table = _b_table(chi0, lattice, h0, restriction)
     roots = chi0.nonnegative_roots()
+    essential = essentialize(restriction)[0]
     if degree_bound is None and roots is not None and _divisionally_free(lattice, chi0):
         # A is free: the global verdict and the per-flat sigma values come
         # from L(A) as the module docstring says, with no search
-        top = FreenessVerdict(
-            FREE, exponents=tuple(r for r in roots if r), essential=essentialize(restriction)[0]
-        )
+        top = FreenessVerdict(FREE, exponents=tuple(r for r in roots if r), essential=essential)
         local = {x: cell["b"] for x, cell in table.per_flat.items()}
     else:
-        # one sweep: the global verdict, sigma and the per-flat sigma
-        # values.  The center localizes to the essentialization of A''.  A
-        # free A'' has the roots of chi0 as its exponents (Terao 1981;
-        # Ziegler 1989), so its search tries those degrees first.
-        top, local = _localization_sweep(restriction, degree_bound, restriction_flats,
-                                         candidates=roots)
+        # a free A'' has the roots of chi0 as its exponents (Terao 1981;
+        # Ziegler 1989), so its search tries those degrees first; the sweep
+        # reads the center's product off that verdict
+        top = _bounded_search(essential, 0, degree_bound, roots)
+        local = _localization_sweep(restriction, top, degree_bound, tuple(table.per_flat))
     # the essentialization of A'' has the rank of A'' as its dimension;
     # A's rank is one more
-    rank_r = top.essential.dim
-    sig = _sigma_column(top.essential, top, local)
+    rank_r = essential.dim
+    sig = _sigma_column(essential, top, local)
     for flat, entry in table.per_flat.items():
         entry["sigma"] = local.get(flat)
     if top.is_free:

@@ -557,36 +557,32 @@ def elementary_symmetric(values, k):
     return sum(prod(combo) for combo in combinations(values, k))
 
 
-def _localization_sweep(multi, degree_bound=None, flats=None, top=None, candidates=None):
-    """One freeness search per flat of a multiarrangement, essential or not
-    (compare passes A'' as it is); the only place localization searches
-    run.  Pass the flats of L(multi.base) to reuse them, the verdict of its
-    essentialization as top when it is known, and the exponents that must
-    have if it is free as candidates, for the search of the last flat.
+def _localization_sweep(multi, top, degree_bound=None, flats=None):
+    """The product of the local exponents at each flat of a
+    multiarrangement, essential or not (compare passes A'' as it is), in
+    lattice order: None where the localization is not Free within the
+    bound.  The last flat, the center, localizes to the essentialization,
+    whose verdict the caller holds as top; its product is read off top.
+    Pass the flats of L(multi.base) to reuse them.
 
-    Returns (verdict, products): products maps each flat, in lattice order,
-    to the product of its localization's exponents (None unless Free).  The
-    last flat, the center, localizes to the essentialization, so verdict is
-    the global one.  Other flats with closed-form exponents are not
-    localized; every other localization is essentialized once, and each
-    distinct one is searched once, by _bounded_search.
+    A flat before the center with closed-form exponents is not localized;
+    every other one is essentialized once (`localize_and_essentialize`, the
+    only place localization searches run), and each distinct localization
+    is searched once, by _bounded_search.
     """
-    products = {}
-    verdicts = {} if top is None else {top.essential: top}
     flats = flats if flats is not None else intersection_lattice(multi.base).flats
-    for flat in flats:
-        if flat is not flats[-1]:
-            mult = [m for i, m in enumerate(multi.mult) if flat.mask >> i & 1]
-            if (exponents := _closed_form_exponents(flat.codim, mult)) is not None:
-                products[flat] = prod(exponents)
-                continue
-        local = localize_and_essentialize(multi, flat)
-        verdict = verdicts.get(local)
-        if verdict is None:
-            hint = candidates if flat is flats[-1] else None
-            verdict = verdicts[local] = _bounded_search(local, 0, degree_bound, hint)
-        products[flat] = prod(verdict.exponents) if verdict.is_free else None
-    return verdict, products
+    products, verdicts = {}, {}
+    for flat in flats[:-1]:
+        mult = [m for i, m in enumerate(multi.mult) if flat.mask >> i & 1]
+        if (exponents := _closed_form_exponents(flat.codim, mult)) is None:
+            local = localize_and_essentialize(multi, flat)
+            verdict = verdicts.get(local)
+            if verdict is None:
+                verdict = verdicts[local] = _bounded_search(local, 0, degree_bound)
+            exponents = verdict.exponents if verdict.is_free else None
+        products[flat] = None if exponents is None else prod(exponents)
+    products[flats[-1]] = prod(top.exponents) if top.is_free else None
+    return products
 
 
 def _level_sums(products, rank):
@@ -622,15 +618,14 @@ def sigma_coefficients(multi, degree_bound=None):
     sigma_0 = 1 and sigma_1 = |m| by definition.  The essentialization is
     searched first; when D(A,m) is verified free the remaining coefficients
     come from the factorization prod (t - e_i) and no localization is
-    searched.  Otherwise the localization sweep searches every other flat
-    once (the top flat, the center, reuses the global verdict) and sigma_k
-    sums the local exponent products over the codimension-k flats, staying
-    None whenever one of them is unresolved within the bound.
+    searched.  Otherwise the localization sweep searches every flat below
+    the center once (the center's product is the global verdict's) and
+    sigma_k sums the local exponent products over the codimension-k flats,
+    staying None whenever one of them is unresolved within the bound.
     """
     verdict = _bounded_search(*essentialize(multi), degree_bound)
-    ess, products = verdict.essential, None
-    if not verdict.is_free:
-        products = _localization_sweep(ess, degree_bound, top=verdict)[1]
+    ess = verdict.essential
+    products = None if verdict.is_free else _localization_sweep(ess, verdict, degree_bound)
     return _sigma_column(ess, verdict, products)
 
 
@@ -638,11 +633,11 @@ def sigma_per_flat(multi, degree_bound=None):
     """Local sigma contribution for every flat of the effective base lattice.
 
     Returns {Flat: product of local exponents or None}, the products of the
-    localization sweep: one freeness search per flat, where the entry of
-    the top flat (the center) is the global verdict's.  Requires the
-    multiarrangement to be essential so the flats stay in input coordinates.
+    localization sweep after one search of the input, whose verdict gives
+    the entry of the top flat (the center).  Requires the multiarrangement
+    to be essential so the flats stay in input coordinates.
     """
     ess, center_dim = essentialize(multi)
     if center_dim != 0:
         raise WrongRank("per-flat sigma values need an essential multiarrangement")
-    return _localization_sweep(ess, degree_bound)[1]
+    return _localization_sweep(ess, _bounded_search(ess, 0, degree_bound), degree_bound)

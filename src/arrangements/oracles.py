@@ -52,6 +52,7 @@ def minor_bound(arr):
     k integer products.  A row set whose minors all vanish is dependent, and
     so is every row set containing it: the search does not descend there.
     """
+    _refuse_affine(arr, "the minor bound")
     rows, dim = arr.forms, arr.dim
     top = min(len(rows), dim)
     # expansions[k][i]: (column, sign, index of the (k-1)-column subset left
@@ -82,6 +83,11 @@ def minor_bound(arr):
 
     grow(len(rows), 0, [1])
     return best
+
+
+def _refuse_affine(arr, what):
+    if isinstance(arr, AffineArrangement):
+        raise TypeError(f"{what} needs a central arrangement")
 
 
 def _is_prime(q):
@@ -124,6 +130,7 @@ def point_count(arr, q):
     and 0 lies on all of them: count one point per line through 0, the one
     whose first nonzero coordinate is 1, and multiply by q - 1.
     """
+    _refuse_affine(arr, "the point count")
     q = index(q)
     if not _is_prime(q):
         raise BadPrime(f"{q} is not prime")

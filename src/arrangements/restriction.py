@@ -147,7 +147,7 @@ def b_coefficients(arr, h0):
     """
     restriction = ziegler_restriction(arr, h0)
     lat = intersection_lattice(arr)
-    return _b_table(reduced_char_poly(arr, lat), lat, h0, restriction)[0]
+    return _b_table(reduced_char_poly(arr, lat), lat, h0, restriction)
 
 
 def _b_vector(chi0, ell):
@@ -157,8 +157,8 @@ def _b_vector(chi0, ell):
 
 
 def _b_table(chi0, lattice, h0, restriction):
-    """(the CoefficientTable of b_coefficients, the flats of L(A'')), from
-    chi0 and L(A)."""
+    """The CoefficientTable of b_coefficients from chi0 and L(A); its
+    per_flat keys are the flats of L(A''), in order."""
     flats, parents = _restriction_flats(lattice, h0, restriction)
     ell = lattice.ambient_dim
     b = _b_vector(chi0, ell)
@@ -166,4 +166,4 @@ def _b_table(chi0, lattice, h0, restriction):
     table = {x: {"b": abs(mu[y]), "sigma": None} for x, y in zip(flats, parents)}
     if tuple(sum(c["b"] for x, c in table.items() if x.codim == i) for i in range(ell)) != b:
         raise TheoremViolation("per-flat b decomposition disagrees with chi0")
-    return CoefficientTable(b=b, sigma=None, per_flat=table), flats
+    return CoefficientTable(b=b, sigma=None, per_flat=table)

@@ -565,3 +565,95 @@ def test_closed_stdout_exits_1_without_a_traceback(argv):
         os.close(write)
     assert proc.returncode == 1
     assert proc.stderr == ""
+
+
+def _verdict(status, exponents=None, basis=None):
+    from arrangements.derivations import FreenessVerdict
+
+    return FreenessVerdict(status, exponents=exponents, basis=basis)
+
+
+def test_merge_verdicts_skips_unknowns_and_prefers_a_basis():
+    from arrangements.cli import _merge_verdicts
+
+    unknown = _verdict("Unknown")
+    proven = _verdict("Free", (1, 2))
+    with_basis = _verdict("Free", (1, 2), basis=("theta1", "theta2"))
+    later_basis = _verdict("Free", (1, 2), basis=("eta1", "eta2"))
+    merged = _merge_verdicts({"a": unknown, "b": proven, "c": with_basis, "d": later_basis})
+    assert merged is with_basis
+    assert _merge_verdicts({"a": unknown, "b": proven, "c": _verdict("Free", (1, 2))}) is proven
+    second_unknown = _verdict("Unknown")
+    assert _merge_verdicts({"a": unknown, "b": second_unknown}) is unknown
+    not_free = _verdict("NotFree")
+    assert _merge_verdicts({"a": unknown, "b": not_free, "c": _verdict("NotFree")}) is not_free
+
+
+def test_merge_verdicts_refuses_disagreeing_criteria():
+    from arrangements.cli import _merge_verdicts
+    from arrangements.errors import TheoremViolation
+
+    free = _verdict("Free", (1, 2))
+    with pytest.raises(TheoremViolation) as status:
+        _merge_verdicts({"a": _verdict("Unknown"), "b": free, "c": _verdict("NotFree")})
+    assert str(status.value) == "freeness criteria disagree: Free vs NotFree (c)"
+    with pytest.raises(TheoremViolation) as exponents:
+        _merge_verdicts({"a": free, "b": _verdict("Free", (0, 3), basis=("t",))})
+    assert str(exponents.value) == (
+        "freeness criteria disagree on exponents: (1, 2) vs (0, 3) (b)"
+    )
+
+
+@pytest.mark.parametrize("json_flag", [False, True])
+@pytest.mark.parametrize("command, oracle, wrong, message", [
+    ("charpoly", "char_poly_recursion", (0, 1), "deletion-restriction recursion got t"),
+    ("charpoly", "finite_field_char_poly", (0, 1), "finite-field oracle got t"),
+    ("chambers", "region_count_recursion", 7, "deletion-restriction recursion got 7"),
+])
+def test_verify_reports_an_oracle_mismatch_with_exit_3(
+    capsys, monkeypatch, command, oracle, wrong, message, json_flag
+):
+    # the other oracle still agrees, so it alone is listed as verifying
+    from arrangements import IntPoly, cli
+
+    value = IntPoly(wrong) if isinstance(wrong, tuple) else wrong
+    monkeypatch.setattr(cli, oracle, lambda arr: value)
+    argv = [command, "corpus:braid-ess3", "--verify"] + ["--json"] * json_flag
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert err == f"verification mismatch: {message}\n"
+    if json_flag:
+        data = json.loads(out)
+        assert data["mismatches"] == [message]
+        assert len(data["verified_by"]) == 1
+    else:
+        assert "verified by: " in out
+
+
+def test_verify_skips_the_finite_field_oracle_in_dimension_6(capsys, tmp_path):
+    # seven primes q with q**6 within the point budget do not exist, so the
+    # oracle refuses (BadPrime) and only the recursion verifies chi
+    path = tmp_path / "boolean6.json"
+    rows = [[int(i == j) for j in range(6)] for i in range(6)]
+    path.write_text(json.dumps({"dim": 6, "hyperplanes": rows}))
+    code, out, err = run(capsys, "charpoly", str(path), "--verify", "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["coefficients"] == [1, -6, 15, -20, 15, -6, 1]
+    assert data["verified_by"] == ["deletion-restriction recursion"]
+    assert data["mismatches"] == []
+    assert err.startswith("note: finite-field oracle skipped: ")
+    assert err.count("\n") == 1
+
+
+def test_freeness_in_dimension_1_notes_both_skipped_criteria(capsys, tmp_path):
+    path = tmp_path / "point.json"
+    path.write_text('{"dim": 1, "hyperplanes": [[1]]}')
+    code, out, _ = run(capsys, "freeness", str(path))
+    assert code == 0
+    assert out.splitlines() == [
+        "dim 1, 1 hyperplanes, |m| = 1",
+        "  saito  Free(1)",
+        "  yoshinaga: skipped (needs essential rank 3)",
+        "  abe-yoshinaga: skipped (needs dim >= 2)",
+    ]

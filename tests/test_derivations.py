@@ -323,7 +323,8 @@ def test_compare_essentializes_each_flat_of_the_restriction_once(capsys, monkeyp
     # again.  Without a bound braid-ess4, divisionally free, runs no sweep:
     # A'' itself is the one essentialization.  Under a bound every flat of
     # codim <= 2 of its A'' has closed-form exponents, read off the
-    # multiplicities, so only the center is essentialized.
+    # multiplicities, and the center is A'', so again A'' is the one
+    # essentialization.
     from arrangements import core
     from arrangements.cli import main
 
@@ -347,7 +348,7 @@ def test_compare_essentializes_each_flat_of_the_restriction_once(capsys, monkeyp
 
 def test_sigma_coefficients_searches_a_non_free_top_once(monkeypatch):
     # The top of a non-free multiarrangement is searched before the sweep;
-    # the sweep reuses that verdict for its last flat, the center.  Its
+    # the sweep reads its last flat, the center, off that verdict.  Its
     # localizations of rank <= 2 take their exponents without a search, so
     # the top (rank 3) is the only search; A'' is simple, so they are all
     # closed forms, read off the multiplicities without the rank-2 rule.

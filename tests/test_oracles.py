@@ -307,3 +307,17 @@ def test_budget_refusal_decides_on_the_dimension_alone(monkeypatch):
     with pytest.raises(BadPrime, match=r"^17\*\*6 exceeds"):
         finite_field_char_poly(arr)
 
+
+@pytest.mark.parametrize("oracle", [
+    minor_bound,
+    good_primes,
+    pytest.param(lambda arr: point_count(arr, 5), id="point_count"),
+    finite_field_char_poly,
+    pytest.param(lambda arr: finite_field_char_poly(arr, [5, 7, 11]), id="given-primes"),
+])
+def test_point_count_oracle_refuses_an_affine_arrangement(oracle):
+    # the deconing of boolean3: the oracle counts points off linear forms,
+    # so an affine arrangement is a typed error, as in reduced_char_poly
+    dA = decone(CORPUS["boolean3"].arrangement, 0)
+    with pytest.raises(TypeError, match="needs a central arrangement$"):
+        oracle(dA)

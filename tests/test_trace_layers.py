@@ -102,6 +102,8 @@ def test_traced_compare_counts_stay_put(capsys):
     kernels = summary["linalg.nullspace"]
     assert (kernels["calls"], kernels["cols"], kernels["kernel_dim"]) == (6, 108, 18)
     assert summary["derivations.saito_check"]["calls"] == 1
-    # the flats of codim <= 2 of L(A'') take closed-form exponents; only
-    # the center goes through the sweep's localize_and_essentialize
+    # the flats of codim <= 2 of L(A'') take closed-form exponents, and
+    # the center is A'' itself, essentialized once for its search, so the
+    # sweep localizes no flat
     assert summary["core.essentialize"]["calls"] == 1
+    assert "restriction.localize_and_essentialize" not in summary
