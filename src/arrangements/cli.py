@@ -32,7 +32,6 @@ from .fileio import (
     ArrangementInput,
     dumps_indented,
     load_arrangement,
-    poly_coefficients,
     serialize_report,
     verdict_to_dict,
 )
@@ -53,13 +52,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _corpus_entry(name):
+    try:
+        return corpus_data.get(name)
+    except KeyError as exc:
+        raise InputError(str(exc.args[0])) from None
+
+
 def _load_input(spec):
     if spec.startswith("corpus:"):
-        name = spec[len("corpus:") :]
-        try:
-            entry = corpus_data.get(name)
-        except KeyError as exc:
-            raise InputError(str(exc.args[0])) from None
+        entry = _corpus_entry(spec[len("corpus:") :])
         return ArrangementInput(
             arrangement=entry.arrangement, mult=entry.mult, labels=entry.labels()
         )
@@ -145,7 +147,7 @@ def _cmd_charpoly(args):
     )
     poly = reduced_char_poly(arr, lattice) if args.reduced else chi
     name = "chi0" if args.reduced else "chi"
-    fields = {"reduced": bool(args.reduced), "coefficients": poly_coefficients(poly)}
+    fields = {"reduced": bool(args.reduced), "coefficients": list(poly.coeffs)}
     return _print_checked(
         args, arr, fields, f"{name}(t) = {poly.to_string(sep='')}", *checks
     )
@@ -371,11 +373,7 @@ def _cmd_corpus(args):
         return 0
     if not args.name:
         raise InputError("corpus get needs a NAME (see `corpus list`)")
-    try:
-        entry = corpus_data.get(args.name)
-    except KeyError as exc:
-        raise InputError(str(exc.args[0])) from None
-    print(dumps_indented(entry.as_input()))
+    print(dumps_indented(_corpus_entry(args.name).as_input()))
     return 0
 
 

@@ -186,16 +186,18 @@ def _count(x):
 
 
 def _require_ints(row):
-    """TypeError unless row holds only ints; rational forms enter by canonicalize."""
-    if not all(isinstance(x, int) for x in row):
+    """TypeError unless row holds only ints, no bool; rational forms enter by canonicalize."""
+    if not all(isinstance(x, int) and not isinstance(x, bool) for x in row):
         raise TypeError(f"{row} has a non-integer entry; build rational forms with canonicalize")
 
 
 def _integer_row(raw):
     """A rational row times the lcm of its denominators: integers, and raw
-    itself when it holds only ints."""
-    if all(isinstance(x, int) for x in raw):
+    itself when it holds only ints.  A bool entry raises TypeError."""
+    if all(type(x) is int for x in raw):
         return raw
+    if any(isinstance(x, bool) for x in raw):
+        raise TypeError(f"{raw} has a bool entry, not a rational number")
     fracs = [Fraction(x) for x in raw]
     denom = lcm(*(x.denominator for x in fracs))
     return [x.numerator * (denom // x.denominator) for x in fracs]

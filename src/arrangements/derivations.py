@@ -236,11 +236,8 @@ def _graded_kernel(multi, d):
     dict over the degree-d monomials, component-major.
     """
     monos = monomials(multi.dim, d)
-    ncols = multi.dim * len(monos)
-    if ncols == 0:
-        return [], monos
     rows = _constraint_rows(multi, d, monos)
-    return nullspace([row for _, row in sorted(rows.items())], ncols), monos
+    return nullspace([row for _, row in sorted(rows.items())], multi.dim * len(monos)), monos
 
 
 def derivation_space_dim(multi, d):
@@ -523,11 +520,11 @@ def rank2_exponents(multi):
 
 def _bounded_search(ess, center_dim, degree_bound=None, candidates=None):
     """`_search` for callers that read no basis, under the one degree-bound
-    rule: a user bound applies from rank 3 on.  Below rank 3 D(A,m) is
-    free, and `_exponents_by_theorem` gives its exponents without a search."""
-    _valid_bound(degree_bound)
+    rule: a user bound applies from rank 3 on, where `_search` checks it.
+    Below rank 3 D(A,m) is free: `_exponents_by_theorem` reads its exponents."""
     if ess.dim > 2:
         return _search(ess, center_dim, degree_bound, candidates)
+    _valid_bound(degree_bound)
     exponents = (0,) * center_dim + _exponents_by_theorem(ess)
     return FreenessVerdict(FREE, exponents=exponents, essential=ess)
 

@@ -200,11 +200,6 @@ def _fraction_from_json(value):
     return Fraction(value) if isinstance(value, str) else Fraction(int(value))
 
 
-def poly_coefficients(poly):
-    """Coefficient list of an integer polynomial, constant term first."""
-    return [poly.coefficient(k) for k in range(poly.degree + 1)]
-
-
 def _flat_to_record(flat, cell):
     return {
         "codim": flat.codim,

@@ -344,9 +344,7 @@ def _crt(vecs, m, more, p):
 def _kills(rows, basis):
     """True iff every {column: int} vector of `basis` satisfies every sparse
     row exactly: one product per row entry against the packed columns (see
-    the module docstring)."""
-    if not rows:
-        return True
+    the module docstring).  `nullspace` calls it on nonempty rows and basis."""
     entry = max(abs(v) for row in rows for v in row.values())
     top = max(abs(x) for vec in basis for x in vec.values())
     bits = (entry * max(map(len, rows)) * top).bit_length()

@@ -229,21 +229,21 @@ def finite_field_char_poly(arr, primes=None, with_witnesses=False):
         # Every prime must satisfy q**dim <= MAX_POINTS, whatever the minor
         # bound, so too few of them (dim >= 6) refuse before any minor.
         _primes_above(0, ell, ell + 1)
-    bound = minor_bound(arr)
-    if primes is None:
-        primes = _primes_above(bound, ell, ell + 1)
-    primes = list(dict.fromkeys(index(q) for q in primes))
-    if len(primes) < ell + 1:
-        raise BadPrime(f"need at least dim+1 = {ell + 1} distinct primes")
-    for q in primes:
-        if not _is_prime(q):
-            raise BadPrime(f"{q} is not prime")
-        if q <= bound:
-            raise BadPrime(f"prime {q} does not exceed the minor bound {bound}")
-        if q ** ell > MAX_POINTS:
-            raise BadPrime(
-                f"{q}**{ell} exceeds the point-enumeration budget {MAX_POINTS}"
-            )
+        primes = good_primes(arr)
+    else:
+        bound = minor_bound(arr)
+        primes = list(dict.fromkeys(index(q) for q in primes))
+        if len(primes) < ell + 1:
+            raise BadPrime(f"need at least dim+1 = {ell + 1} distinct primes")
+        for q in primes:
+            if not _is_prime(q):
+                raise BadPrime(f"{q} is not prime")
+            if q <= bound:
+                raise BadPrime(f"prime {q} does not exceed the minor bound {bound}")
+            if q ** ell > MAX_POINTS:
+                raise BadPrime(
+                    f"{q}**{ell} exceeds the point-enumeration budget {MAX_POINTS}"
+                )
     witnesses = tuple(PrimeWitness(q, point_count(arr, q), True) for q in primes)
     coeffs = _lagrange([(w.prime, w.point_count) for w in witnesses[: ell + 1]])
     for w in witnesses:

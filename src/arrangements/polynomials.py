@@ -50,10 +50,6 @@ class IntPoly:
         self.coeffs = tuple(cs)
 
     @classmethod
-    def zero(cls):
-        return cls(())
-
-    @classmethod
     def monomial(cls, degree, coeff=1):
         return cls((0,) * degree + (coeff,))
 
@@ -99,13 +95,8 @@ class IntPoly:
             [self.coefficient(k) - other.coefficient(k) for k in range(n)]
         )
 
-    def __neg__(self):
-        return IntPoly([-c for c in self.coeffs])
-
     def __mul__(self, other):
-        if not self.coeffs or not other.coeffs:
-            return IntPoly.zero()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * max(len(self.coeffs) + len(other.coeffs) - 1, 0)
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue

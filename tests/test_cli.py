@@ -423,6 +423,25 @@ def test_corpus_list(capsys):
         assert name in out
 
 
+def test_corpus_list_json(capsys):
+    code, out, _ = run(capsys, "corpus", "list", "--json")
+    assert code == 0
+    records = json.loads(out)
+    assert [r["name"] for r in records] == list(arrangements.corpus.names())
+    for record in records:
+        entry = CORPUS[record["name"]]
+        assert record == {
+            "name": entry.name,
+            "description": entry.description,
+            "dim": entry.arrangement.dim,
+            "n_hyperplanes": entry.arrangement.n_hyperplanes,
+            "mult": list(entry.mult) if entry.mult else None,
+        }
+    assert CORPUS["braid-ess3"].mult is None
+    assert next(r for r in records if r["name"] == "braid-ess3")["mult"] is None
+    assert any(r["mult"] for r in records)
+
+
 def test_corpus_get_is_loadable(capsys, tmp_path):
     code, out, _ = run(capsys, "corpus", "get", "braid-ess3")
     assert code == 0

@@ -104,6 +104,25 @@ def test_a_bool_is_no_multiplicity():
     assert multiarrangement(arr, [np.int64(1), 2, 1]).mult == (1, 2, 1)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: CentralArrangement(2, ((True, False), (0, 1))),
+        lambda: AffineArrangement(1, (((1,), False),)),
+        lambda: AffineArrangement(2, (((1, 0), 0), ((True, 1), 0))),
+        lambda: canonicalize([[True, 0], [0, 1]], 2),
+        lambda: canonicalize([[Fraction(1, 2), False], [0, 1]], 2),
+        lambda: normalize_form([1, False]),
+    ],
+    ids=["central", "affine-constant", "affine-normal", "canonicalize",
+         "canonicalize-rational", "normalize_form"],
+)
+def test_a_bool_is_no_coefficient(build):
+    # as fileio reads a coefficient: operator.index(True) is 1, but True is no number
+    with pytest.raises(TypeError, match="True|False"):
+        build()
+
+
 def test_rank_and_essential():
     arr = canonicalize([[1, 0, 0], [0, 1, 0], [1, 1, 0]], 3)
     assert arr.rank() == 2

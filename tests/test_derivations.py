@@ -1,7 +1,9 @@
 """Logarithmic derivations, freeness search, Saito criterion, sigma."""
 
+import json
 from fractions import Fraction
 from math import prod
+from operator import add
 
 import pytest
 
@@ -28,7 +30,10 @@ from arrangements import (
     simple_multiarrangement,
     ziegler_restriction,
 )
-from arrangements.polynomials import monomial_count
+from arrangements import derivations
+from arrangements.cli import main
+from arrangements.linalg import echelon
+from arrangements.polynomials import monomial_count, mp_determinant
 from arrangements.restriction import localize_and_essentialize
 from conftest import defining_polynomial, euler_field, make
 
@@ -395,3 +400,79 @@ def test_exponents_carry_their_basis():
 def test_fractional_forms_are_handled_exactly():
     arr = make([[Fraction(1, 2), 0], [0, Fraction(2, 3)], [1, 1]], 2)
     assert tuple(rank2_exponents(simple_multiarrangement(arr))) == (1, 2)
+
+
+# The full scan's NotFree certificates.  On the first two inputs the
+# Hilbert-function stop rule cannot decide (the graded dimensions are those
+# of a free module), so only the certificate answers.  On the third, three
+# degree-2 generators come first, and their degrees miss |m| = 7.
+_DET_FAILS = (
+    [[1, -1, -2], [0, 1, 0], [1, 1, 0], [1, 2, -1]], 3, [1, 3, 1, 1],
+    "rank-many minimal generators fail the determinant criterion at degrees (2, 2, 2)",
+)
+_TOO_MANY = (
+    [[-1, -1, 1, 0], [0, 1, -1, -2], [-1, 0, -2, -2], [-1, 1, 0, 1], [-2, -1, -2, -2]],
+    4, [3, 1, 1, 3, 1],
+    "5 minimal generators by degree 3 exceed the rank 4",
+)
+
+_DEGREES_MISS = (
+    [[-2, 2, 2], [2, 2, -1], [-1, 0, -2], [-2, -1, -2]], 3, [1, 4, 1, 1],
+    "minimal generator degrees (2, 2, 2) sum to 6, not |m| = 7",
+)
+
+
+def _degree_fields(multi, d):
+    """A basis of the degree-d piece of D(A,m), as vector fields."""
+    kernel, monos = derivations._graded_kernel(multi, d)
+    return [derivations._field_from_vector(v, monos, multi.dim) for v in kernel]
+
+
+@pytest.mark.parametrize(
+    "forms, dim, mult, witness, dims",
+    [(*_DET_FAILS, [0, 0, 3, 9, 18]), (*_TOO_MANY, [0, 0, 3, 13, 34]),
+     (*_DEGREES_MISS, [0, 0, 3, 8, 16])],
+    ids=["determinant", "too-many-generators", "degrees-miss-the-total"],
+)
+def test_full_scan_certificates_answer_not_free(
+    forms, dim, mult, witness, dims, tmp_path, capsys
+):
+    multi = multiarrangement(make(forms, dim), mult)
+    assert [derivation_space_dim(multi, d) for d in range(5)] == dims
+    verdict = find_free_basis(multi)
+    assert (verdict.status, verdict.witness) == ("NotFree", witness)
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({"dim": dim, "hyperplanes": forms, "mult": mult}))
+    assert main(["exponents", str(path), "--json"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert json.loads(out) == {
+        "status": "NotFree", "exponents": None, "witness": witness, "degree_bound": None,
+    }
+
+
+def test_determinant_certificate_agrees_with_the_symbolic_determinant():
+    # dims 0, 0, 3, 9, 18 fit exponents (2, 2, 2), but the three degree-2
+    # fields have det(theta_i(x_j)) = 0, so they are no basis
+    forms, dim, mult, _ = _DET_FAILS
+    fields = _degree_fields(multiarrangement(make(forms, dim), mult), 2)
+    assert len(fields) == 3
+    assert mp_determinant([list(theta.components) for theta in fields]) == {}
+
+
+def test_too_many_generators_certificate_agrees_with_the_span_rank():
+    # x_k * theta for the three degree-2 fields span 11 of the 13 dimensions
+    # of D_3, so degree 3 adds two generators: five in all, past the rank 4
+    forms, dim, mult, _ = _TOO_MANY
+    multi = multiarrangement(make(forms, dim), mult)
+    low = _degree_fields(multi, 2)
+    assert len(low) == 3 and derivation_space_dim(multi, 3) == 13
+    shifted = []
+    for theta in low:
+        for k in range(dim):
+            step = tuple(int(i == k) for i in range(dim))
+            shifted.append({(i, tuple(map(add, e, step))): v
+                            for i, comp in enumerate(theta.components)
+                            for e, v in comp.items()})
+    keys = sorted(set().union(*shifted))
+    assert echelon([[vec.get(key, 0) for key in keys] for vec in shifted]).rank == 11

@@ -23,7 +23,6 @@ from arrangements.fileio import (
     dumps_indented,
     fraction_to_json,
     parse_arrangement_dict,
-    poly_coefficients,
     verdict_to_dict,
 )
 from arrangements import find_free_basis, char_poly
@@ -119,6 +118,30 @@ def test_an_integer_too_long_to_convert_is_an_input_error(tmp_path, capsys):
     assert out == "" and err.count("\n") == 1 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ('{"dim": 1, "hyperplanes": [[null]]}',
+         "hyperplanes[0][0]: expected a rational number, got None"),
+        ('{"dim": 1, "hyperplanes": [1]}', "hyperplanes[0] must be a list"),
+        ('{"dim": 1, "hyperplanes": [[1]], "labels": "H"}',
+         "field 'labels' must be a list of strings"),
+        ('{"dim": 1, "hyperplanes": [[1]], "labels": [7]}',
+         "field 'labels' must be a list of strings"),
+        ('{"dim": 1, "hyperplanes": [[1]], "mult": 2}',
+         "field 'mult' must be a list of integers"),
+    ],
+    ids=["entry-null", "row-not-a-list", "labels-not-a-list", "label-not-a-string",
+         "mult-not-a-list"],
+)
+def test_file_validation_exits_1_with_one_line(tmp_path, capsys, doc, message):
+    path = tmp_path / "bad.json"
+    path.write_text(doc)
+    assert main(["charpoly", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {path}: {message}\n"
+
+
 _DEEP = '{"dim": 2, "hyperplanes": ' + "[" * 100_000
 
 
@@ -167,7 +190,7 @@ def test_fraction_and_poly_helpers():
     assert fraction_to_json(Fraction(3)) == 3
     assert fraction_to_json(Fraction(-1, 2)) == "-1/2"
     chi = char_poly(CORPUS["braid-ess3"].arrangement)
-    assert poly_coefficients(chi) == [-6, 11, -6, 1]
+    assert list(chi.coeffs) == [-6, 11, -6, 1]
 
 
 def _assert_roundtrip(report):
