@@ -8,11 +8,12 @@
     arrangements compare FILE --h0 K [--bound N] [--assert-tame] [--json]
     arrangements corpus list | corpus get NAME
 
-FILE is a JSON arrangement file (see fileio) or `corpus:NAME` for a built-in
-example.  --verify reruns the computation through the independent oracles and
-exits 3 on any mismatch.  Exit codes: 0 ok/definitive, 2 Unknown verdict,
-3 verification mismatch or a failed internal invariant (TheoremViolation,
-e.g. freeness criteria that disagree), 1 usage or input error.
+FILE is a JSON arrangement file (see fileio) or `corpus:NAME`, read as the
+file `corpus get NAME` prints.  --verify reruns the computation through the
+independent oracles and exits 3 on any mismatch.  Exit codes: 0
+ok/definitive, 2 Unknown verdict, 3 verification mismatch or a failed
+internal invariant (TheoremViolation, e.g. freeness criteria that disagree),
+1 usage or input error.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ from .criteria import compare_coefficients
 from .derivations import UNKNOWN, find_free_basis
 from .errors import ArrangementError, BadPrime, InputError, TheoremViolation
 from .fileio import (
-    ArrangementInput,
     dumps_indented,
     load_arrangement,
+    parse_arrangement_dict,
     serialize_report,
     verdict_to_dict,
 )
@@ -62,9 +63,7 @@ def _corpus_entry(name):
 def _load_input(spec):
     if spec.startswith("corpus:"):
         entry = _corpus_entry(spec[len("corpus:") :])
-        return ArrangementInput(
-            arrangement=entry.arrangement, mult=entry.mult, labels=entry.labels()
-        )
+        return parse_arrangement_dict(entry.as_input(), spec)
     return load_arrangement(spec)
 
 

@@ -377,11 +377,11 @@ def find_free_basis(multi, degree_bound=None, candidates=None):
     polynomial-ring span of the generators already found.  Free is certified
     by the Saito determinant; NotFree by any of: more than rank-many minimal
     generators, rank-many with degree sum different from |m|, rank-many
-    failing the determinant identity, graded dimensions that fit no free
-    module, or exhaustion of all degrees up to |m|.  Unknown only occurs
-    when a user-supplied bound below |m| runs out.  Below rank 3, and with
-    candidate exponents, it computes kernels at the exponents alone (see
-    the module docstring).
+    failing the determinant identity, or graded dimensions that fit no free
+    module.  It decides by degree |m|, where the rank-many fields
+    Q(A,m) d/dx_i lie, so Unknown only occurs when a user-supplied bound
+    below |m| runs out.  Below rank 3, and with candidate exponents, it
+    computes kernels at the exponents alone (see the module docstring).
     """
     ess, center_dim = essentialize(multi)
     return _search(ess, center_dim, degree_bound, candidates)
@@ -458,12 +458,8 @@ def _search(ess, center_dim, degree_bound, candidates):
                 witness=f"graded dimension {len(kernel)} at degree {d} matches "
                 "no exponent partition of |m|",
             )
-    if bound >= total:
-        return verdict(
-            NOT_FREE,
-            witness=f"fewer than {rank} minimal generators exist up to "
-            f"degree |m| = {total}, where any free basis must live",
-        )
+    # the r fields Q(A,m)*d/dx_i lie in D(A,m) in degree |m|, so the loop
+    # returns by degree |m|: only a user bound below |m| ends here
     return verdict(UNKNOWN, bound=bound)
 
 

@@ -196,10 +196,6 @@ def fraction_to_json(value):
     return f"{value.numerator}/{value.denominator}"
 
 
-def _fraction_from_json(value):
-    return Fraction(value) if isinstance(value, str) else Fraction(int(value))
-
-
 def _flat_to_record(flat, cell):
     return {
         "codim": flat.codim,
@@ -214,10 +210,7 @@ def _flat_from_record(record):
     return Flat(
         record["codim"],
         sum(1 << j for j in record["hyperplanes"]),
-        equations=tuple(
-            tuple(_fraction_from_json(v) for v in row)
-            for row in record["equations"]
-        ),
+        equations=tuple(tuple(map(Fraction, row)) for row in record["equations"]),
     )
 
 

@@ -450,6 +450,21 @@ def test_corpus_get_is_loadable(capsys, tmp_path):
     code, out2, _ = run(capsys, "charpoly", str(path))
     assert code == 0
     assert "t^3 - 6t^2 + 11t - 6" in out2
+    # `corpus:NAME` and the file `corpus get NAME` prints give the same stdout
+    # and exit code under every subcommand that reads an input
+    for name, entry in CORPUS.items():
+        code, out, _ = run(capsys, "corpus", "get", name)
+        assert code == 0
+        path = tmp_path / f"{name}.json"
+        path.write_text(out)
+        h0 = ["--h0", str(entry.h0)]
+        commands = [["charpoly"], ["chambers"], ["exponents"], ["freeness", *h0]]
+        if not entry.mult or set(entry.mult) == {1}:
+            commands += [["ziegler", *h0], ["compare", *h0]]
+        for command, *rest in commands:
+            by_name = run(capsys, command, f"corpus:{name}", *rest)[:2]
+            by_file = run(capsys, command, str(path), *rest)[:2]
+            assert by_name == by_file, (command, name)
 
 
 def test_corpus_get_unknown_name(capsys):

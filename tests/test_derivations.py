@@ -205,6 +205,8 @@ def test_saito_check_rejections():
     assert not saito_check(wrong_degrees, multi)
     # degenerate: repeated member, determinant vanishes
     assert not saito_check((good[0], good[0]), multi)
+    # the zero field lies in D(A,m) but belongs to no basis
+    assert not saito_check((good[0], field({}, {})), multi)
 
 
 def test_rank2_exponents_acceptance_cases():

@@ -2,6 +2,7 @@
 integer-elimination path it falls back to."""
 
 import json
+from fractions import Fraction
 from math import gcd, prod
 from pathlib import Path
 from unittest import mock
@@ -301,3 +302,13 @@ def test_graded_kernels_match_exact_path_with_non_unit_pivots():
                 assert derivations._graded_kernel(multi, d)[0] == kernel
                 assert derivation_space_dim(multi, d) == dim
         checked += 1
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[[1, 2]], [[1], [2]], [[1, 0], [0]], [[Fraction(1, 2)]], [[1.0]]],
+    ids=["wide", "tall", "ragged", "fraction", "float"],
+)
+def test_det_refuses_a_non_square_or_non_integer_matrix(rows):
+    with pytest.raises(ValueError, match="square integer matrix"):
+        linalg.det(rows)

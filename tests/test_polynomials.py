@@ -33,6 +33,12 @@ def test_int_poly_takes_integers_only(x):
     assert IntPoly.from_roots([np.int64(6)]) == poly
 
 
+def test_divmod_monic_refuses_a_non_monic_divisor():
+    for divisor in (IntPoly([1, 2]), IntPoly([3]), IntPoly([])):
+        with pytest.raises(ValueError, match="divisor must be monic"):
+            IntPoly([1, 0, 1]).divmod_monic(divisor)
+
+
 @st.composite
 def _divisibility_cases(draw):
     """A linear form alpha whose pivot entry is not +-1, a power m >= 1, a

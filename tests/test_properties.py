@@ -127,6 +127,41 @@ def test_random_dim3_freeness_search_is_decisive():
     assert free_seen and notfree_seen  # the sample exercises both branches
 
 
+_SCAN_WITNESSES = (
+    "minimal generators by degree",
+    "minimal generator degrees",
+    "rank-many minimal generators fail",
+    "graded dimension",
+)
+
+
+@st.composite
+def _scan_inputs(draw):
+    """An essential arrangement of rank r = 3 or 4 with r to r + 2
+    hyperplanes (entries in -2..2, or -1..1 at rank 4) and multiplicities
+    1-4."""
+    rank = draw(st.integers(3, 4))
+    form = st.lists(st.integers(rank - 5, 5 - rank), min_size=rank, max_size=rank).filter(any)
+    forms = st.lists(form, min_size=rank, max_size=rank + 2, unique_by=normalize_form)
+    arr = draw(forms.map(lambda fs: canonicalize(fs, rank)).filter(lambda a: a.rank() == rank))
+    mult = draw(st.lists(st.integers(1, 4), min_size=arr.n_hyperplanes, max_size=arr.n_hyperplanes))
+    return multiarrangement(arr, mult)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_scan_inputs())
+def test_full_scan_decides_by_degree_total(multi):
+    # The rank-many fields Q(A,m) d/dx_i lie in D(A,m) in degree |m|, so with
+    # no bound the scan returns Free or one of its four NotFree certificates
+    # by then, and never runs out of degrees.
+    verdict = find_free_basis(multi)
+    assert not verdict.is_unknown
+    if verdict.is_free:
+        assert sum(verdict.exponents) == multi.total
+    else:
+        assert any(w in verdict.witness for w in _SCAN_WITNESSES), verdict.witness
+
+
 def test_random_coefficient_inequality_rank_le_3():
     # Rank <= 3 inputs are tame, so b_i >= sigma_i >= 0 must hold whenever
     # sigma_i is exact; the comparison itself enforces the theorem guard.

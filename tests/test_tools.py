@@ -12,12 +12,14 @@ SRC = str(Path(arrangements.__file__).resolve().parents[1])
 
 
 def test_derive_corpus_rederives_every_record():
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "derive_corpus.py")],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": SRC},
-        timeout=300,
-    )
-    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr
-    assert "all corpus records re-derived by oracles" in proc.stdout
+    # under -O too: its cross-checks are not asserts
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, str(ROOT / "tools" / "derive_corpus.py")],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": SRC},
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr
+        assert "all corpus records re-derived by oracles" in proc.stdout
