@@ -23,8 +23,8 @@ import functools
 import os
 import sys
 
-from . import corpus as corpus_data
 from .core import form_to_string, var_names
+from .corpus import CORPUS
 from .criteria import _restriction_verdicts, abe_yoshinaga_free_check, yoshinaga_3d
 from .criteria import compare_coefficients
 from .derivations import UNKNOWN, find_free_basis
@@ -32,7 +32,6 @@ from .errors import ArrangementError, BadPrime, InputError, TheoremViolation
 from .fileio import (
     dumps_indented,
     load_arrangement,
-    parse_arrangement_dict,
     serialize_report,
     verdict_to_dict,
 )
@@ -54,21 +53,23 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _corpus_entry(name):
-    try:
-        return corpus_data.get(name)
-    except KeyError as exc:
-        raise InputError(str(exc.args[0])) from None
+    if name not in CORPUS:
+        raise InputError(f"unknown corpus entry {name!r}; available: {', '.join(CORPUS)}")
+    return CORPUS[name]
 
 
 def _load_input(spec):
     if spec.startswith("corpus:"):
-        entry = _corpus_entry(spec[len("corpus:") :])
-        return parse_arrangement_dict(entry.as_input(), spec)
+        return _corpus_entry(spec[len("corpus:") :])
     return load_arrangement(spec)
 
 
+def _simple(inp):
+    return not inp.mult or all(m == 1 for m in inp.mult)
+
+
 def _require_simple(inp, command):
-    if inp.mult and any(m != 1 for m in inp.mult):
+    if not _simple(inp):
         raise InputError(
             f"{command} works on simple arrangements; drop the 'mult' field"
         )
@@ -244,11 +245,10 @@ def _cmd_freeness(args):
     inp = _load_input(args.file)
     arr = inp.arrangement
     multi = inp.multiarrangement()
-    simple = not inp.mult or all(m == 1 for m in inp.mult)
     bound = _bound(args)
     results, notes = {}, []
     # The two restriction criteria apply to simple arrangements only.
-    if args.method != "saito" and not simple:
+    if args.method != "saito" and not _simple(inp):
         if args.method != "all":
             raise InputError(f"{args.method} needs a simple arrangement")
         notes += [f"{m}: skipped (needs a simple arrangement)" for m in _RESTRICTION]
@@ -346,7 +346,7 @@ def _cmd_compare(args):
 
 def _cmd_corpus(args):
     if args.action == "list":
-        entries = [corpus_data.get(name) for name in corpus_data.names()]
+        entries = CORPUS.values()
         if args.json:
             print(
                 dumps_indented(

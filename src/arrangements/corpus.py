@@ -1,5 +1,9 @@
 """Built-in corpus: small arrangements with recorded invariants.
 
+Each entry is the ArrangementInput parsed from an arrangement-file document
+(see fileio), so `corpus:NAME` reads the entry itself and `corpus get NAME`
+prints the document it was parsed from.
+
 Every number in an expected record carries a provenance tag: "trivial" for
 values checkable by inspection (Boolean arrangements, degree counts) and
 "derived-by-oracle" for values produced by the independent oracles
@@ -14,50 +18,28 @@ the coordinate form z, matching the documented examples).
 
 from __future__ import annotations
 
-from .core import (
-    Multiarrangement,
-    _Frozen,
-    canonicalize,
-    form_to_string,
-    var_names,
-)
+from .core import form_to_string, var_names
+from .fileio import ArrangementInput, parse_arrangement_dict
 
 TRIVIAL = "trivial"
 DERIVED = "derived-by-oracle"
 
 
-class CorpusEntry(_Frozen):
-    """One corpus arrangement: its CentralArrangement, multiplicities (None
-    for the simple arrangement), h0 and expected invariants."""
+class CorpusEntry(ArrangementInput):
+    """One corpus arrangement: the ArrangementInput of its document, with
+    the entry's name, description, h0 and expected invariants."""
 
-    _fields = ("name", "description", "arrangement", "mult", "h0", "expected")
+    _fields = ("name", "description", "arrangement", "mult", "labels", "h0", "expected")
 
-    def __init__(self, name, description, arrangement, mult, h0, expected):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "description", description)
-        object.__setattr__(self, "arrangement", arrangement)
-        object.__setattr__(self, "mult", mult)
-        object.__setattr__(self, "h0", h0)
-        object.__setattr__(self, "expected", expected)
-
-    def multiarrangement(self):
-        mult = self.mult or (1,) * self.arrangement.n_hyperplanes
-        return Multiarrangement(self.arrangement, tuple(mult))
-
-    def labels(self):
-        names = var_names(self.arrangement.dim)
-        return tuple(form_to_string(f, names) for f in self.arrangement.forms)
+    def __init__(self, name, description, document, h0, expected):
+        # frozen: set the fields the way Flat does, and keep the document
+        inp = parse_arrangement_dict(document, f"corpus:{name}")
+        self.__dict__.update(vars(inp), name=name, description=description, h0=h0,
+                             expected=expected, _document=document)
 
     def as_input(self):
-        """The entry in the JSON arrangement-file layout."""
-        out = {
-            "dim": self.arrangement.dim,
-            "hyperplanes": [list(f) for f in self.arrangement.forms],
-            "labels": list(self.labels()),
-        }
-        if self.mult:
-            out["mult"] = list(self.mult)
-        return out
+        """The arrangement-file document the entry was parsed from."""
+        return self._document
 
 
 def _tag(value, provenance):
@@ -65,14 +47,11 @@ def _tag(value, provenance):
 
 
 def _entry(name, description, dim, forms, mult=None, h0=0, **expected):
-    return CorpusEntry(
-        name=name,
-        description=description,
-        arrangement=canonicalize(forms, dim),
-        mult=tuple(mult) if mult else None,
-        h0=h0,
-        expected=expected,
-    )
+    labels = [form_to_string(f, var_names(dim)) for f in forms]
+    document = {"dim": dim, "hyperplanes": forms, "labels": labels}
+    if mult:
+        document["mult"] = list(mult)
+    return CorpusEntry(name, description, document, h0, expected)
 
 
 CORPUS = {
@@ -240,15 +219,3 @@ CORPUS = {
     ]
 }
 
-
-def names():
-    return tuple(CORPUS)
-
-
-def get(name):
-    try:
-        return CORPUS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown corpus entry {name!r}; available: {', '.join(CORPUS)}"
-        ) from None

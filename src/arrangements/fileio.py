@@ -1,4 +1,4 @@
-"""Arrangement file parsing and report (de)serialization.
+"""JSON documents: the one reader and the one writer of the package.
 
 Arrangement files are JSON documents:
 
@@ -10,13 +10,16 @@ Arrangement files are JSON documents:
 `labels` and `mult` are optional.  Form entries are integers or exact
 rationals written as strings of the form [+-]digits[/digits] ("3", "-1/2");
 floats, and strings in any other spelling ("1.5", "1e3", "1_000", " 1/2"),
-are rejected to keep everything exact.  Malformed input, nesting deeper
-than the decoder recurses and an integer longer than Python converts
-(4 300 digits by default) raise InputError naming the offending field.
+are rejected to keep everything exact.  A corpus entry is the
+`ArrangementInput` of such a document.
 
 Reports serialize to flat JSON with exact integers only; `parse_report`
 inverts `serialize_report` exactly (value equality holds after a round
-trip).  Every JSON document the package prints is written by `dumps_indented`.
+trip).  Both kinds are read through one decoder and one set of field checks:
+malformed input, nesting deeper than the decoder recurses and an integer
+longer than Python converts (4 300 digits by default) raise InputError
+naming the offending field ("report: ..." in a report).  Every JSON
+document the package prints is written by `dumps_indented`.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from functools import partial
 from json.encoder import encode_basestring_ascii
 
 from .core import Multiarrangement, _Frozen, canonicalize
@@ -49,6 +53,59 @@ class ArrangementInput(_Frozen):
         return Multiarrangement(self.arrangement, tuple(mult))
 
 
+def _decode(text, where):
+    """The JSON value of text; every way to fail is an InputError."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{where}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer past Python's conversion limit
+        raise InputError(f"{where}: an integer has too many digits") from exc
+    except RecursionError as exc:
+        raise InputError(f"{where}: arrays or objects nested too deeply") from exc
+
+
+def _object(data, where, keys, required=False):
+    """Refuse data unless it is a JSON object with fields among keys (and
+    every one of them when required)."""
+    if not isinstance(data, dict):
+        raise InputError(f"{where}: top level must be a JSON object")
+    unknown = set(data) - set(keys)
+    if unknown:
+        raise InputError(f"{where}: unknown fields {sorted(unknown)}")
+    missing = [key for key in keys if key not in data]
+    if required and missing:
+        raise InputError(f"{where}: missing fields {missing}")
+
+
+def _field(data, where, key, ok, what):
+    """data[key] (None when absent), refused unless ok(value)."""
+    value = data.get(key)
+    if not ok(value):
+        raise InputError(f"{where}: field {key!r} must be {what}")
+    return value
+
+
+def _int(value, low=None):
+    """An int, not a bool, and at least low."""
+    return isinstance(value, int) and not isinstance(value, bool) and (low is None or value >= low)
+
+
+def _list_of(ok=None, length=None):
+    """The check of a list of length items (any number when None), each ok."""
+    return lambda v: (
+        isinstance(v, list) and length in (None, len(v)) and (ok is None or all(map(ok, v)))
+    )
+
+
+def _or_null(ok):
+    return lambda value: value is None or ok(value)
+
+
+def _str(value):
+    return isinstance(value, str)
+
+
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
@@ -71,58 +128,42 @@ def _rational(value, where):
     raise InputError(f"{where}: expected a rational number, got {value!r}")
 
 
-def parse_arrangement_dict(data, where="input"):
-    """Validate a decoded JSON document and build the arrangement."""
-    if not isinstance(data, dict):
-        raise InputError(f"{where}: top level must be a JSON object")
-    unknown = set(data) - {"dim", "hyperplanes", "labels", "mult"}
-    if unknown:
-        raise InputError(f"{where}: unknown fields {sorted(unknown)}")
-
-    dim = data.get("dim")
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        raise InputError(f"{where}: field 'dim' must be an integer >= 1")
-
-    rows = data.get("hyperplanes")
-    if not isinstance(rows, list):
-        raise InputError(f"{where}: field 'hyperplanes' must be a list of forms")
-    forms = []
+def _rows(rows, where, name, width):
+    """The rows as tuples of rationals; each must be a list of width entries."""
+    out = []
     for i, row in enumerate(rows):
         if not isinstance(row, list):
-            raise InputError(f"{where}: hyperplanes[{i}] must be a list")
-        if len(row) != dim:
-            raise InputError(
-                f"{where}: hyperplanes[{i}] has {len(row)} entries, expected {dim}"
-            )
-        forms.append(
-            tuple(
-                _rational(v, f"{where}: hyperplanes[{i}][{j}]")
-                for j, v in enumerate(row)
-            )
-        )
+            raise InputError(f"{where}: {name}[{i}] must be a list")
+        if len(row) != width:
+            raise InputError(f"{where}: {name}[{i}] has {len(row)} entries, expected {width}")
+        out.append(tuple(_rational(v, f"{where}: {name}[{i}][{j}]") for j, v in enumerate(row)))
+    return out
 
-    labels = data.get("labels")
+
+def parse_arrangement_dict(data, where="input"):
+    """Validate a decoded JSON document and build the arrangement."""
+    _object(data, where, ("dim", "hyperplanes", "labels", "mult"))
+    field = partial(_field, data, where)
+    dim = field("dim", lambda v: _int(v, 1), "an integer >= 1")
+    rows = field("hyperplanes", _list_of(), "a list of forms")
+    forms = _rows(rows, where, "hyperplanes", dim)
+
+    labels = field("labels", _or_null(_list_of(_str)), "a list of strings")
     if labels is not None:
-        if not isinstance(labels, list) or not all(
-            isinstance(s, str) for s in labels
-        ):
-            raise InputError(f"{where}: field 'labels' must be a list of strings")
         if len(labels) != len(forms):
             raise InputError(
                 f"{where}: {len(labels)} labels for {len(forms)} hyperplanes"
             )
         labels = tuple(labels)
 
-    mult = data.get("mult")
+    mult = field("mult", _or_null(_list_of()), "a list of integers")
     if mult is not None:
-        if not isinstance(mult, list):
-            raise InputError(f"{where}: field 'mult' must be a list of integers")
         if len(mult) != len(forms):
             raise InputError(
                 f"{where}: {len(mult)} multiplicities for {len(forms)} hyperplanes"
             )
         for i, m in enumerate(mult):
-            if not isinstance(m, int) or isinstance(m, bool) or m < 0:
+            if not _int(m, 0):
                 raise InputError(
                     f"{where}: mult[{i}] must be a non-negative integer"
                 )
@@ -136,17 +177,7 @@ def parse_arrangement_dict(data, where="input"):
 
 
 def loads_arrangement(text, where="input"):
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(
-            f"{where}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
-    except ValueError as exc:  # an integer past Python's conversion limit
-        raise InputError(f"{where}: an integer has too many digits") from exc
-    except RecursionError as exc:
-        raise InputError(f"{where}: arrays or objects nested too deeply") from exc
-    return parse_arrangement_dict(data, where)
+    return parse_arrangement_dict(_decode(text, where), where)
 
 
 def load_arrangement(path):
@@ -206,14 +237,6 @@ def _flat_to_record(flat, cell):
     }
 
 
-def _flat_from_record(record):
-    return Flat(
-        record["codim"],
-        sum(1 << j for j in record["hyperplanes"]),
-        equations=tuple(tuple(map(Fraction, row)) for row in record["equations"]),
-    )
-
-
 def report_to_dict(report):
     table = report.table
     per_flat = [
@@ -241,31 +264,89 @@ def report_to_dict(report):
     }
 
 
-def report_from_dict(data):
-    sigma = tuple(
-        SigmaStatus(value, method)
-        for value, method in zip(data["sigma"], data["sigma_methods"])
+_REPORT_KEYS = (
+    "dim", "n_hyperplanes", "h0", "b", "sigma", "sigma_methods", "tame_arrangement",
+    "tame_arrangement_reason", "tame_restriction", "tame_restriction_reason", "inequality",
+    "chamber_bound", "mca", "degree_bound", "per_flat",
+)
+_FLAT_KEYS = ("codim", "equations", "hyperplanes", "b", "sigma")
+
+
+def _bool(value):
+    return isinstance(value, bool)
+
+
+def _flat_from_record(record, where, dim, n):
+    """The flat of a per_flat record, with its {"b", "sigma"} cell."""
+    _object(record, where, _FLAT_KEYS, required=True)
+    field = partial(_field, record, where)
+    codim = field("codim", lambda v: _int(v, 0), "an integer >= 0")
+    rows = field("equations", _list_of(length=codim), f"a list of {codim} rows")
+    equations = tuple(_rows(rows, where, "equations", dim))
+    hyperplanes = field(
+        "hyperplanes",
+        lambda v: _list_of(lambda j: _int(j, 0) and j < n)(v) and len(set(v)) == len(v),
+        f"a list of distinct hyperplane indices below {n}",
     )
-    per_flat = {
-        _flat_from_record(record): {"b": record["b"], "sigma": record["sigma"]}
-        for record in data["per_flat"]
+    cell = {
+        "b": field("b", _int, "an integer"),
+        "sigma": field("sigma", _or_null(_int), "an integer or null"),
     }
-    table = CoefficientTable(b=tuple(data["b"]), sigma=sigma, per_flat=per_flat)
+    return Flat(codim, sum(1 << j for j in hyperplanes), equations=equations), cell
+
+
+def report_from_dict(data):
+    """Invert report_to_dict, checking the type and shape of every field;
+    InputError names the field at fault."""
+    where = "report"
+    _object(data, where, _REPORT_KEYS, required=True)
+    field = partial(_field, data, where)
+    dim = field("dim", lambda v: _int(v, 1), "an integer >= 1")
+    n = field("n_hyperplanes", lambda v: _int(v, 1), "an integer >= 1")
+    h0 = field("h0", lambda v: _int(v, 0), "an integer >= 0")
+
+    def vector(key, ok, what):
+        return tuple(field(key, _list_of(ok, dim), f"a list of {dim} {what}"))
+
+    b = vector("b", _int, "integers")
+    sigma = tuple(
+        map(
+            SigmaStatus,
+            vector("sigma", _or_null(_int), "integers or nulls"),
+            vector("sigma_methods", _or_null(_str), "strings or nulls"),
+        )
+    )
+    tame_arrangement, tame_restriction = (
+        TamenessTag(field(key, _str, "a string"),
+                    field(f"{key}_reason", _or_null(_str), "a string or null"))
+        for key in ("tame_arrangement", "tame_restriction")
+    )
+    inequality = vector("inequality", _or_null(_bool), "booleans or nulls")
+    chamber_bound = field(
+        "chamber_bound",
+        lambda v: _list_of(length=2)(v) and _int(v[0]) and _or_null(_int)(v[1]),
+        "a pair [integer, integer or null]",
+    )
+    mca = field("mca", _or_null(_bool), "a boolean or null")
+    degree_bound = field("degree_bound", _or_null(lambda v: _int(v, 0)), "an integer >= 0 or null")
+    records = field("per_flat", _list_of(lambda r: isinstance(r, dict)), "a list of objects")
+    per_flat = {}
+    for i, record in enumerate(records):
+        flat, cell = _flat_from_record(record, f"{where}: per_flat[{i}]", dim, n)
+        if flat in per_flat:
+            raise InputError(f"{where}: per_flat[{i}] repeats the flat of an earlier record")
+        per_flat[flat] = cell
     return ComparisonReport(
-        dim=data["dim"],
-        n_hyperplanes=data["n_hyperplanes"],
-        h0=data["h0"],
-        table=table,
-        tame_arrangement=TamenessTag(
-            data["tame_arrangement"], data["tame_arrangement_reason"]
-        ),
-        tame_restriction=TamenessTag(
-            data["tame_restriction"], data["tame_restriction_reason"]
-        ),
-        inequality=tuple(data["inequality"]),
-        chamber_bound=tuple(data["chamber_bound"]),
-        mca=data["mca"],
-        degree_bound=data["degree_bound"],
+        dim=dim,
+        n_hyperplanes=n,
+        h0=h0,
+        table=CoefficientTable(b=b, sigma=sigma, per_flat=per_flat),
+        tame_arrangement=tame_arrangement,
+        tame_restriction=tame_restriction,
+        inequality=inequality,
+        chamber_bound=tuple(chamber_bound),
+        mca=mca,
+        degree_bound=degree_bound,
     )
 
 
@@ -274,7 +355,7 @@ def serialize_report(report):
 
 
 def parse_report(text):
-    return report_from_dict(json.loads(text))
+    return report_from_dict(_decode(text, "report"))
 
 
 def verdict_to_dict(verdict):

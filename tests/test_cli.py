@@ -427,7 +427,7 @@ def test_corpus_list_json(capsys):
     code, out, _ = run(capsys, "corpus", "list", "--json")
     assert code == 0
     records = json.loads(out)
-    assert [r["name"] for r in records] == list(arrangements.corpus.names())
+    assert [r["name"] for r in records] == list(CORPUS)
     for record in records:
         entry = CORPUS[record["name"]]
         assert record == {

@@ -20,6 +20,8 @@ from arrangements import (
     char_poly,
     compare_coefficients,
     find_free_basis,
+    parse_report,
+    serialize_report,
     simple_multiarrangement,
 )
 
@@ -111,3 +113,14 @@ def test_four_cycle_is_tame_and_not_mca_at_every_h0():
         assert tuple(report.table.b) == (1, 3, 3, 0)
         assert tuple(s.value for s in report.table.sigma) == (1, 3, 2, 0)
         assert report.mca is False
+
+
+MEMBERS = {name: arr for name, (arr, _) in FREE.items()}
+MEMBERS.update((f"{n}-cycle", _graphic(n, _cycle(n))) for n in (4, 5))
+
+
+@pytest.mark.parametrize("name", sorted(MEMBERS))
+def test_report_round_trip_at_h0_0(name):
+    # the 5-cycle leaves sigma_3 unresolved, so its report holds nulls
+    report = compare_coefficients(MEMBERS[name], 0)
+    assert parse_report(serialize_report(report)) == report

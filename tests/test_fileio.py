@@ -176,7 +176,7 @@ def test_load_arrangement_roundtrip_through_file(tmp_path):
     path.write_text(json.dumps(entry.as_input()))
     inp = load_arrangement(path)
     assert inp.arrangement == entry.arrangement
-    assert inp.labels == entry.labels()
+    assert inp.labels == entry.labels
 
 
 def test_parse_arrangement_dict_bool_rejection():
@@ -197,7 +197,7 @@ def _assert_roundtrip(report):
     text = serialize_report(report)
     parsed = parse_report(text)
     assert parsed == report
-    # the int entries of the equations come back as Fractions and print alike
+    # the equations come back as ints and Fractions, as they were computed
     assert serialize_report(parsed) == text
     # flats compare by their hyperplane sets, so compare the equations too
     assert {x: x.equations for x in parsed.table.per_flat} == {
@@ -205,7 +205,7 @@ def _assert_roundtrip(report):
     }
 
 
-@pytest.mark.parametrize("name", ["generic34", "braid-ess3", "generic45"])
+@pytest.mark.parametrize("name", list(CORPUS))
 def test_report_json_roundtrip(name):
     entry = CORPUS[name]
     _assert_roundtrip(compare_coefficients(entry.arrangement, entry.h0))
@@ -244,6 +244,52 @@ def test_report_json_roundtrip_keeps_a_sigma_left_unknown():
     assert report.table.sigma[3].value is None
     assert None in [v["sigma"] for v in report.table.per_flat.values()]
     _assert_roundtrip(report)
+
+
+_GENERIC34 = json.loads(
+    serialize_report(compare_coefficients(CORPUS["generic34"].arrangement, CORPUS["generic34"].h0))
+)
+
+
+def _edited_report(edit):
+    """The generic34 report as JSON text, after edit(its document)."""
+    data = json.loads(json.dumps(_GENERIC34))
+    edit(data)
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize(
+    "text, fragment",
+    [
+        ("{}", "missing fields ['dim', 'n_hyperplanes', "),
+        ("[]", "top level must be a JSON object"),
+        ("{not json", "line 1, column 2"),
+        (_edited_report(lambda d: d.pop("mca")), "missing fields ['mca']"),
+        (_edited_report(lambda d: d.update(extra=1)), "unknown fields ['extra']"),
+        (_edited_report(lambda d: d.update(b="x")), "field 'b' must be a list of 3 integers"),
+        (_edited_report(lambda d: d.update(sigma=d["sigma"][:1])), "field 'sigma'"),
+        (_edited_report(lambda d: d.update(dim=True)), "field 'dim'"),
+        (_edited_report(lambda d: d["per_flat"][1].update(hyperplanes=["a"])),
+         "per_flat[1]: field 'hyperplanes'"),
+        (_edited_report(lambda d: d["per_flat"][1].update(hyperplanes=[-1])),
+         "per_flat[1]: field 'hyperplanes'"),
+        (_edited_report(lambda d: d["per_flat"][1]["equations"][0].__setitem__(0, 0.5)),
+         "per_flat[1]: equations[0][0]: floats are not accepted"),
+        (_edited_report(lambda d: d["per_flat"][1].update(hyperplanes=[4])),
+         "per_flat[1]: field 'hyperplanes' must be a list of distinct hyperplane indices below 4"),
+        (_edited_report(lambda d: d["per_flat"].append(d["per_flat"][1])),
+         "per_flat[5] repeats the flat of an earlier record"),
+    ],
+    ids=["empty-object", "array", "not-json", "missing-key", "unknown-key", "b-a-string",
+         "sigma-short", "dim-a-bool", "flat-index-a-string", "flat-index-negative",
+         "flat-equation-a-float", "flat-index-past-n", "flat-repeated"],
+)
+def test_parse_report_refusals_name_the_field(text, fragment):
+    # a report is read with the checks of an arrangement file: one typed
+    # error naming the field, never a KeyError, TypeError or a silent cut
+    with pytest.raises(InputError) as info:
+        parse_report(text)
+    assert str(info.value).startswith("report: ") and fragment in str(info.value)
 
 
 def test_report_json_is_exact_integers_only():

@@ -27,7 +27,7 @@ import sys
 from pathlib import Path
 
 import arrangements
-from arrangements import corpus, criteria
+from arrangements import CORPUS, criteria
 from arrangements.cli import main
 
 HERE = Path(__file__).parent
@@ -56,13 +56,13 @@ COMPARE_EXTRAS = ("braid-ess4", "generic45", "boolean4")
 
 
 def cases():
-    for name in corpus.names():
-        for variant in variants(corpus.get(name).h0):
+    for name in CORPUS:
+        for variant in variants(CORPUS[name].h0):
             for mode in ((), ("--json",)):
                 cmd, *rest = variant
                 yield [cmd, f"corpus:{name}", *rest, *mode]
     for name in COMPARE_EXTRAS:
-        h = ("--h0", str(corpus.get(name).h0))
+        h = ("--h0", str(CORPUS[name].h0))
         for extra in (("--bound", "1"), ("--bound", "2"), ("--bound", "3"), ("--assert-tame",)):
             for mode in ((), ("--json",)):
                 yield ["compare", f"corpus:{name}", *h, *extra, *mode]
@@ -138,12 +138,12 @@ NUMPY_GUARD = """
 import json, sys
 import arrangements, arrangements.cli
 assert "numpy" not in sys.modules, "import arrangements.cli"
-from test_golden_cli import GOLDEN, GOLDEN_BASES, corpus, run_cli
+from test_golden_cli import CORPUS, GOLDEN, GOLDEN_BASES, run_cli
 dense = "bases/B3-transformed.json"
 bases = json.loads(GOLDEN_BASES.read_text(encoding="utf-8"))
 for expected in json.loads(GOLDEN.read_text(encoding="utf-8")):
     assert run_cli(expected["argv"]) == expected, expected["argv"]
-for name in corpus.names():
+for name in CORPUS:
     run_cli(["compare", f"corpus:{name}", "--h0", "0"])
 for expected in bases:
     if dense not in expected["argv"]:

@@ -120,10 +120,11 @@ VALUES = [
      "AffineArrangement(dim=1, n=2)", True),
     (Multiarrangement, dict(base=PAIR, mult=(2, 1)),
      "Multiarrangement(dim=2, n=2, |m|=3)", True),
-    (CorpusEntry, dict(name="pair", description="two lines", arrangement=PAIR, mult=(),
+    (CorpusEntry, dict(name="pair", description="two lines",
+                       document={"dim": 2, "hyperplanes": [[0, 1], [1, 0]], "labels": ["y", "x"]},
                        h0=0, expected=(("chambers", 4),)),
      "CorpusEntry(name='pair', description='two lines', arrangement=CentralArrangement(dim=2, n=2), "
-     "mult=(), h0=0, expected=(('chambers', 4),))", True),
+     "mult=None, labels=('y', 'x'), h0=0, expected=(('chambers', 4),))", True),
     (TamenessTag, dict(status="Tame", reason="rank<=3"),
      "TamenessTag(status='Tame', reason='rank<=3')", True),
     (ComparisonReport, dict(dim=2, n_hyperplanes=2, h0=0, table=TABLE, tame_arrangement=TAME,
