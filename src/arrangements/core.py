@@ -134,6 +134,7 @@ class Multiarrangement(_Frozen):
     _fields = ("base", "mult")
 
     def __init__(self, base, mult):
+        _refuse_affine(base, "a multiarrangement")
         if len(mult) != base.n_hyperplanes:
             raise DimensionMismatch("one multiplicity per hyperplane required")
         if not all(isinstance(m, int) and not isinstance(m, bool) for m in mult):
@@ -167,6 +168,11 @@ class Multiarrangement(_Frozen):
 
     def __repr__(self):
         return f"Multiarrangement(dim={self.dim}, n={self.base.n_hyperplanes}, |m|={self.total})"
+
+
+def _refuse_affine(arr, what):
+    if isinstance(arr, AffineArrangement):
+        raise TypeError(f"{what} needs a central arrangement")
 
 
 def _check_dim(dim):
@@ -287,6 +293,7 @@ def essentialize(arr):
     multiplicity-zero hyperplanes are dropped, since the essential model only
     carries the algebraically visible part.
     """
+    _refuse_affine(arr, "essentialization")
     multi = isinstance(arr, Multiarrangement)
     base = arr.base if multi else arr
     idx = arr.effective() if multi else range(base.n_hyperplanes)

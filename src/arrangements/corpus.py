@@ -37,6 +37,10 @@ class CorpusEntry(ArrangementInput):
         self.__dict__.update(vars(inp), name=name, description=description, h0=h0,
                              expected=expected, _document=document)
 
+    def __hash__(self):
+        # every field but the last, expected, which holds dicts
+        return hash(self._values()[:-1])
+
     def as_input(self):
         """The arrangement-file document the entry was parsed from."""
         return self._document

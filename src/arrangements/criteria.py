@@ -108,35 +108,51 @@ def tameness_classify(arr, degree_bound=None, user_asserted=False):
 class ComparisonReport(_Value):
     """Everything compare_coefficients establishes about one (A, h0) pair.
 
-    inequality holds per index True, False or None (sigma unresolved);
-    chamber_bound is (sum of b, sum of sigma or None); mca is True, False
-    or None.
+    It stores what compare measured; the rest is read off table.b and
+    table.sigma: inequality holds per index True, False or None (sigma_i
+    unresolved), chamber_bound is (sum of b, sum of sigma or None), and mca
+    (sum b = sum sigma) is True, False or None.
     """
 
-    _fields = ("dim", "n_hyperplanes", "h0", "table", "tame_arrangement", "tame_restriction",
-               "inequality", "chamber_bound", "mca", "degree_bound")
+    _fields = ("n_hyperplanes", "h0", "table", "tame_arrangement", "tame_restriction",
+               "degree_bound")
 
-    def __init__(self, dim, n_hyperplanes, h0, table, tame_arrangement, tame_restriction,
-                 inequality, chamber_bound, mca, degree_bound=None):
-        self.dim = dim
+    def __init__(self, n_hyperplanes, h0, table, tame_arrangement, tame_restriction,
+                 degree_bound=None):
         self.n_hyperplanes = n_hyperplanes
         self.h0 = h0
         self.table = table
         self.tame_arrangement = tame_arrangement
         self.tame_restriction = tame_restriction
-        self.inequality = inequality
-        self.chamber_bound = chamber_bound
-        self.mca = mca
         self.degree_bound = degree_bound
+
+    @property
+    def dim(self):
+        return len(self.table.b)
 
     @property
     def all_sigma_exact(self):
         return all(s.exact for s in self.table.sigma)
 
+    @property
+    def inequality(self):
+        table = self.table
+        return tuple(b >= s.value if s.exact else None for b, s in zip(table.b, table.sigma))
+
+    @property
+    def chamber_bound(self):
+        sigma = [s.value for s in self.table.sigma]
+        return sum(self.table.b), (None if None in sigma else sum(sigma))
+
+    @property
+    def mca(self):
+        total_b, total_sigma = self.chamber_bound
+        return None if total_sigma is None else total_b == total_sigma
+
 
 def compare_coefficients(arr, h0, degree_bound=None, assert_tame=False):
-    """Assemble the b- and sigma-vectors, the per-flat decomposition, the
-    per-index inequality record and the chamber-count bound.
+    """Assemble the b- and sigma-vectors and the per-flat decomposition,
+    with the tameness tags of A and A''.
 
     Raises TheoremViolation when both tameness tags are Tame yet some exact
     sigma_i exceeds b_i: the theorem rules that out, so it can only mean an
@@ -177,37 +193,19 @@ def compare_coefficients(arr, h0, degree_bound=None, assert_tame=False):
                 )
     sigma = (tuple(sig) + (SigmaStatus(0, "definition"),) * ell)[:ell]
     table.sigma = sigma
-    inequality = tuple(
-        (table.b[i] >= s.value) if s.exact else None for i, s in enumerate(sigma)
-    )
-    sum_b = sum(table.b)
-    sum_sigma = (
-        sum(s.value for s in sigma) if all(s.exact for s in sigma) else None
-    )
     # The exponents of A are (1, d_2, ..., d_r) for those of A'' (zeros
     # for the center aside), so a bound admits both or neither: when the
     # search of A'' is Unknown, so is that of A.
     tame_a = _tameness_tag(rank_r + 1, _free_by_restriction(top, table.b), assert_tame)
     tame_r = _tameness_tag(rank_r, top.is_free, assert_tame)
-    if tame_a.is_tame and tame_r.is_tame and False in inequality:
-        i = inequality.index(False)
+    report = ComparisonReport(arr.n_hyperplanes, h0, table, tame_a, tame_r, degree_bound)
+    if tame_a.is_tame and tame_r.is_tame and False in report.inequality:
+        i = report.inequality.index(False)
         raise TheoremViolation(
             f"sigma_{i} = {sigma[i].value} exceeds b_{i} = {table.b[i]} "
             "although both tameness tags are Tame"
         )
-    mca = (sum_b == sum_sigma) if sum_sigma is not None else None
-    return ComparisonReport(
-        dim=ell,
-        n_hyperplanes=arr.n_hyperplanes,
-        h0=h0,
-        table=table,
-        tame_arrangement=tame_a,
-        tame_restriction=tame_r,
-        inequality=inequality,
-        chamber_bound=(sum_b, sum_sigma),
-        mca=mca,
-        degree_bound=degree_bound,
-    )
+    return report
 
 
 def _divisionally_free(lattice, chi0):

@@ -72,7 +72,7 @@ def _object(data, where, keys, required=False):
         raise InputError(f"{where}: top level must be a JSON object")
     unknown = set(data) - set(keys)
     if unknown:
-        raise InputError(f"{where}: unknown fields {sorted(unknown)}")
+        raise InputError(f"{where}: unknown fields {sorted(unknown, key=str)}")
     missing = [key for key in keys if key not in data]
     if required and missing:
         raise InputError(f"{where}: missing fields {missing}")
@@ -272,10 +272,6 @@ _REPORT_KEYS = (
 _FLAT_KEYS = ("codim", "equations", "hyperplanes", "b", "sigma")
 
 
-def _bool(value):
-    return isinstance(value, bool)
-
-
 def _flat_from_record(record, where, dim, n):
     """The flat of a per_flat record, with its {"b", "sigma"} cell."""
     _object(record, where, _FLAT_KEYS, required=True)
@@ -296,8 +292,9 @@ def _flat_from_record(record, where, dim, n):
 
 
 def report_from_dict(data):
-    """Invert report_to_dict, checking the type and shape of every field;
-    InputError names the field at fault."""
+    """Invert report_to_dict, checking the type and shape of every field and
+    that inequality, chamber_bound and mca are the values read off b and
+    sigma; InputError names the field at fault."""
     where = "report"
     _object(data, where, _REPORT_KEYS, required=True)
     field = partial(_field, data, where)
@@ -321,13 +318,6 @@ def report_from_dict(data):
                     field(f"{key}_reason", _or_null(_str), "a string or null"))
         for key in ("tame_arrangement", "tame_restriction")
     )
-    inequality = vector("inequality", _or_null(_bool), "booleans or nulls")
-    chamber_bound = field(
-        "chamber_bound",
-        lambda v: _list_of(length=2)(v) and _int(v[0]) and _or_null(_int)(v[1]),
-        "a pair [integer, integer or null]",
-    )
-    mca = field("mca", _or_null(_bool), "a boolean or null")
     degree_bound = field("degree_bound", _or_null(lambda v: _int(v, 0)), "an integer >= 0 or null")
     records = field("per_flat", _list_of(lambda r: isinstance(r, dict)), "a list of objects")
     per_flat = {}
@@ -336,18 +326,14 @@ def report_from_dict(data):
         if flat in per_flat:
             raise InputError(f"{where}: per_flat[{i}] repeats the flat of an earlier record")
         per_flat[flat] = cell
-    return ComparisonReport(
-        dim=dim,
-        n_hyperplanes=n,
-        h0=h0,
-        table=CoefficientTable(b=b, sigma=sigma, per_flat=per_flat),
-        tame_arrangement=tame_arrangement,
-        tame_restriction=tame_restriction,
-        inequality=inequality,
-        chamber_bound=tuple(chamber_bound),
-        mca=mca,
-        degree_bound=degree_bound,
-    )
+    report = ComparisonReport(n, h0, CoefficientTable(b, sigma, per_flat), tame_arrangement,
+                              tame_restriction, degree_bound)
+    # compared as JSON text, so that 1 is not true and 7.0 is not 7
+    for key in ("inequality", "chamber_bound", "mca"):
+        derived = json.dumps(getattr(report, key))
+        if json.dumps(data[key]) != derived:
+            raise InputError(f"{where}: field {key!r} must be {derived}, as read off b and sigma")
+    return report
 
 
 def serialize_report(report):

@@ -29,7 +29,7 @@ from fractions import Fraction
 from itertools import combinations
 from operator import add, index, sub
 
-from .core import AffineArrangement, CentralArrangement, _Frozen, normalize_affine
+from .core import CentralArrangement, _Frozen, _refuse_affine, normalize_affine
 from .errors import BadPrime, FlatNotInLattice, InconsistentCounts
 from .lattice import hyperplane_rows
 from .linalg import echelon
@@ -83,11 +83,6 @@ def minor_bound(arr):
 
     grow(len(rows), 0, [1])
     return best
-
-
-def _refuse_affine(arr, what):
-    if isinstance(arr, AffineArrangement):
-        raise TypeError(f"{what} needs a central arrangement")
 
 
 def _is_prime(q):

@@ -34,7 +34,8 @@ first flat of L(A) whose mask holds h0's bit and Y's, one level up.
 
 from __future__ import annotations
 
-from .core import AffineArrangement, CentralArrangement, Multiarrangement, _Value, essentialize
+from .core import (AffineArrangement, CentralArrangement, Multiarrangement, _Value, _refuse_affine,
+                   essentialize)
 from .errors import FlatNotInLattice, IndexOutOfRange, TheoremViolation, WrongRank
 from .lattice import (Flat, _keys, _member, _restrict, hyperplane_rows, intersection_lattice,
                       reduced_char_poly)
@@ -42,6 +43,7 @@ from .linalg import _pivot_col
 
 
 def _check_index(arr, h0):
+    _refuse_affine(arr, "an (A, h0) pair")
     n = arr.n_hyperplanes
     if isinstance(h0, bool) or not isinstance(h0, int) or not 0 <= h0 < n:
         where = f" outside 0..{n - 1}" if n else ": the arrangement has no hyperplanes"
@@ -108,6 +110,7 @@ def rho(arr, h0, flat, dA_lattice=None):
     X cap H0.  Each call builds L(A), which L(A'') is read off; pass the
     lattice of decone(arr, h0) to skip building that one as well.
     """
+    restriction = ziegler_restriction(arr, h0)
     lat = dA_lattice if dA_lattice is not None else intersection_lattice(decone(arr, h0))
     y = lat.lookup(flat)
     # hyperplane k of the deconing is k (k < h0) or k + 1 of arr: shift bits >= h0
@@ -116,7 +119,7 @@ def rho(arr, h0, flat, dA_lattice=None):
     join = next(x for x in lattice.flats if x.mask & want == want)
     if join.codim != y.codim + 1:
         raise TheoremViolation("no flat one level up meets H0; this is a bug")
-    flats, parents = _restriction_flats(lattice, h0, ziegler_restriction(arr, h0))
+    flats, parents = _restriction_flats(lattice, h0, restriction)
     return flats[parents.index(join.mask)]
 
 

@@ -179,6 +179,13 @@ def test_load_arrangement_roundtrip_through_file(tmp_path):
     assert inp.labels == entry.labels
 
 
+def test_unknown_keys_of_any_type_are_named():
+    # a dict built in Python may mix key types; its unknown keys are listed
+    # in the order of their str
+    with pytest.raises(InputError, match=r"^input: unknown fields \[1, 'x'\]$"):
+        parse_arrangement_dict({1: 0, "x": 1})
+
+
 def test_parse_arrangement_dict_bool_rejection():
     with pytest.raises(InputError):
         parse_arrangement_dict({"dim": True, "hyperplanes": []})
@@ -279,10 +286,24 @@ def _edited_report(edit):
          "per_flat[1]: field 'hyperplanes' must be a list of distinct hyperplane indices below 4"),
         (_edited_report(lambda d: d["per_flat"].append(d["per_flat"][1])),
          "per_flat[5] repeats the flat of an earlier record"),
+        # inequality, chamber_bound and mca are read off b = (1, 3, 3) and
+        # sigma = (1, 3, 2), and must be stated exactly so
+        (_edited_report(lambda d: d.update(mca=True, chamber_bound=[7, 7])),
+         "field 'chamber_bound' must be [7, 6], as read off b and sigma"),
+        (_edited_report(lambda d: d.update(mca=True)), "field 'mca' must be false"),
+        (_edited_report(lambda d: d.update(mca=0)), "field 'mca' must be false"),
+        (_edited_report(lambda d: d["inequality"].__setitem__(0, 1)),
+         "field 'inequality' must be [true, true, true]"),
+        (_edited_report(lambda d: d["inequality"].__setitem__(2, False)),
+         "field 'inequality' must be [true, true, true]"),
+        (_edited_report(lambda d: d.update(chamber_bound=[7.0, 6])),
+         "field 'chamber_bound' must be [7, 6]"),
     ],
     ids=["empty-object", "array", "not-json", "missing-key", "unknown-key", "b-a-string",
          "sigma-short", "dim-a-bool", "flat-index-a-string", "flat-index-negative",
-         "flat-equation-a-float", "flat-index-past-n", "flat-repeated"],
+         "flat-equation-a-float", "flat-index-past-n", "flat-repeated", "forged-mca",
+         "mca-flipped", "mca-zero-for-false", "inequality-one-for-true", "inequality-flipped",
+         "chamber-bound-float"],
 )
 def test_parse_report_refusals_name_the_field(text, fragment):
     # a report is read with the checks of an arrangement file: one typed

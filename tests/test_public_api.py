@@ -17,6 +17,7 @@ import pytest
 
 import arrangements
 from arrangements import (
+    CORPUS,
     AffineArrangement,
     ArrangementInput,
     CentralArrangement,
@@ -30,6 +31,7 @@ from arrangements import (
     PrimeWitness,
     SigmaStatus,
     TamenessTag,
+    compare_coefficients,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -110,7 +112,9 @@ def test_importing_the_cli_loads_no_dataclasses_inspect_or_numpy():
 
 
 PAIR = CentralArrangement(2, ((0, 1), (1, 0)))
-TABLE = CoefficientTable((1, 1), (SigmaStatus(1, "definition"),), {Flat(1, 1): {"b": 1, "sigma": 1}})
+# compare_coefficients(PAIR, 0): b = sigma = (1, 1)
+TABLE = CoefficientTable((1, 1), (SigmaStatus(1, "definition"),) * 2,
+                         {Flat(0, 0): {"b": 1, "sigma": 1}, Flat(1, 1): {"b": 1, "sigma": 1}})
 TAME = TamenessTag("Tame", "rank<=3")
 # class, fields, repr, frozen (hashable by its fields, no assignment)
 VALUES = [
@@ -127,14 +131,14 @@ VALUES = [
      "mult=None, labels=('y', 'x'), h0=0, expected=(('chambers', 4),))", True),
     (TamenessTag, dict(status="Tame", reason="rank<=3"),
      "TamenessTag(status='Tame', reason='rank<=3')", True),
-    (ComparisonReport, dict(dim=2, n_hyperplanes=2, h0=0, table=TABLE, tame_arrangement=TAME,
-                            tame_restriction=TAME, inequality=(True,), chamber_bound=(2, 1),
-                            mca=True, degree_bound=3),
-     "ComparisonReport(dim=2, n_hyperplanes=2, h0=0, table=CoefficientTable(b=(1, 1), "
-     "sigma=(SigmaStatus(value=1, method='definition'),), per_flat={Flat(codim=1, mask=1): "
-     "{'b': 1, 'sigma': 1}}), tame_arrangement=TamenessTag(status='Tame', reason='rank<=3'), "
-     "tame_restriction=TamenessTag(status='Tame', reason='rank<=3'), inequality=(True,), "
-     "chamber_bound=(2, 1), mca=True, degree_bound=3)", False),
+    (ComparisonReport, dict(n_hyperplanes=2, h0=0, table=TABLE, tame_arrangement=TAME,
+                            tame_restriction=TAME, degree_bound=3),
+     "ComparisonReport(n_hyperplanes=2, h0=0, table=CoefficientTable(b=(1, 1), "
+     "sigma=(SigmaStatus(value=1, method='definition'), SigmaStatus(value=1, "
+     "method='definition')), per_flat={Flat(codim=0, mask=0): {'b': 1, 'sigma': 1}, "
+     "Flat(codim=1, mask=1): {'b': 1, 'sigma': 1}}), tame_arrangement=TamenessTag(status='Tame', "
+     "reason='rank<=3'), tame_restriction=TamenessTag(status='Tame', reason='rank<=3'), "
+     "degree_bound=3)", False),
     (FreenessVerdict, dict(status="Free", exponents=(1, 1)),
      "FreenessVerdict(status='Free', exponents=(1, 1), basis=None, witness=None, bound=None, "
      "essential=None)", False),
@@ -154,7 +158,21 @@ VALUES = [
 ]
 
 
-@pytest.mark.parametrize("cls, fields, text, frozen", VALUES, ids=[v[0].__name__ for v in VALUES])
+BOOLEAN2 = CORPUS["boolean2"]
+# a real corpus entry: its expected record holds dicts
+REAL_ENTRY = (
+    CorpusEntry,
+    dict(name=BOOLEAN2.name, description=BOOLEAN2.description, document=BOOLEAN2.as_input(),
+         h0=BOOLEAN2.h0, expected=BOOLEAN2.expected),
+    "CorpusEntry(name='boolean2', description='coordinate hyperplanes x, y', "
+    "arrangement=CentralArrangement(dim=2, n=2), mult=None, labels=('x', 'y'), h0=0, "
+    f"expected={BOOLEAN2.expected!r})",
+    True,
+)
+
+
+@pytest.mark.parametrize("cls, fields, text, frozen", VALUES + [REAL_ENTRY],
+                         ids=[v[0].__name__ for v in VALUES] + ["CorpusEntry-boolean2"])
 def test_value_classes_compare_hash_and_print_by_their_fields(cls, fields, text, frozen):
     value, same = cls(**fields), cls(**fields)
     assert value == same and not value != same
@@ -180,9 +198,13 @@ def test_value_classes_compare_hash_and_print_by_their_fields(cls, fields, text,
 def test_value_class_defaults_and_keywords():
     assert TamenessTag("Unknown").reason is None
     assert TamenessTag(status="Tame", reason="user-asserted").reason == "user-asserted"
-    report = ComparisonReport(2, 2, 0, TABLE, TAME, TAME, (True,), (2, 1), None)
+    report = ComparisonReport(2, 0, TABLE, TAME, TAME)
     assert report.degree_bound is None
-    assert report == ComparisonReport(2, 2, 0, TABLE, TAME, TAME, (True,), (2, 1), None, None)
+    assert report == ComparisonReport(2, 0, TABLE, TAME, TAME, None)
+    assert report == compare_coefficients(PAIR, 0)
+    # read off the table, not stored
+    assert (report.dim, report.inequality, report.chamber_bound, report.mca) == (
+        2, (True, True), (2, 2), True)
     verdict = FreenessVerdict("Unknown")
     assert (verdict.exponents, verdict.basis, verdict.witness, verdict.bound,
             verdict.essential) == (None,) * 5

@@ -9,18 +9,24 @@ from hypothesis import strategies as st
 
 from arrangements import (
     CORPUS,
+    Flat,
     FlatNotInLattice,
     IndexOutOfRange,
     WrongRank,
+    abe_yoshinaga_free_check,
     b_coefficients,
     canonicalize,
     char_poly,
+    compare_coefficients,
     decone,
+    essentialize,
     intersection_lattice,
     localize_and_essentialize,
+    mca_check,
     reduced_char_poly,
     rho,
     simple_multiarrangement,
+    tameness_classify,
     ziegler_restriction,
 )
 from arrangements.core import normalize_form
@@ -207,6 +213,34 @@ def test_rho_rejects_foreign_flat():
     foreign = Flat(1, 0, equations=((Fraction(1), Fraction(0), Fraction(17)),))
     with pytest.raises(FlatNotInLattice):
         rho(arr, 0, foreign)
+
+
+@pytest.mark.parametrize("h0", [-1, 6, 7])
+def test_rho_checks_the_index_first(h0):
+    # with the deconing's lattice passed, too: braid-ess3 has 6 hyperplanes
+    arr = CORPUS["braid-ess3"].arrangement
+    dA_lattice = intersection_lattice(decone(arr, 0))
+    with pytest.raises(IndexOutOfRange, match=f"^hyperplane index {h0} outside 0..5$"):
+        rho(arr, h0, dA_lattice.flats[1], dA_lattice)
+
+
+CENTRAL_ONLY = [
+    (decone, (0,)),
+    (ziegler_restriction, (0,)),
+    (compare_coefficients, (0,)),
+    (mca_check, (0,)),
+    (abe_yoshinaga_free_check, (0,)),
+    (rho, (0, Flat(0, 0))),
+    (tameness_classify, ()),
+    (essentialize, ()),
+]
+
+
+@pytest.mark.parametrize("func, args", CENTRAL_ONLY, ids=[f.__name__ for f, _ in CENTRAL_ONLY])
+def test_affine_arrangement_is_refused_where_a_central_one_is_needed(func, args):
+    affine = decone(CORPUS["braid-ess3"].arrangement, 0)
+    with pytest.raises(TypeError, match="needs a central arrangement$"):
+        func(affine, *args)
 
 
 def test_b_coefficients_match_reduced_char_poly():

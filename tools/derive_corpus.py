@@ -8,6 +8,8 @@ Run as `python3 tools/derive_corpus.py`.  For each corpus entry this script
   * counts chambers by recursion and by (-1)^l chi(-1),
   * derives b from the oracle-agreed chi, and the chamber bound sum(b) from
     an independent chamber count of the deconed arrangement,
+  * derives MCA as "the deconing has sum(sigma) chambers" from that count
+    and checks that mca_check agrees,
   * checks the per-flat b of b_coefficients against the paper's definition:
     b^X sums |mu(Y)| over the flats Y of the deconing's own lattice with
     rho(Y) = X, each mapped by the public rho,
@@ -104,7 +106,8 @@ def derive(entry):
 
     # sum(b) equals the chamber count of the deconed arrangement: derive the
     # latter by recursion, independently of any Moebius computation.
-    confirm(entry, "decone chambers", sum(b) == region_count_recursion(decone(arr, h0)))
+    decone_chambers = region_count_recursion(decone(arr, h0))
+    confirm(entry, "decone chambers", sum(b) == decone_chambers)
 
     # per-flat b by the paper's definition, grouped by the public rho.
     dA_lattice = intersection_lattice(decone(arr, h0))
@@ -137,7 +140,11 @@ def derive(entry):
 
         sigma = [s.value for s in sigma_coefficients(restriction)]
         check(entry, "sigma", sigma)
-        check(entry, "mca", mca_check(arr, h0))
+        # MCA: the deconing has exactly sum(sigma) chambers, unknown while
+        # some sigma is unresolved
+        mca = None if None in sigma else decone_chambers == sum(sigma)
+        check(entry, "mca", mca)
+        confirm(entry, "mca_check agrees", mca_check(arr, h0) == mca)
 
         # Cross-criterion agreement wherever the criteria apply.
         ay = abe_yoshinaga_free_check(arr, h0)
