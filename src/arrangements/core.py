@@ -175,6 +175,11 @@ def _refuse_affine(arr, what):
         raise TypeError(f"{what} needs a central arrangement")
 
 
+def _refuse_simple(multi, what):
+    if not isinstance(multi, Multiarrangement):
+        raise TypeError(f"{what} needs a Multiarrangement")
+
+
 def _check_dim(dim):
     """TypeError unless dim is an int other than a bool, as fileio reads a
     dim; DimensionMismatch if it is negative."""

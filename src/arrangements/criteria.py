@@ -66,7 +66,7 @@ from .derivations import (
 from .errors import TheoremViolation, WrongRank
 from .lattice import _keys, _restrict, _walk, intersection_lattice, reduced_char_poly
 from .polynomials import IntPoly
-from .restriction import _b_table, _b_vector, ziegler_restriction
+from .restriction import _b_table, _b_vector, _check_index, ziegler_restriction
 
 TAME = "Tame"
 
@@ -292,6 +292,7 @@ def yoshinaga_3d(arr, h0):
     """Rank-3 freeness criterion: free iff the deconing's chamber count
     equals (1 + d1)(1 + d2) for the Ziegler exponents (d1, d2).  Definitive:
     rank-2 restrictions always resolve and 3-arrangements are tame."""
+    _check_index(arr, h0)
     if arr.dim != 3 or arr.rank() != 3:
         raise WrongRank("criterion applies to essential arrangements of rank 3")
     return _restriction_verdicts(arr, h0)["yoshinaga"]

@@ -57,7 +57,7 @@ from itertools import combinations
 from math import prod
 from operator import add
 
-from .core import _Frozen, _Value, _count, essentialize, var_names
+from .core import _Frozen, _Value, _count, _refuse_simple, essentialize, var_names
 from .errors import (
     DimensionMismatch,
     EmptyMultiarrangement,
@@ -184,6 +184,7 @@ class FreenessVerdict(_Value):
 
 def derivation_membership(theta, multi):
     """True iff alpha_H**m(H) divides theta(alpha_H) for every hyperplane."""
+    _refuse_simple(multi, "derivation membership")
     if theta.nvars != multi.dim:
         raise DimensionMismatch(
             f"field has {theta.nvars} components, arrangement dimension is {multi.dim}"
@@ -242,6 +243,7 @@ def _graded_kernel(multi, d):
 
 def derivation_space_dim(multi, d):
     """Dimension over Q of the homogeneous degree-d part of D(A,m)."""
+    _refuse_simple(multi, "the derivation space")
     if d < 0:
         raise ValueError("degree must be nonnegative")
     kernel, _ = _graded_kernel(multi, d)
@@ -383,6 +385,7 @@ def find_free_basis(multi, degree_bound=None, candidates=None):
     below |m| runs out.  Below rank 3, and with candidate exponents, it
     computes kernels at the exponents alone (see the module docstring).
     """
+    _refuse_simple(multi, "the freeness search")
     ess, center_dim = essentialize(multi)
     return _search(ess, center_dim, degree_bound, candidates)
 
@@ -476,6 +479,7 @@ def saito_check(basis, multi):
     is one: the last nonzero term of a form outweighs all earlier ones.
     The verdict is one exact integer determinant at that point.
     """
+    _refuse_simple(multi, "the Saito criterion")
     basis = tuple(basis)
     if len(basis) != multi.dim:
         raise DimensionMismatch(
@@ -504,6 +508,7 @@ def rank2_exponents(multi):
     Rank-2 multiarrangements are always free, so the search is guaranteed
     to succeed; the result carries the certifying basis as `.basis`.
     """
+    _refuse_simple(multi, "rank-2 exponents")
     if multi.total == 0:
         raise EmptyMultiarrangement("rank-2 exponents need at least one hyperplane")
     if multi.dim != 2 or multi.rank() != 2:
@@ -616,6 +621,7 @@ def sigma_coefficients(multi, degree_bound=None):
     sigma_k sums the local exponent products over the codimension-k flats,
     staying None whenever one of them is unresolved within the bound.
     """
+    _refuse_simple(multi, "sigma coefficients")
     verdict = _bounded_search(*essentialize(multi), degree_bound)
     ess = verdict.essential
     products = None if verdict.is_free else _localization_sweep(ess, verdict, degree_bound)
@@ -630,6 +636,7 @@ def sigma_per_flat(multi, degree_bound=None):
     the entry of the top flat (the center).  Requires the multiarrangement
     to be essential so the flats stay in input coordinates.
     """
+    _refuse_simple(multi, "per-flat sigma")
     ess, center_dim = essentialize(multi)
     if center_dim != 0:
         raise WrongRank("per-flat sigma values need an essential multiarrangement")

@@ -292,9 +292,10 @@ def _flat_from_record(record, where, dim, n):
 
 
 def report_from_dict(data):
-    """Invert report_to_dict, checking the type and shape of every field and
-    that inequality, chamber_bound and mca are the values read off b and
-    sigma; InputError names the field at fault."""
+    """Invert report_to_dict, checking the type and shape of every field,
+    that the per-flat b and sigma sum to b and sigma at each codim, and that
+    inequality, chamber_bound and mca are the values read off b and sigma;
+    InputError names the field at fault."""
     where = "report"
     _object(data, where, _REPORT_KEYS, required=True)
     field = partial(_field, data, where)
@@ -326,6 +327,13 @@ def report_from_dict(data):
         if flat in per_flat:
             raise InputError(f"{where}: per_flat[{i}] repeats the flat of an earlier record")
         per_flat[flat] = cell
+    for key, vector in (("b", b), ("sigma", [s.value for s in sigma])):
+        for i, stated in enumerate(vector):
+            column = [cell[key] for flat, cell in per_flat.items() if flat.codim == i]
+            # flats all known sum to the stated value, so a null one needs a null flat
+            if None not in column and sum(column) != stated:
+                raise InputError(f"{where}: field 'per_flat' sums {key} to {sum(column)} at "
+                                 f"codim {i}, not {key}[{i}] = {json.dumps(stated)}")
     report = ComparisonReport(n, h0, CoefficientTable(b, sigma, per_flat), tame_arrangement,
                               tame_restriction, degree_bound)
     # compared as JSON text, so that 1 is not true and 7.0 is not 7

@@ -207,10 +207,18 @@ def _restrict(parent, target):
 
 
 def char_poly(arr, lattice=None):
-    """Characteristic polynomial: sum of mu(X) * t**dim(X) over all flats."""
-    lat = lattice if lattice is not None else intersection_lattice(arr)
+    """Characteristic polynomial: sum of mu(X) * t**dim(X) over all flats;
+    a lattice passed in must be arr's own (_member), else FlatNotInLattice."""
+    if lattice is None:
+        lattice = intersection_lattice(arr)
+    elif lattice.flats and not (
+        _member(lattice.flats[0], hyperplane_rows(arr))
+        # the flats of one build share one rows list, whose rows compare by identity
+        and all(_member(flat, lattice.flats[0].rows) for flat in lattice.flats)
+    ):
+        raise FlatNotInLattice("the lattice passed is not the arrangement's own")
     coeffs = [0] * (arr.dim + 1)
-    for flat, mu in zip(lat.flats, lat.moebius):
+    for flat, mu in zip(lattice.flats, lattice.moebius):
         coeffs[arr.dim - flat.codim] += mu
     return IntPoly(coeffs)
 

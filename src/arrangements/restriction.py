@@ -28,14 +28,18 @@ by its hyperplane set (its lattice mask):
   Weisner's theorem at the atom H0 sums their mu to -mu(X'), and they
   share one sign, so their |mu| sum to |mu(X')|.
 
-rho(Y) = Y cap H0 stays only as the public map: the join of Y and H0, the
-first flat of L(A) whose mask holds h0's bit and Y's, one level up.
+rho(Y) = Y cap H0, the public map, builds no lattice.  It walks the same
+restriction step from A, each time onto a key holding a hyperplane of Y not
+yet reached: the walk reaches the flat of L(A) on Y's hyperplanes in
+codim(Y) steps exactly when Y is a flat of the deconing, and one step more,
+onto the key holding h0, reaches Y cap H0, on the hyperplanes of A'' whose
+masks lie inside its mask.
 """
 
 from __future__ import annotations
 
 from .core import (AffineArrangement, CentralArrangement, Multiarrangement, _Value, _refuse_affine,
-                   essentialize)
+                   _refuse_simple, essentialize)
 from .errors import FlatNotInLattice, IndexOutOfRange, TheoremViolation, WrongRank
 from .lattice import (Flat, _keys, _member, _restrict, hyperplane_rows, intersection_lattice,
                       reduced_char_poly)
@@ -81,6 +85,7 @@ def ziegler_restriction(arr, h0):
 def localize_and_essentialize(multi, flat):
     """Essentialization of the localization (A_X, m_X) at a flat X of the
     intersection lattice of multi.base (FlatNotInLattice for any other)."""
+    _refuse_simple(multi, "localization")
     if not _member(flat, hyperplane_rows(multi.base)):
         raise FlatNotInLattice("not a flat of the arrangement's intersection lattice")
     mult = tuple(m if flat.mask >> i & 1 else 0 for i, m in enumerate(multi.mult))
@@ -102,25 +107,21 @@ def _restriction_flats(lattice, h0, restriction):
     return tuple(Flat(c, m, rows) for c, m, _ in keyed), tuple(y for _, _, y in keyed)
 
 
-def rho(arr, h0, flat, dA_lattice=None):
-    """The codimension-preserving map L(dA) -> L(A'').
-
-    A flat Y of the deconing lies on the hyperplanes of arr that contain
-    the flat X of L(A) with Y = X cap {alpha_{h0} = 1}, and maps to
-    X cap H0.  Each call builds L(A), which L(A'') is read off; pass the
-    lattice of decone(arr, h0) to skip building that one as well.
-    """
+def rho(arr, h0, flat):
+    """The codimension-preserving map L(dA) -> L(A''), Y -> Y cap H0, by the
+    restriction walk of the module docstring; FlatNotInLattice for a Y that
+    is no flat of decone(arr, h0)."""
     restriction = ziegler_restriction(arr, h0)
-    lat = dA_lattice if dA_lattice is not None else intersection_lattice(decone(arr, h0))
-    y = lat.lookup(flat)
     # hyperplane k of the deconing is k (k < h0) or k + 1 of arr: shift bits >= h0
-    want = (y.mask + (y.mask >> h0 << h0)) | 1 << h0
-    lattice = intersection_lattice(arr)
-    join = next(x for x in lattice.flats if x.mask & want == want)
-    if join.codim != y.codim + 1:
-        raise TheoremViolation("no flat one level up meets H0; this is a bug")
-    flats, parents = _restriction_flats(lattice, h0, restriction)
-    return flats[parents.index(join.mask)]
+    want, mask, steps, keys = flat.mask + (flat.mask >> h0 << h0), 0, 0, _keys(hyperplane_rows(arr))
+    while row := next((row for row, bits in keys.items() if bits & want), None):
+        mask, steps, keys = mask | keys[row], steps + 1, _restrict(keys, row)
+    if not _member(flat, hyperplane_rows(decone(arr, h0))) or (mask, steps) != (want, flat.codim):
+        raise FlatNotInLattice(f"not a flat of the deconing's lattice: {flat}")
+    mask |= next(bits for bits in keys.values() if bits >> h0 & 1)
+    kept = _onto(arr, h0, 0)[1].values()
+    image = sum(1 << i for i, bits in enumerate(kept) if bits & mask == bits)
+    return Flat(flat.codim, image, hyperplane_rows(restriction.base))
 
 
 class CoefficientTable(_Value):

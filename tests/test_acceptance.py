@@ -20,6 +20,7 @@ from arrangements import (
     rank2_exponents,
     reduced_char_poly,
     region_count_recursion,
+    rho,
     saito_check,
     sigma_coefficients,
     simple_multiarrangement,
@@ -27,7 +28,7 @@ from arrangements import (
     ziegler_restriction,
 )
 from arrangements.criteria import abe_yoshinaga_free_check
-from conftest import make, random_central, rho_images, seeded
+from conftest import make, random_central, seeded
 
 
 def test_criterion_1_oracle_agreement():
@@ -214,12 +215,18 @@ def test_criterion_8_randomized_structure():
         # chi(dA) = chi_0(A) for every h0
         for h0 in range(arr.n_hyperplanes):
             assert char_poly(decone(arr, h0)) == chi0
-        # rho preserves codimension; per-flat b sums reproduce b
+        # rho preserves codimension; the per-flat b is the paper's: the sum
+        # of |mu(Y)| over the flats Y of the deconing with rho(Y) = X; and
+        # per-flat b sums reproduce b
         h0 = rng.randrange(arr.n_hyperplanes)
         dA_lattice = intersection_lattice(decone(arr, h0))
-        for flat, image in rho_images(arr, h0, dA_lattice).items():
+        by_rho = {}
+        for flat, mu in zip(dA_lattice.flats, dA_lattice.moebius):
+            image = rho(arr, h0, flat)
             assert image.codim == flat.codim
+            by_rho[image] = by_rho.get(image, 0) + abs(mu)
         table = b_coefficients(arr, h0)
+        assert by_rho == {x: cell["b"] for x, cell in table.per_flat.items()}
         for i, b_i in enumerate(table.b):
             assert b_i == sum(
                 cell["b"] for f, cell in table.per_flat.items() if f.codim == i

@@ -12,6 +12,7 @@ from arrangements import (
     abe_yoshinaga_free_check,
     b_coefficients,
     compare_coefficients,
+    decone,
     elementary_symmetric,
     find_free_basis,
     mca_check,
@@ -215,6 +216,14 @@ def test_yoshinaga_3d_acceptance_cases():
     verdict = yoshinaga_3d(generic, 3)
     assert verdict.is_not_free
     assert "7" in verdict.witness and "6" in verdict.witness
+
+
+def test_yoshinaga_3d_checks_the_pair_first():
+    # the (A, h0) check comes before the rank: index, then central input
+    with pytest.raises(IndexOutOfRange, match="^hyperplane index 99 outside 0..9$"):
+        yoshinaga_3d(CORPUS["braid-ess4"].arrangement, 99)
+    with pytest.raises(TypeError, match="needs a central arrangement$"):
+        yoshinaga_3d(decone(CORPUS["braid-ess4"].arrangement, 0), 0)
 
 
 def test_yoshinaga_3d_rejects_other_ranks():

@@ -478,3 +478,25 @@ def test_too_many_generators_certificate_agrees_with_the_span_rank():
                             for e, v in comp.items()})
     keys = sorted(set().union(*shifted))
     assert echelon([[vec.get(key, 0) for key in keys] for vec in shifted]).rank == 11
+
+
+_ARR = CORPUS["boolean2"].arrangement
+NEEDS_MULTI = {
+    "find_free_basis": find_free_basis,
+    "rank2_exponents": rank2_exponents,
+    "derivation_space_dim": lambda arr: derivation_space_dim(arr, 1),
+    "localize_and_essentialize":
+        lambda arr: localize_and_essentialize(arr, intersection_lattice(arr).flats[-1]),
+    "sigma_coefficients": sigma_coefficients,
+    "sigma_per_flat": sigma_per_flat,
+    "derivation_membership": lambda arr: derivation_membership(euler_field(2), arr),
+    "saito_check": lambda arr: saito_check([euler_field(2)] * 2, arr),
+}
+
+
+@pytest.mark.parametrize("name", NEEDS_MULTI)
+def test_arrangement_is_refused_where_a_multiarrangement_is_needed(name):
+    # a CentralArrangement has no multiplicities: one TypeError, never an
+    # AttributeError from deep inside
+    with pytest.raises(TypeError, match="needs a Multiarrangement$"):
+        NEEDS_MULTI[name](_ARR)

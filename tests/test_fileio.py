@@ -298,12 +298,21 @@ def _edited_report(edit):
          "field 'inequality' must be [true, true, true]"),
         (_edited_report(lambda d: d.update(chamber_bound=[7.0, 6])),
          "field 'chamber_bound' must be [7, 6]"),
+        # the per-flat b and sigma sum to b and sigma at each codim: three
+        # flats of b = 1 and sigma = 1 at codim 1, one of (3, 2) at codim 2
+        (_edited_report(lambda d: d["per_flat"][1].update(b=6)),
+         "field 'per_flat' sums b to 8 at codim 1, not b[1] = 3"),
+        (_edited_report(lambda d: d["per_flat"][2].update(sigma=40)),
+         "field 'per_flat' sums sigma to 42 at codim 1, not sigma[1] = 3"),
+        (_edited_report(lambda d: d["sigma"].__setitem__(2, None)),
+         "field 'per_flat' sums sigma to 2 at codim 2, not sigma[2] = null"),
     ],
     ids=["empty-object", "array", "not-json", "missing-key", "unknown-key", "b-a-string",
          "sigma-short", "dim-a-bool", "flat-index-a-string", "flat-index-negative",
          "flat-equation-a-float", "flat-index-past-n", "flat-repeated", "forged-mca",
          "mca-flipped", "mca-zero-for-false", "inequality-one-for-true", "inequality-flipped",
-         "chamber-bound-float"],
+         "chamber-bound-float", "flat-b-off-its-sum", "flat-sigma-off-its-sum",
+         "sigma-null-over-known-flats"],
 )
 def test_parse_report_refusals_name_the_field(text, fragment):
     # a report is read with the checks of an arrangement file: one typed

@@ -84,28 +84,14 @@ CHECKS = {
         "graded dimension 4 at degree 3 contradicts the rank-2 Hilbert "
         "function for |m| = 8",
     ),
-    "direction-flat-rank": (
-        """
-        from arrangements import (CORPUS, Flat, IntersectionLattice, decone,
-                                  intersection_lattice, restriction)
-        arr = CORPUS["braid-ess3"].arrangement
-        lat = intersection_lattice(arr)
-        dA_lattice = intersection_lattice(decone(arr, 0))
-        # H0 = hyperplane 0 drops out of every codimension-2 hyperplane set
-        flats = tuple(Flat(2, f.mask & ~1, f.rows) if f.codim == 2 else f for f in lat.flats)
-        restriction.intersection_lattice = (
-            lambda arr: IntersectionLattice(lat.ambient_dim, flats, lat.moebius))
-        restriction.rho(arr, 0, dA_lattice.level(1)[0], dA_lattice)
-        """,
-        "no flat one level up meets H0; this is a bug",
-    ),
     "direction-flat-rank-b": (
         """
         from arrangements import (CORPUS, Flat, IntersectionLattice, b_coefficients,
                                   intersection_lattice, restriction)
         arr = CORPUS["braid-ess3"].arrangement
         lat = intersection_lattice(arr)
-        # the corruption above: no flat of L(A'') is left at codimension 1
+        # H0 = hyperplane 0 drops out of every codimension-2 hyperplane set,
+        # so no flat of L(A'') is left at codimension 1
         flats = tuple(Flat(2, f.mask & ~1, f.rows) if f.codim == 2 else f for f in lat.flats)
         restriction.intersection_lattice = (
             lambda arr: IntersectionLattice(lat.ambient_dim, flats, lat.moebius))

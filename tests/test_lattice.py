@@ -10,7 +10,9 @@ from arrangements import (
     CORPUS,
     AffineArrangement,
     DuplicateHyperplane,
+    Flat,
     FlatNotInLattice,
+    IntersectionLattice,
     IntPoly,
     NonzeroRemainder,
     chamber_count,
@@ -24,6 +26,7 @@ from arrangements import (
     simple_multiarrangement,
 )
 from arrangements.core import CentralArrangement, normalize_affine
+from arrangements.lattice import hyperplane_rows
 from arrangements.linalg import _Echelon
 from conftest import make, random_central, seeded
 
@@ -99,6 +102,23 @@ def test_reduced_char_poly_divides_exactly():
         chi0 = reduced_char_poly(arr)
         t_minus_1 = IntPoly((-1, 1))
         assert chi0 * t_minus_1 == char_poly(arr)
+
+
+@pytest.mark.parametrize("func", [char_poly, reduced_char_poly])
+def test_char_poly_refuses_the_lattice_of_another_arrangement(func):
+    # braid-ess3's lattice would give braid's t^3 - 6t^2 + 11t - 6 for the
+    # boolean arrangement; the deconing's, over other rows, is refused too
+    boolean3 = CORPUS["boolean3"].arrangement
+    braid = CORPUS["braid-ess3"].arrangement
+    for lattice in (intersection_lattice(braid), intersection_lattice(decone(boolean3, 0))):
+        with pytest.raises(FlatNotInLattice):
+            func(boolean3, lattice)
+    assert func(boolean3, intersection_lattice(boolean3)) == func(boolean3)
+    # one flat over other rows is enough
+    lattice = intersection_lattice(boolean3)
+    flats = lattice.flats[:-1] + (Flat(3, 7, hyperplane_rows(braid)),)
+    with pytest.raises(FlatNotInLattice):
+        func(boolean3, IntersectionLattice(lattice.ambient_dim, flats, lattice.moebius))
 
 
 def test_reduced_char_poly_rejects_affine_input():

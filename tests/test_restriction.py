@@ -27,8 +27,11 @@ from arrangements import (
     rho,
     simple_multiarrangement,
     tameness_classify,
+    yoshinaga_3d,
     ziegler_restriction,
 )
+from arrangements import lattice as lattice_module
+from arrangements import restriction as restriction_module
 from arrangements.core import normalize_form
 from conftest import make, rho_images
 
@@ -185,11 +188,10 @@ def test_rho_preserves_codim_and_order():
     dA_lattice = intersection_lattice(dA)
     zr = ziegler_restriction(arr, h0)
     zr_lattice = intersection_lattice(zr.base)
-    images = rho_images(arr, h0, dA_lattice)
+    images = {flat: rho(arr, h0, flat) for flat in dA_lattice.flats}
     for flat, image in images.items():
         assert image.codim == flat.codim
         zr_lattice.lookup(image)  # image is a genuine flat of L(A'')
-        assert rho(arr, h0, flat, dA_lattice) == image
     # rho is onto L(A'').
     assert {f.equations for f in images.values()} == {
         f.equations for f in zr_lattice.flats
@@ -203,11 +205,35 @@ def test_rho_preserves_codim_and_order():
                 assert images[y2].contained <= images[y1].contained
 
 
+SIMPLE = [name for name, entry in CORPUS.items() if entry.mult is None]
+
+
+@pytest.mark.parametrize("name", SIMPLE)
+def test_rho_matches_the_lattice_route_on_every_flat(name):
+    arr = CORPUS[name].arrangement
+    for h0 in range(arr.n_hyperplanes):
+        dA_lattice = intersection_lattice(decone(arr, h0))
+        for flat, image in rho_images(arr, h0, dA_lattice).items():
+            got = rho(arr, h0, flat)
+            assert (got.codim, got.mask, got.rows) == (image.codim, image.mask, image.rows)
+
+
+def test_rho_builds_no_lattice(monkeypatch):
+    arr = CORPUS["braid-ess4"].arrangement
+    flats = intersection_lattice(decone(arr, 0)).flats
+    calls = []
+
+    def counted(real):
+        return lambda *args: calls.append(args) or real(*args)
+
+    for module in (lattice_module, restriction_module):
+        monkeypatch.setattr(module, "intersection_lattice", counted(module.intersection_lattice))
+    for flat in flats:
+        rho(arr, 0, flat)
+    assert calls == []
+
+
 def test_rho_rejects_foreign_flat():
-    from fractions import Fraction
-
-    from arrangements import Flat
-
     arr = CORPUS["braid-ess3"].arrangement
     # an affine line that is no intersection of deconed hyperplanes
     foreign = Flat(1, 0, equations=((Fraction(1), Fraction(0), Fraction(17)),))
@@ -215,13 +241,41 @@ def test_rho_rejects_foreign_flat():
         rho(arr, 0, foreign)
 
 
+def _not_in_deconing():
+    """(name, flat) pairs that are no flat of decone(braid-ess3, 0), which has
+    the hyperplanes 0..4."""
+    arr = CORPUS["braid-ess3"].arrangement
+    lattice = intersection_lattice(decone(arr, 0))
+    rows = lattice.flats[0].rows
+    line = next(f for f in lattice.level(2) if f.mask.bit_count() >= 3)
+    return [
+        *((f"h0=1 deconing {f.codim} {f.mask}", f)
+          for f in intersection_lattice(decone(arr, 1)).flats),
+        ("bit past the last hyperplane", Flat(1, 1 << 5, rows)),
+        ("bits past the last hyperplane", Flat(2, line.mask | 1 << 5, rows)),
+        ("mask not closed", Flat(2, line.mask & line.mask - 1, rows)),
+        ("codim too high", Flat(3, line.mask, rows)),
+        ("codim too low", Flat(1, line.mask, rows)),
+        ("codim below 0", Flat(-1, 0, rows)),
+    ]
+
+
+@pytest.mark.parametrize("case", _not_in_deconing(), ids=lambda case: case[0])
+def test_rho_refuses_what_is_no_flat_of_the_deconing(case):
+    arr = CORPUS["braid-ess3"].arrangement
+    flat = case[1]
+    assert intersection_lattice(decone(arr, 0)).index_of(flat) is None
+    with pytest.raises(FlatNotInLattice):
+        rho(arr, 0, flat)
+
+
 @pytest.mark.parametrize("h0", [-1, 6, 7])
 def test_rho_checks_the_index_first(h0):
-    # with the deconing's lattice passed, too: braid-ess3 has 6 hyperplanes
+    # with a flat of the deconing at h0 = 0: braid-ess3 has 6 hyperplanes
     arr = CORPUS["braid-ess3"].arrangement
-    dA_lattice = intersection_lattice(decone(arr, 0))
+    flat = intersection_lattice(decone(arr, 0)).flats[1]
     with pytest.raises(IndexOutOfRange, match=f"^hyperplane index {h0} outside 0..5$"):
-        rho(arr, h0, dA_lattice.flats[1], dA_lattice)
+        rho(arr, h0, flat)
 
 
 CENTRAL_ONLY = [
@@ -231,6 +285,7 @@ CENTRAL_ONLY = [
     (mca_check, (0,)),
     (abe_yoshinaga_free_check, (0,)),
     (rho, (0, Flat(0, 0))),
+    (yoshinaga_3d, (0,)),
     (tameness_classify, ()),
     (essentialize, ()),
 ]

@@ -113,7 +113,7 @@ def derive(entry):
     dA_lattice = intersection_lattice(decone(arr, h0))
     by_rho = {}
     for flat, mu_y in zip(dA_lattice.flats, dA_lattice.moebius):
-        x = rho(arr, h0, flat, dA_lattice)
+        x = rho(arr, h0, flat)
         by_rho[x] = by_rho.get(x, 0) + abs(mu_y)
     per_flat = {x: cell["b"] for x, cell in b_coefficients(arr, h0).per_flat.items()}
     confirm(entry, "per_flat_b", per_flat == by_rho, f"{len(by_rho)} flats of A''")
