@@ -35,9 +35,10 @@ from .fileio import (
     serialize_report,
     verdict_to_dict,
 )
-from .lattice import chamber_count, char_poly, intersection_lattice, reduced_char_poly
+from .lattice import chamber_count, char_poly, reduced_char_poly
 from .linalg import _pivot_col
 from .oracles import char_poly_recursion, finite_field_char_poly, region_count_recursion
+from .polynomials import IntPoly
 from .restriction import ziegler_restriction
 
 _RESTRICTION = ("yoshinaga", "abe-yoshinaga")
@@ -140,12 +141,12 @@ def _print_checked(args, arr, fields, line, verified, mismatches):
 
 def _cmd_charpoly(args):
     arr = _load_input(args.file).arrangement
-    lattice = intersection_lattice(arr)
-    chi = char_poly(arr, lattice)
+    # one walk of L(A): with --reduced, chi is chi0 * (t - 1)
+    poly = reduced_char_poly(arr) if args.reduced else char_poly(arr)
+    chi = poly * IntPoly((-1, 1)) if args.reduced else poly
     checks = _cross_check(
         args, arr, chi, char_poly_recursion, lambda ff: ff, lambda p: p.to_string(sep="")
     )
-    poly = reduced_char_poly(arr, lattice) if args.reduced else chi
     name = "chi0" if args.reduced else "chi"
     fields = {"reduced": bool(args.reduced), "coefficients": list(poly.coeffs)}
     return _print_checked(

@@ -64,7 +64,7 @@ from .derivations import (
     find_free_basis,
 )
 from .errors import TheoremViolation, WrongRank
-from .lattice import _keys, _restrict, _walk, intersection_lattice, reduced_char_poly
+from .lattice import _chi, _keys, _restrict, intersection_lattice, reduced_char_poly
 from .polynomials import IntPoly
 from .restriction import _b_table, _b_vector, _check_index, ziegler_restriction
 
@@ -230,14 +230,11 @@ def _divisionally_free(lattice, chi0):
             for row, bits in restricted.items():
                 y, above = x | bits, _restrict(restricted, row)
                 if y not in chis:
-                    coeffs = [0] * (dim - codim)
                     if rank - codim == 3:  # A^Y has rank 2, its keys are its lines
-                        coeffs[-3:] = len(above) - 1, -len(above), 1
+                        n = len(above)
+                        chis[y] = IntPoly([0] * (dim - codim - 3) + [n - 1, -n, 1])
                     else:  # mu(Y, Z) t**dim(Z) summed over [Y, top]
-                        keys, mu = _walk(above)
-                        for c, z in keys:
-                            coeffs[dim - codim - 1 - c] += mu[z]
-                    chis[y] = IntPoly(coeffs)
+                        chis[y] = _chi(dim - codim - 1, above)
                 if not chis[x].divmod_monic(chis[y])[1].coeffs and chain_from(y, codim + 1, above):
                     chains[x] = True
                     break

@@ -11,8 +11,9 @@ each of its hyperplanes, positive at its pivot, to the mask of the
 hyperplanes of A that cut it out of X, so the covers of X are its keys.  A
 cover's own restriction takes one step (_restrict): copy X's dict, and in
 the copy eliminate the cover key's pivot from the keys nonzero there only,
-make those primitive again, merge equal rows and drop the row that
-vanishes and any nonzero constant (a hyperplane parallel to the cover).
+touching only the cover key's nonzero columns, make those primitive again,
+merge equal rows and drop the row that vanishes and any nonzero constant
+(a hyperplane parallel to the cover).
 Every flat arises this way, so the 2**n subset enumeration is never
 needed, and only two levels of restrictions are alive at once.
 The same loop fills in the Moebius values from the cover pairs alone, by
@@ -23,8 +24,10 @@ hyperplane.  One walk (_walk) serves L(A) and every interval [X, top]:
 started from A^X instead of A's own rows it gives L(A^X), isomorphic to
 [X, top], with mu(X, .), because the masks of A^X leave out X's own
 hyperplanes, so the lowest bit of a cover is Weisner's atom relative to X.
-Cover pairs are met, never stored.  decone and ziegler_restriction are the
-same step, onto alpha_{h0} = 1 and alpha_{h0} = 0.
+Cover pairs are met, never stored.  chi with no lattice passed is summed
+off the walk's keys and mu, with no Flat built (_chi).  decone and
+ziegler_restriction are the same step, onto alpha_{h0} = 1 and
+alpha_{h0} = 0.
 
 Flats are ordered by (codimension, mask) and carry their arrangement's
 rows (_member).  Their equations (the canonical RREF of the hyperplanes'
@@ -143,12 +146,13 @@ def intersection_lattice(arr):
     """Enumerate all flats with their Moebius values (Weisner's rule)."""
     rows = hyperplane_rows(arr)
     keys, mu = _walk(_keys(rows))
+    keys.sort()
     flats = tuple(Flat(c, m, rows) for c, m in keys)
     return IntersectionLattice(arr.dim, flats, tuple(mu[m] for _, m in keys))
 
 
 def _walk(start):
-    """(the sorted (codim, mask) keys, {mask: mu}) of the flats of the
+    """(the (codim, mask) keys, by codim, {mask: mu}) of the flats of the
     restriction start, by the module docstring's level loop.  Started from
     A^X, the codims and masks are relative to X (its own hyperplanes are
     in no mask) and mu is mu(X, .) on the interval [X, top]."""
@@ -170,13 +174,13 @@ def _walk(start):
                 if not mask & (cover & -cover):
                     mu[cover] -= mu[mask]
         level = nxt
-    keys.sort()
     return keys, mu
 
 
 def _member(flat, rows):
-    """A flat belongs to the lattice of the rows it carries, at (codim, mask)."""
-    return flat.rows == rows
+    """A flat belongs to the lattice of the rows it carries, at (codim, mask);
+    nothing but a Flat belongs to any lattice."""
+    return isinstance(flat, Flat) and flat.rows == rows
 
 
 def _keys(rows):
@@ -189,16 +193,21 @@ def _restrict(parent, target):
     """The restriction {key: mask} of the restriction parent onto a row
     target with pivot p.  Keys zero at p pass through; each other key
     becomes target[p] * key - key[p] * target, zero at p (so it meets no key
-    still to go), made primitive and positive at its pivot, dropped if it
-    vanishes or is a nonzero constant, else merged into an equal key or put
-    last.  Keys stay zero at the pivots eliminated before, so rows are
-    proportional modulo the flat iff their keys agree."""
+    still to go): a copy of the key, scaled unless target[p] is 1, less
+    key[p] * target at the target's nonzero columns only; made primitive
+    and positive at its pivot, dropped if it vanishes or is a nonzero
+    constant, else merged into an equal key or put last.  Keys stay zero at
+    the pivots eliminated before, so rows are proportional modulo the flat
+    iff their keys agree."""
     p = _pivot_col(target)
     a, out = target[p], dict(parent)
+    support = [(i, y) for i, y in enumerate(target) if y]
     for row, bits in parent.items():
         if b := row[p]:
             del out[row]
-            row = [a * x - b * y for x, y in zip(row, target)]
+            row = list(row) if a == 1 else [a * x for x in row]
+            for i, y in support:
+                row[i] -= b * y
             if s := next(filter(None, row[:-1]), 0):  # primitive_vector inlined
                 g = gcd(*row) if s > 0 else -gcd(*row)
                 row = tuple([v // g for v in row]) if g != 1 else tuple(row)
@@ -206,12 +215,23 @@ def _restrict(parent, target):
     return out
 
 
+def _chi(dim, start):
+    """sum of mu * t**(dim - codim) over the walk from the restriction start,
+    of dimension dim: chi(A^X) from A^X, with no Flat built."""
+    keys, mu = _walk(start)
+    coeffs = [0] * (dim + 1)
+    for codim, mask in keys:
+        coeffs[dim - codim] += mu[mask]
+    return IntPoly(coeffs)
+
+
 def char_poly(arr, lattice=None):
-    """Characteristic polynomial: sum of mu(X) * t**dim(X) over all flats;
-    a lattice passed in must be arr's own (_member), else FlatNotInLattice."""
+    """Characteristic polynomial: sum of mu(X) * t**dim(X) over all flats,
+    summed off the walk when no lattice is passed; a lattice passed in must
+    be arr's own (_member), else FlatNotInLattice."""
     if lattice is None:
-        lattice = intersection_lattice(arr)
-    elif lattice.flats and not (
+        return _chi(arr.dim, _keys(hyperplane_rows(arr)))
+    if lattice.flats and not (
         _member(lattice.flats[0], hyperplane_rows(arr))
         # the flats of one build share one rows list, whose rows compare by identity
         and all(_member(flat, lattice.flats[0].rows) for flat in lattice.flats)

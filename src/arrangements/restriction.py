@@ -112,11 +112,14 @@ def rho(arr, h0, flat):
     restriction walk of the module docstring; FlatNotInLattice for a Y that
     is no flat of decone(arr, h0)."""
     restriction = ziegler_restriction(arr, h0)
-    # hyperplane k of the deconing is k (k < h0) or k + 1 of arr: shift bits >= h0
-    want, mask, steps, keys = flat.mask + (flat.mask >> h0 << h0), 0, 0, _keys(hyperplane_rows(arr))
+    member = _member(flat, hyperplane_rows(decone(arr, h0)))
+    # hyperplane k of the deconing is k (k < h0) or k + 1 of arr: shift bits >= h0;
+    # a non-member walks nowhere
+    want = flat.mask + (flat.mask >> h0 << h0) if member else 0
+    mask, steps, keys = 0, 0, _keys(hyperplane_rows(arr))
     while row := next((row for row, bits in keys.items() if bits & want), None):
         mask, steps, keys = mask | keys[row], steps + 1, _restrict(keys, row)
-    if not _member(flat, hyperplane_rows(decone(arr, h0))) or (mask, steps) != (want, flat.codim):
+    if not member or (mask, steps) != (want, flat.codim):
         raise FlatNotInLattice(f"not a flat of the deconing's lattice: {flat}")
     mask |= next(bits for bits in keys.values() if bits >> h0 & 1)
     kept = _onto(arr, h0, 0)[1].values()

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import arrangements
-from arrangements import CORPUS, parse_report
+from arrangements import CORPUS, loads_arrangement, parse_report
 from arrangements.cli import main
 
 
@@ -191,20 +191,27 @@ def test_freeness_all_searches_the_restriction_once(capsys, monkeypatch, name, r
     assert searched == [restriction] * restriction_searches + [entry.multiarrangement()]
 
 
-def _count_lattices_of(monkeypatch, arr):
-    """Record each lattice of arr that the CLI builds."""
-    from arrangements import cli, lattice
+def _count_walks(monkeypatch, arr):
+    """Record, for each lattice walk the CLI makes, whether it starts from
+    arr's own keys (the walk that L(A) and chi(A) read), and count the calls
+    of _Echelon.rref."""
+    from arrangements import lattice, linalg
 
-    calls = []
-    original = lattice.intersection_lattice
+    counts = {"walks": [], "rref": 0}
+    keys = lattice._keys(lattice.hyperplane_rows(arr))
+    walk, rref = lattice._walk, linalg._Echelon.rref
 
-    def counting(a):
-        calls.append(a == arr)
-        return original(a)
+    def counting_walk(start):
+        counts["walks"].append(start == keys)
+        return walk(start)
 
-    monkeypatch.setattr(lattice, "intersection_lattice", counting)
-    monkeypatch.setattr(cli, "intersection_lattice", counting)
-    return calls
+    def counting_rref(self):
+        counts["rref"] += 1
+        return rref(self)
+
+    monkeypatch.setattr(lattice, "_walk", counting_walk)
+    monkeypatch.setattr(linalg._Echelon, "rref", counting_rref)
+    return counts
 
 
 @pytest.mark.parametrize(
@@ -214,10 +221,10 @@ def _count_lattices_of(monkeypatch, arr):
 def test_freeness_all_builds_the_lattice_of_a_at_most_once(capsys, monkeypatch, name, builds):
     # Both restriction criteria read chi0(A); abe-yoshinaga only when the
     # restriction is free, yoshinaga only at rank 3.
-    calls = _count_lattices_of(monkeypatch, CORPUS[name].arrangement)
+    counts = _count_walks(monkeypatch, CORPUS[name].arrangement)
     code, _, _ = run(capsys, "freeness", f"corpus:{name}", "--method", "all")
     assert code == 0
-    assert sum(calls) == builds
+    assert sum(counts["walks"]) == builds
 
 
 # D4: x_i - x_j and x_i + x_j, free with exponents (1, 3, 3, 5)
@@ -293,33 +300,11 @@ def test_freeness_all_builds_the_restriction_once(capsys, monkeypatch, name):
 
 
 def test_charpoly_reduced_builds_the_lattice_once(capsys, monkeypatch):
-    calls = _count_lattices_of(monkeypatch, CORPUS["braid-ess3"].arrangement)
+    counts = _count_walks(monkeypatch, CORPUS["braid-ess3"].arrangement)
     code, out, _ = run(capsys, "charpoly", "corpus:braid-ess3", "--reduced")
     assert code == 0
     assert "chi0(t) = t^2 - 5t + 6" in out
-    assert calls == [True]
-
-
-def _count_builds(monkeypatch):
-    """Count the calls of intersection_lattice, in every module that binds
-    the name, and of _Echelon.rref."""
-    from arrangements import cli, criteria, derivations, lattice, linalg, restriction
-
-    counts = {"lattices": 0, "rref": 0}
-    build, rref = lattice.intersection_lattice, linalg._Echelon.rref
-
-    def counting_build(arr):
-        counts["lattices"] += 1
-        return build(arr)
-
-    def counting_rref(self):
-        counts["rref"] += 1
-        return rref(self)
-
-    for module in (cli, criteria, derivations, lattice, restriction):
-        monkeypatch.setattr(module, "intersection_lattice", counting_build)
-    monkeypatch.setattr(linalg._Echelon, "rref", counting_rref)
-    return counts
+    assert counts["walks"] == [True]
 
 
 # rank 2 in dimension 3: the Ziegler restriction is not essential
@@ -333,19 +318,21 @@ def test_compare_builds_one_lattice(capsys, monkeypatch, tmp_path, source, json_
     if source == "non-essential":
         source = tmp_path / "a.json"
         source.write_text(NON_ESSENTIAL)
-    counts = _count_builds(monkeypatch)
+        counts = _count_walks(monkeypatch, loads_arrangement(NON_ESSENTIAL).arrangement)
+    else:
+        counts = _count_walks(monkeypatch, CORPUS["braid-ess4"].arrangement)
     code, out, _ = run(capsys, "compare", str(source), "--h0", "0", *json_flag)
     assert code == 0
-    assert counts["lattices"] == 1
+    assert sum(counts["walks"]) == 1
     assert counts["rref"] == (len(json.loads(out)["per_flat"]) if json_flag else 0)
 
 
 @pytest.mark.parametrize("command", ["charpoly", "chambers"])
 def test_lattice_commands_compute_no_equations(capsys, monkeypatch, command):
-    counts = _count_builds(monkeypatch)
+    counts = _count_walks(monkeypatch, CORPUS["braid-ess4"].arrangement)
     code, _, _ = run(capsys, command, "corpus:braid-ess4")
     assert code == 0
-    assert counts == {"lattices": 1, "rref": 0}
+    assert counts == {"walks": [True], "rref": 0}
 
 
 def test_freeness_json(capsys):

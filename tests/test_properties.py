@@ -46,7 +46,7 @@ from arrangements import (
 from arrangements import criteria, derivations, linalg
 from arrangements.core import CentralArrangement, normalize_affine, normalize_form
 from arrangements.lattice import _keys, _restrict, _walk, hyperplane_rows
-from arrangements.linalg import _Echelon, det, echelon
+from arrangements.linalg import _Echelon, det, echelon, primitive_vector
 from arrangements.polynomials import (
     monomial_count,
     monomial_residue_mod_linear_power,
@@ -211,12 +211,14 @@ def _affine_arrangements(draw):
 
 
 def _assert_moebius_is_the_recursion(arr):
-    # moebius_bruteforce evaluates the defining recursion over all subsets
+    # moebius_bruteforce evaluates the defining recursion over all subsets;
+    # chi summed off the walk, with no lattice, is chi of those values
     lat = intersection_lattice(arr)
     mu = moebius_bruteforce(arr)
     assert sorted(mu) == sorted(f.equations for f in lat.flats)
     for flat, value in zip(lat.flats, lat.moebius):
         assert mu[flat.equations] == value
+    assert char_poly(arr) == char_poly(arr, lat)
 
 
 @settings(max_examples=60, deadline=None)
@@ -391,6 +393,61 @@ def test_the_walk_from_a_restriction_gives_its_char_poly(drawn):
         for k, row in enumerate(order):
             twice = ziegler_restriction(base, k).base
             assert _walk_chi(_restrict(above, row), dim - 2) == char_poly_recursion(twice)
+
+
+def _restrict_by_full_rows(parent, target):
+    """The restriction step by its definition: each key nonzero at the
+    target's pivot p becomes target[p] * key - key[p] * target over every
+    column, made primitive, dropped if its normal vanishes, merged or put
+    last."""
+    p = next(i for i, v in enumerate(target) if v)
+    out = dict(parent)
+    for key, bits in parent.items():
+        if key[p]:
+            del out[key]
+            row = [target[p] * x - key[p] * y for x, y in zip(key, target)]
+            if any(row[:-1]):
+                row = primitive_vector(row)
+                out[row] = out.get(row, 0) | bits
+    return out
+
+
+@st.composite
+def _restriction_steps(draw):
+    """(the keys of 1-7 random central or affine rows, entries in -3..3, and
+    a target: one of the keys, or the chart row (alpha, -1) of a row's
+    normal alpha, as decone restricts onto)."""
+    dim = draw(st.integers(1, 4))
+    constant = st.just(0) if draw(st.booleans()) else st.integers(-3, 3)
+    normal = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim).filter(any)
+    rows = {}  # proportional draws are one hyperplane: keep the first
+    for row in draw(st.lists(st.tuples(normal, constant), min_size=1, max_size=7)):
+        row = (*row[0], row[1])
+        rows.setdefault(primitive_vector(row), row)
+    parent = _keys(list(rows.values()))
+    i = draw(st.integers(0, len(parent) - 1))
+    if draw(st.booleans()):
+        return parent, list(parent)[i]
+    return parent, list(rows.values())[i][:-1] + (-1,)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_restriction_steps())
+# keys merge: x + y becomes y
+@example((_keys([(1, 0, 0), (0, 1, 0), (1, 1, 0)]), (1, 0, 0)))
+# a key becomes the nonzero constant of a parallel hyperplane, and vanishes
+@example((_keys([(1, 0, 0), (1, 0, -1), (0, 1, 0)]), (1, 0, 0)))
+# pivot entry a = 3, b = -2 and b = 1, both made primitive
+@example((_keys([(1, -2, 0, 0), (0, 3, 1, -1), (2, 1, -3, 3)]), (0, 3, 1, -1)))
+# the chart row of a form with a negative pivot entry
+@example((_keys([(-2, 1, 0), (1, -1, 0), (0, 1, 0)]), (-2, 1, -1)))
+def test_the_restriction_step_is_its_full_row_definition(step):
+    # decone, ziegler_restriction, rho and every walk read these keys, in
+    # this order, so they must agree item by item
+    parent, target = step
+    assert list(_restrict(parent, target).items()) == list(
+        _restrict_by_full_rows(parent, target).items()
+    )
 
 
 @settings(max_examples=60, deadline=None)

@@ -269,6 +269,17 @@ def test_rho_refuses_what_is_no_flat_of_the_deconing(case):
         rho(arr, 0, flat)
 
 
+@pytest.mark.parametrize("flat", [None, "0"], ids=["None", "str"])
+def test_rho_and_localize_refuse_what_is_no_flat(flat):
+    # the one membership rule refuses anything but a Flat before a mask or
+    # rows are read off it
+    arr = CORPUS["braid-ess3"].arrangement
+    with pytest.raises(FlatNotInLattice):
+        rho(arr, 0, flat)
+    with pytest.raises(FlatNotInLattice):
+        localize_and_essentialize(simple_multiarrangement(arr), flat)
+
+
 @pytest.mark.parametrize("h0", [-1, 6, 7])
 def test_rho_checks_the_index_first(h0):
     # with a flat of the deconing at h0 = 0: braid-ess3 has 6 hyperplanes
