@@ -215,14 +215,19 @@ def _restrict(parent, target):
     return out
 
 
-def _chi(dim, start):
-    """sum of mu * t**(dim - codim) over the walk from the restriction start,
-    of dimension dim: chi(A^X) from A^X, with no Flat built."""
-    keys, mu = _walk(start)
+def _chi_sum(dim, pairs):
+    """sum of mu * t**(dim - codim) over (codim, mu) pairs."""
     coeffs = [0] * (dim + 1)
-    for codim, mask in keys:
-        coeffs[dim - codim] += mu[mask]
+    for codim, mu in pairs:
+        coeffs[dim - codim] += mu
     return IntPoly(coeffs)
+
+
+def _chi(dim, start):
+    """chi(A^X) from the restriction start A^X, of dimension dim, summed
+    over the walk's keys, with no Flat built."""
+    keys, mu = _walk(start)
+    return _chi_sum(dim, ((codim, mu[mask]) for codim, mask in keys))
 
 
 def char_poly(arr, lattice=None):
@@ -237,10 +242,7 @@ def char_poly(arr, lattice=None):
         and all(_member(flat, lattice.flats[0].rows) for flat in lattice.flats)
     ):
         raise FlatNotInLattice("the lattice passed is not the arrangement's own")
-    coeffs = [0] * (arr.dim + 1)
-    for flat, mu in zip(lattice.flats, lattice.moebius):
-        coeffs[arr.dim - flat.codim] += mu
-    return IntPoly(coeffs)
+    return _chi_sum(arr.dim, zip((flat.codim for flat in lattice.flats), lattice.moebius))
 
 
 def reduced_char_poly(arr, lattice=None):

@@ -194,22 +194,30 @@ def test_freeness_all_searches_the_restriction_once(capsys, monkeypatch, name, r
 def _count_walks(monkeypatch, arr):
     """Record, for each lattice walk the CLI makes, whether it starts from
     arr's own keys (the walk that L(A) and chi(A) read), and count the calls
-    of _Echelon.rref."""
-    from arrangements import lattice, linalg
+    of intersection_lattice, in every module that binds the name, and of
+    _Echelon.rref."""
+    from arrangements import cli, criteria, derivations, lattice, linalg, restriction
 
-    counts = {"walks": [], "rref": 0}
+    counts = {"walks": [], "lattices": 0, "rref": 0}
     keys = lattice._keys(lattice.hyperplane_rows(arr))
-    walk, rref = lattice._walk, linalg._Echelon.rref
+    walk, build, rref = lattice._walk, lattice.intersection_lattice, linalg._Echelon.rref
 
     def counting_walk(start):
         counts["walks"].append(start == keys)
         return walk(start)
+
+    def counting_build(a):
+        counts["lattices"] += 1
+        return build(a)
 
     def counting_rref(self):
         counts["rref"] += 1
         return rref(self)
 
     monkeypatch.setattr(lattice, "_walk", counting_walk)
+    for module in (cli, criteria, derivations, lattice, restriction):
+        if hasattr(module, "intersection_lattice"):
+            monkeypatch.setattr(module, "intersection_lattice", counting_build)
     monkeypatch.setattr(linalg._Echelon, "rref", counting_rref)
     return counts
 
@@ -305,6 +313,7 @@ def test_charpoly_reduced_builds_the_lattice_once(capsys, monkeypatch):
     assert code == 0
     assert "chi0(t) = t^2 - 5t + 6" in out
     assert counts["walks"] == [True]
+    assert counts["lattices"] == 0
 
 
 # rank 2 in dimension 3: the Ziegler restriction is not essential
@@ -324,6 +333,7 @@ def test_compare_builds_one_lattice(capsys, monkeypatch, tmp_path, source, json_
     code, out, _ = run(capsys, "compare", str(source), "--h0", "0", *json_flag)
     assert code == 0
     assert sum(counts["walks"]) == 1
+    assert counts["lattices"] == 1
     assert counts["rref"] == (len(json.loads(out)["per_flat"]) if json_flag else 0)
 
 
@@ -332,7 +342,7 @@ def test_lattice_commands_compute_no_equations(capsys, monkeypatch, command):
     counts = _count_walks(monkeypatch, CORPUS["braid-ess4"].arrangement)
     code, _, _ = run(capsys, command, "corpus:braid-ess4")
     assert code == 0
-    assert counts == {"walks": [True], "rref": 0}
+    assert counts == {"walks": [True], "lattices": 0, "rref": 0}
 
 
 def test_freeness_json(capsys):

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import arrangements
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -49,20 +51,23 @@ def test_ab_bench_summarizes_made_up_pairs():
     pairs[2] = (pairs[2][0], {**pairs[2][1], "failed": 2})
     summary = _ab_bench().summarize(pairs, metrics)
     frontier = summary["frontier_s"]
-    assert frontier["parent"] == (0.016, 0.016, 0.017)
-    assert frontier["change"] == (0.012, 0.012, 0.013)
+    # the quartiles of perfbench/baseline.py: statistics.quantiles' exclusive rule
+    for side, (q1, med, q3) in (("parent", (0.0155, 0.016, 0.0175)),
+                                ("change", (0.0115, 0.012, 0.0145))):
+        assert frontier[side]["median"] == med
+        assert abs(frontier[side]["q1"] - q1) < 1e-12
+        assert abs(frontier[side]["q3"] - q3) < 1e-12
+    assert frontier["parent"]["values"] == parent
     assert (frontier["wins"], frontier["pairs"]) == (4, 5)
     assert abs(frontier["median_diff"] + 0.004) < 1e-12
-    assert abs(frontier["parent_iqr"] - 0.001) < 1e-12
+    assert abs(frontier["parent_iqr"] - 0.002) < 1e-12
     # higher is better: one win, one loss, three ties
     assert summary["decided_ratio"]["wins"] == 1
     assert summary["decided_ratio"]["median_diff"] == 0.25
     assert summary["failed"] == {"parent": 0, "change": 2}
 
 
-def test_ab_bench_summarizes_a_single_pair():
-    summary = _ab_bench().summarize([(_result(batch_s=2.0), _result(batch_s=1.0))],
-                                    [{"name": "batch_s", "better": "lower"}])
-    assert summary["batch_s"]["parent"] == (2.0, 2.0, 2.0)
-    assert summary["batch_s"]["parent_iqr"] == 0
-    assert summary["batch_s"]["wins"] == 1
+def test_ab_bench_needs_two_pairs():
+    with pytest.raises(ValueError, match="two pairs"):
+        _ab_bench().summarize([(_result(batch_s=2.0), _result(batch_s=1.0))],
+                              [{"name": "batch_s", "better": "lower"}])
