@@ -347,6 +347,8 @@ def _cmd_compare(args):
 
 def _cmd_corpus(args):
     if args.action == "list":
+        if args.name is not None:
+            raise InputError("corpus list takes no NAME")
         entries = CORPUS.values()
         if args.json:
             print(

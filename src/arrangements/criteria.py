@@ -64,7 +64,7 @@ from .derivations import (
     find_free_basis,
 )
 from .errors import TheoremViolation, WrongRank
-from .lattice import _chi, _keys, _restrict, intersection_lattice, reduced_char_poly
+from .lattice import _chi, _keys, _restrict, hyperplane_rows, reduced_char_poly
 from .polynomials import IntPoly
 from .restriction import _b_table, _b_vector, _check_index, ziegler_restriction
 
@@ -160,12 +160,10 @@ def compare_coefficients(arr, h0, degree_bound=None, assert_tame=False):
     """
     ell = arr.dim
     restriction = ziegler_restriction(arr, h0)
-    lattice = intersection_lattice(arr)
-    chi0 = reduced_char_poly(arr, lattice)
-    table = _b_table(chi0, lattice, h0, restriction)
+    table, chi0 = _b_table(arr, h0, restriction)
     roots = chi0.nonnegative_roots()
     essential = essentialize(restriction)[0]
-    if degree_bound is None and roots is not None and _divisionally_free(lattice, chi0):
+    if degree_bound is None and roots is not None and _divisionally_free(arr, chi0):
         # A is free: the global verdict and the per-flat sigma values come
         # from L(A) as the module docstring says, with no search
         top = FreenessVerdict(FREE, exponents=tuple(r for r in roots if r), essential=essential)
@@ -208,7 +206,7 @@ def compare_coefficients(arr, h0, degree_bound=None, assert_tame=False):
     return report
 
 
-def _divisionally_free(lattice, chi0):
+def _divisionally_free(arr, chi0):
     """Whether A is divisionally free, read off L(A) and chi0 alone (module
     docstring): some chain of covers V = X_0 < X_1 < ... < X_k in L(A), with
     rank(A) - k <= 2, has chi0(A^{X_i}) dividing chi0(A^{X_{i-1}}) at each
@@ -218,7 +216,7 @@ def _divisionally_free(lattice, chi0):
     whether a chain goes on from it, is computed once, by mask; an A^Y of
     rank 2 with n lines has chi = t**(dim Y - 2) (t**2 - n t + n - 1), with
     no walk."""
-    dim, rank = lattice.ambient_dim, lattice.rank
+    dim, rank = arr.dim, arr.rank()
     chis = {0: chi0 * IntPoly((-1, 1))}
     chains = {}
 
@@ -240,7 +238,7 @@ def _divisionally_free(lattice, chi0):
                     break
         return chains[x]
 
-    return chain_from(0, 0, _keys(lattice.flats[0].rows))
+    return chain_from(0, 0, _keys(hyperplane_rows(arr)))
 
 
 def mca_check(arr, h0, degree_bound=None):

@@ -24,8 +24,8 @@ hyperplane.  One walk (_walk) serves L(A) and every interval [X, top]:
 started from A^X instead of A's own rows it gives L(A^X), isomorphic to
 [X, top], with mu(X, .), because the masks of A^X leave out X's own
 hyperplanes, so the lowest bit of a cover is Weisner's atom relative to X.
-Cover pairs are met, never stored.  chi with no lattice passed is summed
-off the walk's keys and mu, with no Flat built (_chi).  decone and
+Cover pairs are met, never stored.  chi and chi0 are summed off the
+walk's keys and mu, with no Flat built (_chi, _chi0_walk).  decone and
 ziegler_restriction are the same step, onto alpha_{h0} = 1 and
 alpha_{h0} = 0.
 
@@ -43,7 +43,7 @@ from collections import Counter
 from functools import cached_property
 from math import gcd
 
-from .core import AffineArrangement, CentralArrangement, _Frozen, _Value
+from .core import CentralArrangement, _Frozen, _Value
 from .errors import FlatNotInLattice, NonzeroRemainder
 from .linalg import _pivot_col, echelon, primitive_vector
 from .polynomials import IntPoly
@@ -137,10 +137,6 @@ class IntersectionLattice(_Value):
     def moebius_of(self, flat):
         return self.moebius[self._position(flat)]
 
-    @property
-    def rank(self):
-        return max(f.codim for f in self.flats)
-
 
 def intersection_lattice(arr):
     """Enumerate all flats with their Moebius values (Weisner's rule)."""
@@ -215,49 +211,46 @@ def _restrict(parent, target):
     return out
 
 
-def _chi_sum(dim, pairs):
-    """sum of mu * t**(dim - codim) over (codim, mu) pairs."""
+def _chi_sum(dim, keys, mu):
+    """sum of mu[mask] * t**(dim - codim) over a walk's (codim, mask) keys."""
     coeffs = [0] * (dim + 1)
-    for codim, mu in pairs:
-        coeffs[dim - codim] += mu
+    for codim, mask in keys:
+        coeffs[dim - codim] += mu[mask]
     return IntPoly(coeffs)
 
 
 def _chi(dim, start):
     """chi(A^X) from the restriction start A^X, of dimension dim, summed
     over the walk's keys, with no Flat built."""
-    keys, mu = _walk(start)
-    return _chi_sum(dim, ((codim, mu[mask]) for codim, mask in keys))
+    return _chi_sum(dim, *_walk(start))
 
 
-def char_poly(arr, lattice=None):
-    """Characteristic polynomial: sum of mu(X) * t**dim(X) over all flats,
-    summed off the walk when no lattice is passed; a lattice passed in must
-    be arr's own (_member), else FlatNotInLattice."""
-    if lattice is None:
-        return _chi(arr.dim, _keys(hyperplane_rows(arr)))
-    if lattice.flats and not (
-        _member(lattice.flats[0], hyperplane_rows(arr))
-        # the flats of one build share one rows list, whose rows compare by identity
-        and all(_member(flat, lattice.flats[0].rows) for flat in lattice.flats)
-    ):
-        raise FlatNotInLattice("the lattice passed is not the arrangement's own")
-    return _chi_sum(arr.dim, zip((flat.codim for flat in lattice.flats), lattice.moebius))
+def char_poly(arr):
+    """Characteristic polynomial: sum of mu(X) * t**dim(X) over all flats."""
+    return _chi(arr.dim, _keys(hyperplane_rows(arr)))
 
 
-def reduced_char_poly(arr, lattice=None):
-    """chi(A,t) / (t-1) for a central arrangement; the division is exact."""
+def _chi0_walk(arr):
+    """(chi0, keys, mu) of a central arrangement from one walk of its rows:
+    chi(A,t) / (t-1), whose division is exact, and the walk's (codim, mask)
+    keys and {mask: mu}."""
     if not isinstance(arr, CentralArrangement):
         raise TypeError("reduced characteristic polynomial needs a central arrangement")
     if arr.n_hyperplanes == 0:
         raise NonzeroRemainder("empty arrangement: chi = t**dim has no (t-1) factor")
-    chi = char_poly(arr, lattice)
+    keys, mu = _walk(_keys(hyperplane_rows(arr)))
+    chi = _chi_sum(arr.dim, keys, mu)
     quotient, remainder = chi.divmod_monic(IntPoly((-1, 1)))
     if remainder.coeffs:
         raise NonzeroRemainder(
             f"chi(A,t) = {chi} is not divisible by t-1; this is a bug"
         )
-    return quotient
+    return quotient, keys, mu
+
+
+def reduced_char_poly(arr):
+    """chi(A,t) / (t-1) for a central arrangement; the division is exact."""
+    return _chi0_walk(arr)[0]
 
 
 def chamber_count(arr):

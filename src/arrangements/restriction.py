@@ -16,7 +16,7 @@ by its hyperplane set (its lattice mask):
 
 * the flats of the deconing are the flats X of L(A) not inside H0, with
   the same Moebius values (every flat containing such an X is not inside
-  H0 either), which intersection_lattice found by Weisner's rule;
+  H0 either), which the lattice's walk found by Weisner's rule;
 * the flats of L(A'') are the part of L(A) inside H0, one codimension
   lower.  The hyperplanes of A'' are the codimension-2 flats Z inside H0,
   in order of their first hyperplane other than h0, and a flat inside H0 lies
@@ -41,8 +41,7 @@ from __future__ import annotations
 from .core import (AffineArrangement, CentralArrangement, Multiarrangement, _Value, _refuse_affine,
                    _refuse_simple, essentialize)
 from .errors import FlatNotInLattice, IndexOutOfRange, TheoremViolation, WrongRank
-from .lattice import (Flat, _keys, _member, _restrict, hyperplane_rows, intersection_lattice,
-                      reduced_char_poly)
+from .lattice import Flat, _chi0_walk, _keys, _member, _restrict, hyperplane_rows
 from .linalg import _pivot_col
 
 
@@ -92,12 +91,12 @@ def localize_and_essentialize(multi, flat):
     return essentialize(Multiarrangement(multi.base, mult))[0]
 
 
-def _restriction_flats(lattice, h0, restriction):
-    """(the flats of L(A''), parents) read off L(A) as the module docstring
-    says: the flats in (codim, mask) order, and parents holding the mask in
-    L(A) of each flat, in the same order."""
+def _restriction_flats(keys, h0, restriction):
+    """(the flats of L(A''), parents) read off the (codim, mask) keys of
+    L(A) as the module docstring says: the flats in (codim, mask) order, and
+    parents holding the mask in L(A) of each flat, in the same order."""
     bit = 1 << h0
-    inside = [(f.codim, f.mask) for f in lattice.flats if f.mask & bit]
+    inside = [(c, m) for c, m in keys if m & bit]
     # A'' in ziegler_restriction's order: by the first hyperplane other than h0
     traces = sorted((z for c, z in inside if c == 2), key=lambda z: (z ^ bit) & -(z ^ bit))
     keyed = sorted(
@@ -152,9 +151,7 @@ def b_coefficients(arr, h0):
     is |mu(X')| for the parent flat X' of X in L(A) (module docstring).
     TheoremViolation is raised unless sum_X b_i^X = b_i.
     """
-    restriction = ziegler_restriction(arr, h0)
-    lat = intersection_lattice(arr)
-    return _b_table(reduced_char_poly(arr, lat), lat, h0, restriction)
+    return _b_table(arr, h0, ziegler_restriction(arr, h0))[0]
 
 
 def _b_vector(chi0, ell):
@@ -163,14 +160,14 @@ def _b_vector(chi0, ell):
     return tuple(abs(chi0.coefficient(ell - 1 - i)) for i in range(ell))
 
 
-def _b_table(chi0, lattice, h0, restriction):
-    """The CoefficientTable of b_coefficients from chi0 and L(A); its
-    per_flat keys are the flats of L(A''), in order."""
-    flats, parents = _restriction_flats(lattice, h0, restriction)
-    ell = lattice.ambient_dim
+def _b_table(arr, h0, restriction):
+    """(the CoefficientTable of b_coefficients, chi0), from one walk of A;
+    the table's per_flat keys are the flats of L(A''), in order."""
+    chi0, keys, mu = _chi0_walk(arr)
+    flats, parents = _restriction_flats(keys, h0, restriction)
+    ell = arr.dim
     b = _b_vector(chi0, ell)
-    mu = dict(zip((f.mask for f in lattice.flats), lattice.moebius))
     table = {x: {"b": abs(mu[y]), "sigma": None} for x, y in zip(flats, parents)}
     if tuple(sum(c["b"] for x, c in table.items() if x.codim == i) for i in range(ell)) != b:
         raise TheoremViolation("per-flat b decomposition disagrees with chi0")
-    return CoefficientTable(b=b, sigma=None, per_flat=table)
+    return CoefficientTable(b=b, sigma=None, per_flat=table), chi0

@@ -85,7 +85,8 @@ def rho_images(arr, h0, dA_lattice):
     flat's hyperplanes.
     """
     lattice = intersection_lattice(arr)
-    flats, parents = _restriction_flats(lattice, h0, ziegler_restriction(arr, h0))
+    keys = [(x.codim, x.mask) for x in lattice.flats]
+    flats, parents = _restriction_flats(keys, h0, ziegler_restriction(arr, h0))
     by_parent = dict(zip(parents, flats))
     out = {}
     for flat in dA_lattice.flats:

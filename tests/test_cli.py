@@ -323,7 +323,8 @@ NON_ESSENTIAL = '{"dim": 3, "hyperplanes": [[1, 0, 0], [0, 1, 0], [1, 1, 0], [1,
 @pytest.mark.parametrize("source", ["corpus:braid-ess4", "non-essential"])
 @pytest.mark.parametrize("json_flag", [(), ("--json",)])
 def test_compare_builds_one_lattice(capsys, monkeypatch, tmp_path, source, json_flag):
-    # L(A'') is read off L(A); equations are computed only for printed flats.
+    # L(A'') and chi0 are read off one walk of A, with no IntersectionLattice;
+    # equations are computed only for printed flats.
     if source == "non-essential":
         source = tmp_path / "a.json"
         source.write_text(NON_ESSENTIAL)
@@ -333,7 +334,7 @@ def test_compare_builds_one_lattice(capsys, monkeypatch, tmp_path, source, json_
     code, out, _ = run(capsys, "compare", str(source), "--h0", "0", *json_flag)
     assert code == 0
     assert sum(counts["walks"]) == 1
-    assert counts["lattices"] == 1
+    assert counts["lattices"] == 0
     assert counts["rref"] == (len(json.loads(out)["per_flat"]) if json_flag else 0)
 
 
@@ -462,6 +463,13 @@ def test_corpus_get_is_loadable(capsys, tmp_path):
             by_name = run(capsys, command, f"corpus:{name}", *rest)[:2]
             by_file = run(capsys, command, str(path), *rest)[:2]
             assert by_name == by_file, (command, name)
+
+
+def test_corpus_list_refuses_a_name(capsys):
+    code, out, err = run(capsys, "corpus", "list", "braid-ess3")
+    assert code == 1
+    assert out == ""
+    assert err == "error: corpus list takes no NAME\n"
 
 
 def test_corpus_get_unknown_name(capsys):

@@ -107,7 +107,7 @@ def test_golden_cli_outputs():
 def test_golden_compare_outputs_through_the_sweep(monkeypatch):
     # compare reads a divisionally free input off L(A); its localization
     # sweep, which that proof replaces, must print the same bytes
-    monkeypatch.setattr(criteria, "_divisionally_free", lambda lattice, chi0: False)
+    monkeypatch.setattr(criteria, "_divisionally_free", lambda arr, chi0: False)
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     replayed = [g for g in golden if g["argv"][0] == "compare"]
     assert replayed

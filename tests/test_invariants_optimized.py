@@ -25,8 +25,13 @@ CHECKS = {
     "b-decomposition": (
         """
         from arrangements import CORPUS, IntPoly, restriction
-        real = restriction.reduced_char_poly
-        restriction.reduced_char_poly = lambda arr, lattice: real(arr, lattice) + IntPoly((1,))
+        real = restriction._chi0_walk
+
+        def walk(arr):
+            chi0, keys, mu = real(arr)
+            return chi0 + IntPoly((1,)), keys, mu
+
+        restriction._chi0_walk = walk
         restriction.b_coefficients(CORPUS["braid-ess3"].arrangement, 0)
         """,
         "per-flat b decomposition disagrees with chi0",
@@ -86,16 +91,17 @@ CHECKS = {
     ),
     "direction-flat-rank-b": (
         """
-        from arrangements import (CORPUS, Flat, IntersectionLattice, b_coefficients,
-                                  intersection_lattice, restriction)
-        arr = CORPUS["braid-ess3"].arrangement
-        lat = intersection_lattice(arr)
-        # H0 = hyperplane 0 drops out of every codimension-2 hyperplane set,
-        # so no flat of L(A'') is left at codimension 1
-        flats = tuple(Flat(2, f.mask & ~1, f.rows) if f.codim == 2 else f for f in lat.flats)
-        restriction.intersection_lattice = (
-            lambda arr: IntersectionLattice(lat.ambient_dim, flats, lat.moebius))
-        b_coefficients(arr, 0)
+        from arrangements import CORPUS, b_coefficients, restriction
+        real = restriction._chi0_walk
+
+        def walk(arr):
+            # H0 = hyperplane 0 drops out of every codimension-2 hyperplane
+            # set, so no flat of L(A'') is left at codimension 1
+            chi0, keys, mu = real(arr)
+            return chi0, [(c, m & ~1 if c == 2 else m) for c, m in keys], mu
+
+        restriction._chi0_walk = walk
+        b_coefficients(CORPUS["braid-ess3"].arrangement, 0)
         """,
         "per-flat b decomposition disagrees with chi0",
     ),

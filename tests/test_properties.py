@@ -15,6 +15,8 @@ from arrangements import (
     CORPUS,
     AffineArrangement,
     BadPrime,
+    CoefficientTable,
+    Flat,
     IntPoly,
     PolyVectorField,
     abe_yoshinaga_free_check,
@@ -216,9 +218,11 @@ def _assert_moebius_is_the_recursion(arr):
     lat = intersection_lattice(arr)
     mu = moebius_bruteforce(arr)
     assert sorted(mu) == sorted(f.equations for f in lat.flats)
+    coeffs = [0] * (arr.dim + 1)
     for flat, value in zip(lat.flats, lat.moebius):
         assert mu[flat.equations] == value
-    assert char_poly(arr) == char_poly(arr, lat)
+        coeffs[arr.dim - flat.codim] += value
+    assert char_poly(arr) == IntPoly(coeffs)
 
 
 @settings(max_examples=60, deadline=None)
@@ -350,10 +354,10 @@ def test_restriction_lattice_read_off_l_a_matches_its_own_lattice(drawn):
     # same order, equations and localizations.
     dim, forms = drawn
     arr = canonicalize(forms, dim)
-    lattice = intersection_lattice(arr)
+    keys = _walk(_keys(hyperplane_rows(arr)))[0]
     for h0 in range(arr.n_hyperplanes):
         restriction = ziegler_restriction(arr, h0)
-        flats = _restriction_flats(lattice, h0, restriction)[0]
+        flats = _restriction_flats(keys, h0, restriction)[0]
         ref = intersection_lattice(restriction.base)
         assert flats == ref.flats
         assert [x.equations for x in flats] == [x.equations for x in ref.flats]
@@ -613,6 +617,48 @@ def _rank3_arrangements(draw):
     return canonicalize(forms, dim), draw(st.integers(0, len(forms) - 1))
 
 
+def _b_table_by_the_lattice(arr, h0):
+    """Reference for b_coefficients: the route through intersection_lattice,
+    with chi summed over its flats and Moebius values, and each flat of L(A)
+    on H0 read as a flat of L(A'') one codimension lower, whose hyperplanes
+    are the codimension-2 flats on H0 below it."""
+    lat = intersection_lattice(arr)
+    ell = arr.dim
+    coeffs = [0] * (ell + 1)
+    for flat, mu in zip(lat.flats, lat.moebius):
+        coeffs[ell - flat.codim] += mu
+    chi0, remainder = IntPoly(coeffs).divmod_monic(IntPoly((-1, 1)))
+    assert not remainder.coeffs
+    bit = 1 << h0
+    inside = [(flat, mu) for flat, mu in zip(lat.flats, lat.moebius) if flat.mask & bit]
+    # A'' lists its hyperplanes by their first hyperplane of A other than h0
+    traces = sorted((f.mask for f, _ in inside if f.codim == 2),
+                    key=lambda z: (z ^ bit) & -(z ^ bit))
+    rows = hyperplane_rows(ziegler_restriction(arr, h0).base)
+    per_flat = {}
+    for flat, mu in inside:
+        mask = sum(1 << i for i, z in enumerate(traces) if z & flat.mask == z)
+        per_flat[Flat(flat.codim - 1, mask, rows)] = {"b": abs(mu), "sigma": None}
+    per_flat = dict(sorted(per_flat.items(), key=lambda kv: (kv[0].codim, kv[0].mask)))
+    return CoefficientTable(tuple(abs(chi0.coefficient(ell - 1 - i)) for i in range(ell)),
+                            None, per_flat)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(_rank3_arrangements(), _rank4_arrangements().map(lambda d: d[:2])))
+@example((CORPUS["braid-ess4"].arrangement, 0))
+@example((canonicalize(_embed(CORPUS["braid-ess4"].arrangement.forms, (2, 0, -1, 1)), 5), 0))
+def test_b_coefficients_match_the_lattice_route(drawn):
+    # one walk of A gives chi0 and the per-flat b that intersection_lattice gives
+    arr = drawn[0]
+    for h0 in range(arr.n_hyperplanes):
+        got, want = b_coefficients(arr, h0), _b_table_by_the_lattice(arr, h0)
+        assert got == want
+        assert [(x.codim, x.mask, x.rows) for x in got.per_flat] == [
+            (x.codim, x.mask, x.rows) for x in want.per_flat
+        ]
+
+
 @settings(max_examples=40, deadline=None)
 @given(_rank3_arrangements())
 @example((CORPUS["boolean4"].arrangement, CORPUS["boolean4"].h0))
@@ -673,8 +719,7 @@ def test_reflection_arrangements_are_divisionally_free():
     # Coxeter arrangements are inductively free, hence divisionally free;
     # _SPLIT_NOT_FREE3 is not free, so it is not divisionally free either
     for arr in _REFLECTION + [_SPLIT_NOT_FREE3]:
-        lattice = intersection_lattice(arr)
-        got = criteria._divisionally_free(lattice, reduced_char_poly(arr, lattice))
+        got = criteria._divisionally_free(arr, reduced_char_poly(arr))
         assert got is (arr is not _SPLIT_NOT_FREE3)
 
 
@@ -701,19 +746,19 @@ def test_divisional_freeness_agrees_with_the_search(drawn):
     with mock.patch.object(criteria, "_divisionally_free", return_value=False), \
             mock.patch.object(criteria, "_bounded_search", search):
         assert compare_coefficients(arr, h0) == report
-    lattice = intersection_lattice(arr)
-    chi0 = reduced_char_poly(arr, lattice)
+    chi0 = reduced_char_poly(arr)
     roots = chi0.nonnegative_roots()
-    if roots is not None and criteria._divisionally_free(lattice, chi0):
+    if roots is not None and criteria._divisionally_free(arr, chi0):
         top, = searched
         assert top.is_free
         assert tuple(top.exponents) == tuple(r for r in roots if r)
 
 
-def _divisionally_free_by_walks(lattice, chi0):
+def _divisionally_free_by_walks(arr, chi0):
     """Reference for criteria._divisionally_free: every chi(A^Y) summed over
     the walk of A^Y, the last (rank 2) step's too, and nothing memoized."""
-    dim, rank = lattice.ambient_dim, lattice.rank
+    start = _keys(hyperplane_rows(arr))
+    dim, rank = arr.dim, max(c for c, _ in _walk(start)[0])
 
     def chi(restricted, codim):
         coeffs = [0] * (dim - codim + 1)
@@ -730,8 +775,8 @@ def _divisionally_free_by_walks(lattice, chi0):
         return any(not here.divmod_monic(chi(above, codim + 1))[1].coeffs
                    and chain_from(above, codim + 1) for above in covers)
 
-    assert chi(_keys(lattice.flats[0].rows), 0) == chi0 * IntPoly((-1, 1))
-    return chain_from(_keys(lattice.flats[0].rows), 0)
+    assert chi(start, 0) == chi0 * IntPoly((-1, 1))
+    return chain_from(start, 0)
 
 
 @settings(max_examples=80, deadline=None)
@@ -745,9 +790,8 @@ def test_divisional_freeness_reads_the_last_chi_off_the_lines(drawn):
     # number of lines; walking it gives the same answer
     dim, forms = drawn
     arr = canonicalize(forms, dim)
-    lattice = intersection_lattice(arr)
-    chi0 = reduced_char_poly(arr, lattice)
-    assert criteria._divisionally_free(lattice, chi0) is _divisionally_free_by_walks(lattice, chi0)
+    chi0 = reduced_char_poly(arr)
+    assert criteria._divisionally_free(arr, chi0) is _divisionally_free_by_walks(arr, chi0)
 
 
 @st.composite

@@ -226,8 +226,10 @@ def test_rho_builds_no_lattice(monkeypatch):
     def counted(real):
         return lambda *args: calls.append(args) or real(*args)
 
-    for module in (lattice_module, restriction_module):
-        monkeypatch.setattr(module, "intersection_lattice", counted(module.intersection_lattice))
+    # restriction reads L(A) only through lattice's walk
+    assert not hasattr(restriction_module, "intersection_lattice")
+    for name in ("intersection_lattice", "_walk"):
+        monkeypatch.setattr(lattice_module, name, counted(getattr(lattice_module, name)))
     for flat in flats:
         rho(arr, 0, flat)
     assert calls == []

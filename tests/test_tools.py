@@ -71,3 +71,33 @@ def test_ab_bench_needs_two_pairs():
     with pytest.raises(ValueError, match="two pairs"):
         _ab_bench().summarize([(_result(batch_s=2.0), _result(batch_s=1.0))],
                               [{"name": "batch_s", "better": "lower"}])
+
+
+FAILING_PROPERTY = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(n):
+    assert n < 5
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_a_failing_property_leaves_the_run_going(tmp_path):
+    # under the repo's pytest settings (every warning an error), Hypothesis's
+    # failure report must not abort the run with INTERNALERROR
+    (tmp_path / "test_property.py").write_text(FAILING_PROPERTY)
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(ROOT / "pyproject.toml"), "--rootdir",
+         str(tmp_path), "-p", "no:cacheprovider", "-q", "test_property.py"],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        timeout=120,
+    )
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr
+    assert "1 failed, 1 passed" in proc.stdout
